@@ -20,11 +20,12 @@ from .dyadic import (
     DyadicTree,
     _bitmask_of,
     _indices_of_bitmask,
+    _read_header,
 )
+from .budget import charge
 from .errors import FormatError, ResourceLimitError
 
 _MAX_GRID_CELLS = 1_000_000
-_MAX_BITS = 1 << 28
 
 
 def _sum_indices(
@@ -34,8 +35,7 @@ def _sum_indices(
     if a_idx.size == 0 or b_idx.size == 0:
         return np.empty(0, dtype=np.int64)
     out_cap = a_cap + b_cap
-    if out_cap > _MAX_BITS:
-        raise ResourceLimitError(f"sumset grid of {out_cap} cells exceeds work budget")
+    charge(out_cap, "sumset grid")
     dense = a_idx.size / a_cap > DENSE_THRESHOLD or b_idx.size / b_cap > DENSE_THRESHOLD
     if dense:
         return _sum_indices_dense(a_idx, b_idx, out_cap)
@@ -90,6 +90,7 @@ def iterated_sumset(a: DyadicTree, k: int, level: int) -> DyadicTree:
         raise ValueError(f"fold count k={k} must be >= 1")
     if not 0 <= level <= a.max_depth:
         raise ValueError(f"level {level} exceeds tree depth {a.max_depth}")
+    charge(k * a.capacity(level), "iterated sumset grid")
     part = a.array(level)
     cap = a.capacity(level)
     base_cap = cap
@@ -125,7 +126,7 @@ def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
     if not 0.0 <= upper <= a.span:
         raise ValueError(f"upper={upper} outside [0, {a.span}]")
     hi = min(int(upper * (1 << delta_level)), a.capacity(delta_level) - 1)
-    occ = a.mask(delta_level)
+    occ = _bitmask_of(a.array(delta_level), a.capacity(delta_level))
     wide = occ | (occ << 1) | (occ >> 1)
     need = (1 << (hi + 1)) - 1
     return wide & need == need
@@ -176,6 +177,7 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
         raise ValueError("factors must share depth and span")
     sizes = [len(t.levels[depth]) for t in trees]
     total = math.prod(sizes)
+    charge(total, "grid product")
     if total > _MAX_GRID_CELLS:
         raise ResourceLimitError(f"{total} product cells exceed the {_MAX_GRID_CELLS} budget")
     grids = np.meshgrid(*[t.array(depth) for t in trees], indexing="ij")
@@ -188,6 +190,7 @@ def distance_set(f: GridSetD) -> DyadicTree:
     side; always contains the cell of 0.  Output depth matches f."""
     if not f.cells:
         raise ValueError("empty grid set")
+    charge(len(f.cells), "distance pair loop")
     if len(f.cells) > _MAX_GRID_CELLS:
         raise ResourceLimitError(
             f"{len(f.cells)} cells exceed the {_MAX_GRID_CELLS} pair-loop budget"
@@ -240,18 +243,7 @@ def dumps_grid(f: GridSetD) -> str:
 
 def loads_grid(text: str) -> GridSetD:
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty input")
-    header = lines[0].split()
-    if len(header) < 4 or header[0] != "grid-set" or header[1] != "v1":
-        raise FormatError(f"bad header: {lines[0]!r}")
-    fields = dict(tok.split("=", 1) for tok in header[2:])
-    try:
-        d = int(fields["d"])
-        depth = int(fields["depth"])
-        span = int(fields["span"])
-    except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header fields: {lines[0]!r}") from exc
+    d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
     cells = []
     for ln in lines[1:]:
         parts = ln.split()

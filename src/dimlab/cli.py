@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
+from contextlib import nullcontext
 
-import numpy as np
-
-from .dyadic import DyadicTree, dumps_tree, load_tree, save_tree
+from .budget import DEFAULT_CELLS, limit
+from .dyadic import DyadicTree, dumps_tree, load_tree, loads_tree
 from .errors import (
-    DimLabError,
     FormatError,
     HypothesisError,
     ResourceLimitError,
     SpecValidationError,
 )
-from .generators import _as_float, build_tree, spec_from_json
+from .generators import build_tree, spec_from_json
 from .measures import (
     counting_measure,
     covering_bounds_check,
@@ -41,14 +39,14 @@ from .arithmetic import (
     index_sumset,
     iterated_sumset,
     load_grid,
-    save_grid,
+    loads_grid,
     SumsetReport,
 )
 from .dimension import assouad_estimate, box_estimate, growth_experiment, lower_estimate
 from .io import atomic_write_text, dumps_json
 from .verify import run_suite
 
-_DEFAULT_BUDGET = 1 << 28
+_MEASURES = {"counting": counting_measure, "splitting": splitting_measure}
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -62,7 +60,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _budget(args) -> int:
-    if getattr(args, "budget_cells", None):
+    """--budget-cells, else DIMLAB_BUDGET_CELLS, else the library default."""
+    if args.budget_cells is not None:
         return args.budget_cells
     env = os.environ.get("DIMLAB_BUDGET_CELLS")
     if env:
@@ -70,12 +69,7 @@ def _budget(args) -> int:
             return int(env)
         except ValueError:
             raise SpecValidationError(f"DIMLAB_BUDGET_CELLS={env!r} is not an integer")
-    return _DEFAULT_BUDGET
-
-
-def _guard_cells(count: int, budget: int, what: str) -> None:
-    if count > budget:
-        raise ResourceLimitError(f"{what} needs {count} cells, budget is {budget}")
+    return DEFAULT_CELLS
 
 
 def _kv(tokens: list[str], what: str) -> dict[str, str]:
@@ -101,12 +95,8 @@ def _load_any(path: str):
         rest = fh.read()
     text = head + rest
     if head.startswith("dyadic-tree"):
-        from .dyadic import loads_tree
-
         return loads_tree(text)
     if head.startswith("grid-set"):
-        from .arithmetic import loads_grid
-
         return loads_grid(text)
     raise FormatError(f"{path}: unrecognized header {head.strip()!r}")
 
@@ -152,17 +142,11 @@ def _spec_from_args(args):
 
 
 def cmd_gen(args) -> int:
-    budget = _budget(args)
     if args.product:
         trees = [load_tree(p) for p in args.product]
-        grid = grid_product(trees)
-        _guard_cells(len(grid.cells), budget, "grid product")
-        _write_text(args.out, dumps_grid(grid))
+        _write_text(args.out, dumps_grid(grid_product(trees)))
         return 0
-    spec = _spec_from_args(args)
-    span = getattr(spec, "span", None) or getattr(spec, "bound", None) or 1
-    _guard_cells(span << args.depth, budget, "generated tree")
-    tree = build_tree(spec, args.depth)
+    tree = build_tree(_spec_from_args(args), args.depth)
     _write_text(args.out, dumps_tree(tree))
     return 0
 
@@ -178,9 +162,10 @@ def _report_json(report: SumsetReport, extra: dict | None = None) -> str:
 
 
 def cmd_sum(args) -> int:
-    budget = _budget(args)
     if len(args.inputs) > 2:
         raise SpecValidationError("sum takes one or two input trees")
+    if len(args.inputs) == 2 and args.k != 1:
+        raise SpecValidationError("--k applies to a single input only")
     trees = [load_tree(p) for p in args.inputs]
     level = args.level if args.level is not None else min(t.max_depth for t in trees)
     for t in trees:
@@ -194,12 +179,8 @@ def cmd_sum(args) -> int:
             _write_text(args.report, _report_json(SumsetReport(level, 0, (0.0, 0.0))))
         return 0
     if len(trees) == 2:
-        _guard_cells((trees[0].span + trees[1].span) << level, budget, "sumset grid")
         out, report = index_sumset(trees[0], trees[1], level)
-        if args.k != 1:
-            raise SpecValidationError("--k applies to a single input only")
     else:
-        _guard_cells((trees[0].span * args.k) << level, budget, "sumset grid")
         out = iterated_sumset(trees[0], args.k, level)
         count = len(out.levels[level])
         report = SumsetReport(level, count, (count / 2.0, 2.0 * count))
@@ -210,10 +191,8 @@ def cmd_sum(args) -> int:
 
 
 def cmd_diff(args) -> int:
-    budget = _budget(args)
     tree = load_tree(args.input)
     level = args.level if args.level is not None else tree.max_depth
-    _guard_cells(2 * tree.span << level, budget, "difference grid")
     out, offset = difference_set(tree, level)
     _write_text(args.out, dumps_tree(out))
     if args.report:
@@ -223,11 +202,7 @@ def cmd_diff(args) -> int:
 
 
 def cmd_dist(args) -> int:
-    budget = _budget(args)
-    grid = load_grid(args.input)
-    _guard_cells(len(grid.cells), budget, "distance pair loop")
-    out = distance_set(grid)
-    _write_text(args.out, dumps_tree(out))
+    _write_text(args.out, dumps_tree(distance_set(load_grid(args.input))))
     return 0
 
 
@@ -241,43 +216,80 @@ def _parse_pair(text: str, what: str) -> tuple[int, int]:
     return int(parts[0]), int(parts[1])
 
 
-def _analyze_object(obj, args, results: list[dict], csv_rows: list[str]) -> int:
+def _flag_analyses(args) -> list[dict]:
+    """The --box/--assouad/--lower/--profile/--covering-check flags in the
+    config `analyses` form, in the order their results are emitted."""
+    reqs = [{"kind": "box", "window": list(_parse_pair(spec, "--box"))} for spec in args.box or []]
+    reqs += [{"kind": "assouad", "m": m} for m in args.assouad or []]
+    reqs += [{"kind": "lower", "m": m} for m in args.lower or []]
+    for kind, specs in (("profile", args.profile), ("covering-check", args.covering_check)):
+        for spec in specs or []:
+            parts = [p for p in spec.split(",") if p]
+            if not parts:
+                raise SpecValidationError(f"--{kind} needs EPS, got {spec!r}")
+            req = {"kind": kind, "eps": float(parts[0]), "measure": args.measure}
+            if len(parts) > 1:
+                req["m"] = int(parts[1])
+            if len(parts) > 2 and kind == "profile":
+                req["n"] = int(parts[2])
+            reqs.append(req)
+    return reqs
+
+
+def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[dict], list[str], int]:
+    """Run config-form analysis requests on a tree or grid set.  Returns the
+    result rows, the per-scale CSV lines and the exit status (1 when a
+    covering check fails).  `growth` runs on `base_spec`, not on obj."""
+    depth = obj.max_depth if isinstance(obj, DyadicTree) else obj.depth
+    results: list[dict] = []
+    csv_rows = ["scale,log2_count"]
+    measures: dict = {}
     status = 0
-    is_tree = isinstance(obj, DyadicTree)
-    depth = obj.max_depth if is_tree else obj.depth
-    for spec in args.box or []:
-        n_min, n_max = _parse_pair(spec, "--box")
-        for variant in ("upper", "lower"):
-            est = box_estimate(obj, n_min, n_max, variant)
-            results.append(est.to_json(args.input))
-            if variant == "upper":
-                for n, logc in est.per_scale:
-                    csv_rows.append(f"{n},{logc:.6f}")
-    for m in args.assouad or []:
-        results.append(assouad_estimate(obj, m).to_json(args.input))
-    for m in args.lower or []:
-        results.append(lower_estimate(obj, m).to_json(args.input))
-    if args.profile or args.covering_check:
-        if not is_tree:
-            raise SpecValidationError("entropy profiles need a 1-d tree input")
-        mu = splitting_measure(obj) if args.measure == "splitting" else counting_measure(obj)
-        for spec in args.profile or []:
-            parts = [p for p in spec.split(",") if p]
-            eps = float(parts[0])
-            m = int(parts[1]) if len(parts) > 1 else default_window(eps)
-            n = int(parts[2]) if len(parts) > 2 else None
-            prof = scale_profile(mu, eps, m, n)
-            results.append({"kind": "profile", "set": args.input, **prof.to_json()})
-        for spec in args.covering_check or []:
-            parts = [p for p in spec.split(",") if p]
-            eps = float(parts[0])
-            m = int(parts[1]) if len(parts) > 1 else default_window(eps)
-            prof = scale_profile(mu, eps, m)
-            rep = covering_bounds_check(obj, prof, depth)
-            results.append({"kind": "covering-check", "set": args.input, **rep.to_json()})
-            if not rep.ok:
-                status = 1
-    return status
+    for req in reqs:
+        kind = req.get("kind")
+        if kind == "box":
+            n_min, n_max = req.get("window", [max(1, depth // 2), depth])
+            for variant in ("upper", "lower"):
+                est = box_estimate(obj, n_min, n_max, variant)
+                results.append(est.to_json(label))
+                if variant == "upper":
+                    for n, logc in est.per_scale:
+                        csv_rows.append(f"{n},{logc:.6f}")
+        elif kind == "assouad":
+            results.append(assouad_estimate(obj, int(req.get("m", max(1, depth // 2)))).to_json(label))
+        elif kind == "lower":
+            results.append(lower_estimate(obj, int(req.get("m", max(1, depth // 2)))).to_json(label))
+        elif kind == "growth":
+            table = growth_experiment(base_spec, int(req.get("k_max", 3)), depth)
+            results.append({"kind": "growth", "set": label, **table.to_json()})
+        elif kind in ("profile", "covering-check"):
+            if not isinstance(obj, DyadicTree):
+                raise SpecValidationError(f"{label}: {kind} needs a 1-d tree")
+            measure = req.get("measure", "counting")
+            if measure not in _MEASURES:
+                raise SpecValidationError(f"{label}: unknown measure {measure!r}")
+            if measure not in measures:
+                measures[measure] = _MEASURES[measure](obj)
+            eps = float(req.get("eps", 0.1))
+            m = int(req.get("m", default_window(eps)))
+            if kind == "profile":
+                n = req.get("n")
+                prof = scale_profile(measures[measure], eps, m, None if n is None else int(n))
+                results.append({"kind": "profile", "set": label, **prof.to_json()})
+            else:
+                rep = covering_bounds_check(obj, scale_profile(measures[measure], eps, m), depth)
+                results.append({"kind": "covering-check", "set": label, **rep.to_json()})
+                if not rep.ok:
+                    status = 1
+        else:
+            raise SpecValidationError(f"{label}: unknown analysis kind {kind!r}")
+    return results, csv_rows, status
+
+
+def _write_outputs(payload: str, csv_rows: list[str], json_path, csv_path) -> None:
+    _write_text(json_path or "-", payload)
+    if csv_path:
+        _write_text(csv_path, "\n".join(csv_rows) + "\n")
 
 
 def cmd_analyze(args) -> int:
@@ -286,16 +298,40 @@ def cmd_analyze(args) -> int:
     if not args.input:
         raise SpecValidationError("analyze needs an input file or --config")
     obj = _load_any(args.input)
-    results: list[dict] = []
-    csv_rows: list[str] = ["scale,log2_count"]
-    status = _analyze_object(obj, args, results, csv_rows)
-    if args.json:
-        _write_text(args.json, dumps_json({"input": args.input, "results": results}))
-    else:
-        sys.stdout.write(dumps_json({"input": args.input, "results": results}))
-    if args.csv:
-        _write_text(args.csv, "\n".join(csv_rows) + "\n")
+    results, csv_rows, status = _run_analyses(obj, _flag_analyses(args), args.input, None)
+    payload = dumps_json({"input": args.input, "results": results})
+    _write_outputs(payload, csv_rows, args.json, args.csv)
     return status
+
+
+def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
+    """Build the config's generator trees and run its pipeline stages on the
+    first; `sum` and `product` combine the current stage with the others."""
+    gens = cfg.get("generators")
+    if not gens:
+        raise SpecValidationError(f"config {name}: no generators")
+    trees = [build_tree(g, depth) for g in gens]
+    current: DyadicTree | GridSetD = trees[0]
+    for stage in cfg.get("pipeline", []):
+        op = stage.get("op")
+        if op not in ("sum", "iterate", "difference", "product", "distance"):
+            raise SpecValidationError(f"config {name}: unknown pipeline op {op!r}")
+        if (op == "distance") == isinstance(current, DyadicTree):
+            need = "a product grid" if op == "distance" else "a 1-d tree"
+            raise SpecValidationError(f"config {name}: {op} needs {need}")
+        if op == "sum":
+            if len(trees) < 2:
+                raise SpecValidationError(f"config {name}: sum needs two generators")
+            current, _ = index_sumset(current, trees[1], depth)
+        elif op == "iterate":
+            current = iterated_sumset(current, int(stage.get("k", 2)), depth)
+        elif op == "difference":
+            current, _ = difference_set(current, depth)
+        elif op == "product":
+            current = grid_product([current, *trees[1:]])
+        else:
+            current = distance_set(current)
+    return current
 
 
 def _run_config(args) -> int:
@@ -305,98 +341,20 @@ def _run_config(args) -> int:
     depth = args.depth or cfg.get("depth")
     if not isinstance(depth, int) or depth < 1:
         raise SpecValidationError(f"config {name}: depth must be a positive integer")
-    budget = cfg.get("budget_cells") or _budget(args)
-    gens = cfg.get("generators")
-    if not gens:
-        raise SpecValidationError(f"config {name}: no generators")
-    trees = []
-    for g in gens:
-        spec = spec_from_json(g)
-        span = getattr(spec, "span", None) or getattr(spec, "bound", None) or 1
-        _guard_cells(span << depth, budget, f"config {name} generator")
-        trees.append(build_tree(spec, depth))
-    current: DyadicTree | GridSetD = trees[0]
-    for stage in cfg.get("pipeline", []):
-        op = stage.get("op")
-        if op == "sum":
-            if len(trees) < 2:
-                raise SpecValidationError(f"config {name}: sum needs two generators")
-            if not isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: sum needs 1-d trees")
-            current, _ = index_sumset(trees[0], trees[1], depth)
-        elif op == "iterate":
-            if not isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: iterate needs a 1-d tree")
-            k = int(stage.get("k", 2))
-            _guard_cells(current.span * k << depth, budget, f"config {name} iterate")
-            current = iterated_sumset(current, k, depth)
-        elif op == "difference":
-            if not isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: difference needs a 1-d tree")
-            current, _ = difference_set(current, depth)
-        elif op == "product":
-            if not isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: product needs 1-d trees")
-            current = grid_product(trees)
-        elif op == "distance":
-            if isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: distance needs a product grid")
-            _guard_cells(len(current.cells), budget, f"config {name} distance")
-            current = distance_set(current)
-        else:
-            raise SpecValidationError(f"config {name}: unknown pipeline op {op!r}")
-    results: list[dict] = []
-    csv_rows: list[str] = ["scale,log2_count"]
-    status = 0
-    for req in cfg.get("analyses", []):
-        kind = req.get("kind")
-        if kind == "box":
-            n_min, n_max = req.get("window", [max(1, depth // 2), depth])
-            for variant in ("upper", "lower"):
-                est = box_estimate(current, n_min, n_max, variant)
-                results.append(est.to_json(name))
-                if variant == "upper":
-                    for n, logc in est.per_scale:
-                        csv_rows.append(f"{n},{logc:.6f}")
-        elif kind == "assouad":
-            results.append(assouad_estimate(current, int(req.get("m", max(1, depth // 2)))).to_json(name))
-        elif kind == "lower":
-            results.append(lower_estimate(current, int(req.get("m", max(1, depth // 2)))).to_json(name))
-        elif kind == "growth":
-            table = growth_experiment(spec_from_json(gens[0]), int(req.get("k_max", 3)), depth)
-            results.append({"kind": "growth", "set": name, **table.to_json()})
-        elif kind in ("profile", "covering-check"):
-            if not isinstance(current, DyadicTree):
-                raise SpecValidationError(f"config {name}: {kind} needs a 1-d tree")
-            eps = float(req.get("eps", 0.1))
-            m = int(req.get("m", default_window(eps)))
-            mu = counting_measure(current)
-            prof = scale_profile(mu, eps, m)
-            if kind == "profile":
-                results.append({"kind": "profile", "set": name, **prof.to_json()})
-            else:
-                rep = covering_bounds_check(current, prof, current.max_depth)
-                results.append({"kind": "covering-check", "set": name, **rep.to_json()})
-                if not rep.ok:
-                    status = 1
-        else:
-            raise SpecValidationError(f"config {name}: unknown analysis kind {kind!r}")
+    budget = cfg.get("budget_cells")
+    if budget is not None and not isinstance(budget, int):
+        raise SpecValidationError(f"config {name}: budget_cells must be an integer")
+    with nullcontext() if budget is None else limit(budget):
+        current = _run_pipeline(cfg, name, depth)
+        results, csv_rows, status = _run_analyses(
+            current, cfg.get("analyses", []), name, cfg["generators"][0]
+        )
     out = cfg.get("out", {})
-    tree_path = out.get("tree")
-    if tree_path:
-        if isinstance(current, DyadicTree):
-            _write_text(tree_path, dumps_tree(current))
-        else:
-            _write_text(tree_path, dumps_grid(current))
-    json_path = args.json or out.get("json")
+    if out.get("tree"):
+        dump = dumps_tree if isinstance(current, DyadicTree) else dumps_grid
+        _write_text(out["tree"], dump(current))
     payload = dumps_json({"name": name, "depth": depth, "results": results})
-    if json_path:
-        _write_text(json_path, payload)
-    else:
-        sys.stdout.write(payload)
-    csv_path = args.csv or out.get("csv")
-    if csv_path:
-        _write_text(csv_path, "\n".join(csv_rows) + "\n")
+    _write_outputs(payload, csv_rows, args.json or out.get("json"), args.csv or out.get("csv"))
     return status
 
 
@@ -485,7 +443,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with limit(_budget(args)):
+            return args.func(args)
     except (SpecValidationError, FormatError) as exc:
         _emit_error("SPEC_INVALID", str(exc))
         return 2

@@ -11,18 +11,17 @@ the covering definitions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
 from .dyadic import DyadicTree
 from .arithmetic import GridSetD, iterated_sumset
-from .errors import ResourceLimitError
+from .budget import charge
+from .generators import build_tree, spec_span
 
 GridLike = Union[DyadicTree, GridSetD]
-
-_MAX_GROWTH_BITS = 1 << 28
 
 
 @dataclass(frozen=True)
@@ -207,13 +206,10 @@ def growth_experiment(
     until the estimate sits within saturation_tol of 1; past that point
     further growth is not demanded.
     """
-    from .generators import build_tree
-
     if k_max < 2:
         raise ValueError(f"k_max={k_max} must be >= 2")
+    charge(spec_span(gen_spec) * k_max << depth, "growth experiment")
     base = build_tree(gen_spec, depth)
-    if base.span * k_max << depth > _MAX_GROWTH_BITS:
-        raise ResourceLimitError("k_max * span * 2^depth exceeds the work budget")
     if window is None:
         window = (max(1, depth // 2), depth)
     if m is None:

@@ -31,9 +31,8 @@ from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
+from .budget import charge
 from .errors import EmptySetError, FormatError
-
-DEFAULT_MAX_DEPTH = 24
 
 # Sparse index tuples switch to dense bit-grid kernels above this occupancy.
 DENSE_THRESHOLD = 1.0 / 64.0
@@ -100,7 +99,7 @@ class DyadicTree:
     trees, or :meth:`from_leaves` which saturates by construction.
     """
 
-    __slots__ = ("max_depth", "span", "levels", "_arrays", "_masks")
+    __slots__ = ("max_depth", "span", "levels", "_arrays")
 
     def __init__(self, max_depth: int, span: int, levels: Iterable[Iterable[int]]):
         if max_depth < 0:
@@ -114,7 +113,6 @@ class DyadicTree:
         self.span = span
         self.levels = lv
         self._arrays: dict[int, np.ndarray] = {}
-        self._masks: dict[int, int] = {}
 
     @classmethod
     def from_leaves(cls, max_depth: int, span: int, leaves: Iterable[int]) -> "DyadicTree":
@@ -160,14 +158,6 @@ class DyadicTree:
             a.flags.writeable = False
             self._arrays[level] = a
         return a
-
-    def mask(self, level: int) -> int:
-        """Occupancy at a level as a bit-grid integer (bit k = cell k)."""
-        m = self._masks.get(level)
-        if m is None:
-            m = _bitmask_of(self.array(level), self.capacity(level))
-            self._masks[level] = m
-        return m
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicTree):
@@ -339,19 +329,23 @@ def _encode_level(level: tuple[int, ...]) -> str:
     return ",".join(str(j) for j in level)
 
 
-def _decode_level(body: str) -> tuple[int, ...]:
+def _decode_level(body: str, cap: int) -> tuple[int, ...]:
+    """Parse one level of a grid of `cap` cells.  RUNS payloads are checked
+    against `cap` and charged to the budget before they are expanded."""
     body = body.strip()
     if not body:
         return ()
     if body.startswith("RUNS"):
-        parts = body.split()[1:]
+        parts = [int(p) for p in body.split()[1:]]
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload: {body!r}")
+        runs = list(zip(parts[::2], parts[1::2]))
+        for start, length in runs:
+            if length < 1 or start < 0 or start + length > cap:
+                raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
+        charge(sum(length for _, length in runs), "RUNS payload")
         out: list[int] = []
-        for s, l in zip(parts[::2], parts[1::2]):
-            start, length = int(s), int(l)
-            if length < 1:
-                raise FormatError(f"non-positive run length in {body!r}")
+        for start, length in runs:
             out.extend(range(start, start + length))
         return tuple(out)
     return tuple(int(tok) for tok in body.split(","))
@@ -364,19 +358,33 @@ def dumps_tree(tree: DyadicTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def loads_tree(text: str) -> DyadicTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[int]:
+    """The integer `keys` of a '<magic> v1 key=value ...' first line.  Its
+    depth and span must give a grid whose cell indices fit int64."""
     if not lines:
         raise FormatError("empty input")
-    header = lines[0].split()
-    if len(header) < 3 or header[0] != "dyadic-tree" or header[1] != "v1":
+    tokens = lines[0].split()
+    if tokens[:2] != [magic, "v1"]:
         raise FormatError(f"bad header: {lines[0]!r}")
-    fields = dict(tok.split("=", 1) for tok in header[2:])
+    fields = {}
+    for tok in tokens[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise FormatError(f"header token {tok!r} is not key=value")
+        fields[key] = value
     try:
-        depth = int(fields["depth"])
-        span = int(fields["span"])
+        values = {key: int(fields[key]) for key in keys}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header fields: {lines[0]!r}") from exc
+    depth, span = values["depth"], values["span"]
+    if depth < 0 or span < 1 or span.bit_length() + depth > 63:
+        raise FormatError(f"depth={depth} span={span} is not a grid of under 2^63 cells")
+    return [values[key] for key in keys]
+
+
+def loads_tree(text: str) -> DyadicTree:
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    depth, span = _read_header(lines, "dyadic-tree", ("depth", "span"))
     levels: list[tuple[int, ...] | None] = [None] * (depth + 1)
     body = lines[1:]
     for ln in body:
@@ -389,7 +397,7 @@ def loads_tree(text: str) -> DyadicTree:
             raise FormatError(f"bad level line: {ln!r}") from exc
         if not 0 <= n <= depth or levels[n] is not None:
             raise FormatError(f"unexpected level {n}")
-        levels[n] = _decode_level(rest)
+        levels[n] = _decode_level(rest, span << n)
     if any(lv is None for lv in levels):
         missing = [n for n, lv in enumerate(levels) if lv is None]
         raise FormatError(f"missing levels {missing}")

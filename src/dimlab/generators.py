@@ -9,7 +9,6 @@ meeting an interval must contain one of its endpoints.
 
 from __future__ import annotations
 
-import math
 import re
 import warnings
 from dataclasses import dataclass
@@ -19,11 +18,11 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import DyadicTree, Vertex, cell_of, descendant_range, _bitmask_of, _indices_of_bitmask
-from .errors import HypothesisError, ResourceLimitError, SpecValidationError
+from .budget import charge
+from .errors import HypothesisError, SpecValidationError
 
 _SEP_TOL = 1e-9
 _DUP_TOL = 1e-12
-_MAX_WORK = 1 << 28
 
 
 def _as_float(value) -> float:
@@ -81,9 +80,8 @@ def iterated_ifs(spec: IfsSpec, k: int) -> IfsSpec:
         raise SpecValidationError(f"fold count k={k} must be >= 1")
     sums = set(spec.translations)
     for _ in range(k - 1):
+        charge(len(sums) * len(spec.translations), "translation sumset")
         sums = {a + t for a in sums for t in spec.translations}
-        if len(sums) > _MAX_WORK:
-            raise ResourceLimitError("translation sumset too large")
     merged: list[float] = []
     for t in sorted(sums):
         # collapse float near-duplicates from different addition orders
@@ -121,13 +119,12 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
     length = hi - lo
     target = 2.0 ** -depth
     while length >= target and length > 0.0:
+        charge(len(pieces) * len(spec.translations), "attractor refinement")
         refined = [
             (spec.r * a + t, spec.r * b + t)
             for a, b in pieces
             for t in spec.translations
         ]
-        if len(refined) > _MAX_WORK:
-            raise ResourceLimitError("attractor refinement exceeded work budget")
         pieces = _merge_touching(refined)
         length *= spec.r
     leaves: list[np.ndarray] = []
@@ -223,9 +220,8 @@ def moran_tree(spec: MoranSpec, depth: int) -> DyadicTree:
         g += 1
         length = spec.length(g)
         step = 2.0 * length
+        charge(len(lefts) * spec.branching, "Moran refinement")
         lefts = [p + i * step for p in lefts for i in range(spec.branching)]
-        if len(lefts) > _MAX_WORK:
-            raise ResourceLimitError("Moran refinement exceeded work budget")
     extent = spec.tail_extent(g)
     leaves: list[np.ndarray] = []
     for p in lefts:
@@ -289,6 +285,7 @@ def reciprocal_tree(depth: int) -> DyadicTree:
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
     size = 1 << depth
+    charge(size, "reciprocal tree")
     leaves = {0} | {min(size // k, size - 1) for k in range(1, size + 1)}
     return DyadicTree.from_leaves(depth, 1, sorted(leaves))
 
@@ -311,8 +308,7 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
         if not 0.0 < g < bound:
             raise SpecValidationError(f"generator {g} outside (0, {bound})")
     size = bound << depth
-    if size > _MAX_WORK:
-        raise ResourceLimitError(f"grid of {size} cells exceeds work budget")
+    charge(size, "semigroup grid")
     gcells = sorted({cell_of(g, depth, bound) for g in gens})
     full = (1 << size) - 1
     state = _bitmask_of(np.asarray(gcells, dtype=np.int64), size)
@@ -397,10 +393,20 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     raise SpecValidationError(f"not a generator spec: {spec!r}")
 
 
+def spec_span(spec) -> int:
+    """The span of the grid a generator spec (object or JSON dict) builds on."""
+    if isinstance(spec, dict):
+        spec = spec_from_json(spec)
+    if isinstance(spec, SemigroupSpec):
+        return spec.bound
+    return getattr(spec, "span", 1)
+
+
 def build_tree(spec, depth: int) -> DyadicTree:
     """Dispatch a generator spec (object or JSON dict) to its builder."""
     if isinstance(spec, dict):
         spec = spec_from_json(spec)
+    charge(spec_span(spec) << depth, "generated tree")
     if isinstance(spec, IfsSpec):
         return ifs_attractor(spec, depth)
     if isinstance(spec, MoranSpec):

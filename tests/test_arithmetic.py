@@ -29,6 +29,7 @@ from dimlab import (
     save_grid,
 )
 from dimlab.arithmetic import _sum_indices_dense, _sum_indices_sparse
+from dimlab.budget import limit
 from dimlab.dyadic import cell_of
 
 
@@ -97,10 +98,9 @@ class TestIndexSumset:
         dense = _sum_indices_dense(a, b, 128)
         assert np.array_equal(sparse, dense)
 
-    def test_bit_budget(self, monkeypatch):
-        monkeypatch.setattr(arith, "_MAX_BITS", 16)
+    def test_bit_budget(self):
         a = tree_of(4, [0, 3])
-        with pytest.raises(ResourceLimitError):
+        with limit(16), pytest.raises(ResourceLimitError):
             index_sumset(a, a, 4)
 
 
@@ -329,3 +329,10 @@ class TestGridSerialization:
         with pytest.raises(FormatError):
             # cell outside the grid
             loads_grid("grid-set v1 d=1 depth=2 span=1\n9\n")
+
+    @pytest.mark.parametrize(
+        "header", ["grid-set v1 d=1 depth=1000000000000000000 span=1", "grid-set v1 d=1 depth=2 span"]
+    )
+    def test_hostile_header(self, header):
+        with pytest.raises(FormatError):
+            loads_grid(header + "\n0\n")

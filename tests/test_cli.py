@@ -4,7 +4,16 @@ import json
 
 import pytest
 
-from dimlab import DyadicTree, distance_set, grid_product
+from dimlab import (
+    DyadicTree,
+    FormatError,
+    MoranSpec,
+    distance_set,
+    grid_product,
+    index_sumset,
+    iterated_sumset,
+    moran_tree,
+)
 from dimlab.arithmetic import load_grid
 from dimlab.cli import main
 from dimlab.dyadic import dumps_tree, load_tree, loads_tree
@@ -84,6 +93,11 @@ class TestGen:
         monkeypatch.setenv("DIMLAB_BUDGET_CELLS", "lots")
         code, _, err = run(capsys, ["gen", "--reciprocal", "--depth", "12"])
         assert code == 2
+
+    def test_zero_budget_is_honoured(self, capsys):
+        code, _, err = run(capsys, ["--budget-cells", "0", "gen", "--reciprocal", "--depth", "12"])
+        assert code == 3
+        assert err_code(err) == "RESOURCE_LIMIT"
 
     def test_product_grid(self, capsys, tmp_path):
         t = tmp_path / "t.tree"
@@ -222,6 +236,12 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["results"][0]["value"] == 2.0
 
+    @pytest.mark.parametrize("flag", ["--profile", "--covering-check"])
+    def test_empty_eps_rejected(self, capsys, moran, flag):
+        code, _, err = run(capsys, ["analyze", str(moran), flag, ","])
+        assert code == 2
+        assert err_code(err) == "SPEC_INVALID"
+
     def test_needs_input_or_config(self, capsys):
         code, _, err = run(capsys, ["analyze", "--box", "2,4"])
         assert code == 2
@@ -230,6 +250,62 @@ class TestAnalyze:
         code, _, err = run(capsys, ["analyze", "nope.tree", "--box", "2,4"])
         assert code == 2
         assert err_code(err) == "IO_ERROR"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "dyadic-tree v1 depth=1000000000000000000 span=1\n0: 0\n",
+            "dyadic-tree v1 depth=1 span=1\n0: 0\n1: RUNS 0 3000000\n",
+            "dyadic-tree v1 depth=1 span\n0: 0\n1: 0\n",
+        ],
+        ids=["huge-depth", "run-past-capacity", "token-without-equals"],
+    )
+    def test_hostile_tree_rejected(self, capsys, tmp_path, text):
+        with pytest.raises(FormatError):
+            loads_tree(text)
+        path = tmp_path / "bad.tree"
+        path.write_text(text)
+        code, _, err = run(capsys, ["analyze", str(path), "--assouad", "1"])
+        assert code == 2
+        assert err_code(err) == "SPEC_INVALID"
+
+    def test_flags_match_config_form(self, capsys, moran, tmp_path):
+        flag_json, flag_csv = tmp_path / "f.json", tmp_path / "f.csv"
+        code, _, _ = run(
+            capsys,
+            ["analyze", str(moran), "--box", "6,12", "--box", "3,9", "--assouad", "6",
+             "--lower", "5", "--profile", "0.25,2,8", "--covering-check", "0.25,2",
+             "--measure", "splitting", "--json", str(flag_json), "--csv", str(flag_csv)],
+        )
+        assert code == 0
+        cfg_json, cfg_csv = tmp_path / "c.json", tmp_path / "c.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "name": "m4", "depth": 12,
+            "generators": [{"type": "moran", "k": 2, "lengths": "4^-j"}],
+            "analyses": [
+                {"kind": "box", "window": [6, 12]},
+                {"kind": "box", "window": [3, 9]},
+                {"kind": "assouad", "m": 6},
+                {"kind": "lower", "m": 5},
+                {"kind": "profile", "eps": 0.25, "m": 2, "n": 8, "measure": "splitting"},
+                {"kind": "covering-check", "eps": 0.25, "m": 2, "measure": "splitting"},
+            ],
+        }))
+        code, _, _ = run(capsys, ["analyze", "--config", str(cfg), "--json", str(cfg_json),
+                                  "--csv", str(cfg_csv)])
+        assert code == 0
+
+        def rows(path):
+            return [{k: v for k, v in r.items() if k != "set"}
+                    for r in json.loads(path.read_text())["results"]]
+
+        assert rows(flag_json) == rows(cfg_json)
+        assert [r["kind"] for r in rows(flag_json)] == [
+            "box_upper", "box_lower", "box_upper", "box_lower", "assouad", "lower",
+            "profile", "covering-check",
+        ]
+        assert flag_csv.read_bytes() == cfg_csv.read_bytes()
 
 
 class TestConfigPipeline:
@@ -280,6 +356,45 @@ class TestConfigPipeline:
         path.write_text(json.dumps({"generators": [{"type": "reciprocal"}]}))
         code, _, err = run(capsys, ["analyze", "--config", str(path)])
         assert code == 2
+
+    def test_sum_acts_on_the_current_stage(self, capsys, tmp_path):
+        a_spec = {"type": "moran", "k": 2, "lengths": "4^-j"}
+        b_spec = {"type": "moran", "k": 3, "lengths": "6^-j"}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "depth": 8, "generators": [a_spec, b_spec],
+            "pipeline": [{"op": "iterate", "k": 2}, {"op": "sum"}],
+            "out": {"tree": str(tmp_path / "out.tree"), "json": str(tmp_path / "out.json")},
+        }))
+        code, _, _ = run(capsys, ["analyze", "--config", str(path)])
+        assert code == 0
+        a, b = moran_tree(MoranSpec(2, "4^-j"), 8), moran_tree(MoranSpec(3, "6^-j"), 8)
+        want, _ = index_sumset(iterated_sumset(a, 2, 8), b, 8)
+        assert load_tree(tmp_path / "out.tree") == want
+
+    def test_growth_is_charged_to_the_budget(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "depth": 8, "generators": [{"type": "moran", "k": 2, "lengths": "4^-j"}],
+            "analyses": [{"kind": "growth", "k_max": 3}],
+        }))
+        code, _, err = run(capsys, ["--budget-cells", "300", "analyze", "--config", str(path)])
+        assert code == 3
+        assert err_code(err) == "RESOURCE_LIMIT"
+
+    def test_config_budget_overrides_flag(self, capsys, tmp_path):
+        def attempt(config_budget, flag_budget):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({
+                "depth": 8, "budget_cells": config_budget,
+                "generators": [{"type": "reciprocal"}],
+            }))
+            argv = ["--budget-cells", str(flag_budget), "analyze", "--config", str(path)]
+            return run(capsys, argv)[0]
+
+        assert attempt(100, 1 << 20) == 3
+        assert attempt(1 << 20, 100) == 0
+        assert attempt(0, 1 << 20) == 3
 
 
 class TestVerify:

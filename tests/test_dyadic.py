@@ -21,6 +21,7 @@ from dimlab import (
     subtree,
     validate,
 )
+from dimlab.dyadic import _bitmask_of
 from conftest import random_tree
 
 leaf_sets = st.builds(
@@ -170,6 +171,6 @@ class TestInvariants:
     def test_mask_matches_indices(self, rng):
         t = random_tree(rng, 8, 0.6)
         for n in (4, 8):
-            mask = t.mask(n)
+            mask = _bitmask_of(t.array(n), t.capacity(n))
             got = tuple(i for i in range(t.capacity(n)) if mask >> i & 1)
             assert got == t.levels[n]
