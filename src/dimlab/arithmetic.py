@@ -1,10 +1,10 @@
 """Arithmetic on discretized sets: sumsets, differences, distances.
 
-Index sumsets realize F1(n) + F2(n) = {i + j} at a fixed level n.  Two
-kernels produce identical results: a sorted-merge over index pairs for
-sparse operands, and a bit-grid shift-or once either operand occupies more
-than 1/64 of its level.  The exact pair count sits inside the covering
-bracket [N/2, 2N] for the true sumset, which is what SumsetReport records.
+Index sumsets realize F1(n) + F2(n) = {i + j} at a fixed level n.  One
+kernel computes them and the difference and iterated sumsets: an integer
+bit grid of one operand shifted by each index of the other and OR-ed, so
+no |A|·|B| index pairs are formed.  The exact pair count sits inside the
+covering bracket [N/2, 2N] for the true sumset, as SumsetReport records.
 """
 
 from __future__ import annotations
@@ -15,13 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (
-    DENSE_THRESHOLD,
-    DyadicTree,
-    _bitmask_of,
-    _indices_of_bitmask,
-    _read_header,
-)
+from .dyadic import DyadicTree, _bitmask_of, _indices_of_bitmask, _ints, _read_header, _shift_or
 from .budget import charge
 from .errors import FormatError, ResourceLimitError
 
@@ -31,30 +25,14 @@ _MAX_GRID_CELLS = 1_000_000
 def _sum_indices(
     a_idx: np.ndarray, a_cap: int, b_idx: np.ndarray, b_cap: int
 ) -> np.ndarray:
-    """{i + j}: dense shift-or when either operand is dense, else set merge."""
+    """{i + j}: the larger operand's bit grid shifted by each smaller index."""
     if a_idx.size == 0 or b_idx.size == 0:
         return np.empty(0, dtype=np.int64)
     out_cap = a_cap + b_cap
     charge(out_cap, "sumset grid")
-    dense = a_idx.size / a_cap > DENSE_THRESHOLD or b_idx.size / b_cap > DENSE_THRESHOLD
-    if dense:
-        return _sum_indices_dense(a_idx, b_idx, out_cap)
-    return _sum_indices_sparse(a_idx, b_idx)
-
-
-def _sum_indices_sparse(a_idx: np.ndarray, b_idx: np.ndarray) -> np.ndarray:
-    sums = {int(i) + int(j) for i in a_idx for j in b_idx}
-    return np.fromiter(sorted(sums), dtype=np.int64, count=len(sums))
-
-
-def _sum_indices_dense(a_idx: np.ndarray, b_idx: np.ndarray, out_cap: int) -> np.ndarray:
     if a_idx.size < b_idx.size:
         a_idx, b_idx = b_idx, a_idx
-    mask = _bitmask_of(a_idx, out_cap)
-    out = 0
-    for j in b_idx:
-        out |= mask << int(j)
-    return _indices_of_bitmask(out, out_cap)
+    return _indices_of_bitmask(_shift_or(_bitmask_of(a_idx, out_cap), b_idx), out_cap)
 
 
 @dataclass(frozen=True)
@@ -90,14 +68,13 @@ def iterated_sumset(a: DyadicTree, k: int, level: int) -> DyadicTree:
         raise ValueError(f"fold count k={k} must be >= 1")
     if not 0 <= level <= a.max_depth:
         raise ValueError(f"level {level} exceeds tree depth {a.max_depth}")
-    charge(k * a.capacity(level), "iterated sumset grid")
-    part = a.array(level)
-    cap = a.capacity(level)
-    base_cap = cap
+    cap = k * a.capacity(level)
+    charge(cap, "iterated sumset grid")
+    idx = a.array(level)
+    part = _bitmask_of(idx, cap)
     for _ in range(k - 1):
-        part = _sum_indices(part, cap, a.array(level), base_cap)
-        cap += base_cap
-    return DyadicTree.from_leaves(level, a.span * k, part)
+        part = _shift_or(part, idx)
+    return DyadicTree.from_leaves(level, a.span * k, _indices_of_bitmask(part, cap))
 
 
 def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
@@ -249,7 +226,7 @@ def loads_grid(text: str) -> GridSetD:
         parts = ln.split()
         if len(parts) != d:
             raise FormatError(f"expected {d} coordinates: {ln!r}")
-        cells.append(tuple(int(p) for p in parts))
+        cells.append(tuple(_ints(parts, ln)))
     try:
         return GridSetD(d, depth, span, tuple(cells))
     except ValueError as exc:

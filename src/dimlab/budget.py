@@ -22,6 +22,8 @@ _cap: ContextVar[int] = ContextVar("dimlab_budget_cells", default=DEFAULT_CELLS)
 @contextmanager
 def limit(cells: int):
     """Cap every charge made inside the block at `cells`."""
+    if cells < 0:
+        raise ValueError(f"negative cell budget {cells}")
     token = _cap.set(cells)
     try:
         yield

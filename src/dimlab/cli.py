@@ -338,7 +338,7 @@ def _run_config(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = json.load(fh)
     name = cfg.get("name", "experiment")
-    depth = args.depth or cfg.get("depth")
+    depth = args.depth if args.depth is not None else cfg.get("depth")
     if not isinstance(depth, int) or depth < 1:
         raise SpecValidationError(f"config {name}: depth must be a positive integer")
     budget = cfg.get("budget_cells")

@@ -208,6 +208,8 @@ def growth_experiment(
     """
     if k_max < 2:
         raise ValueError(f"k_max={k_max} must be >= 2")
+    if depth < 0:
+        raise ValueError(f"negative depth {depth}")
     charge(spec_span(gen_spec) * k_max << depth, "growth experiment")
     base = build_tree(gen_spec, depth)
     if window is None:

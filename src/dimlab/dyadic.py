@@ -34,9 +34,6 @@ import numpy as np
 from .budget import charge
 from .errors import EmptySetError, FormatError
 
-# Sparse index tuples switch to dense bit-grid kernels above this occupancy.
-DENSE_THRESHOLD = 1.0 / 64.0
-
 
 @dataclass(frozen=True)
 class DyadicInterval:
@@ -308,6 +305,14 @@ def _indices_of_bitmask(mask: int, size: int) -> np.ndarray:
     return np.nonzero(bits)[0].astype(np.int64)
 
 
+def _shift_or(mask: int, shifts: Iterable[int]) -> int:
+    """OR of the bit grid shifted by each shift: the sumset of cell indices."""
+    out = 0
+    for s in shifts:
+        out |= mask << int(s)
+    return out
+
+
 # -- serialization -------------------------------------------------------
 
 
@@ -336,7 +341,7 @@ def _decode_level(body: str, cap: int) -> tuple[int, ...]:
     if not body:
         return ()
     if body.startswith("RUNS"):
-        parts = [int(p) for p in body.split()[1:]]
+        parts = _ints(body.split()[1:], body)
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload: {body!r}")
         runs = list(zip(parts[::2], parts[1::2]))
@@ -348,7 +353,15 @@ def _decode_level(body: str, cap: int) -> tuple[int, ...]:
         for start, length in runs:
             out.extend(range(start, start + length))
         return tuple(out)
-    return tuple(int(tok) for tok in body.split(","))
+    return tuple(_ints(body.split(","), body))
+
+
+def _ints(tokens: list[str], line: str) -> list[int]:
+    """The tokens as integers; FormatError names the line otherwise."""
+    try:
+        return [int(tok) for tok in tokens]
+    except ValueError as exc:
+        raise FormatError(f"non-integer token in {line!r}") from exc
 
 
 def dumps_tree(tree: DyadicTree) -> str:

@@ -17,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, cell_of, descendant_range, _bitmask_of, _indices_of_bitmask
+from .dyadic import DyadicTree, Vertex, cell_of, descendant_range
+from .dyadic import _bitmask_of, _indices_of_bitmask, _shift_or
 from .budget import charge
 from .errors import HypothesisError, SpecValidationError
 
@@ -314,9 +315,7 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
     state = _bitmask_of(np.asarray(gcells, dtype=np.int64), size)
     converged = False
     for _ in range(64):
-        nxt = state
-        for gc in gcells:
-            nxt |= (state << gc) & full
+        nxt = state | (_shift_or(state, gcells) & full)
         if nxt == state:
             converged = True
             break
@@ -406,6 +405,8 @@ def build_tree(spec, depth: int) -> DyadicTree:
     """Dispatch a generator spec (object or JSON dict) to its builder."""
     if isinstance(spec, dict):
         spec = spec_from_json(spec)
+    if depth < 0:
+        raise ValueError(f"negative depth {depth}")
     charge(spec_span(spec) << depth, "generated tree")
     if isinstance(spec, IfsSpec):
         return ifs_attractor(spec, depth)

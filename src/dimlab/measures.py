@@ -419,10 +419,13 @@ def loads_measure(text: str) -> TreeMeasure:
         parts = ln.split()
         if len(parts) != 4:
             raise FormatError(f"bad mass line: {ln!r}")
-        key = (int(parts[1]), int(parts[2]))
+        try:
+            key, mass = (int(parts[1]), int(parts[2])), float(parts[3])
+        except ValueError as exc:
+            raise FormatError(f"bad mass line: {ln!r}") from exc
         if key in given:
             raise FormatError(f"duplicate mass for cell {key}")
-        given[key] = float(parts[3])
+        given[key] = mass
     masses = []
     for n, level in enumerate(tree.levels):
         try:

@@ -38,6 +38,13 @@ def cantor_cells_exact(depth: int) -> tuple[int, ...]:
     return tuple(sorted(cells))
 
 
+def sum_indices_oracle(a, b) -> np.ndarray:
+    """{i + j} as a sorted int64 array, by a set merge over every index
+    pair: the slow, independent check of the bit-grid sumset kernel."""
+    sums = {int(i) + int(j) for i in a for j in b}
+    return np.fromiter(sorted(sums), dtype=np.int64, count=len(sums))
+
+
 def random_tree(rng: np.random.Generator, depth: int, p: float) -> DyadicTree:
     idx = np.zeros(1, dtype=np.int64)
     for _ in range(depth):

@@ -28,9 +28,11 @@ from dimlab import (
     reciprocal_tree,
     save_grid,
 )
-from dimlab.arithmetic import _sum_indices_dense, _sum_indices_sparse
+from dimlab.arithmetic import _sum_indices
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
+
+from conftest import sum_indices_oracle
 
 
 def tree_of(depth, leaves, span=1):
@@ -91,12 +93,31 @@ class TestIndexSumset:
 
     @given(x=leaf_sets, y=leaf_sets)
     def test_kernels_agree(self, x, y):
-        # the set-merge and the bit-grid shift-or must be interchangeable
+        # the bit-grid shift-or must equal the pairwise set merge
         a = np.fromiter(sorted(x), dtype=np.int64)
         b = np.fromiter(sorted(y), dtype=np.int64)
-        sparse = _sum_indices_sparse(a, b)
-        dense = _sum_indices_dense(a, b, 128)
-        assert np.array_equal(sparse, dense)
+        assert np.array_equal(_sum_indices(a, 64, b, 64), sum_indices_oracle(a, b))
+
+    @pytest.mark.parametrize(
+        "r, translations, depth",
+        [
+            (1 / 4, (0.0, 1 / 2), 18),  # density 0.002, below the old 1/64 cut
+            (1 / 5, (0.0, 2 / 5, 4 / 5), 16),  # density 0.058, above it
+        ],
+    )
+    def test_ifs_sums_match_oracle(self, r, translations, depth):
+        a = ifs_attractor(IfsSpec(r=r, translations=translations), depth)
+        out, report = index_sumset(a, a, depth)
+        want = sum_indices_oracle(a.array(depth), a.array(depth))
+        assert out.levels[depth] == tuple(want.tolist())
+        assert report.count_exact == want.size
+
+    def test_deep_sparse_operands(self):
+        a = tree_of(24, [0, 5, 1 << 20, (1 << 24) - 1])
+        b = tree_of(24, [3, 77_777, 12_345_678])
+        out, _ = index_sumset(a, b, 24)
+        want = sum_indices_oracle(a.array(24), b.array(24))
+        assert out.levels[24] == tuple(want.tolist())
 
     def test_bit_budget(self):
         a = tree_of(4, [0, 3])
@@ -131,6 +152,16 @@ class TestIteratedSumset:
         kb = iterated_sumset(big, 3, 6)
         ks = iterated_sumset(small, 3, 6)
         assert set(ks.levels[6]) <= set(kb.levels[6])
+
+    @pytest.mark.parametrize("k", [3, 4])
+    def test_matches_folded_oracle(self, k):
+        a = ifs_attractor(IfsSpec(r=1 / 4, translations=(0.0, 1 / 2)), 10)
+        folded = a.array(10)
+        for _ in range(k - 1):
+            folded = sum_indices_oracle(folded, a.array(10))
+        out = iterated_sumset(a, k, 10)
+        assert out.levels[10] == tuple(folded.tolist())
+        assert out.span == k
 
     def test_bad_fold_count(self):
         with pytest.raises(ValueError):
@@ -329,6 +360,8 @@ class TestGridSerialization:
         with pytest.raises(FormatError):
             # cell outside the grid
             loads_grid("grid-set v1 d=1 depth=2 span=1\n9\n")
+        with pytest.raises(FormatError):
+            loads_grid("grid-set v1 d=2 depth=2 span=1\n0 x\n")
 
     @pytest.mark.parametrize(
         "header", ["grid-set v1 d=1 depth=1000000000000000000 span=1", "grid-set v1 d=1 depth=2 span"]

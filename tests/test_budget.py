@@ -22,3 +22,8 @@ def test_limit_nests_and_restores():
             charge(1 << 30, "raised above the default")
     with pytest.raises(ResourceLimitError):
         charge(1 << 30, "default again")
+
+
+def test_negative_limit_rejected():
+    with pytest.raises(ValueError, match="negative cell budget -1"), limit(-1):
+        charge(0, "never reached")

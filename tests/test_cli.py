@@ -99,6 +99,22 @@ class TestGen:
         assert code == 3
         assert err_code(err) == "RESOURCE_LIMIT"
 
+    @pytest.mark.parametrize("env, argv", [
+        (None, ["--budget-cells", "-5"]),
+        ("-1", []),
+    ])
+    def test_negative_budget_is_invalid(self, capsys, monkeypatch, env, argv):
+        if env is not None:
+            monkeypatch.setenv("DIMLAB_BUDGET_CELLS", env)
+        code, _, err = run(capsys, argv + ["gen", "--reciprocal", "--depth", "4"])
+        assert code == 2
+        assert err_code(err) == "SPEC_INVALID"
+
+    def test_negative_depth(self, capsys):
+        code, _, err = run(capsys, ["gen", "--reciprocal", "--depth", "-1"])
+        assert code == 2
+        assert "negative depth -1" in err
+
     def test_product_grid(self, capsys, tmp_path):
         t = tmp_path / "t.tree"
         g = tmp_path / "g.grid"
@@ -357,6 +373,13 @@ class TestConfigPipeline:
         code, _, err = run(capsys, ["analyze", "--config", str(path)])
         assert code == 2
 
+    def test_depth_zero_flag_is_not_unset(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"depth": 6, "generators": [{"type": "reciprocal"}]}))
+        code, _, err = run(capsys, ["analyze", "--config", str(path), "--depth", "0"])
+        assert code == 2
+        assert err_code(err) == "SPEC_INVALID"
+
     def test_sum_acts_on_the_current_stage(self, capsys, tmp_path):
         a_spec = {"type": "moran", "k": 2, "lengths": "4^-j"}
         b_spec = {"type": "moran", "k": 3, "lengths": "6^-j"}
@@ -395,6 +418,15 @@ class TestConfigPipeline:
         assert attempt(100, 1 << 20) == 3
         assert attempt(1 << 20, 100) == 0
         assert attempt(0, 1 << 20) == 3
+
+    def test_negative_config_budget_is_invalid(self, capsys, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "depth": 8, "budget_cells": -1, "generators": [{"type": "reciprocal"}],
+        }))
+        code, _, err = run(capsys, ["analyze", "--config", str(path)])
+        assert code == 2
+        assert err_code(err) == "SPEC_INVALID"
 
 
 class TestVerify:

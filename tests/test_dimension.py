@@ -250,3 +250,7 @@ class TestGrowthExperiment:
     def test_work_budget(self):
         with pytest.raises(ResourceLimitError):
             growth_experiment(MoranSpec(1, "2^-j"), 4, 27)
+
+    def test_negative_depth(self):
+        with pytest.raises(ValueError, match="negative depth -1"):
+            growth_experiment(MoranSpec(2, "4^-j"), 2, -1)

@@ -142,6 +142,11 @@ class TestSerialization:
         with pytest.raises(FormatError):
             loads_tree("dyadic-tree v1 depth=1 span=1\n0:\n1: 0\n")
 
+    @pytest.mark.parametrize("level", ["0,x", "RUNS 0 x"])
+    def test_non_numeric_index(self, level):
+        with pytest.raises(FormatError):
+            loads_tree(f"dyadic-tree v1 depth=1 span=1\n0: 0\n1: {level}\n")
+
     def test_mass_lines_skipped(self):
         t = loads_tree("dyadic-tree v1 depth=1 span=1\n0: 0\n1: 0\nmass 1 0 1.0\n")
         assert t.levels[1] == (0,)

@@ -11,6 +11,7 @@ from dimlab import (
     NEITHER,
     UNIFORM,
     DyadicTree,
+    FormatError,
     MeasureInvariantError,
     TreeMeasure,
     Vertex,
@@ -277,6 +278,11 @@ class TestSerialization:
     def test_mass_lines_present(self, cantor3_split):
         text = dumps_measure(cantor3_split)
         assert "mass 3 6 0.125" in text
+
+    @pytest.mark.parametrize("mass", ["mass 0 0 abc", "mass 0 z 1"])
+    def test_non_numeric_mass_line(self, mass):
+        with pytest.raises(FormatError):
+            loads_measure(f"dyadic-tree v1 depth=0 span=1\n0: 0\n{mass}\n")
 
     def test_incomplete_masses_rejected(self, cantor3_split):
         text = dumps_measure(cantor3_split)
