@@ -5,6 +5,14 @@ kernel computes them and the difference and iterated sumsets: an integer
 bit grid of one operand shifted by each index of the other and OR-ed, so
 no |A|·|B| index pairs are formed.  The exact pair count sits inside the
 covering bracket [N/2, 2N] for the true sumset, as SumsetReport records.
+
+Distance sets use the same kernel.  Two cell centers differ by an exact
+index difference times 2^-n, so the distances depend only on the distinct
+nonnegative difference vectors (|dx_1|, ..., |dx_d|), which are far fewer
+than the cell pairs.  A product grid A_1 x ... x A_d has the product of the
+axes' 1-d differences as its vectors; any other grid packs each cell into
+one mixed-radix code, whose 1-d differences decode uniquely into vectors.
+No kernel forms all cell pairs.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ from .budget import charge
 from .errors import FormatError, ResourceLimitError
 
 _MAX_GRID_CELLS = 1_000_000
+_BLOCK_VECTORS = 4_000_000
 
 
 def _sum_indices(
@@ -77,6 +86,14 @@ def iterated_sumset(a: DyadicTree, k: int, level: int) -> DyadicTree:
     return DyadicTree.from_leaves(level, a.span * k, _indices_of_bitmask(part, cap))
 
 
+def _differences(idx: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+    """Every difference i - j of the sorted indices, shifted by offset =
+    max - min so the most negative lands at 0, and the offset."""
+    offset = int(idx[-1] - idx[0])
+    shifted = idx - idx[0]
+    return _sum_indices(shifted, cap, offset - shifted[::-1], cap), offset
+
+
 def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
     """{i - j} shifted by offset = max - min of the occupied indices, so the
     most negative difference lands at 0.  Returns the tree (span doubled)
@@ -87,11 +104,7 @@ def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
     idx = a.array(level)
     if idx.size == 0:
         return DyadicTree.from_leaves(level, 2 * a.span, []), 0
-    offset = int(idx[-1] - idx[0])
-    shifted = idx - idx[0]
-    reflected = shifted[::-1].copy()
-    reflected = offset - reflected
-    sums = _sum_indices(shifted, a.capacity(level), reflected, a.capacity(level))
+    sums, offset = _differences(idx, a.capacity(level))
     return DyadicTree.from_leaves(level, 2 * a.span, sums), offset
 
 
@@ -162,28 +175,64 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
     return GridSetD(d, depth, span, tuple(map(tuple, cells.tolist())))
 
 
+def _nonneg_differences(idx: np.ndarray, cap: int) -> np.ndarray:
+    """The differences |i - j| >= 0 of sorted distinct indices."""
+    sums, offset = _differences(idx, cap)
+    return sums[sums >= offset] - offset
+
+
+def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool]:
+    """The distinct vectors (|x_1 - y_1|, ..., |x_d - y_d|) over all cell
+    pairs of f, as sorted values per axis and a boolean grid over them:
+    the vector (values[0][i], values[1][j], ...) occurs iff seen[i, j, ...].
+    The flag tells whether f is a product grid."""
+    cells = f.array()
+    axes = [np.unique(cells[:, i]) for i in range(f.dimension)]
+    if math.prod(a.size for a in axes) == len(f.cells):
+        diffs = [_nonneg_differences(a, f.span << f.depth) for a in axes]
+        charge(math.prod(d.size for d in diffs), "distance vectors")
+        # every combination occurs; a broadcast view holds no memory
+        return diffs, np.broadcast_to(np.True_, tuple(d.size for d in diffs)), True
+    # code = sum_i x_i * radix_i in radix 2 * extent_i - 1: a code difference
+    # has one balanced digit per axis, in [-(extent_i - 1), extent_i - 1]
+    cells = cells - cells.min(axis=0)
+    extents = [int(e) for e in cells.max(axis=0) + 1]
+    radices = [math.prod(2 * e - 1 for e in extents[:i]) for i in range(f.dimension)]
+    code_cap = 1 + sum((e - 1) * r for e, r in zip(extents, radices))
+    codes = np.sort(cells @ np.asarray(radices, dtype=np.int64))
+    rest = _nonneg_differences(codes, code_cap)
+    seen = np.zeros(extents, dtype=bool)
+    digits = []
+    for e in extents:
+        digit = (rest + (e - 1)) % (2 * e - 1) - (e - 1)
+        digits.append(np.abs(digit))
+        rest = (rest - digit) // (2 * e - 1)
+    seen[tuple(digits)] = True
+    return [np.arange(e) for e in extents], seen, False
+
+
 def distance_set(f: GridSetD) -> DyadicTree:
     """Cells of pairwise center-to-center distances, widened one cell each
-    side; always contains the cell of 0.  Output depth matches f."""
+    side; always contains the cell of 0.  Output depth matches f.
+
+    Each distinct difference vector is measured once, in blocks of about
+    _BLOCK_VECTORS: its squared length in units of 2^-2n is an exact float,
+    so every distance is the correctly rounded one its cell pairs give.
+    """
     if not f.cells:
         raise ValueError("empty grid set")
-    charge(len(f.cells), "distance pair loop")
-    if len(f.cells) > _MAX_GRID_CELLS:
-        raise ResourceLimitError(
-            f"{len(f.cells)} cells exceed the {_MAX_GRID_CELLS} pair-loop budget"
-        )
     n = f.depth
-    centers = f.centers()
+    values, seen, _ = _difference_vectors(f)
+    squares = np.ix_(*[(v * 2.0 ** -n) ** 2 for v in values])
     bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
     bitmap = np.zeros(bound << n, dtype=bool)
     scale = float(1 << n)
     dmax = 0.0
-    rows = max(1, min(len(centers), int(4_000_000 // max(1, len(centers)))))
-    for start in range(0, len(centers), rows):
-        block = centers[start : start + rows]
-        diff = block[:, None, :] - centers[None, :, :]
-        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).ravel()
-        dmax = max(dmax, float(dist.max()))
+    rows = max(1, _BLOCK_VECTORS // seen[0].size)
+    for start in range(0, len(values[0]), rows):
+        block = sum(squares[1:], squares[0][start : start + rows])
+        dist = np.sqrt(block[seen[start : start + rows]])
+        dmax = max(dmax, float(dist.max(initial=0.0)))
         k = np.minimum((dist * scale).astype(np.int64), bitmap.size - 1)
         bitmap[k] = True
     span = max(1, int(math.ceil(dmax - 1e-9)))

@@ -304,6 +304,11 @@ def cmd_analyze(args) -> int:
     return status
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, so `true` would pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
     """Build the config's generator trees and run its pipeline stages on the
     first; `sum` and `product` combine the current stage with the others."""
@@ -324,7 +329,10 @@ def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
                 raise SpecValidationError(f"config {name}: sum needs two generators")
             current, _ = index_sumset(current, trees[1], depth)
         elif op == "iterate":
-            current = iterated_sumset(current, int(stage.get("k", 2)), depth)
+            k = stage.get("k", 2)
+            if not _is_int(k):
+                raise SpecValidationError(f"config {name}: iterate k must be an integer")
+            current = iterated_sumset(current, k, depth)
         elif op == "difference":
             current, _ = difference_set(current, depth)
         elif op == "product":
@@ -339,10 +347,10 @@ def _run_config(args) -> int:
         cfg = json.load(fh)
     name = cfg.get("name", "experiment")
     depth = args.depth if args.depth is not None else cfg.get("depth")
-    if not isinstance(depth, int) or depth < 1:
+    if not _is_int(depth) or depth < 1:
         raise SpecValidationError(f"config {name}: depth must be a positive integer")
     budget = cfg.get("budget_cells")
-    if budget is not None and not isinstance(budget, int):
+    if budget is not None and not _is_int(budget):
         raise SpecValidationError(f"config {name}: budget_cells must be an integer")
     with nullcontext() if budget is None else limit(budget):
         current = _run_pipeline(cfg, name, depth)

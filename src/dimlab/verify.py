@@ -29,7 +29,14 @@ from .measures import (
     splitting_measure,
 )
 from .generators import IfsSpec, MoranSpec, ifs_attractor, iterated_ifs, moran_tree, reciprocal_tree
-from .arithmetic import delta_dense_check, distance_set, grid_product, index_sumset, iterated_sumset
+from .arithmetic import (
+    _difference_vectors,
+    delta_dense_check,
+    distance_set,
+    grid_product,
+    index_sumset,
+    iterated_sumset,
+)
 from .dimension import assouad_estimate, assouad_slope, box_estimate, growth_experiment, lower_estimate
 
 LOG2_3 = math.log(2) / math.log(3)
@@ -287,6 +294,7 @@ def check_distance_set() -> CriterionResult:
     c = ifs_attractor(IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), 10)
     dust = grid_product([c, c])
     dist = distance_set(dust)
+    _, seen, product = _difference_vectors(dust)
     a_f = assouad_estimate(dust, 6)
     a_d = assouad_estimate(dist, 6)
     b_f = box_estimate(dust, 5, 10, "upper")
@@ -297,6 +305,8 @@ def check_distance_set() -> CriterionResult:
         "distance-set", 60.0, t0, ass_ok and box_ok,
         {
             "dust_cells": len(dust.cells),
+            "vectors": int(np.count_nonzero(seen)),
+            "product": product,
             "assouad_F": a_f.value,
             "assouad_D": a_d.value,
             "box_F": b_f.value,

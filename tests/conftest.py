@@ -1,5 +1,6 @@
 """Shared fixtures and exact-arithmetic oracles for the test suite."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -43,6 +44,30 @@ def sum_indices_oracle(a, b) -> np.ndarray:
     pair: the slow, independent check of the bit-grid sumset kernel."""
     sums = {int(i) + int(j) for i in a for j in b}
     return np.fromiter(sorted(sums), dtype=np.int64, count=len(sums))
+
+
+def distance_set_oracle(f) -> DyadicTree:
+    """The distance set by a float pair loop over every cell pair, in blocks
+    of up to 4e6 pairs: the slow, independent check of `distance_set`."""
+    n = f.depth
+    centers = f.centers()
+    bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
+    bitmap = np.zeros(bound << n, dtype=bool)
+    scale = float(1 << n)
+    dmax = 0.0
+    rows = max(1, min(len(centers), int(4_000_000 // max(1, len(centers)))))
+    for start in range(0, len(centers), rows):
+        block = centers[start : start + rows]
+        diff = block[:, None, :] - centers[None, :, :]
+        dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff)).ravel()
+        dmax = max(dmax, float(dist.max()))
+        k = np.minimum((dist * scale).astype(np.int64), bitmap.size - 1)
+        bitmap[k] = True
+    span = max(1, int(math.ceil(dmax - 1e-9)))
+    idx = np.nonzero(bitmap)[0]
+    cap = span << n
+    widened = np.unique(np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1))
+    return DyadicTree.from_leaves(n, span, widened)
 
 
 def random_tree(rng: np.random.Generator, depth: int, p: float) -> DyadicTree:

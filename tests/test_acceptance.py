@@ -89,6 +89,8 @@ def test_distance_set_exponents():
         f"{r.details['assouad_F']:.4f} and box {r.details['box_D']:.4f} of "
         f"{r.details['box_F']:.4f}; each must reach half minus 0.05"
     )
+    # a product dust; C - C = [-1, 1] gives all 1024 axis differences
+    assert (r.details["product"], r.details["vectors"]) == (True, 1024**2)
 
 
 def test_moran_measure_not_atomic():

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import dimlab.arithmetic as arith
@@ -28,11 +28,11 @@ from dimlab import (
     reciprocal_tree,
     save_grid,
 )
-from dimlab.arithmetic import _sum_indices
+from dimlab.arithmetic import _difference_vectors, _sum_indices
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
 
-from conftest import sum_indices_oracle
+from conftest import distance_set_oracle, sum_indices_oracle
 
 
 def tree_of(depth, leaves, span=1):
@@ -40,6 +40,26 @@ def tree_of(depth, leaves, span=1):
 
 
 leaf_sets = st.sets(st.integers(0, 63), min_size=1, max_size=20)
+
+
+grid_shapes = st.tuples(st.integers(1, 3), st.integers(0, 6), st.integers(1, 3))
+
+
+@st.composite
+def grids(draw):
+    d, depth, span = draw(grid_shapes)
+    coord = st.integers(0, (span << depth) - 1)
+    cells = draw(st.sets(st.tuples(*[coord] * d), min_size=1, max_size=40))
+    return GridSetD(d, depth, span, tuple(cells))
+
+
+@st.composite
+def product_grids(draw):
+    d, depth, span = draw(grid_shapes)
+    coord = st.integers(0, (span << depth) - 1)
+    axes = [sorted(draw(st.sets(coord, min_size=1, max_size=6))) for _ in range(d)]
+    cells = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+    return GridSetD(d, depth, span, tuple(map(tuple, cells.tolist())))
 
 
 class TestIndexSumset:
@@ -270,6 +290,9 @@ class TestGridSetD:
 
 
 class TestDistanceSet:
+    CORNERS = GridSetD(2, 6, 1, ((0, 0), (0, 63), (63, 0), (63, 63)))
+    L_SHAPE = GridSetD(2, 6, 1, ((0, 0), (0, 63), (63, 0)))
+
     def test_three_points_on_a_line(self):
         f = GridSetD(1, 4, 1, ((0,), (5,), (15,)))
         out = distance_set(f)
@@ -311,11 +334,89 @@ class TestDistanceSet:
         with pytest.raises(ValueError):
             distance_set(GridSetD(2, 3, 1, ()))
 
-    def test_pair_budget(self, monkeypatch):
-        monkeypatch.setattr(arith, "_MAX_GRID_CELLS", 3)
+    def test_pair_budget(self):
+        # a product grid is charged its 2 * 2^depth axis difference grids
         f = GridSetD(1, 3, 1, ((0,), (2,), (4,), (6,)))
-        with pytest.raises(ResourceLimitError):
+        with limit(16):
             distance_set(f)
+        with pytest.raises(ResourceLimitError), limit(15):
+            distance_set(f)
+
+    def test_non_product_budget(self):
+        # the L-shape is charged its code grid, the corners only their axes
+        with limit(10_000):
+            distance_set(self.CORNERS)
+        with pytest.raises(ResourceLimitError), limit(10_000):
+            distance_set(self.L_SHAPE)
+
+    def test_vector_count_is_charged(self):
+        # each axis grid needs 32 cells, the 16 x 16 difference vectors 256
+        f = grid_product([tree_of(4, range(16))] * 2)
+        with limit(256):
+            distance_set(f)
+        with pytest.raises(ResourceLimitError), limit(255):
+            distance_set(f)
+
+    @staticmethod
+    def vectors(f):
+        values, seen, product = _difference_vectors(f)
+        rows = np.argwhere(seen)
+        return [[int(values[i][j]) for i, j in enumerate(row)] for row in rows], product
+
+    def test_routes(self):
+        want = [[0, 0], [0, 63], [63, 0], [63, 63]]
+        assert self.vectors(self.CORNERS) == (want, True)
+        assert self.vectors(self.L_SHAPE) == (want, False)
+        assert self.vectors(GridSetD(1, 4, 1, ((0,), (5,), (15,)))) == ([[0], [5], [10], [15]], True)
+
+    def test_l_shape_matches_oracle(self):
+        # projections {0, 63} x {0, 63} multiply to 4 cells, the set has 3
+        assert distance_set(self.L_SHAPE) == distance_set_oracle(self.L_SHAPE)
+
+    @given(f=grids())
+    def test_matches_oracle(self, f):
+        assert distance_set(f) == distance_set_oracle(f)
+
+    @given(f=product_grids())
+    def test_products_match_oracle(self, f):
+        assert _difference_vectors(f)[2]
+        assert distance_set(f) == distance_set_oracle(f)
+
+    @given(f=product_grids())
+    def test_non_products_match_oracle(self, f):
+        # dropping a corner of a product with two or more values per axis
+        # keeps every projection, so the rest is not a product
+        assume(f.dimension > 1)
+        assume(all(len({c[i] for c in f.cells}) > 1 for i in range(f.dimension)))
+        g = GridSetD(f.dimension, f.depth, f.span, f.cells[1:])
+        assert not _difference_vectors(g)[2]
+        assert distance_set(g) == distance_set_oracle(g)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("depth", [0, 3, 6])
+    def test_singletons_match_oracle(self, d, depth):
+        f = GridSetD(d, depth, 1, (((1 << depth) - 1,) * d,))
+        assert distance_set(f) == distance_set_oracle(f)
+
+    @pytest.mark.parametrize("cells", [
+        ((0, 0), (0, 63), (63, 0)),
+        ((0, 0), (0, 63), (63, 0), (63, 63)),
+        ((3, 9), (5, 40), (20, 1), (21, 33), (60, 60), (61, 2)),
+    ])
+    def test_blocks_match_oracle(self, monkeypatch, cells):
+        # one row of axis-0 values per block, some of them with no vector
+        f = GridSetD(2, 6, 1, cells)
+        want = distance_set(f)
+        monkeypatch.setattr(arith, "_BLOCK_VECTORS", 1)
+        assert distance_set(f) == want == distance_set_oracle(f)
+
+    def test_cantor_dust_matches_oracle(self):
+        c8 = ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), 8)
+        dust = grid_product([c8, c8])
+        assert distance_set(dust) == distance_set_oracle(dust)
+        holed = GridSetD(2, 8, 1, dust.cells[1:])
+        assert not _difference_vectors(holed)[2]
+        assert distance_set(holed) == distance_set_oracle(holed)
 
 
 class TestAnnulus:

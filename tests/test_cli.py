@@ -428,6 +428,25 @@ class TestConfigPipeline:
         assert code == 2
         assert err_code(err) == "SPEC_INVALID"
 
+    def _config_exit(self, capsys, tmp_path, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        return code, out, err_code(err) if err else None
+
+    def test_boolean_depth_is_invalid(self, capsys, tmp_path):
+        cfg = {"depth": True, "generators": [{"type": "reciprocal"}], "analyses": [{"kind": "box"}]}
+        assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
+
+    def test_boolean_budget_is_invalid(self, capsys, tmp_path):
+        cfg = {"depth": 4, "budget_cells": True, "generators": [{"type": "reciprocal"}]}
+        assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
+
+    def test_boolean_fold_count_is_invalid(self, capsys, tmp_path):
+        cfg = {"depth": 4, "generators": [{"type": "reciprocal"}],
+               "pipeline": [{"op": "iterate", "k": True}]}
+        assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):
