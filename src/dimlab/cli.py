@@ -245,10 +245,15 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
     csv_rows = ["scale,log2_count"]
     measures: dict = {}
     status = 0
+    half = max(1, depth // 2)
     for req in reqs:
         kind = req.get("kind")
         if kind == "box":
-            n_min, n_max = req.get("window", [max(1, depth // 2), depth])
+            window = req.get("window", [half, depth])
+            if not (isinstance(window, (list, tuple)) and len(window) == 2
+                    and all(_is_int(n) for n in window)):
+                raise SpecValidationError(f"{label}: box window must be two integers")
+            n_min, n_max = window
             for variant in ("upper", "lower"):
                 est = box_estimate(obj, n_min, n_max, variant)
                 results.append(est.to_json(label))
@@ -256,11 +261,11 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
                     for n, logc in est.per_scale:
                         csv_rows.append(f"{n},{logc:.6f}")
         elif kind == "assouad":
-            results.append(assouad_estimate(obj, int(req.get("m", max(1, depth // 2)))).to_json(label))
+            results.append(assouad_estimate(obj, _int_field(req, "m", half, label)).to_json(label))
         elif kind == "lower":
-            results.append(lower_estimate(obj, int(req.get("m", max(1, depth // 2)))).to_json(label))
+            results.append(lower_estimate(obj, _int_field(req, "m", half, label)).to_json(label))
         elif kind == "growth":
-            table = growth_experiment(base_spec, int(req.get("k_max", 3)), depth)
+            table = growth_experiment(base_spec, _int_field(req, "k_max", 3, label), depth)
             results.append({"kind": "growth", "set": label, **table.to_json()})
         elif kind in ("profile", "covering-check"):
             if not isinstance(obj, DyadicTree):
@@ -270,11 +275,14 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
                 raise SpecValidationError(f"{label}: unknown measure {measure!r}")
             if measure not in measures:
                 measures[measure] = _MEASURES[measure](obj)
-            eps = float(req.get("eps", 0.1))
-            m = int(req.get("m", default_window(eps)))
+            eps = req.get("eps", 0.1)
+            if not isinstance(eps, (int, float)) or isinstance(eps, bool):
+                raise SpecValidationError(f"{label}: {kind} eps must be a number")
+            eps = float(eps)
+            m = _int_field(req, "m", default_window(eps), label)
             if kind == "profile":
-                n = req.get("n")
-                prof = scale_profile(measures[measure], eps, m, None if n is None else int(n))
+                n = None if req.get("n") is None else _int_field(req, "n", None, label)
+                prof = scale_profile(measures[measure], eps, m, n)
                 results.append({"kind": "profile", "set": label, **prof.to_json()})
             else:
                 rep = covering_bounds_check(obj, scale_profile(measures[measure], eps, m), depth)
@@ -307,6 +315,14 @@ def cmd_analyze(args) -> int:
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass, so `true` would pass as 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(req: dict, key: str, default: int | None, label: str) -> int:
+    """req[key], or default when absent, which must be a JSON integer."""
+    value = req.get(key, default)
+    if not _is_int(value):
+        raise SpecValidationError(f"{label}: {req.get('kind')} {key} must be an integer")
+    return value
 
 
 def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:

@@ -88,12 +88,48 @@ def cell_of(x: float, level: int, span: int = 1) -> int:
     return min(int(x * (1 << level)), (span << level) - 1)
 
 
+def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
+    """The leaves as a sorted int64 copy, checked to be integer indices of
+    the level-max_depth grid."""
+    if isinstance(leaves, np.ndarray):
+        arr, seq = leaves, None
+    else:
+        seq = leaves if isinstance(leaves, (list, tuple)) else list(leaves)
+        arr = np.asarray(seq)
+    if arr.size == 0:
+        return np.empty(0, dtype=np.int64)
+    if arr.dtype.kind in "iu":
+        arr = np.sort(arr, axis=None)
+        if arr[0] >= 0 and arr[-1] < span << max_depth:
+            return arr.astype(np.int64, copy=False)
+    elif seq is None or not all(
+        isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_)) for x in seq
+    ):
+        raise ValueError(f"leaf indices must be integers, got {arr.dtype} input")
+    # Python ints come back as float or object only when no integer dtype
+    # holds them all, so one of them lies outside [0, 2^63).
+    raise ValueError(f"leaf index out of range at depth {max_depth} (span {span})")
+
+
+def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
+    """A sorted array without its repeats, by comparing neighbours."""
+    if a.size < 2:
+        return a
+    keep = np.empty(a.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
 class DyadicTree:
     """Occupancy tree over [0, span).  Immutable after construction.
 
-    levels[n] is the sorted tuple of occupied indices at level n.  The
-    constructor trusts its input; use :func:`validate` to audit hand-built
-    trees, or :meth:`from_leaves` which saturates by construction.
+    levels[n] is the sorted tuple of occupied indices at level n, and
+    array(n) the same indices as a read-only int64 array.  The constructor
+    trusts its input; use :func:`validate` to audit hand-built trees.
+    :meth:`from_leaves` saturates by construction: it sorts the leaves once
+    and derives each parent level by an adjacent dedupe of the sorted child
+    level shifted right, filling levels and arrays from that one stack.
     """
 
     __slots__ = ("max_depth", "span", "levels", "_arrays")
@@ -113,17 +149,36 @@ class DyadicTree:
 
     @classmethod
     def from_leaves(cls, max_depth: int, span: int, leaves: Iterable[int]) -> "DyadicTree":
-        """Build a saturated tree from its deepest-level occupancy."""
-        arr = np.unique(np.asarray(list(leaves) if not isinstance(leaves, np.ndarray) else leaves, dtype=np.int64))
-        if arr.size and (arr[0] < 0 or arr[-1] >= span << max_depth):
-            raise ValueError(
-                f"leaf index out of range at depth {max_depth} (span {span})"
-            )
-        stack = [arr]
+        """Build a saturated tree from its deepest-level occupancy.
+
+        leaves may be unsorted and repeat; they must be integers.  Floats,
+        booleans and strings raise ValueError, as do indices outside the
+        level-max_depth grid.  The caller's array is neither reordered nor
+        frozen.
+        """
+        arr = _sorted_leaves(leaves, max_depth, span)
+        stack = [_dedupe_sorted(arr)]
         for _ in range(max_depth):
-            arr = np.unique(arr >> 1)
-            stack.append(arr)
-        return cls(max_depth, span, tuple(tuple(a.tolist()) for a in reversed(stack)))
+            stack.append(_dedupe_sorted(stack[-1] >> 1))
+        stack.reverse()
+        return cls._from_stack(max_depth, span, stack)
+
+    @classmethod
+    def _from_stack(cls, max_depth: int, span: int, stack: list[np.ndarray]) -> "DyadicTree":
+        """Trusted constructor: stack[n] is level n as a sorted, unique int64
+        array owned by the tree.  Each array is frozen and cached for array()."""
+        if max_depth < 0:
+            raise ValueError(f"negative max_depth {max_depth}")
+        if span < 1:
+            raise ValueError(f"span must be a positive integer, got {span}")
+        tree = cls.__new__(cls)
+        tree.max_depth = max_depth
+        tree.span = span
+        tree.levels = tuple(tuple(a.tolist()) for a in stack)
+        for a in stack:
+            a.flags.writeable = False
+        tree._arrays = dict(enumerate(stack))
+        return tree
 
     # -- queries ---------------------------------------------------------
 
@@ -414,9 +469,14 @@ def loads_tree(text: str) -> DyadicTree:
     if any(lv is None for lv in levels):
         missing = [n for n, lv in enumerate(levels) if lv is None]
         raise FormatError(f"missing levels {missing}")
-    tree = DyadicTree(depth, span, levels)  # type: ignore[arg-type]
-    problems = validate(tree)
-    if problems:
+    # A dump is valid exactly when its levels are the saturation of its
+    # deepest level; validate() runs only to describe a bad one.
+    try:
+        tree = DyadicTree.from_leaves(depth, span, levels[depth])  # type: ignore[arg-type]
+    except ValueError:
+        tree = None
+    if tree is None or tree.levels != tuple(levels):
+        problems = validate(DyadicTree(depth, span, levels))  # type: ignore[arg-type]
         raise FormatError("invalid tree: " + "; ".join(problems[:5]))
     return tree
 

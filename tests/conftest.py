@@ -39,6 +39,19 @@ def cantor_cells_exact(depth: int) -> tuple[int, ...]:
     return tuple(sorted(cells))
 
 
+def from_leaves_oracle(max_depth: int, span: int, leaves) -> DyadicTree:
+    """A saturated tree by a hash-based np.unique on every level and the
+    copying constructor: the independent check of `DyadicTree.from_leaves`."""
+    arr = np.unique(np.asarray(list(leaves), dtype=np.int64))
+    if arr.size and (arr[0] < 0 or arr[-1] >= span << max_depth):
+        raise ValueError(f"leaf index out of range at depth {max_depth} (span {span})")
+    stack = [arr]
+    for _ in range(max_depth):
+        arr = np.unique(arr >> 1)
+        stack.append(arr)
+    return DyadicTree(max_depth, span, tuple(tuple(a.tolist()) for a in reversed(stack)))
+
+
 def sum_indices_oracle(a, b) -> np.ndarray:
     """{i + j} as a sorted int64 array, by a set merge over every index
     pair: the slow, independent check of the bit-grid sumset kernel."""

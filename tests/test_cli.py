@@ -447,6 +447,26 @@ class TestConfigPipeline:
                "pipeline": [{"op": "iterate", "k": True}]}
         assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
 
+    @pytest.mark.parametrize(
+        "analysis",
+        [
+            {"kind": "assouad", "m": True},
+            {"kind": "lower", "m": 2.0},
+            {"kind": "box", "window": [True, 6]},
+            {"kind": "box", "window": [2, 4, 6]},
+            {"kind": "growth", "k_max": 2.7},
+            {"kind": "profile", "eps": True},
+            {"kind": "profile", "eps": 0.1, "m": True},
+            {"kind": "profile", "eps": 0.1, "n": True},
+            {"kind": "covering-check", "eps": "0.1"},
+        ],
+        ids=["assouad-m", "lower-m-float", "box-window-bool", "box-window-length",
+             "growth-k_max-float", "profile-eps", "profile-m", "profile-n", "covering-eps-str"],
+    )
+    def test_non_integer_analysis_field_is_invalid(self, capsys, tmp_path, analysis):
+        cfg = {"depth": 6, "generators": [{"type": "reciprocal"}], "analyses": [analysis]}
+        assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):

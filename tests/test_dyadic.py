@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimlab import (
@@ -8,6 +8,7 @@ from dimlab import (
     DyadicTree,
     EmptySetError,
     FormatError,
+    ResourceLimitError,
     Vertex,
     cell_of,
     covering_count,
@@ -21,8 +22,9 @@ from dimlab import (
     subtree,
     validate,
 )
+from dimlab.budget import limit
 from dimlab.dyadic import _bitmask_of
-from conftest import random_tree
+from conftest import from_leaves_oracle, random_tree
 
 leaf_sets = st.builds(
     lambda depth, idx: (depth, sorted(set(idx))),
@@ -92,6 +94,80 @@ class TestTreeConstruction:
         with pytest.raises(ValueError):
             DyadicTree.from_leaves(2, 1, [4])
 
+    @pytest.mark.parametrize(
+        "leaves",
+        [[1.7, 2.2], [True, True], ["5"], np.array([1.0, 2.0]), np.array([1, 2], dtype=object)],
+        ids=["float", "bool", "str", "float-array", "object-array"],
+    )
+    def test_non_integer_leaves_rejected(self, leaves):
+        with pytest.raises(ValueError, match="must be integers"):
+            DyadicTree.from_leaves(3, 1, leaves)
+
+    @pytest.mark.parametrize(
+        "leaves",
+        [[2**64], [1, 2**64], [-1, 2**63], [2**63], np.array([2**63], dtype=np.uint64)],
+        ids=["2^64", "mixed-2^64", "negative-and-2^63", "2^63", "uint64-2^63"],
+    )
+    def test_leaves_beyond_int64_out_of_range(self, leaves):
+        with pytest.raises(ValueError, match="leaf index out of range"):
+            DyadicTree.from_leaves(3, 1, leaves)
+
+    @pytest.mark.parametrize("leaves", [[], (), np.empty(0, dtype=np.int64)], ids=["list", "tuple", "array"])
+    def test_empty_leaves(self, leaves):
+        t = DyadicTree.from_leaves(3, 2, leaves)
+        assert t.levels == ((),) * 4
+        assert t.is_empty()
+
+
+leaf_inputs = st.integers(0, 7).flatmap(
+    lambda depth: st.integers(1, 3).flatmap(
+        lambda span: st.tuples(
+            st.just(depth),
+            st.just(span),
+            st.lists(st.integers(0, (span << depth) - 1), max_size=40),
+            st.sampled_from(["list", "tuple", "generator", "ndarray"]),
+        )
+    )
+)
+
+
+def _as_input(leaves, form):
+    if form == "tuple":
+        return tuple(leaves)
+    if form == "generator":
+        return (i for i in leaves)
+    if form == "ndarray":
+        return np.array(leaves, dtype=np.int64)
+    return list(leaves)
+
+
+class TestFromLeavesOracle:
+    """`from_leaves` (one sort, adjacent dedupe) against the per-level
+    np.unique builder kept in conftest."""
+
+    @given(leaf_inputs)
+    @example((0, 1, [], "list"))
+    @example((0, 3, [2, 0, 2], "ndarray"))
+    @example((5, 2, [], "ndarray"))
+    def test_matches_oracle(self, spec):
+        depth, span, leaves, form = spec
+        t = DyadicTree.from_leaves(depth, span, _as_input(leaves, form))
+        assert t == from_leaves_oracle(depth, span, leaves)
+        assert validate(t) == []
+        for n in range(depth + 1):
+            a = t.array(n)
+            assert a.dtype == np.int64 and not a.flags.writeable
+            assert a.tolist() == list(t.levels[n])
+            assert all(type(j) is int for j in t.levels[n])
+
+    @given(leaf_inputs)
+    def test_caller_array_untouched(self, spec):
+        depth, span, leaves, _ = spec
+        arr = np.array(leaves, dtype=np.int64)
+        DyadicTree.from_leaves(depth, span, arr)
+        assert arr.tolist() == leaves
+        assert arr.flags.writeable
+
 
 class TestDescendants:
     def test_descendant_range_and_count(self):
@@ -125,6 +201,13 @@ class TestDiscretize:
             discretize(lambda lo, hi: False, 4, 1)
 
 
+def _dump_levels(depth, span, levels):
+    """A dyadic-tree v1 text listing each level verbatim, valid or not."""
+    return f"dyadic-tree v1 depth={depth} span={span}\n" + "".join(
+        f"{n}: {','.join(map(str, level))}\n" for n, level in enumerate(levels)
+    )
+
+
 class TestSerialization:
     def test_runs_encoding_for_full_levels(self):
         text = dumps_tree(tree_from(3, range(8)))
@@ -156,6 +239,65 @@ class TestSerialization:
         depth, leaves = spec
         t = tree_from(depth, leaves)
         assert loads_tree(dumps_tree(t)) == t
+
+    @given(leaf_inputs)
+    def test_round_trip_is_byte_identical(self, spec):
+        depth, span, leaves, _ = spec
+        t = DyadicTree.from_leaves(depth, span, leaves)
+        text = dumps_tree(t)
+        back = loads_tree(text)
+        assert back == t
+        assert dumps_tree(back) == text
+        assert not back.array(depth).flags.writeable
+
+    # Mutations of the depth-3 tree with leaves 1 and 6, whose levels are
+    # 0: 0 / 1: 0,1 / 2: 0,3 / 3: 1,6.
+    MUTATIONS = {
+        "orphan": {3: (1, 4, 6)},
+        "childless": {2: (0, 1, 3)},
+        "unsorted": {3: (6, 1)},
+        "duplicate": {3: (1, 1, 6)},
+        "out-of-range": {3: (1, 6, 8)},
+        "inner-out-of-range": {2: (0, 3, 4)},
+        "token-2^64": {3: (1, 6, 2**64)},
+        "many-problems": {3: (1, 6, 9, 10, 11, 12, 13, 14)},
+    }
+
+    @pytest.mark.parametrize("name", sorted(MUTATIONS))
+    def test_mutated_dump_names_validate_problems(self, name):
+        levels = [(0,), (0, 1), (0, 3), (1, 6)]
+        for n, level in self.MUTATIONS[name].items():
+            levels[n] = level
+        text = _dump_levels(3, 1, levels)
+        problems = validate(DyadicTree(3, 1, levels))
+        assert problems
+        with pytest.raises(FormatError) as err:
+            loads_tree(text)
+        assert str(err.value) == "invalid tree: " + "; ".join(problems[:5])
+
+    @given(
+        leaf_inputs,
+        st.integers(0, 7),
+        st.lists(st.integers(-1, 2**64), max_size=6),
+    )
+    def test_load_accepts_exactly_what_validate_accepts(self, spec, level, body):
+        depth, span, leaves, _ = spec
+        levels = list(DyadicTree.from_leaves(depth, span, leaves).levels)
+        levels[level % (depth + 1)] = tuple(body)
+        text = _dump_levels(depth, span, levels)
+        problems = validate(DyadicTree(depth, span, levels))
+        if not problems:
+            assert loads_tree(text).levels == tuple(levels)
+            return
+        with pytest.raises(FormatError) as err:
+            loads_tree(text)
+        assert str(err.value) == "invalid tree: " + "; ".join(problems[:5])
+
+    def test_runs_payload_charged_before_expansion(self):
+        # 2^40 cells could never be expanded: the charge must refuse first.
+        text = f"dyadic-tree v1 depth=40 span=1\n40: RUNS 0 {1 << 40}\n"
+        with limit(1000), pytest.raises(ResourceLimitError, match="RUNS payload"):
+            loads_tree(text)
 
 
 class TestInvariants:
