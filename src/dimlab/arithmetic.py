@@ -125,35 +125,112 @@ def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
 # -- d-dimensional grids -------------------------------------------------
 
 
-@dataclass(frozen=True)
+def _distinct_rows(a: np.ndarray, return_counts: bool = False):
+    """The distinct rows of an (N, d) integer array in lexicographic order,
+    by one lexsort and an adjacent-row dedupe; with return_counts, also how
+    often each row occurs.  The result never shares memory with `a`."""
+    s = a.take(np.lexsort(a.T[::-1]), axis=0)
+    first = np.zeros(len(s), dtype=bool)
+    first[:1] = True
+    for col in s.T:
+        first[1:] |= col[1:] != col[:-1]
+    rows = s.compress(first, axis=0)
+    if not return_counts:
+        return rows
+    return rows, np.diff(np.append(np.flatnonzero(first), len(s)))
+
+
 class GridSetD:
     """A finite set of occupied level-`depth` grid cells in d dimensions,
-    d in {1, 2, 3}, over [0, span)^d."""
+    d in {1, 2, 3}, over [0, span)^d.  Immutable after construction.
 
-    dimension: int
-    depth: int
-    span: int
-    cells: tuple[tuple[int, ...], ...]
+    The cells are held as one read-only (N, d) int64 array of distinct rows
+    in lexicographic order, returned by array(); `cells` is the same set as
+    a sorted tuple of tuples, built on first use.  The constructor takes
+    the cells in any order, with repeats, as integer tuples or an integer
+    array; floats, booleans, strings and cells outside the grid raise
+    ValueError.
+    """
 
-    def __post_init__(self):
-        if self.dimension not in (1, 2, 3):
-            raise ValueError(f"dimension {self.dimension} not in {{1, 2, 3}}")
-        if self.depth < 0 or self.span < 1:
+    __slots__ = ("dimension", "depth", "span", "_array", "_cells")
+
+    def __init__(self, dimension: int, depth: int, span: int, cells):
+        if dimension not in (1, 2, 3):
+            raise ValueError(f"dimension {dimension} not in {{1, 2, 3}}")
+        if depth < 0 or span < 1:
             raise ValueError("depth must be >= 0 and span >= 1")
-        cap = self.span << self.depth
-        norm = sorted({tuple(int(c) for c in cell) for cell in self.cells})
-        for cell in norm:
-            if len(cell) != self.dimension:
-                raise ValueError(f"cell {cell} is not {self.dimension}-dimensional")
-            if any(not 0 <= c < cap for c in cell):
-                raise ValueError(f"cell {cell} outside the {cap}^d grid")
-        object.__setattr__(self, "cells", tuple(norm))
+        arr = _cell_array(cells, dimension, span << depth)
+        self._set(dimension, depth, span, _distinct_rows(arr))
+
+    @classmethod
+    def _trusted(cls, dimension: int, depth: int, span: int, arr: np.ndarray) -> "GridSetD":
+        """Trusted constructor: arr is an (N, dimension) int64 array of
+        distinct in-grid rows in lexicographic order, owned by the grid."""
+        grid = cls.__new__(cls)
+        grid._set(dimension, depth, span, arr)
+        return grid
+
+    def _set(self, dimension: int, depth: int, span: int, arr: np.ndarray) -> None:
+        arr.flags.writeable = False
+        for name, value in zip(self.__slots__, (dimension, depth, span, arr, None)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"GridSetD is immutable: cannot set {name}")
+
+    @property
+    def cells(self) -> tuple[tuple[int, ...], ...]:
+        if self._cells is None:
+            object.__setattr__(self, "_cells", tuple(map(tuple, self._array.tolist())))
+        return self._cells
 
     def array(self) -> np.ndarray:
-        return np.asarray(self.cells, dtype=np.int64).reshape(len(self.cells), self.dimension)
+        """The cells as a read-only (N, d) int64 array in lexicographic order."""
+        return self._array
 
     def centers(self) -> np.ndarray:
-        return (self.array() + 0.5) * 2.0 ** -self.depth
+        return (self._array + 0.5) * 2.0 ** -self.depth
+
+    def _key(self) -> tuple:
+        return (self.dimension, self.depth, self.span)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GridSetD):
+            return NotImplemented
+        return self._key() == other._key() and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash((self._key(), self._array.tobytes()))
+
+    def __repr__(self) -> str:
+        return (
+            f"GridSetD(dimension={self.dimension}, depth={self.depth}, "
+            f"span={self.span}, cells={len(self._array)})"
+        )
+
+
+def _cell_array(cells, d: int, cap: int) -> np.ndarray:
+    """The cells as an (N, d) int64 array, checked to be integer indices of
+    the cap^d grid."""
+    if isinstance(cells, np.ndarray):
+        arr = cells
+        if arr.dtype.kind not in "iu":
+            raise ValueError(f"grid cells must be integers, got {arr.dtype} input")
+    else:
+        seq = cells if isinstance(cells, (list, tuple)) else list(cells)
+        kinds = {type(c) for cell in seq for c in cell}
+        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in kinds):
+            raise ValueError(f"grid cells must be integers, got {sorted(t.__name__ for t in kinds)}")
+        bad = next((cell for cell in seq if len(cell) != d), None)
+        if bad is not None:
+            raise ValueError(f"cell {tuple(bad)} is not {d}-dimensional")
+        arr = np.asarray(seq).reshape(len(seq), d)
+    if arr.ndim != 2 or arr.shape[1] != d:
+        raise ValueError(f"cells of shape {arr.shape} are not {d}-dimensional")
+    if arr.size and (arr.min() < 0 or arr.max() >= cap):
+        outside = arr[(arr < 0).any(axis=1) | (arr >= cap).any(axis=1)]
+        raise ValueError(f"cell {min(map(tuple, outside.tolist()))} outside the {cap}^d grid")
+    return arr.astype(np.int64, copy=False)
 
 
 def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
@@ -170,9 +247,9 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
     charge(total, "grid product")
     if total > _MAX_GRID_CELLS:
         raise ResourceLimitError(f"{total} product cells exceed the {_MAX_GRID_CELLS} budget")
+    # sorted, distinct factor levels give distinct rows in lexicographic order
     grids = np.meshgrid(*[t.array(depth) for t in trees], indexing="ij")
-    cells = np.stack([g.ravel() for g in grids], axis=1)
-    return GridSetD(d, depth, span, tuple(map(tuple, cells.tolist())))
+    return GridSetD._trusted(d, depth, span, np.stack([g.ravel() for g in grids], axis=1))
 
 
 def _nonneg_differences(idx: np.ndarray, cap: int) -> np.ndarray:
@@ -188,7 +265,7 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     The flag tells whether f is a product grid."""
     cells = f.array()
     axes = [np.unique(cells[:, i]) for i in range(f.dimension)]
-    if math.prod(a.size for a in axes) == len(f.cells):
+    if math.prod(a.size for a in axes) == len(cells):
         diffs = [_nonneg_differences(a, f.span << f.depth) for a in axes]
         charge(math.prod(d.size for d in diffs), "distance vectors")
         # every combination occurs; a broadcast view holds no memory
@@ -219,7 +296,7 @@ def distance_set(f: GridSetD) -> DyadicTree:
     _BLOCK_VECTORS: its squared length in units of 2^-2n is an exact float,
     so every distance is the correctly rounded one its cell pairs give.
     """
-    if not f.cells:
+    if len(f.array()) == 0:
         raise ValueError("empty grid set")
     n = f.depth
     values, seen, _ = _difference_vectors(f)
@@ -254,30 +331,37 @@ def annulus_cells(
     diff = f.centers() - np.asarray(center, dtype=np.float64)
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     keep = (dist >= inner) & (dist <= inner + width)
-    return [f.cells[i] for i in np.nonzero(keep)[0]]
+    return list(map(tuple, f.array()[keep].tolist()))
 
 
 # -- serialization -------------------------------------------------------
 
 
 def dumps_grid(f: GridSetD) -> str:
-    lines = [f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}"]
-    for cell in f.cells:
-        lines.append(" ".join(str(c) for c in cell))
-    return "\n".join(lines) + "\n"
+    cells = f.array()
+    row = " ".join(["%d"] * f.dimension) + "\n"
+    header = f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n"
+    return header + (row * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def loads_grid(text: str) -> GridSetD:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
-    cells = []
-    for ln in lines[1:]:
-        parts = ln.split()
+    rows = [ln.split() for ln in lines[1:]]
+    for ln, parts in zip(lines[1:], rows):
         if len(parts) != d:
             raise FormatError(f"expected {d} coordinates: {ln!r}")
-        cells.append(tuple(_ints(parts, ln)))
     try:
-        return GridSetD(d, depth, span, tuple(cells))
+        flat = np.array([tok for parts in rows for tok in parts], dtype=np.int64)
+    except (ValueError, OverflowError):
+        # name the line: a non-integer token, or an integer beyond int64
+        for ln, parts in zip(lines[1:], rows):
+            cell = tuple(_ints(parts, ln))
+            if any(not 0 <= c < span << depth for c in cell):
+                raise FormatError(f"cell {cell} outside the {span << depth}^d grid") from None
+        raise
+    try:
+        return GridSetD(d, depth, span, flat.reshape(len(rows), d))
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -43,7 +43,7 @@ from .arithmetic import (
     SumsetReport,
 )
 from .dimension import assouad_estimate, box_estimate, growth_experiment, lower_estimate
-from .io import atomic_write_text, dumps_json
+from .io import _is_int, atomic_write_text, dumps_json
 from .verify import run_suite
 
 _MEASURES = {"counting": counting_measure, "splitting": splitting_measure}
@@ -310,11 +310,6 @@ def cmd_analyze(args) -> int:
     payload = dumps_json({"input": args.input, "results": results})
     _write_outputs(payload, csv_rows, args.json, args.csv)
     return status
-
-
-def _is_int(value) -> bool:
-    """A JSON integer: bool is an int subclass, so `true` would pass as 1."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _int_field(req: dict, key: str, default: int | None, label: str) -> int:

@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .dyadic import DyadicTree
-from .arithmetic import GridSetD, iterated_sumset
+from .arithmetic import GridSetD, _distinct_rows, iterated_sumset
 from .budget import charge
 from .generators import build_tree, spec_span
 
@@ -60,8 +60,9 @@ def _dims_of(obj: GridLike) -> tuple[int, int, int]:
 def _count_at(obj: GridLike, n: int) -> int:
     if isinstance(obj, DyadicTree):
         return len(obj.levels[n])
-    shifted = obj.array() >> (obj.depth - n)
-    return len(np.unique(shifted, axis=0))
+    if n == obj.depth:
+        return len(obj.array())
+    return len(_distinct_rows(obj.array() >> (obj.depth - n)))
 
 
 def box_estimate(
@@ -103,8 +104,8 @@ def _local_extremes(obj: GridLike, m: int, reduce) -> tuple[tuple[int, float], .
     else:
         cells = obj.array()
         for k in range(0, depth - m + 1):
-            at_km = np.unique(cells >> (depth - k - m), axis=0)
-            _, counts = np.unique(at_km >> m, axis=0, return_counts=True)
+            at_km = _distinct_rows(cells >> (depth - k - m))
+            _, counts = _distinct_rows(at_km >> m, return_counts=True)
             out.append((k, math.log2(int(reduce(counts)))))
     return tuple(out)
 

@@ -21,6 +21,7 @@ from .dyadic import DyadicTree, Vertex, cell_of, descendant_range
 from .dyadic import _bitmask_of, _indices_of_bitmask, _shift_or
 from .budget import charge
 from .errors import HypothesisError, SpecValidationError
+from .io import _is_int
 
 _SEP_TOL = 1e-9
 _DUP_TOL = 1e-12
@@ -31,6 +32,13 @@ def _as_float(value) -> float:
     if isinstance(value, str):
         return float(Fraction(value))
     return float(value)
+
+
+def _spec_int(value, field: str, kind: str) -> int:
+    """A spec's integer field; booleans and non-integers raise."""
+    if not _is_int(value):
+        raise SpecValidationError(f"{kind} spec field {field!r} must be an integer, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -355,19 +363,19 @@ def spec_from_json(data: dict) -> GeneratorSpec:
             return IfsSpec(
                 _as_float(data["r"]),
                 tuple(_as_float(t) for t in data["translations"]),
-                int(data.get("span", 1)),
+                _spec_int(data.get("span", 1), "span", kind),
             )
         if kind == "moran":
             lengths = data["lengths"]
             if not isinstance(lengths, str):
                 lengths = tuple(_as_float(x) for x in lengths)
-            return MoranSpec(int(data["k"]), lengths)
+            return MoranSpec(_spec_int(data["k"], "k", kind), lengths)
         if kind == "reciprocal":
             return ReciprocalSpec()
         if kind == "semigroup":
             return SemigroupSpec(
                 tuple(_as_float(g) for g in data["generators"]),
-                int(data["bound"]),
+                _spec_int(data["bound"], "bound", kind),
             )
     except KeyError as exc:
         raise SpecValidationError(f"missing field {exc} in {kind!r} spec") from exc

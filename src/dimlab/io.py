@@ -1,4 +1,4 @@
-"""Small I/O helpers: atomic writes and deterministic JSON."""
+"""Small I/O helpers: atomic writes, deterministic JSON, JSON integers."""
 
 from __future__ import annotations
 
@@ -28,3 +28,8 @@ def atomic_write_text(path, text: str) -> None:
 def dumps_json(obj) -> str:
     """Canonical JSON: sorted keys, fixed separators, trailing newline."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _is_int(value) -> bool:
+    """A JSON integer: bool is an int subclass, so `true` would pass as 1."""
+    return isinstance(value, int) and not isinstance(value, bool)

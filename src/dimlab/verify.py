@@ -304,7 +304,7 @@ def check_distance_set() -> CriterionResult:
     return _result(
         "distance-set", 60.0, t0, ass_ok and box_ok,
         {
-            "dust_cells": len(dust.cells),
+            "dust_cells": len(dust.array()),
             "vectors": int(np.count_nonzero(seen)),
             "product": product,
             "assouad_F": a_f.value,

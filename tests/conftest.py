@@ -83,6 +83,39 @@ def distance_set_oracle(f) -> DyadicTree:
     return DyadicTree.from_leaves(n, span, widened)
 
 
+def grid_rows_oracle(f) -> np.ndarray:
+    """The cells of a grid set as an (N, d) int64 array, rebuilt from the
+    `cells` tuples rather than read from the stored array."""
+    return np.asarray(f.cells, dtype=np.int64).reshape(len(f.cells), f.dimension)
+
+
+def grid_count_oracle(f, n: int) -> int:
+    """Occupied level-n cells of a grid set by np.unique(axis=0): the
+    independent check of the grid box counts."""
+    return len(np.unique(grid_rows_oracle(f) >> (f.depth - n), axis=0))
+
+
+def grid_descendants_oracle(f, m: int) -> list[np.ndarray]:
+    """Per parent level k = 0..depth - m, the level-(k + m) descendant count
+    of every occupied level-k vertex, by np.unique(axis=0): the independent
+    check of the grid Assouad and lower estimates."""
+    cells = grid_rows_oracle(f)
+    out = []
+    for k in range(0, f.depth - m + 1):
+        at_km = np.unique(cells >> (f.depth - k - m), axis=0)
+        _, counts = np.unique(at_km >> m, axis=0, return_counts=True)
+        out.append(counts)
+    return out
+
+
+def dumps_grid_oracle(f) -> str:
+    """The grid-set v1 text by a per-row formatter over the cell tuples."""
+    lines = [f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}"]
+    for cell in f.cells:
+        lines.append(" ".join(str(c) for c in cell))
+    return "\n".join(lines) + "\n"
+
+
 def random_tree(rng: np.random.Generator, depth: int, p: float) -> DyadicTree:
     idx = np.zeros(1, dtype=np.int64)
     for _ in range(depth):

@@ -463,6 +463,9 @@ class TestGridSerialization:
             loads_grid("grid-set v1 d=1 depth=2 span=1\n9\n")
         with pytest.raises(FormatError):
             loads_grid("grid-set v1 d=2 depth=2 span=1\n0 x\n")
+        with pytest.raises(FormatError):
+            # a coordinate beyond int64
+            loads_grid("grid-set v1 d=2 depth=2 span=1\n0 99999999999999999999\n")
 
     @pytest.mark.parametrize(
         "header", ["grid-set v1 d=1 depth=1000000000000000000 span=1", "grid-set v1 d=1 depth=2 span"]

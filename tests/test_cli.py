@@ -467,6 +467,20 @@ class TestConfigPipeline:
         cfg = {"depth": 6, "generators": [{"type": "reciprocal"}], "analyses": [analysis]}
         assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
 
+    @pytest.mark.parametrize(
+        "generator",
+        [
+            {"type": "moran", "k": True, "lengths": "4^-j"},
+            {"type": "moran", "k": 2.9, "lengths": "4^-j"},
+            {"type": "ifs", "r": "1/3", "translations": [0, "2/3"], "span": True},
+            {"type": "semigroup", "generators": [1, 1.5], "bound": 8.5},
+        ],
+        ids=["moran-k-bool", "moran-k-float", "ifs-span-bool", "semigroup-bound-float"],
+    )
+    def test_non_integer_generator_field_is_invalid(self, capsys, tmp_path, generator):
+        cfg = {"depth": 6, "generators": [generator], "analyses": [{"kind": "box"}]}
+        assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):

@@ -396,6 +396,20 @@ class TestSpecJson:
         with pytest.raises(SpecValidationError):
             spec_from_json(["ifs"])
 
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "moran", "k": True, "lengths": "4^-j"},
+            {"type": "moran", "k": 2.9, "lengths": "4^-j"},
+            {"type": "ifs", "r": 0.5, "translations": [0, 0.5], "span": True},
+            {"type": "semigroup", "generators": [1, 1.5], "bound": 8.5},
+        ],
+        ids=["moran-k-bool", "moran-k-float", "ifs-span-bool", "semigroup-bound-float"],
+    )
+    def test_non_integer_fields(self, data):
+        with pytest.raises(SpecValidationError, match="must be an integer"):
+            spec_from_json(data)
+
     def test_build_tree_dispatch(self):
         assert build_tree({"type": "reciprocal"}, 2).levels[2] == (0, 1, 2, 3)
         assert build_tree(CANTOR, 3).levels[3] == (0, 1, 2, 5, 6, 7)

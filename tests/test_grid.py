@@ -1,0 +1,129 @@
+"""GridSetD as one sorted cell array, checked against set, np.unique and
+per-row oracles: the constructor, the grid estimators and grid I/O."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+
+from dimlab import (
+    GridSetD,
+    assouad_estimate,
+    box_estimate,
+    dumps_grid,
+    loads_grid,
+    lower_estimate,
+)
+
+from conftest import dumps_grid_oracle, grid_count_oracle, grid_descendants_oracle
+
+
+@st.composite
+def grid_inputs(draw):
+    """(d, depth, span, cells): a product of per-axis sets or a free list
+    with repeats, in drawn order, possibly empty."""
+    d, depth, span = draw(st.tuples(st.integers(1, 3), st.integers(0, 6), st.integers(1, 3)))
+    coord = st.integers(0, (span << depth) - 1)
+    if draw(st.booleans()):
+        axes = [draw(st.lists(coord, max_size=5, unique=True)) for _ in range(d)]
+        cells = [tuple(c) for c in np.array(np.meshgrid(*axes, indexing="ij")).reshape(d, -1).T.tolist()]
+    else:
+        cells = draw(st.lists(st.tuples(*[coord] * d), max_size=40))
+    return d, depth, span, draw(st.permutations(cells))
+
+
+EMPTY = (2, 4, 1, [])
+SINGLETON = (3, 5, 2, [(63, 0, 17)])
+# a 3-d grid of (3 * 2^40)^3 cells: mixed-radix cell codes would overflow int64
+DEEP = (3, 40, 3, [((3 << 40) - 1, 0, 5), (0, (3 << 40) - 1, 5), (1 << 40, 1 << 40, 1 << 41), (0, 0, 5)])
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+def test_constructor_matches_sorted_set(args):
+    d, depth, span, cells = args
+    g = GridSetD(d, depth, span, cells)
+    assert g.cells == tuple(sorted(set(cells)))
+    assert g.array().dtype == np.int64 and g.array().shape == (len(g.cells), d)
+    assert not g.array().flags.writeable
+    assert GridSetD(d, depth, span, np.array(cells, dtype=np.int64).reshape(-1, d)) == g
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+def test_dumps_matches_per_row_formatter(args):
+    g = GridSetD(*args)
+    assert dumps_grid(g) == dumps_grid_oracle(g)
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+def test_loads_inverts_dumps(args):
+    g = GridSetD(*args)
+    back = loads_grid(dumps_grid(g))
+    assert back == g and back.cells == g.cells
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+def test_box_matches_oracle(args):
+    g = GridSetD(*args)
+    d, depth, span, _ = args
+    if depth == 0:
+        return
+    if not g.cells:
+        with pytest.raises(ValueError):
+            box_estimate(g, 1, depth)
+        return
+    want = tuple((n, math.log2(grid_count_oracle(g, n)) - d * math.log2(span)) for n in range(1, depth + 1))
+    for variant in ("upper", "lower"):
+        assert box_estimate(g, 1, depth, variant).per_scale == want
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+def test_local_estimates_match_oracle(args):
+    g = GridSetD(*args)
+    depth = args[1]
+    for m in range(1, depth + 1):
+        if not g.cells:
+            for estimate in (assouad_estimate, lower_estimate):
+                with pytest.raises(ValueError):
+                    estimate(g, m)
+            continue
+        counts = grid_descendants_oracle(g, m)
+        assert assouad_estimate(g, m).per_scale == tuple(
+            (k, math.log2(int(c.max()))) for k, c in enumerate(counts)
+        )
+        assert lower_estimate(g, m).per_scale == tuple(
+            (k, math.log2(int(c.min()))) for k, c in enumerate(counts)
+        )
+
+
+@pytest.mark.parametrize(
+    "d, cells",
+    [
+        (1, ((1.7,),)),
+        (2, ((True, 2),)),
+        (1, (("1",),)),
+        (1, np.array([[1.0]])),
+        (1, np.array([[True]])),
+    ],
+    ids=["float", "bool-with-int", "str", "float-array", "bool-array"],
+)
+def test_non_integer_coordinates_rejected(d, cells):
+    # these were truncated to integers when cells were normalized with int()
+    with pytest.raises(ValueError, match="integers"):
+        GridSetD(d, 2, 1, cells)
