@@ -115,6 +115,7 @@ def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
         raise ValueError(f"level {delta_level} exceeds tree depth {a.max_depth}")
     if not 0.0 <= upper <= a.span:
         raise ValueError(f"upper={upper} outside [0, {a.span}]")
+    charge(a.capacity(delta_level), "density grid")
     hi = min(int(upper * (1 << delta_level)), a.capacity(delta_level) - 1)
     occ = _bitmask_of(a.array(delta_level), a.capacity(delta_level))
     wide = occ | (occ << 1) | (occ >> 1)
@@ -188,6 +189,22 @@ class GridSetD:
         """The cells as a read-only (N, d) int64 array in lexicographic order."""
         return self._array
 
+    def _at(self, n: int) -> np.ndarray:
+        """The distinct level-n cells, n <= depth, in lexicographic order."""
+        return self._array if n == self.depth else _distinct_rows(self._array >> (self.depth - n))
+
+    def count(self, n: int) -> int:
+        """Occupied level-n cells."""
+        if not 0 <= n <= self.depth:
+            raise ValueError(f"level {n} outside 0..{self.depth}")
+        return len(self._at(n))
+
+    def descendant_counts(self, k: int, m: int) -> np.ndarray:
+        """Per occupied level-k cell in lexicographic order, its level-(k+m) cells."""
+        if not 0 <= k <= k + m <= self.depth:
+            raise ValueError(f"levels {k}..{k + m} outside 0..{self.depth}")
+        return _distinct_rows(self._at(k + m) >> m, return_counts=True)[1]
+
     def centers(self) -> np.ndarray:
         return (self._array + 0.5) * 2.0 ** -self.depth
 
@@ -242,7 +259,7 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
     span = trees[0].span
     if any(t.max_depth != depth or t.span != span for t in trees):
         raise ValueError("factors must share depth and span")
-    sizes = [len(t.levels[depth]) for t in trees]
+    sizes = [t.count(depth) for t in trees]
     total = math.prod(sizes)
     charge(total, "grid product")
     if total > _MAX_GRID_CELLS:

@@ -182,7 +182,7 @@ def cmd_sum(args) -> int:
         out, report = index_sumset(trees[0], trees[1], level)
     else:
         out = iterated_sumset(trees[0], args.k, level)
-        count = len(out.levels[level])
+        count = out.count(level)
         report = SumsetReport(level, count, (count / 2.0, 2.0 * count))
     _write_text(args.out, dumps_tree(out))
     if args.report:
@@ -197,7 +197,7 @@ def cmd_diff(args) -> int:
     _write_text(args.out, dumps_tree(out))
     if args.report:
         _write_text(args.report, dumps_json({"level": level, "offset": offset,
-                                             "count": len(out.levels[level])}))
+                                             "count": out.count(level)}))
     return 0
 
 

@@ -17,11 +17,13 @@ from typing import Union
 import numpy as np
 
 from .dyadic import DyadicTree
-from .arithmetic import GridSetD, _distinct_rows, iterated_sumset
+from .arithmetic import GridSetD, iterated_sumset
 from .budget import charge
 from .generators import build_tree, spec_span
 
 GridLike = Union[DyadicTree, GridSetD]
+
+SATURATION_TOL = 0.05
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,6 @@ def _dims_of(obj: GridLike) -> tuple[int, int, int]:
     return obj.depth, obj.span, obj.dimension
 
 
-def _count_at(obj: GridLike, n: int) -> int:
-    if isinstance(obj, DyadicTree):
-        return len(obj.levels[n])
-    if n == obj.depth:
-        return len(obj.array())
-    return len(_distinct_rows(obj.array() >> (obj.depth - n)))
-
-
 def box_estimate(
     obj: GridLike, n_min: int, n_max: int, variant: str = "upper"
 ) -> DimEstimate:
@@ -77,7 +71,7 @@ def box_estimate(
     norm = d * math.log2(span)
     scales = []
     for n in range(n_min, n_max + 1):
-        count = _count_at(obj, n)
+        count = obj.count(n)
         if count == 0:
             raise ValueError("empty set has no box estimate")
         scales.append((n, math.log2(count) - norm))
@@ -89,35 +83,24 @@ def box_estimate(
     return DimEstimate(f"box_{variant}", value, (n_min, n_max), tuple(scales), slope)
 
 
-def _local_extremes(obj: GridLike, m: int, reduce) -> tuple[tuple[int, float], ...]:
+def _local_estimate(obj: GridLike, m: int, kind: str, reduce) -> DimEstimate:
     """Per parent level, the extreme log2 descendant count over all occupied
-    vertices with a full m-level window below them."""
+    vertices with a full m-level window below them; the value is the
+    extreme of those over m."""
     depth, _, _ = _dims_of(obj)
-    out = []
-    if isinstance(obj, DyadicTree):
-        for k in range(0, depth - m + 1):
-            parents = obj.array(k)
-            desc = obj.array(k + m)
-            lo = np.searchsorted(desc, parents << m, side="left")
-            hi = np.searchsorted(desc, (parents + 1) << m, side="left")
-            out.append((k, math.log2(int(reduce(hi - lo)))))
-    else:
-        cells = obj.array()
-        for k in range(0, depth - m + 1):
-            at_km = _distinct_rows(cells >> (depth - k - m))
-            _, counts = _distinct_rows(at_km >> m, return_counts=True)
-            out.append((k, math.log2(int(reduce(counts)))))
-    return tuple(out)
+    if not 1 <= m <= depth:
+        raise ValueError(f"window m={m} not inside [1, {depth}]")
+    if obj.count(depth) == 0:
+        raise ValueError(f"empty set has no {kind} estimate")
+    scales = tuple(
+        (k, math.log2(int(reduce(obj.descendant_counts(k, m))))) for k in range(depth - m + 1)
+    )
+    return DimEstimate(kind, float(reduce([v for _, v in scales])) / m, (0, m), scales)
 
 
 def assouad_estimate(obj: GridLike, m: int) -> DimEstimate:
     """Max local branching exponent over all occupied vertices."""
-    depth, _, _ = _dims_of(obj)
-    if not 1 <= m <= depth:
-        raise ValueError(f"window m={m} not inside [1, {depth}]")
-    scales = _local_extremes(obj, m, np.max)
-    value = max(v for _, v in scales) / m
-    return DimEstimate("assouad", value, (0, m), scales)
+    return _local_estimate(obj, m, "assouad", np.max)
 
 
 def assouad_slope(obj: GridLike, m_min: int, m_max: int) -> float:
@@ -135,12 +118,7 @@ def assouad_slope(obj: GridLike, m_min: int, m_max: int) -> float:
 
 def lower_estimate(obj: GridLike, m: int) -> DimEstimate:
     """Min local branching exponent over all occupied vertices."""
-    depth, _, _ = _dims_of(obj)
-    if not 1 <= m <= depth:
-        raise ValueError(f"window m={m} not inside [1, {depth}]")
-    scales = _local_extremes(obj, m, np.min)
-    value = min(v for _, v in scales) / m
-    return DimEstimate("lower", value, (0, m), scales)
+    return _local_estimate(obj, m, "lower", np.min)
 
 
 # -- dimension growth under repeated sums --------------------------------
@@ -193,18 +171,13 @@ class GrowthTable:
         return out
 
 
-def growth_experiment(
-    gen_spec,
-    k_max: int,
-    depth: int,
-    window: tuple[int, int] | None = None,
-    m: int | None = None,
-    saturation_tol: float = 0.05,
-) -> GrowthTable:
-    """Estimates for the k-fold index sumset, k = 1..k_max.
+def growth_experiment(gen_spec, k_max: int, depth: int) -> GrowthTable:
+    """Estimates for the k-fold index sumset, k = 1..k_max, over the box
+    window [max(1, depth // 2), depth] and the local window m =
+    max(1, depth // 2).
 
     The strictly_increasing flag requires each upper-box step to increase
-    until the estimate sits within saturation_tol of 1; past that point
+    until the estimate sits within SATURATION_TOL of 1; past that point
     further growth is not demanded.
     """
     if k_max < 2:
@@ -213,10 +186,8 @@ def growth_experiment(
         raise ValueError(f"negative depth {depth}")
     charge(spec_span(gen_spec) * k_max << depth, "growth experiment")
     base = build_tree(gen_spec, depth)
-    if window is None:
-        window = (max(1, depth // 2), depth)
-    if m is None:
-        m = max(1, depth // 2)
+    m = max(1, depth // 2)
+    window = (m, depth)
     rows = []
     for k in range(1, k_max + 1):
         tree = base if k == 1 else iterated_sumset(base, k, depth)
@@ -231,9 +202,9 @@ def growth_experiment(
         )
     increasing = True
     for prev, cur in zip(rows, rows[1:]):
-        if prev.box_upper.value >= 1.0 - saturation_tol:
+        if prev.box_upper.value >= 1.0 - SATURATION_TOL:
             break
         if cur.box_upper.value <= prev.box_upper.value:
             increasing = False
             break
-    return GrowthTable(tuple(rows), increasing, saturation_tol, depth, window, m)
+    return GrowthTable(tuple(rows), increasing, SATURATION_TOL, depth, window, m)

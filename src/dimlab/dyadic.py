@@ -90,35 +90,42 @@ def cell_of(x: float, level: int, span: int = 1) -> int:
 
 def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
     """The leaves as a sorted int64 copy, checked to be integer indices of
-    the level-max_depth grid."""
+    the level-max_depth grid.  A sequence is type-checked element by
+    element, since numpy reads a bool among ints as an int; an array only
+    by its dtype."""
     if isinstance(leaves, np.ndarray):
-        arr, seq = leaves, None
+        arr = leaves
+        if arr.size and arr.dtype.kind not in "iu":
+            raise ValueError(f"leaf indices must be integers, got {arr.dtype} input")
     else:
         seq = leaves if isinstance(leaves, (list, tuple)) else list(leaves)
+        kinds = set(map(type, seq))
+        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in kinds):
+            raise ValueError(f"leaf indices must be integers, got {sorted(t.__name__ for t in kinds)}")
         arr = np.asarray(seq)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
+    # Python ints come back as float or object only when no integer dtype
+    # holds them all, so one of them lies outside [0, 2^63).
     if arr.dtype.kind in "iu":
         arr = np.sort(arr, axis=None)
         if arr[0] >= 0 and arr[-1] < span << max_depth:
             return arr.astype(np.int64, copy=False)
-    elif seq is None or not all(
-        isinstance(x, (int, np.integer)) and not isinstance(x, (bool, np.bool_)) for x in seq
-    ):
-        raise ValueError(f"leaf indices must be integers, got {arr.dtype} input")
-    # Python ints come back as float or object only when no integer dtype
-    # holds them all, so one of them lies outside [0, 2^63).
     raise ValueError(f"leaf index out of range at depth {max_depth} (span {span})")
+
+
+def _run_heads(a: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that differ from the one before."""
+    head = np.empty(a.size, dtype=bool)
+    if a.size:
+        head[0] = True
+        np.not_equal(a[1:], a[:-1], out=head[1:])
+    return head
 
 
 def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
     """A sorted array without its repeats, by comparing neighbours."""
-    if a.size < 2:
-        return a
-    keep = np.empty(a.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(a[1:], a[:-1], out=keep[1:])
-    return a[keep]
+    return a[_run_heads(a)] if a.size > 1 else a
 
 
 class DyadicTree:
@@ -197,10 +204,28 @@ class DyadicTree:
     def density(self, level: int) -> float:
         return len(self.levels[level]) / self.capacity(level)
 
-    def is_occupied(self, level: int, index: int) -> bool:
+    def position(self, level: int, index: int) -> int:
+        """Where index sits among the occupied indices at a level, or -1
+        when that cell is unoccupied."""
         lv = self.levels[level]
         pos = bisect_left(lv, index)
-        return pos < len(lv) and lv[pos] == index
+        return pos if pos < len(lv) and lv[pos] == index else -1
+
+    def is_occupied(self, level: int, index: int) -> bool:
+        return self.position(level, index) >= 0
+
+    def descendant_starts(self, k: int, m: int) -> np.ndarray:
+        """For each occupied level-k cell in order, the position of its first
+        level-(k+m) descendant: the run starts of array(k+m) >> m, which on
+        a saturated tree has one run per occupied level-k cell."""
+        if not 0 <= k <= k + m <= self.max_depth:
+            raise ValueError(f"levels {k}..{k + m} outside 0..{self.max_depth}")
+        return _run_heads(self.array(k + m) >> m).nonzero()[0]
+
+    def descendant_counts(self, k: int, m: int) -> np.ndarray:
+        """Per occupied level-k cell in order, its occupied level-(k+m) cells."""
+        starts = self.descendant_starts(k, m)
+        return np.concatenate((starts[1:], [self.count(k + m)])) - starts
 
     def array(self, level: int) -> np.ndarray:
         """Occupied indices at a level as a cached int64 array."""
@@ -245,6 +270,7 @@ def discretize(
     if not frontier:
         raise EmptySetError("set meets no level-0 cell")
     for n in range(1, depth + 1):
+        charge(2 * len(frontier), "discretize refinement")
         w = 2.0 ** -n
         nxt = []
         for parent in frontier:
@@ -472,8 +498,8 @@ def loads_tree(text: str) -> DyadicTree:
     # A dump is valid exactly when its levels are the saturation of its
     # deepest level; validate() runs only to describe a bad one.
     try:
-        tree = DyadicTree.from_leaves(depth, span, levels[depth])  # type: ignore[arg-type]
-    except ValueError:
+        tree = DyadicTree.from_leaves(depth, span, np.array(levels[depth], dtype=np.int64))
+    except (ValueError, OverflowError):
         tree = None
     if tree is None or tree.levels != tuple(levels):
         problems = validate(DyadicTree(depth, span, levels))  # type: ignore[arg-type]

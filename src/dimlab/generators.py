@@ -263,13 +263,13 @@ def extract_moran_subset(tree: DyadicTree, s: float, eps: float, m: int) -> Dyad
     if quota < 1:
         raise ValueError(f"(s-eps) m = {(s - eps) * m} too small: keeps no descendants")
     depth_out = (tree.max_depth // m) * m
-    selected = list(tree.levels[0])
+    selected = tree.array(0).tolist()
     for block in range(depth_out // m):
         level = block * m
         nxt: list[int] = []
         for idx in selected:
             lo, hi = descendant_range(tree, Vertex(level, idx), m)
-            eligible = tree.levels[level + m][lo:hi]
+            eligible = tree.array(level + m)[lo:hi].tolist()
             if len(eligible) < need:
                 raise HypothesisError(
                     f"vertex (level={level}, index={idx}) has {len(eligible)} "
@@ -296,7 +296,7 @@ def reciprocal_tree(depth: int) -> DyadicTree:
     size = 1 << depth
     charge(size, "reciprocal tree")
     leaves = {0} | {min(size // k, size - 1) for k in range(1, size + 1)}
-    return DyadicTree.from_leaves(depth, 1, sorted(leaves))
+    return DyadicTree.from_leaves(depth, 1, np.fromiter(leaves, dtype=np.int64, count=len(leaves)))
 
 
 def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> DyadicTree:

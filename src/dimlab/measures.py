@@ -20,7 +20,6 @@ when eps >= 1/2.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,7 +40,7 @@ def _xlogx(w: np.ndarray) -> np.ndarray:
 
 
 class TreeMeasure:
-    """Masses aligned positionally with tree.levels.  Immutable once built."""
+    """Masses aligned positionally with tree.array(n).  Immutable once built."""
 
     __slots__ = ("tree", "masses", "_wlogw_cache")
 
@@ -49,11 +48,11 @@ class TreeMeasure:
         if tree.is_empty():
             raise MeasureInvariantError("cannot put a probability measure on an empty tree")
         arrays = []
-        for n, level in enumerate(tree.levels):
+        for n in range(tree.max_depth + 1):
             w = np.asarray(masses[n], dtype=np.float64).copy()
-            if w.shape != (len(level),):
+            if w.shape != (tree.count(n),):
                 raise MeasureInvariantError(
-                    f"level {n}: {w.size} masses for {len(level)} occupied cells"
+                    f"level {n}: {w.size} masses for {tree.count(n)} occupied cells"
                 )
             if np.any(w < 0.0) or not np.all(np.isfinite(w)):
                 raise MeasureInvariantError(f"level {n}: masses must be finite and >= 0")
@@ -64,11 +63,10 @@ class TreeMeasure:
         if total != 1.0:
             arrays = [w / total for w in arrays]
         for n in range(tree.max_depth):
-            parents = tree.array(n)
             child_w = arrays[n + 1]
-            bounds = np.searchsorted(tree.array(n + 1), parents << 1)
+            bounds = tree.descendant_starts(n, 1)
             sums = np.add.reduceat(child_w, bounds) if child_w.size else child_w
-            drift = float(np.max(np.abs(sums - arrays[n]))) if parents.size else 0.0
+            drift = float(np.max(np.abs(sums - arrays[n]))) if bounds.size else 0.0
             if drift > CHILD_SUM_TOL:
                 raise MeasureInvariantError(
                     f"level {n}: children deviate from parents by {drift:.3e}"
@@ -81,9 +79,8 @@ class TreeMeasure:
 
     def mass(self, v: Vertex) -> float:
         level, index = v
-        lv = self.tree.levels[level]
-        pos = bisect_left(lv, index)
-        if pos >= len(lv) or lv[pos] != index:
+        pos = self.tree.position(level, index)
+        if pos < 0:
             raise ValueError(f"vertex (level={level}, index={index}) not occupied")
         return float(self.masses[level][pos])
 
@@ -102,7 +99,7 @@ class TreeMeasure:
 def from_leaf_masses(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     """Normalize masses on the deepest level and sum them upward."""
     w = np.asarray(leaf_masses, dtype=np.float64)
-    if w.size != len(tree.levels[tree.max_depth]):
+    if w.size != tree.count(tree.max_depth):
         raise MeasureInvariantError("one mass per occupied leaf required")
     total = float(w.sum())
     if not (total > 0.0 and np.all(w >= 0.0) and np.isfinite(total)):
@@ -110,26 +107,23 @@ def from_leaf_masses(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     w = w / total
     levels = [w]
     for n in range(tree.max_depth, 0, -1):
-        bounds = np.searchsorted(tree.array(n), tree.array(n - 1) << 1)
-        w = np.add.reduceat(w, bounds)
+        w = np.add.reduceat(w, tree.descendant_starts(n - 1, 1))
         levels.append(w)
     return TreeMeasure(tree, tuple(reversed(levels)))
 
 
 def counting_measure(tree: DyadicTree) -> TreeMeasure:
     """Uniform mass on the deepest level."""
-    n = len(tree.levels[tree.max_depth])
+    n = tree.count(tree.max_depth)
     return from_leaf_masses(tree, np.full(n, 1.0 / n))
 
 
 def splitting_measure(tree: DyadicTree) -> TreeMeasure:
     """Unit mass split equally among occupied children, root-down."""
-    roots = len(tree.levels[0])
+    roots = tree.count(0)
     levels = [np.full(roots, 1.0 / roots)]
     for n in range(tree.max_depth):
-        children = tree.array(n + 1)
-        bounds = np.searchsorted(children, tree.array(n) << 1)
-        counts = np.diff(np.append(bounds, children.size))
+        counts = tree.descendant_counts(n, 1)
         levels.append(np.repeat(levels[n] / counts, counts))
     return TreeMeasure(tree, tuple(levels))
 
@@ -276,8 +270,7 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     J: list[int] = []
     for k in range(n + 1):
         w = mu.masses[k]
-        bounds = np.searchsorted(tree.array(k + m), tree.array(k) << m)
-        a = np.add.reduceat(mu._wlogw(k + m), bounds)
+        a = np.add.reduceat(mu._wlogw(k + m), tree.descendant_starts(k, m))
         pos = w > 0.0
         h = np.zeros_like(w)
         h[pos] = (np.log(w[pos]) - a[pos] / w[pos]) / (m * LN2)
@@ -401,9 +394,8 @@ def dumps_measure(mu: TreeMeasure) -> str:
     from .dyadic import dumps_tree
 
     parts = [dumps_tree(mu.tree)]
-    for n, level in enumerate(mu.tree.levels):
-        w = mu.masses[n]
-        for pos, j in enumerate(level):
+    for n, w in enumerate(mu.masses):
+        for pos, j in enumerate(mu.tree.array(n).tolist()):
             parts.append(f"mass {n} {j} {w[pos]:.17g}\n")
     return "".join(parts)
 
@@ -427,9 +419,9 @@ def loads_measure(text: str) -> TreeMeasure:
             raise FormatError(f"duplicate mass for cell {key}")
         given[key] = mass
     masses = []
-    for n, level in enumerate(tree.levels):
+    for n in range(tree.max_depth + 1):
         try:
-            masses.append([given.pop((n, j)) for j in level])
+            masses.append([given.pop((n, j)) for j in tree.array(n).tolist()])
         except KeyError as exc:
             raise FormatError(f"missing mass for a level-{n} cell") from exc
     if given:

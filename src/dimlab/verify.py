@@ -76,7 +76,7 @@ def random_saturated_tree(rng: np.random.Generator, depth: int, p: float) -> Dya
 
 
 def random_leaf_measure(rng: np.random.Generator, tree: DyadicTree):
-    masses = 0.1 + rng.random(len(tree.levels[tree.max_depth]))
+    masses = 0.1 + rng.random(tree.count(tree.max_depth))
     return from_leaf_masses(tree, masses)
 
 
@@ -123,7 +123,7 @@ def check_chain_rules() -> CriterionResult:
             lhs = cond_entropy(mu, i, i + m)
             rhs = sum(
                 mu.mass(Vertex(i, v)) * local_entropy(mu, Vertex(i, v), m)
-                for v in tree.levels[i]
+                for v in tree.array(i).tolist()
             )
             worst_block = max(worst_block, abs(lhs - rhs))
     ok = worst_tel <= 1e-9 and worst_block <= 1e-9
@@ -210,8 +210,8 @@ def check_sumset_saturation() -> CriterionResult:
     t0 = time.perf_counter()
     c = ifs_attractor(IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), 16)
     s, rep = index_sumset(c, c, 16)
-    want = tuple(range(2 * (1 << 16) - 1))
-    ok = s.levels[16] == want
+    want = np.arange(2 * (1 << 16) - 1)
+    ok = np.array_equal(s.array(16), want)
     return _result(
         "sumset-saturation", 5.0, t0, ok,
         {"count": rep.count_exact, "expected": len(want)},
@@ -276,13 +276,13 @@ def check_ifs_interval() -> CriterionResult:
     for r, k in ((1 / 3, 2), (1 / 4, 3)):
         spec = iterated_ifs(IfsSpec(r=r, translations=(0.0, 1.0 - r)), k)
         tree = ifs_attractor(spec, 14)
-        full = len(tree.levels[14]) == k << 14
-        details[f"r={r:.4g},k={k}"] = {"count": len(tree.levels[14]), "capacity": k << 14, "full": full}
+        full = tree.count(14) == k << 14
+        details[f"r={r:.4g},k={k}"] = {"count": tree.count(14), "capacity": k << 14, "full": full}
         ok = ok and full
     spec = iterated_ifs(IfsSpec(r=1 / 4, translations=(0.0, 0.75)), 2)
     tree = ifs_attractor(spec, 14)
-    not_full = len(tree.levels[14]) < 2 << 14
-    details["r=0.25,k=2"] = {"count": len(tree.levels[14]), "capacity": 2 << 14, "full": not not_full}
+    not_full = tree.count(14) < 2 << 14
+    details["r=0.25,k=2"] = {"count": tree.count(14), "capacity": 2 << 14, "full": not not_full}
     ok = ok and not_full
     return _result("ifs-interval", 30.0, t0, ok, details)
 
@@ -329,7 +329,7 @@ def check_moran_measure() -> CriterionResult:
         worst = math.inf
         atomic = 0
         for level in range(0, tree.max_depth - m + 1):
-            for idx in tree.levels[level]:
+            for idx in tree.array(level).tolist():
                 v = Vertex(level, idx)
                 if classify_local(mu, v, eps, m) == ATOMIC:
                     atomic += 1

@@ -243,6 +243,13 @@ class TestDeltaDense:
         with pytest.raises(ValueError):
             delta_dense_check(t, 4, 1.5)
 
+    def test_grid_charged_before_it_is_packed(self):
+        t = tree_of(20, [0, 5, 1 << 19])
+        with limit(100):
+            assert delta_dense_check(t, 6, 0.0)
+            with pytest.raises(ResourceLimitError, match="density grid needs 1048576 cells"):
+                delta_dense_check(t, 20, 0.0)
+
 
 class TestGridSetD:
     def test_normalizes_cells(self):

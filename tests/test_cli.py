@@ -285,6 +285,17 @@ class TestAnalyze:
         assert code == 2
         assert err_code(err) == "SPEC_INVALID"
 
+    @pytest.mark.parametrize("kind", ["assouad", "lower"])
+    def test_empty_grid_local_estimate_named(self, capsys, tmp_path, kind):
+        path = tmp_path / "empty.grid"
+        path.write_text("grid-set v1 d=2 depth=4 span=1\n")
+        code, _, err = run(capsys, ["analyze", str(path), f"--{kind}", "2"])
+        assert code == 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "code": "SPEC_INVALID",
+            "message": f"empty set has no {kind} estimate",
+        }
+
     def test_flags_match_config_form(self, capsys, moran, tmp_path):
         flag_json, flag_csv = tmp_path / "f.json", tmp_path / "f.csv"
         code, _, _ = run(

@@ -11,6 +11,7 @@ from conftest import cantor_cells_exact
 
 from dimlab import (
     DyadicTree,
+    GridSetD,
     IfsSpec,
     MoranSpec,
     ResourceLimitError,
@@ -25,7 +26,6 @@ from dimlab import (
     moran_tree,
     reciprocal_tree,
 )
-from dimlab.dimension import _count_at
 from dimlab.verify import LOG2_3
 
 
@@ -147,6 +147,17 @@ class TestLocalEstimates:
         with pytest.raises(ValueError):
             assouad_slope(t, 2, 5)
 
+    @pytest.mark.parametrize(
+        "empty",
+        [tree_of(4, []), GridSetD(2, 4, 1, [])],
+        ids=["tree", "grid"],
+    )
+    def test_empty_set_named(self, empty):
+        with pytest.raises(ValueError, match="empty set has no assouad estimate"):
+            assouad_estimate(empty, 2)
+        with pytest.raises(ValueError, match="empty set has no lower estimate"):
+            lower_estimate(empty, 2)
+
 
 class TestAssouadSlope:
     def test_cantor_surrogate_counts_the_exact_root_cells(self, cantor12):
@@ -190,9 +201,9 @@ class TestGridEstimates:
 
     def test_coarsening_counts(self):
         g = grid_product([tree_of(2, [0, 2]), tree_of(2, [1])])
-        assert _count_at(g, 2) == 2
-        assert _count_at(g, 1) == 2
-        assert _count_at(g, 0) == 1
+        assert g.count(2) == 2
+        assert g.count(1) == 2
+        assert g.count(0) == 1
 
 
 class TestSumsetMonotonicity:
@@ -203,7 +214,7 @@ class TestSumsetMonotonicity:
         for k in (3, 4):
             cur = iterated_sumset(a, k, 8)
             for n in range(9):
-                assert _count_at(prev, n) <= _count_at(cur, n)
+                assert prev.count(n) <= cur.count(n)
             prev = cur
 
 

@@ -96,8 +96,9 @@ class TestTreeConstruction:
 
     @pytest.mark.parametrize(
         "leaves",
-        [[1.7, 2.2], [True, True], ["5"], np.array([1.0, 2.0]), np.array([1, 2], dtype=object)],
-        ids=["float", "bool", "str", "float-array", "object-array"],
+        [[1.7, 2.2], [True, True], ["5"], np.array([1.0, 2.0]), np.array([1, 2], dtype=object),
+         [1, True]],
+        ids=["float", "bool", "str", "float-array", "object-array", "bool-among-ints"],
     )
     def test_non_integer_leaves_rejected(self, leaves):
         with pytest.raises(ValueError, match="must be integers"):
@@ -176,6 +177,31 @@ class TestDescendants:
         assert t.levels[3][lo:hi] == (5, 6, 7)
         assert descendant_count(t, Vertex(1, 0), 2) == 3
 
+    @given(leaf_inputs)
+    @example((3, 2, [0, 5, 6, 7, 12, 13], "list"))
+    def test_level_queries_match_searchsorted(self, spec):
+        depth, span, leaves, _ = spec
+        t = DyadicTree.from_leaves(depth, span, leaves)
+        for k in range(depth + 1):
+            parents = t.array(k)
+            assert t.count(k) == parents.size
+            for m in range(depth - k + 1):
+                below = t.array(k + m)
+                lo = np.searchsorted(below, parents << m)
+                hi = np.searchsorted(below, (parents + 1) << m)
+                assert t.descendant_starts(k, m).tolist() == lo.tolist()
+                assert t.descendant_counts(k, m).tolist() == (hi - lo).tolist()
+            where = {j: pos for pos, j in enumerate(parents.tolist())}
+            for j in range(span << k):
+                assert t.position(k, j) == where.get(j, -1)
+
+    @pytest.mark.parametrize("k, m", [(-1, 1), (2, -1), (3, 2)])
+    def test_level_queries_reject_windows_outside_the_tree(self, k, m):
+        t = tree_from(4, [1, 5, 9])
+        for query in (t.descendant_starts, t.descendant_counts):
+            with pytest.raises(ValueError, match="outside 0..4"):
+                query(k, m)
+
     def test_subtree_rescales(self):
         t = tree_from(3, [0, 1, 2, 5, 6, 7])
         sub = subtree(t, Vertex(2, 0))
@@ -199,6 +225,21 @@ class TestDiscretize:
     def test_empty_raises(self):
         with pytest.raises(EmptySetError):
             discretize(lambda lo, hi: False, 4, 1)
+
+    def test_refinement_charged_before_it_runs(self):
+        calls = []
+
+        def everywhere(lo, hi):
+            calls.append(lo)
+            return True
+
+        with limit(100):
+            assert discretize(everywhere, 6, 1).count(6) == 64
+            calls.clear()
+            with pytest.raises(ResourceLimitError, match="discretize refinement needs 128 cells"):
+                discretize(everywhere, 12, 1)
+        # levels 0..6 ran; the level-7 children were refused before any was tested
+        assert len(calls) == 1 + sum(2 << n for n in range(6))
 
 
 def _dump_levels(depth, span, levels):

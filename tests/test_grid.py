@@ -112,6 +112,14 @@ def test_local_estimates_match_oracle(args):
         )
 
 
+def test_level_queries_reject_levels_outside_the_grid():
+    g = GridSetD(2, 3, 1, [(1, 2), (5, 6)])
+    for bad in (lambda: g.count(4), lambda: g.count(-1), lambda: g.descendant_counts(0, 4),
+                lambda: g.descendant_counts(2, -1)):
+        with pytest.raises(ValueError, match="outside 0..3"):
+            bad()
+
+
 @pytest.mark.parametrize(
     "d, cells",
     [

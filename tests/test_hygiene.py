@@ -1,4 +1,6 @@
-"""Source hygiene: every name a module imports is read somewhere in it."""
+"""Source hygiene: every name a module imports is read somewhere in it, and
+only dyadic.py reads a tree's `levels`, so the level representation can
+change inside that one module."""
 
 import ast
 from pathlib import Path
@@ -33,3 +35,25 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def foreign_levels_reads(source: str) -> list[int]:
+    """Lines that read `.levels` on anything but `self`."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "levels"
+        and isinstance(node.ctx, ast.Load)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    )
+
+
+def test_detects_a_foreign_levels_read():
+    source = "def f(t, p):\n    n = len(t.levels[0])\n    return p.tree.levels, self.levels\n"
+    assert foreign_levels_reads(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dyadic.py"], ids=lambda p: p.name)
+def test_tree_levels_read_only_in_dyadic(path):
+    assert foreign_levels_reads(path.read_text(encoding="utf-8")) == []
