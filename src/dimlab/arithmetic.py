@@ -23,7 +23,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicTree, _bitmask_of, _indices_of_bitmask, _ints, _read_header, _shift_or
+from .dyadic import (
+    DyadicTree,
+    _bitmask_of,
+    _indices_of_bitmask,
+    _ints,
+    _read_header,
+    _require_integers,
+    _shift_or,
+)
 from .budget import charge
 from .errors import FormatError, ResourceLimitError
 
@@ -235,9 +243,7 @@ def _cell_array(cells, d: int, cap: int) -> np.ndarray:
             raise ValueError(f"grid cells must be integers, got {arr.dtype} input")
     else:
         seq = cells if isinstance(cells, (list, tuple)) else list(cells)
-        kinds = {type(c) for cell in seq for c in cell}
-        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in kinds):
-            raise ValueError(f"grid cells must be integers, got {sorted(t.__name__ for t in kinds)}")
+        _require_integers((c for cell in seq for c in cell), "grid cells")
         bad = next((cell for cell in seq if len(cell) != d), None)
         if bad is not None:
             raise ValueError(f"cell {tuple(bad)} is not {d}-dimensional")
@@ -332,7 +338,7 @@ def distance_set(f: GridSetD) -> DyadicTree:
     span = max(1, int(math.ceil(dmax - 1e-9)))
     idx = np.nonzero(bitmap)[0]
     cap = span << n
-    widened = np.unique(np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1))
+    widened = np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1)
     return DyadicTree.from_leaves(n, span, widened)
 
 

@@ -88,6 +88,14 @@ def cell_of(x: float, level: int, span: int = 1) -> int:
     return min(int(x * (1 << level)), (span << level) - 1)
 
 
+def _require_integers(values: Iterable, what: str) -> None:
+    """Raise ValueError unless every value is an int or a numpy integer.
+    Booleans are refused although numpy would read them as ints."""
+    kinds = set(map(type, values))
+    if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in kinds):
+        raise ValueError(f"{what} must be integers, got {sorted(t.__name__ for t in kinds)}")
+
+
 def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
     """The leaves as a sorted int64 copy, checked to be integer indices of
     the level-max_depth grid.  A sequence is type-checked element by
@@ -99,9 +107,7 @@ def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
             raise ValueError(f"leaf indices must be integers, got {arr.dtype} input")
     else:
         seq = leaves if isinstance(leaves, (list, tuple)) else list(leaves)
-        kinds = set(map(type, seq))
-        if not all(issubclass(t, (int, np.integer)) and not issubclass(t, bool) for t in kinds):
-            raise ValueError(f"leaf indices must be integers, got {sorted(t.__name__ for t in kinds)}")
+        _require_integers(seq, "leaf indices")
         arr = np.asarray(seq)
     if arr.size == 0:
         return np.empty(0, dtype=np.int64)
@@ -128,31 +134,32 @@ def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
     return a[_run_heads(a)] if a.size > 1 else a
 
 
+def _level_array(level: Iterable[int]) -> np.ndarray:
+    """A hand-built level as an int64 array, or as an object array when an
+    index does not fit int64, so that validate() can still name it."""
+    values = list(level)
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
+
+
 class DyadicTree:
     """Occupancy tree over [0, span).  Immutable after construction.
 
-    levels[n] is the sorted tuple of occupied indices at level n, and
-    array(n) the same indices as a read-only int64 array.  The constructor
-    trusts its input; use :func:`validate` to audit hand-built trees.
-    :meth:`from_leaves` saturates by construction: it sorts the leaves once
-    and derives each parent level by an adjacent dedupe of the sorted child
-    level shifted right, filling levels and arrays from that one stack.
+    array(n) is the sorted occupied indices at level n as a read-only int64
+    array, the one stored form of a level.  levels[n] is the same level as
+    a tuple of ints, a view built from the arrays on first read and cached.
+    The constructor trusts its input; use :func:`validate` to audit
+    hand-built trees.  :meth:`from_leaves` saturates by construction: it
+    sorts the leaves once and derives each parent level by an adjacent
+    dedupe of the sorted child level shifted right.
     """
 
-    __slots__ = ("max_depth", "span", "levels", "_arrays")
+    __slots__ = ("max_depth", "span", "_arrays", "_levels")
 
     def __init__(self, max_depth: int, span: int, levels: Iterable[Iterable[int]]):
-        if max_depth < 0:
-            raise ValueError(f"negative max_depth {max_depth}")
-        if span < 1:
-            raise ValueError(f"span must be a positive integer, got {span}")
-        lv = tuple(tuple(int(i) for i in level) for level in levels)
-        if len(lv) != max_depth + 1:
-            raise ValueError(f"expected {max_depth + 1} levels, got {len(lv)}")
-        self.max_depth = max_depth
-        self.span = span
-        self.levels = lv
-        self._arrays: dict[int, np.ndarray] = {}
+        self._set(max_depth, span, [_level_array(level) for level in levels])
 
     @classmethod
     def from_leaves(cls, max_depth: int, span: int, leaves: Iterable[int]) -> "DyadicTree":
@@ -168,45 +175,54 @@ class DyadicTree:
         for _ in range(max_depth):
             stack.append(_dedupe_sorted(stack[-1] >> 1))
         stack.reverse()
-        return cls._from_stack(max_depth, span, stack)
+        tree = cls.__new__(cls)
+        tree._set(max_depth, span, stack)
+        return tree
 
-    @classmethod
-    def _from_stack(cls, max_depth: int, span: int, stack: list[np.ndarray]) -> "DyadicTree":
-        """Trusted constructor: stack[n] is level n as a sorted, unique int64
-        array owned by the tree.  Each array is frozen and cached for array()."""
+    def _set(self, max_depth: int, span: int, arrays: list[np.ndarray]) -> None:
+        """Take arrays[n] as level n; each array is owned by the tree and frozen."""
         if max_depth < 0:
             raise ValueError(f"negative max_depth {max_depth}")
         if span < 1:
             raise ValueError(f"span must be a positive integer, got {span}")
-        tree = cls.__new__(cls)
-        tree.max_depth = max_depth
-        tree.span = span
-        tree.levels = tuple(tuple(a.tolist()) for a in stack)
-        for a in stack:
+        if len(arrays) != max_depth + 1:
+            raise ValueError(f"expected {max_depth + 1} levels, got {len(arrays)}")
+        for a in arrays:
             a.flags.writeable = False
-        tree._arrays = dict(enumerate(stack))
-        return tree
+        self.max_depth = max_depth
+        self.span = span
+        self._arrays = tuple(arrays)
+        self._levels = None
+
+    @property
+    def levels(self) -> tuple[tuple[int, ...], ...]:
+        """Every level as a sorted tuple of ints, built on first read."""
+        if self._levels is None:
+            self._levels = tuple(tuple(a.tolist()) for a in self._arrays)
+        return self._levels
 
     # -- queries ---------------------------------------------------------
 
     def is_empty(self) -> bool:
-        return not self.levels[self.max_depth]
+        return not self._arrays[self.max_depth].size
 
     def count(self, level: int) -> int:
-        return len(self.levels[level])
+        return self.array(level).size
 
     def total_cells(self) -> int:
-        return sum(len(level) for level in self.levels)
+        return sum(a.size for a in self._arrays)
 
     def capacity(self, level: int) -> int:
         return self.span << level
 
     def density(self, level: int) -> float:
-        return len(self.levels[level]) / self.capacity(level)
+        return self.count(level) / self.capacity(level)
 
     def position(self, level: int, index: int) -> int:
         """Where index sits among the occupied indices at a level, or -1
         when that cell is unoccupied."""
+        if not 0 <= level <= self.max_depth:
+            raise ValueError(f"level {level} outside 0..{self.max_depth}")
         lv = self.levels[level]
         pos = bisect_left(lv, index)
         return pos if pos < len(lv) and lv[pos] == index else -1
@@ -228,13 +244,10 @@ class DyadicTree:
         return np.concatenate((starts[1:], [self.count(k + m)])) - starts
 
     def array(self, level: int) -> np.ndarray:
-        """Occupied indices at a level as a cached int64 array."""
-        a = self._arrays.get(level)
-        if a is None:
-            a = np.asarray(self.levels[level], dtype=np.int64)
-            a.flags.writeable = False
-            self._arrays[level] = a
-        return a
+        """Occupied indices at a level as a read-only int64 array."""
+        if not 0 <= level <= self.max_depth:
+            raise ValueError(f"level {level} outside 0..{self.max_depth}")
+        return self._arrays[level]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicTree):
@@ -242,13 +255,13 @@ class DyadicTree:
         return (
             self.max_depth == other.max_depth
             and self.span == other.span
-            and self.levels == other.levels
+            and all(map(np.array_equal, self._arrays, other._arrays))
         )
 
     def __repr__(self) -> str:
         return (
             f"DyadicTree(depth={self.max_depth}, span={self.span}, "
-            f"leaves={len(self.levels[self.max_depth])})"
+            f"leaves={self.count(self.max_depth)})"
         )
 
 
@@ -285,9 +298,7 @@ def discretize(
 
 def covering_count(tree: DyadicTree, level: int) -> int:
     """Number of level-`level` cells meeting the set: N(F, 2^-level)."""
-    if not 0 <= level <= tree.max_depth:
-        raise ValueError(f"level {level} outside 0..{tree.max_depth}")
-    return len(tree.levels[level])
+    return tree.count(level)
 
 
 def _require_occupied(tree: DyadicTree, v: Vertex) -> None:
@@ -298,19 +309,21 @@ def _require_occupied(tree: DyadicTree, v: Vertex) -> None:
 
 
 def descendant_range(tree: DyadicTree, v: Vertex, m: int) -> tuple[int, int]:
-    """Positions [lo, hi) of v's level-(v.level+m) descendants in that level."""
-    level = tree.levels[v.level + m]
-    lo = bisect_left(level, v.index << m)
-    hi = bisect_left(level, (v.index + 1) << m)
-    return lo, hi
+    """Positions [lo, hi) of v's level-(v.level+m) descendants in that level.
+    v need not be occupied, but its level and the window must lie in the tree."""
+    k, index = v
+    if not 0 <= k <= tree.max_depth:
+        raise ValueError(f"vertex level {k} outside 0..{tree.max_depth}")
+    if m < 0 or k + m > tree.max_depth:
+        raise ValueError(f"window m={m} leaves the tree at level {k}")
+    level = tree.levels[k + m]
+    return bisect_left(level, index << m), bisect_left(level, (index + 1) << m)
 
 
 def descendant_count(tree: DyadicTree, v: Vertex, m: int) -> int:
     """Count occupied cells m levels below v inside v's cell."""
     v = Vertex(*v)
     _require_occupied(tree, v)
-    if m < 0 or v.level + m > tree.max_depth:
-        raise ValueError(f"window m={m} leaves the tree at level {v.level}")
     lo, hi = descendant_range(tree, v, m)
     return hi - lo
 
@@ -331,12 +344,8 @@ def subtree(tree: DyadicTree, v: Vertex) -> DyadicTree:
     v = Vertex(*v)
     _require_occupied(tree, v)
     depth = tree.max_depth - v.level
-    levels = []
-    for m in range(depth + 1):
-        lo, hi = descendant_range(tree, v, m)
-        base = v.index << m
-        levels.append(tuple(j - base for j in tree.levels[v.level + m][lo:hi]))
-    return DyadicTree(depth, 1, levels)
+    lo, hi = descendant_range(tree, v, depth)
+    return DyadicTree.from_leaves(depth, 1, tree.array(tree.max_depth)[lo:hi] - (v.index << depth))
 
 
 def validate(tree: DyadicTree) -> list[str]:

@@ -176,7 +176,7 @@ def local_entropy(mu: TreeMeasure, v: Vertex, m: int) -> float:
     mv = mu.mass(v)
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
-    if m < 1 or v.level + m > mu.tree.max_depth:
+    if m < 1:
         raise ValueError(f"window m={m} leaves the tree at level {v.level}")
     lo, hi = descendant_range(mu.tree, v, m)
     a = float(np.sum(mu._wlogw(v.level + m)[lo:hi]))

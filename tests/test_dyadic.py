@@ -119,6 +119,13 @@ class TestTreeConstruction:
         assert t.levels == ((),) * 4
         assert t.is_empty()
 
+    def test_levels_view_is_built_on_first_read_and_cached(self):
+        t = tree_from(6, [1, 5, 9, 40])
+        assert (t.count(6), t.total_cells(), t.descendant_counts(0, 6).tolist()) == (4, 20, [4])
+        assert t._levels is None
+        assert t.levels is t.levels
+        assert t.levels == tuple(tuple(t.array(n).tolist()) for n in range(7))
+
 
 leaf_inputs = st.integers(0, 7).flatmap(
     lambda depth: st.integers(1, 3).flatmap(
@@ -201,6 +208,29 @@ class TestDescendants:
         for query in (t.descendant_starts, t.descendant_counts):
             with pytest.raises(ValueError, match="outside 0..4"):
                 query(k, m)
+
+    @pytest.mark.parametrize("level", [-1, 5])
+    def test_tree_accessors_reject_levels_outside_the_tree(self, level):
+        # Level -1 must not read the deepest level, as a Python index would.
+        t = tree_from(4, [1, 5, 9])
+        for query in (t.count, t.array, t.density, lambda n: t.position(n, 9), lambda n: t.is_occupied(n, 9)):
+            with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
+                query(level)
+        with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
+            covering_count(t, level)
+
+    @pytest.mark.parametrize(
+        "v, m, message",
+        [
+            (Vertex(-1, 5), 1, "vertex level -1 outside 0..4"),
+            (Vertex(5, 0), 0, "vertex level 5 outside 0..4"),
+            (Vertex(2, 1), -1, "window m=-1 leaves the tree at level 2"),
+            (Vertex(0, 0), 9, "window m=9 leaves the tree at level 0"),
+        ],
+    )
+    def test_descendant_range_rejects_levels_outside_the_tree(self, v, m, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            descendant_range(tree_from(4, [1, 5, 9]), v, m)
 
     def test_subtree_rescales(self):
         t = tree_from(3, [0, 1, 2, 5, 6, 7])

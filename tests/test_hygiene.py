@@ -1,6 +1,7 @@
-"""Source hygiene: every name a module imports is read somewhere in it, and
+"""Source hygiene: every name a module imports is read somewhere in it,
 only dyadic.py reads a tree's `levels`, so the level representation can
-change inside that one module."""
+change inside that one module, and every library tree comes from
+`DyadicTree.from_leaves`, not the trusting hand-built constructor."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,39 @@ def test_detects_a_foreign_levels_read():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dyadic.py"], ids=lambda p: p.name)
 def test_tree_levels_read_only_in_dyadic(path):
     assert foreign_levels_reads(path.read_text(encoding="utf-8")) == []
+
+
+def hand_built_trees(source: str) -> list[int]:
+    """Lines that call the hand-built `DyadicTree(...)` constructor outside
+    `loads_tree`, which calls it only to audit a rejected file."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name == "loads_tree"
+        for node in ast.walk(func)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in allowed
+        and (
+            isinstance(node.func, ast.Name) and node.func.id == "DyadicTree"
+            or isinstance(node.func, ast.Attribute) and node.func.attr == "DyadicTree"
+        )
+    )
+
+
+def test_detects_a_hand_built_tree():
+    source = (
+        "def subtree(t):\n    return DyadicTree(1, 1, t)\n"
+        "def loads_tree(text):\n    return DyadicTree(0, 1, [()])\n"
+        "def f(dl):\n    return dl.DyadicTree.from_leaves(0, 1, []), dl.DyadicTree(0, 1, [()])\n"
+    )
+    assert hand_built_trees(source) == [2, 6]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_trees_built_from_leaves(path):
+    assert hand_built_trees(path.read_text(encoding="utf-8")) == []

@@ -124,6 +124,16 @@ class TestLocal:
             restricted = entropy(restrict_renormalize(mu, v), m)
             assert direct == pytest.approx(restricted, abs=1e-11)
 
+    def test_vertex_levels_outside_the_tree_rejected(self):
+        mu = counting_measure(DyadicTree.from_leaves(4, 1, [1, 5, 9]))
+        for query in (mu.mass, lambda v: local_entropy(mu, v, 1)):
+            for v in (Vertex(-1, 5), Vertex(5, 0)):
+                with pytest.raises(ValueError, match=f"^level {v.level} outside 0..4$"):
+                    query(v)
+        for m in (0, 4):
+            with pytest.raises(ValueError, match=f"^window m={m} leaves the tree at level 1$"):
+                local_entropy(mu, Vertex(1, 0), m)
+
     def test_restrict_zero_mass(self, cantor3):
         leaf = np.array([0.5, 0.5, 0.0, 0.0, 0.0, 0.0])
         mu = from_leaf_masses(cantor3, leaf)
