@@ -325,6 +325,7 @@ def distance_set(f: GridSetD) -> DyadicTree:
     values, seen, _ = _difference_vectors(f)
     squares = np.ix_(*[(v * 2.0 ** -n) ** 2 for v in values])
     bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
+    charge(bound << n, "distance bitmap")
     bitmap = np.zeros(bound << n, dtype=bool)
     scale = float(1 << n)
     dmax = 0.0

@@ -247,7 +247,7 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
     status = 0
     half = max(1, depth // 2)
     for req in reqs:
-        kind = req.get("kind")
+        kind = _json_type(req, dict, f"{label}: analysis").get("kind")
         if kind == "box":
             window = req.get("window", [half, depth])
             if not (isinstance(window, (list, tuple)) and len(window) == 2
@@ -312,6 +312,13 @@ def cmd_analyze(args) -> int:
     return status
 
 
+def _json_type(value, kind: type, what: str):
+    """value, which must be a JSON object (kind dict) or array (kind list)."""
+    if not isinstance(value, kind):
+        raise SpecValidationError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
+
+
 def _int_field(req: dict, key: str, default: int | None, label: str) -> int:
     """req[key], or default when absent, which must be a JSON integer."""
     value = req.get(key, default)
@@ -323,13 +330,13 @@ def _int_field(req: dict, key: str, default: int | None, label: str) -> int:
 def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
     """Build the config's generator trees and run its pipeline stages on the
     first; `sum` and `product` combine the current stage with the others."""
-    gens = cfg.get("generators")
+    gens = _json_type(cfg.get("generators") or [], list, f"config {name}: generators")
     if not gens:
         raise SpecValidationError(f"config {name}: no generators")
     trees = [build_tree(g, depth) for g in gens]
     current: DyadicTree | GridSetD = trees[0]
-    for stage in cfg.get("pipeline", []):
-        op = stage.get("op")
+    for stage in _json_type(cfg.get("pipeline", []), list, f"config {name}: pipeline"):
+        op = _json_type(stage, dict, f"config {name}: pipeline stage").get("op")
         if op not in ("sum", "iterate", "difference", "product", "distance"):
             raise SpecValidationError(f"config {name}: unknown pipeline op {op!r}")
         if (op == "distance") == isinstance(current, DyadicTree):
@@ -355,7 +362,7 @@ def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
 
 def _run_config(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        cfg = _json_type(json.load(fh), dict, "config")
     name = cfg.get("name", "experiment")
     depth = args.depth if args.depth is not None else cfg.get("depth")
     if not _is_int(depth) or depth < 1:
@@ -366,9 +373,10 @@ def _run_config(args) -> int:
     with nullcontext() if budget is None else limit(budget):
         current = _run_pipeline(cfg, name, depth)
         results, csv_rows, status = _run_analyses(
-            current, cfg.get("analyses", []), name, cfg["generators"][0]
+            current, _json_type(cfg.get("analyses", []), list, f"config {name}: analyses"),
+            name, cfg["generators"][0],
         )
-    out = cfg.get("out", {})
+    out = _json_type(cfg.get("out", {}), dict, f"config {name}: out")
     if out.get("tree"):
         dump = dumps_tree if isinstance(current, DyadicTree) else dumps_grid
         _write_text(out["tree"], dump(current))

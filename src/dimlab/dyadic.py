@@ -135,8 +135,8 @@ def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
 
 
 def _level_array(level: Iterable[int]) -> np.ndarray:
-    """A hand-built level as an int64 array, or as an object array when an
-    index does not fit int64, so that validate() can still name it."""
+    """A hand-built or decoded level as an int64 array, or as an object
+    array when an index does not fit int64, so that validate() can name it."""
     values = list(level)
     try:
         return np.array(values, dtype=np.int64)
@@ -406,58 +406,53 @@ def _shift_or(mask: int, shifts: Iterable[int]) -> int:
 # -- serialization -------------------------------------------------------
 
 
-def _encode_level(level: tuple[int, ...]) -> str:
-    if not level:
-        return ""
-    runs = []
-    start = prev = level[0]
-    for j in level[1:]:
-        if j == prev + 1:
-            prev = j
-            continue
-        runs.append((start, prev - start + 1))
-        start = prev = j
-    runs.append((start, prev - start + 1))
-    # Runs win when they describe the level in fewer numbers.
-    if 2 * len(runs) < len(level):
-        return "RUNS " + " ".join(f"{s} {l}" for s, l in runs)
-    return ",".join(str(j) for j in level)
+def _encode_level(a: np.ndarray) -> str:
+    # Runs win when they take fewer numbers than the indices: never below 3.
+    if a.size > 2:
+        ends = a[1:] - a[:-1] != 1  # where runs of consecutive indices end
+        if 2 * (np.count_nonzero(ends) + 1) < a.size:
+            starts = np.flatnonzero(np.concatenate(([True], ends)))
+            runs = np.column_stack((a[starts], np.diff(starts, append=a.size)))
+            return "RUNS " + " ".join(["%d"] * runs.size) % tuple(runs.ravel().tolist())
+    return ",".join(["%d"] * a.size) % tuple(a.tolist())
 
 
-def _decode_level(body: str, cap: int) -> tuple[int, ...]:
+def _decode_level(body: str, cap: int) -> np.ndarray:
     """Parse one level of a grid of `cap` cells.  RUNS payloads are checked
     against `cap` and charged to the budget before they are expanded."""
     body = body.strip()
     if not body:
-        return ()
+        return np.empty(0, dtype=np.int64)
     if body.startswith("RUNS"):
         parts = _ints(body.split()[1:], body)
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload: {body!r}")
-        runs = list(zip(parts[::2], parts[1::2]))
-        for start, length in runs:
+        starts, lengths = parts[::2], parts[1::2]
+        for start, length in zip(starts, lengths):
             if length < 1 or start < 0 or start + length > cap:
                 raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
-        charge(sum(length for _, length in runs), "RUNS payload")
-        out: list[int] = []
-        for start, length in runs:
-            out.extend(range(start, start + length))
-        return tuple(out)
-    return tuple(_ints(body.split(","), body))
+        total = sum(lengths)
+        charge(total, "RUNS payload")
+        # position p of the expansion, in run r, holds starts[r] plus p's
+        # offset from the position where run r begins
+        lengths_a = np.array(lengths, dtype=np.int64)
+        shifts = np.array(starts, dtype=np.int64) - (np.cumsum(lengths_a) - lengths_a)
+        return np.repeat(shifts, lengths_a) + np.arange(total, dtype=np.int64)
+    return _level_array(_ints(body.split(","), body))
 
 
 def _ints(tokens: list[str], line: str) -> list[int]:
     """The tokens as integers; FormatError names the line otherwise."""
     try:
-        return [int(tok) for tok in tokens]
+        return list(map(int, tokens))
     except ValueError as exc:
         raise FormatError(f"non-integer token in {line!r}") from exc
 
 
 def dumps_tree(tree: DyadicTree) -> str:
     lines = [f"dyadic-tree v1 depth={tree.max_depth} span={tree.span}"]
-    for n, level in enumerate(tree.levels):
-        lines.append(f"{n}: {_encode_level(level)}".rstrip())
+    for n in range(tree.max_depth + 1):
+        lines.append(f"{n}: {_encode_level(tree.array(n))}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -488,9 +483,8 @@ def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[in
 def loads_tree(text: str) -> DyadicTree:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     depth, span = _read_header(lines, "dyadic-tree", ("depth", "span"))
-    levels: list[tuple[int, ...] | None] = [None] * (depth + 1)
-    body = lines[1:]
-    for ln in body:
+    levels: list[np.ndarray | None] = [None] * (depth + 1)
+    for ln in lines[1:]:
         if ln.startswith("mass "):
             continue  # measure payload, handled by the measures module
         head, _, rest = ln.partition(":")
@@ -507,10 +501,12 @@ def loads_tree(text: str) -> DyadicTree:
     # A dump is valid exactly when its levels are the saturation of its
     # deepest level; validate() runs only to describe a bad one.
     try:
-        tree = DyadicTree.from_leaves(depth, span, np.array(levels[depth], dtype=np.int64))
-    except (ValueError, OverflowError):
+        tree = DyadicTree.from_leaves(depth, span, levels[depth])
+    except ValueError:
         tree = None
-    if tree is None or tree.levels != tuple(levels):
+    # one comparison end to end: one per level would dominate small trees
+    if (tree is None or list(map(len, levels)) != list(map(len, tree._arrays))
+            or not np.array_equal(np.concatenate(levels), np.concatenate(tree._arrays))):
         problems = validate(DyadicTree(depth, span, levels))  # type: ignore[arg-type]
         raise FormatError("invalid tree: " + "; ".join(problems[:5]))
     return tree

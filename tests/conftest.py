@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dimlab import DyadicTree
+from dimlab import DyadicTree, FormatError
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -114,6 +114,47 @@ def dumps_grid_oracle(f) -> str:
     for cell in f.cells:
         lines.append(" ".join(str(c) for c in cell))
     return "\n".join(lines) + "\n"
+
+
+def encode_level_oracle(level) -> str:
+    """One dyadic-tree v1 level body by a Python walk over the sorted index
+    tuple: the independent check of the array encoder in `dumps_tree`."""
+    if not level:
+        return ""
+    runs = []
+    start = prev = level[0]
+    for j in level[1:]:
+        if j == prev + 1:
+            prev = j
+            continue
+        runs.append((start, prev - start + 1))
+        start = prev = j
+    runs.append((start, prev - start + 1))
+    if 2 * len(runs) < len(level):
+        return "RUNS " + " ".join(f"{s} {l}" for s, l in runs)
+    return ",".join(str(j) for j in level)
+
+
+def decode_level_oracle(body: str, cap: int) -> tuple[int, ...]:
+    """One level body of a grid of `cap` cells as a tuple, RUNS expanded by
+    range() run after run: the independent check of the array decoder in
+    `loads_tree`.  Runs outside the grid raise the decoder's FormatError."""
+    body = body.strip()
+    if not body:
+        return ()
+    if body.startswith("RUNS"):
+        parts = [int(tok) for tok in body.split()[1:]]
+        if len(parts) % 2:
+            raise FormatError(f"odd RUNS payload: {body!r}")
+        runs = list(zip(parts[::2], parts[1::2]))
+        for start, length in runs:
+            if length < 1 or start < 0 or start + length > cap:
+                raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
+        out: list[int] = []
+        for start, length in runs:
+            out.extend(range(start, start + length))
+        return tuple(out)
+    return tuple(int(tok) for tok in body.split(","))
 
 
 def random_tree(rng: np.random.Generator, depth: int, p: float) -> DyadicTree:

@@ -364,6 +364,12 @@ class TestDistanceSet:
         with pytest.raises(ResourceLimitError), limit(255):
             distance_set(f)
 
+    def test_bitmap_is_charged(self):
+        # two cells, two difference vectors, but a 3 * 2^20-cell distance bitmap
+        f = GridSetD(2, 20, 1, [(0, 0), (1, 1)])
+        with pytest.raises(ResourceLimitError, match="distance bitmap"), limit(1000):
+            distance_set(f)
+
     @staticmethod
     def vectors(f):
         values, seen, product = _difference_vectors(f)

@@ -492,6 +492,30 @@ class TestConfigPipeline:
         cfg = {"depth": 6, "generators": [generator], "analyses": [{"kind": "box"}]}
         assert self._config_exit(capsys, tmp_path, cfg) == (2, "", "SPEC_INVALID")
 
+    RECIPROCAL = {"depth": 4, "generators": [{"type": "reciprocal"}]}
+
+    @pytest.mark.parametrize(
+        "cfg, problem",
+        [
+            ([], "config must be a JSON object"),
+            ({**RECIPROCAL, "pipeline": [1]}, "pipeline stage must be a JSON object"),
+            ({**RECIPROCAL, "analyses": ["box"]}, "analysis must be a JSON object"),
+            ({**RECIPROCAL, "out": "x.tree"}, "out must be a JSON object"),
+            ({**RECIPROCAL, "pipeline": 5}, "pipeline must be a JSON array"),
+            ({**RECIPROCAL, "analyses": 5}, "analyses must be a JSON array"),
+            ({"depth": 4, "generators": 5}, "generators must be a JSON array"),
+        ],
+        ids=["config-array", "stage-number", "analysis-string", "out-string",
+             "pipeline-number", "analyses-number", "generators-number"],
+    )
+    def test_non_object_field_is_invalid(self, capsys, tmp_path, cfg, problem):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+        message = json.loads(err.splitlines()[-1])["message"]
+        assert message.endswith(problem)
+
 
 class TestVerify:
     def test_passing_suite(self, capsys):

@@ -24,7 +24,7 @@ from dimlab import (
 )
 from dimlab.budget import limit
 from dimlab.dyadic import _bitmask_of
-from conftest import from_leaves_oracle, random_tree
+from conftest import decode_level_oracle, encode_level_oracle, from_leaves_oracle, random_tree
 
 leaf_sets = st.builds(
     lambda depth, idx: (depth, sorted(set(idx))),
@@ -369,6 +369,100 @@ class TestSerialization:
         text = f"dyadic-tree v1 depth=40 span=1\n40: RUNS 0 {1 << 40}\n"
         with limit(1000), pytest.raises(ResourceLimitError, match="RUNS payload"):
             loads_tree(text)
+
+    def test_indices_moved_across_a_level_boundary_are_refused(self):
+        # read in level order these are the indices of the valid dump
+        # 0: 0 / 1: 0,1 / 2: 0,3 / 3: 1,6; only the split between levels differs
+        levels = [(0, 0), (1,), (0, 3), (1, 6)]
+        problems = validate(DyadicTree(3, 1, levels))
+        with pytest.raises(FormatError) as err:
+            loads_tree(_dump_levels(3, 1, levels))
+        assert str(err.value) == "invalid tree: " + "; ".join(problems[:5])
+
+
+def _runs_of(level):
+    """The maximal (start, length) runs of a sorted index tuple."""
+    runs = []
+    for j in level:
+        if runs and runs[-1][0] + runs[-1][1] == j:
+            runs[-1][1] += 1
+        else:
+            runs.append([j, 1])
+    return runs
+
+
+class TestTreeCodecOracle:
+    """The array codec against the tuple encoder and decoder kept in conftest."""
+
+    @given(leaf_inputs)
+    @example((3, 1, [], "list"))  # empty
+    @example((4, 1, [5], "list"))  # single leaf
+    @example((5, 1, list(range(32)), "list"))  # full
+    @example((4, 3, list(range(10, 40)) + [41, 45, 46], "list"))  # span > 1
+    @example((0, 2, [1], "list"))  # depth 0
+    @example((0, 3, [0, 1, 2], "list"))  # depth 0, full
+    def test_dump_matches_oracle(self, spec):
+        depth, span, leaves, _ = spec
+        t = DyadicTree.from_leaves(depth, span, leaves)
+        want = f"dyadic-tree v1 depth={depth} span={span}\n" + "".join(
+            f"{n}: {encode_level_oracle(level)}".rstrip() + "\n" for n, level in enumerate(t.levels)
+        )
+        assert dumps_tree(t) == want
+
+    @given(
+        leaf_inputs,
+        st.integers(0, 7),
+        st.sampled_from(["split", "overlap", "reorder", "past-capacity", "arbitrary"]),
+        st.data(),
+    )
+    def test_noncanonical_runs_load_as_validate_says(self, spec, level, mutation, data):
+        depth, span, leaves, _ = spec
+        tree = DyadicTree.from_leaves(depth, span, leaves)
+        n = level % (depth + 1)
+        cap = tree.capacity(n)
+        runs = _runs_of(tree.levels[n])
+        if mutation == "split":  # adjacent runs: the same level, not maximal
+            cuts = [data.draw(st.integers(0, l - 1)) for _, l in runs]
+            runs = [piece for (s, l), k in zip(runs, cuts)
+                    for piece in ([[s, k], [s + k, l - k]] if k else [[s, l]])]
+        elif mutation == "overlap" and runs:
+            s, l = data.draw(st.sampled_from(runs))
+            start = data.draw(st.integers(s, s + l - 1))
+            runs.insert(data.draw(st.integers(0, len(runs))), [start, data.draw(st.integers(1, 3))])
+        elif mutation == "reorder":
+            runs = data.draw(st.permutations(runs))
+        elif mutation == "past-capacity":
+            runs.append([cap - data.draw(st.integers(0, 2)), data.draw(st.integers(1, 3))])
+        elif mutation == "arbitrary":
+            pair = st.tuples(st.integers(-1, cap + 1), st.integers(-1, cap + 1))
+            runs = data.draw(st.lists(pair, max_size=6))
+        body = " ".join(["RUNS"] + [f"{s} {l}" for s, l in runs])
+        lines = dumps_tree(tree).splitlines()
+        lines[n + 1] = f"{n}: {body}"
+        text = "\n".join(lines) + "\n"
+        try:
+            levels = [decode_level_oracle(ln.partition(":")[2], span << k)
+                      for k, ln in enumerate(lines[1:])]
+        except FormatError as exc:
+            with pytest.raises(FormatError) as err:
+                loads_tree(text)
+            assert str(err.value) == str(exc)
+            return
+        problems = validate(DyadicTree(depth, span, levels))
+        if not problems:
+            back = loads_tree(text)
+            assert back.levels == tuple(levels)
+            assert dumps_tree(back) == dumps_tree(DyadicTree(depth, span, levels))
+            return
+        with pytest.raises(FormatError) as err:
+            loads_tree(text)
+        assert str(err.value) == "invalid tree: " + "; ".join(problems[:5])
+
+    def test_io_leaves_the_tuple_view_unbuilt(self, rng):
+        t = random_tree(rng, 10, 0.6)
+        text = dumps_tree(t)
+        assert t._levels is None
+        assert loads_tree(text)._levels is None
 
 
 class TestInvariants:
