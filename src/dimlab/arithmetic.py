@@ -27,6 +27,8 @@ from .dyadic import (
     DyadicTree,
     _bitmask_of,
     _indices_of_bitmask,
+    _clip,
+    _dedupe_sorted,
     _ints,
     _read_header,
     _require_integers,
@@ -287,7 +289,7 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     the vector (values[0][i], values[1][j], ...) occurs iff seen[i, j, ...].
     The flag tells whether f is a product grid."""
     cells = f.array()
-    axes = [np.unique(cells[:, i]) for i in range(f.dimension)]
+    axes = [_dedupe_sorted(np.sort(cells[:, i])) for i in range(f.dimension)]
     if math.prod(a.size for a in axes) == len(cells):
         diffs = [_nonneg_differences(a, f.span << f.depth) for a in axes]
         charge(math.prod(d.size for d in diffs), "distance vectors")
@@ -374,15 +376,15 @@ def loads_grid(text: str) -> GridSetD:
     rows = [ln.split() for ln in lines[1:]]
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d:
-            raise FormatError(f"expected {d} coordinates: {ln!r}")
+            raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
     try:
         flat = np.array([tok for parts in rows for tok in parts], dtype=np.int64)
     except (ValueError, OverflowError):
-        # name the line: a non-integer token, or an integer beyond int64
-        for ln, parts in zip(lines[1:], rows):
-            cell = tuple(_ints(parts, ln))
+        # name the culprit: a non-integer token, or an integer beyond int64
+        for parts in rows:
+            cell = tuple(_ints(parts))
             if any(not 0 <= c < span << depth for c in cell):
-                raise FormatError(f"cell {cell} outside the {span << depth}^d grid") from None
+                raise FormatError(f"cell {_clip(str(cell))} outside the {span << depth}^d grid") from None
         raise
     try:
         return GridSetD(d, depth, span, flat.reshape(len(rows), d))

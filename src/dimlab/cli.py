@@ -9,6 +9,7 @@ atomic and byte-deterministic for identical inputs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -370,13 +371,16 @@ def _run_config(args) -> int:
     budget = cfg.get("budget_cells")
     if budget is not None and not _is_int(budget):
         raise SpecValidationError(f"config {name}: budget_cells must be an integer")
+    out = _json_type(cfg.get("out", {}), dict, f"config {name}: out")
+    for key in ("tree", "json", "csv"):
+        if out.get(key) is not None and not isinstance(out[key], str):
+            raise SpecValidationError(f"config {name}: out {key} must be a path string")
     with nullcontext() if budget is None else limit(budget):
         current = _run_pipeline(cfg, name, depth)
         results, csv_rows, status = _run_analyses(
             current, _json_type(cfg.get("analyses", []), list, f"config {name}: analyses"),
             name, cfg["generators"][0],
         )
-    out = _json_type(cfg.get("out", {}), dict, f"config {name}: out")
     if out.get("tree"):
         dump = dumps_tree if isinstance(current, DyadicTree) else dumps_grid
         _write_text(out["tree"], dump(current))
@@ -408,6 +412,7 @@ def cmd_verify(args) -> int:
 # -- wiring --------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dimlab", description=__doc__)
     parser.add_argument("--budget-cells", type=int, default=None,

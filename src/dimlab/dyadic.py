@@ -424,29 +424,44 @@ def _decode_level(body: str, cap: int) -> np.ndarray:
     if not body:
         return np.empty(0, dtype=np.int64)
     if body.startswith("RUNS"):
-        parts = _ints(body.split()[1:], body)
+        parts = _ints(body.split()[1:])
         if len(parts) % 2:
-            raise FormatError(f"odd RUNS payload: {body!r}")
+            raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
         starts, lengths = parts[::2], parts[1::2]
         for start, length in zip(starts, lengths):
             if length < 1 or start < 0 or start + length > cap:
                 raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
-        total = sum(lengths)
-        charge(total, "RUNS payload")
-        # position p of the expansion, in run r, holds starts[r] plus p's
-        # offset from the position where run r begins
-        lengths_a = np.array(lengths, dtype=np.int64)
-        shifts = np.array(starts, dtype=np.int64) - (np.cumsum(lengths_a) - lengths_a)
-        return np.repeat(shifts, lengths_a) + np.arange(total, dtype=np.int64)
-    return _level_array(_ints(body.split(","), body))
+        charge(sum(lengths), "RUNS payload")
+        return _expand_runs(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    return _level_array(_ints(body.split(",")))
 
 
-def _ints(tokens: list[str], line: str) -> list[int]:
-    """The tokens as integers; FormatError names the line otherwise."""
+def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The runs start, start + 1, ..., start + length - 1, end to end."""
+    # position p of the expansion, in run r, holds starts[r] plus p's
+    # offset from the position where run r begins
+    shifts = starts - (np.cumsum(lengths) - lengths)
+    return np.repeat(shifts, lengths) + np.arange(lengths.sum(), dtype=np.int64)
+
+
+def _clip(text: str, limit: int = 80) -> str:
+    """text, cut after `limit` characters when longer, so that an error
+    message quoting its input stays short."""
+    return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
+def _ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers; FormatError quotes the first bad token and
+    its index otherwise."""
     try:
         return list(map(int, tokens))
-    except ValueError as exc:
-        raise FormatError(f"non-integer token in {line!r}") from exc
+    except ValueError:
+        for pos, tok in enumerate(tokens):
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(f"non-integer token {_clip(repr(tok))} at index {pos}") from None
+        raise
 
 
 def dumps_tree(tree: DyadicTree) -> str:
@@ -463,17 +478,17 @@ def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[in
         raise FormatError("empty input")
     tokens = lines[0].split()
     if tokens[:2] != [magic, "v1"]:
-        raise FormatError(f"bad header: {lines[0]!r}")
+        raise FormatError(f"bad header: {_clip(repr(lines[0]))}")
     fields = {}
     for tok in tokens[2:]:
         key, eq, value = tok.partition("=")
         if not eq:
-            raise FormatError(f"header token {tok!r} is not key=value")
+            raise FormatError(f"header token {_clip(repr(tok))} is not key=value")
         fields[key] = value
     try:
         values = {key: int(fields[key]) for key in keys}
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header fields: {lines[0]!r}") from exc
+        raise FormatError(f"bad header fields: {_clip(repr(lines[0]))}") from exc
     depth, span = values["depth"], values["span"]
     if depth < 0 or span < 1 or span.bit_length() + depth > 63:
         raise FormatError(f"depth={depth} span={span} is not a grid of under 2^63 cells")
@@ -491,7 +506,7 @@ def loads_tree(text: str) -> DyadicTree:
         try:
             n = int(head)
         except ValueError as exc:
-            raise FormatError(f"bad level line: {ln!r}") from exc
+            raise FormatError(f"bad level line: {_clip(repr(ln))}") from exc
         if not 0 <= n <= depth or levels[n] is not None:
             raise FormatError(f"unexpected level {n}")
         levels[n] = _decode_level(rest, span << n)

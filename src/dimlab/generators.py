@@ -5,6 +5,14 @@ meets the generated set.  For attractors this relies on tracking the convex
 hull of the set inside every refinement interval, so interval endpoints are
 always points of the set; once intervals are shorter than one cell, a cell
 meeting an interval must contain one of its endpoints.
+
+The attractor and Moran generators refine a whole generation at a time as
+float64 arrays, and build the same trees, bit for bit, as refining one
+interval at a time: each image r * a + t and each left p + i * step is the
+same elementwise IEEE operation, np.lexsort((b, a)) orders pieces as Python
+sorts (a, b) tuples whatever order they were formed in, and cells are placed
+as cell_of places them, since x * 2^depth is exact and astype(int64)
+truncates a non-negative x as int() does.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .dyadic import DyadicTree, Vertex, cell_of, descendant_range
-from .dyadic import _bitmask_of, _indices_of_bitmask, _shift_or
+from .dyadic import _bitmask_of, _expand_runs, _indices_of_bitmask, _shift_or
 from .budget import charge
 from .errors import HypothesisError, SpecValidationError
 from .io import _is_int
@@ -100,18 +108,15 @@ def iterated_ifs(spec: IfsSpec, k: int) -> IfsSpec:
     return IfsSpec(spec.r, tuple(merged), spec.span * k)
 
 
-def _merge_touching(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    # merging only touching/overlapping intervals keeps the union exact
-    intervals.sort()
-    out = [intervals[0]]
-    for a, b in intervals[1:]:
-        la, lb = out[-1]
-        if a <= lb:
-            if b > lb:
-                out[-1] = (la, b)
-        else:
-            out.append((a, b))
-    return out
+def _interval_cells(lo: np.ndarray, hi: np.ndarray, depth: int, span: int) -> np.ndarray:
+    """The cells meeting each closed interval [lo[i], hi[i]] of [0, span],
+    in interval order, each endpoint placed as cell_of places it."""
+    ends = np.column_stack((lo, hi)).ravel()
+    outside = ~((ends >= 0) & (ends <= span))
+    if outside.any():
+        raise ValueError(f"x={float(ends[outside.argmax()])!r} outside [0, {span}]")
+    cells = np.minimum((ends * float(1 << depth)).astype(np.int64), (span << depth) - 1)
+    return _expand_runs(cells[::2], cells[1::2] - cells[::2] + 1)
 
 
 def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
@@ -119,29 +124,29 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
 
     Refines hull images until the unmerged piece length drops below one
     cell, then marks every cell meeting a closed piece.  The right endpoint
-    of the span is clamped into the last cell.
+    of the span is clamped into the last cell.  Each round merges the
+    sorted pieces by a running maximum of right ends: a piece opens a new
+    interval where its left end passes the maximum before it, which is
+    exactly where a merge walking the pieces one by one closes one.
     """
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
     lo, hi = spec.hull()
-    pieces = [(lo, hi)]
+    a, b = np.array([lo]), np.array([hi])
+    ts = np.array(spec.translations)
     length = hi - lo
     target = 2.0 ** -depth
     while length >= target and length > 0.0:
-        charge(len(pieces) * len(spec.translations), "attractor refinement")
-        refined = [
-            (spec.r * a + t, spec.r * b + t)
-            for a, b in pieces
-            for t in spec.translations
-        ]
-        pieces = _merge_touching(refined)
+        charge(a.size * ts.size, "attractor refinement")
+        # translation-major, so each map's images form one sorted run
+        a, b = (spec.r * a + ts[:, None]).ravel(), (spec.r * b + ts[:, None]).ravel()
+        order = np.lexsort((b, a))
+        a, reach = a[order], np.maximum.accumulate(b[order])
+        new = np.append(True, a[1:] > reach[:-1])
+        a, b = a[new], reach[np.append(new[1:], True)]
         length *= spec.r
-    leaves: list[np.ndarray] = []
-    for a, b in pieces:
-        first = cell_of(max(a, 0.0), depth, spec.span)
-        last = cell_of(min(b, float(spec.span)), depth, spec.span)
-        leaves.append(np.arange(first, last + 1, dtype=np.int64))
-    return DyadicTree.from_leaves(depth, spec.span, np.concatenate(leaves))
+    cells = _interval_cells(np.maximum(a, 0.0), np.minimum(b, float(spec.span)), depth, spec.span)
+    return DyadicTree.from_leaves(depth, spec.span, cells)
 
 
 @dataclass(frozen=True)
@@ -216,10 +221,12 @@ class MoranSpec:
 
 
 def moran_tree(spec: MoranSpec, depth: int) -> DyadicTree:
-    """Discretize the Moran set to the given depth (span 1)."""
+    """Discretize the Moran set to the given depth (span 1).  Each
+    generation is one broadcast: the lefts p + i * step, i < k, of every
+    parent left p, in parent order, as a loop over the parents forms them."""
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
-    lefts = [0.0]
+    lefts = np.zeros(1)
     g = 0
     length = 1.0
     target = 2.0 ** -depth
@@ -229,15 +236,10 @@ def moran_tree(spec: MoranSpec, depth: int) -> DyadicTree:
         g += 1
         length = spec.length(g)
         step = 2.0 * length
-        charge(len(lefts) * spec.branching, "Moran refinement")
-        lefts = [p + i * step for p in lefts for i in range(spec.branching)]
-    extent = spec.tail_extent(g)
-    leaves: list[np.ndarray] = []
-    for p in lefts:
-        first = cell_of(p, depth, 1)
-        last = cell_of(min(p + extent, 1.0), depth, 1)
-        leaves.append(np.arange(first, last + 1, dtype=np.int64))
-    return DyadicTree.from_leaves(depth, 1, np.concatenate(leaves))
+        charge(lefts.size * spec.branching, "Moran refinement")
+        lefts = (lefts[:, None] + np.arange(spec.branching) * step).ravel()
+    cells = _interval_cells(lefts, np.minimum(lefts + spec.tail_extent(g), 1.0), depth, 1)
+    return DyadicTree.from_leaves(depth, 1, cells)
 
 
 def extract_moran_subset(tree: DyadicTree, s: float, eps: float, m: int) -> DyadicTree:
@@ -290,13 +292,13 @@ def extract_moran_subset(tree: DyadicTree, s: float, eps: float, m: int) -> Dyad
 
 def reciprocal_tree(depth: int) -> DyadicTree:
     """Cells meeting {1/k : 1 <= k <= 2^depth} plus the cell of the
-    accumulation point 0.  Integer arithmetic, so placement is exact."""
+    accumulation point 0.  One integer array pass, so placement is exact."""
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
     size = 1 << depth
     charge(size, "reciprocal tree")
-    leaves = {0} | {min(size // k, size - 1) for k in range(1, size + 1)}
-    return DyadicTree.from_leaves(depth, 1, np.fromiter(leaves, dtype=np.int64, count=len(leaves)))
+    leaves = np.minimum(size // np.arange(1, size + 1), size - 1)
+    return DyadicTree.from_leaves(depth, 1, np.append(leaves, 0))
 
 
 def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> DyadicTree:

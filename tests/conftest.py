@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from dimlab import DyadicTree, FormatError
+from dimlab.dyadic import cell_of
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -145,7 +146,7 @@ def decode_level_oracle(body: str, cap: int) -> tuple[int, ...]:
     if body.startswith("RUNS"):
         parts = [int(tok) for tok in body.split()[1:]]
         if len(parts) % 2:
-            raise FormatError(f"odd RUNS payload: {body!r}")
+            raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
         runs = list(zip(parts[::2], parts[1::2]))
         for start, length in runs:
             if length < 1 or start < 0 or start + length > cap:
@@ -155,6 +156,73 @@ def decode_level_oracle(body: str, cap: int) -> tuple[int, ...]:
             out.extend(range(start, start + length))
         return tuple(out)
     return tuple(int(tok) for tok in body.split(","))
+
+
+def ifs_attractor_oracle(spec, depth: int) -> DyadicTree:
+    """The attractor by the scalar refinement: a list of (a, b) pieces
+    imaged by every map, tuple-sorted and merged while touching, one piece
+    at a time, then placed by cell_of endpoint by endpoint.  The parity
+    check of the array refinement in `ifs_attractor`."""
+    lo, hi = spec.hull()
+    pieces = [(lo, hi)]
+    length = hi - lo
+    target = 2.0 ** -depth
+    while length >= target and length > 0.0:
+        refined = sorted(
+            (spec.r * a + t, spec.r * b + t) for a, b in pieces for t in spec.translations
+        )
+        pieces = [refined[0]]
+        for a, b in refined[1:]:
+            la, lb = pieces[-1]
+            if a <= lb:
+                if b > lb:
+                    pieces[-1] = (la, b)
+            else:
+                pieces.append((a, b))
+        length *= spec.r
+    leaves = []
+    for a, b in pieces:
+        first = cell_of(max(a, 0.0), depth, spec.span)
+        last = cell_of(min(b, float(spec.span)), depth, spec.span)
+        leaves.extend(range(first, last + 1))
+    return DyadicTree.from_leaves(depth, spec.span, leaves)
+
+
+def moran_tree_oracle(spec, depth: int) -> DyadicTree:
+    """The Moran set by the scalar refinement: a list of lefts extended left
+    by left, each placed by cell_of.  The parity check of `moran_tree`."""
+    lefts = [0.0]
+    g = 0
+    length = 1.0
+    target = 2.0 ** -depth
+    while length >= target:
+        if not isinstance(spec.lengths, str) and g >= len(spec.lengths):
+            break
+        g += 1
+        length = spec.length(g)
+        step = 2.0 * length
+        lefts = [p + i * step for p in lefts for i in range(spec.branching)]
+    extent = spec.tail_extent(g)
+    leaves = []
+    for p in lefts:
+        leaves.extend(range(cell_of(p, depth, 1), cell_of(min(p + extent, 1.0), depth, 1) + 1))
+    return DyadicTree.from_leaves(depth, 1, leaves)
+
+
+def reciprocal_tree_oracle(depth: int) -> DyadicTree:
+    """Cells of {1/k : k <= 2^depth} and of 0 by a set over every k: the
+    parity check of `reciprocal_tree`."""
+    size = 1 << depth
+    leaves = {0} | {min(size // k, size - 1) for k in range(1, size + 1)}
+    return DyadicTree.from_leaves(depth, 1, sorted(leaves))
+
+
+def assert_same_tree(got: DyadicTree, want: DyadicTree) -> None:
+    """Equal depth and span, and identical int64 arrays at every level."""
+    assert (got.max_depth, got.span) == (want.max_depth, want.span)
+    for n in range(want.max_depth + 1):
+        assert got.array(n).dtype == np.int64
+        assert np.array_equal(got.array(n), want.array(n)), f"level {n}"
 
 
 def random_tree(rng: np.random.Generator, depth: int, p: float) -> DyadicTree:

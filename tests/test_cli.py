@@ -13,6 +13,7 @@ from dimlab import (
     index_sumset,
     iterated_sumset,
     moran_tree,
+    reciprocal_tree,
 )
 from dimlab.arithmetic import load_grid
 from dimlab.cli import main
@@ -515,6 +516,37 @@ class TestConfigPipeline:
         assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
         message = json.loads(err.splitlines()[-1])["message"]
         assert message.endswith(problem)
+
+    @pytest.mark.parametrize("key", ["tree", "json", "csv"])
+    def test_non_string_out_path_is_invalid(self, capsys, tmp_path, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**self.RECIPROCAL, "out": {key: 5}}))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+        message = json.loads(err.splitlines()[-1])["message"]
+        assert message == f"config experiment: out {key} must be a path string"
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestRepeatedCalls:
+    """main() builds its parser once per process: calls must not see each
+    other's arguments."""
+
+    def test_budget_flag_does_not_carry_over(self, capsys):
+        code, _, err = run(capsys, ["--budget-cells", "10", "gen", "--reciprocal", "--depth", "12"])
+        assert (code, err_code(err)) == (3, "RESOURCE_LIMIT")
+        code, out, _ = run(capsys, ["gen", "--reciprocal", "--depth", "12"])
+        assert code == 0
+        assert loads_tree(out) == reciprocal_tree(12)
+
+    def test_appended_analyses_do_not_carry_over(self, capsys, tmp_path):
+        path = tmp_path / "r.tree"
+        assert run(capsys, ["gen", "--reciprocal", "--depth", "8", "--out", str(path)])[0] == 0
+        code, out, _ = run(capsys, ["analyze", str(path), "--box", "2,8", "--assouad", "2"])
+        assert code == 0
+        code, out, _ = run(capsys, ["analyze", str(path), "--lower", "2"])
+        assert code == 0
+        assert [r["kind"] for r in json.loads(out)["results"]] == ["lower"]
 
 
 class TestVerify:

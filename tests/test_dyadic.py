@@ -301,6 +301,24 @@ class TestSerialization:
         with pytest.raises(FormatError):
             loads_tree(f"dyadic-tree v1 depth=1 span=1\n0: 0\n1: {level}\n")
 
+    @pytest.mark.parametrize("level, quoted", [
+        (",".join(map(str, range(100_000))) + ",x", "'x' at index 100000"),
+        ("RUNS " + " ".join(map(str, range(100_000))) + " 5", "odd RUNS payload of 100001 numbers"),
+        ("RUNS " + " ".join(map(str, range(100_000))) + " y" * 50_000, "'y' at index 100000"),
+    ], ids=["list-bad-last-token", "runs-odd-payload", "runs-long-bad-tail"])
+    def test_bad_level_message_is_short(self, level, quoted):
+        with pytest.raises(FormatError) as err:
+            loads_tree(f"dyadic-tree v1 depth=17 span=1\n17: {level}\n")
+        assert quoted in str(err.value)
+        assert len(str(err.value)) < 200
+
+    def test_long_bad_token_is_clipped(self):
+        with pytest.raises(FormatError) as err:
+            loads_tree("dyadic-tree v1 depth=1 span=1\n0: 0\n1: 0," + "z" * 100_000 + "\n")
+        assert str(err.value).startswith("non-integer token 'zzz")
+        assert "(100002 characters) at index 1" in str(err.value)
+        assert len(str(err.value)) < 200
+
     def test_mass_lines_skipped(self):
         t = loads_tree("dyadic-tree v1 depth=1 span=1\n0: 0\n1: 0\nmass 1 0 1.0\n")
         assert t.levels[1] == (0,)

@@ -1,14 +1,21 @@
 """Generator correctness: frozen discretizations, exact oracles, spec parsing."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import cantor_cells_exact
+from conftest import (
+    assert_same_tree,
+    cantor_cells_exact,
+    ifs_attractor_oracle,
+    moran_tree_oracle,
+    reciprocal_tree_oracle,
+)
 from dimlab import (
     DyadicTree,
     HypothesisError,
@@ -30,7 +37,9 @@ from dimlab import (
     spec_to_json,
     validate,
 )
+from dimlab.budget import limit
 from dimlab.dyadic import cell_of
+from dimlab.generators import _interval_cells
 
 CANTOR = IfsSpec(1 / 3, (0.0, 2 / 3))
 QUARTER = IfsSpec(0.25, (0.0, 0.75))
@@ -305,6 +314,115 @@ class TestReciprocal:
     def test_negative_depth(self):
         with pytest.raises(ValueError):
             reciprocal_tree(-1)
+
+
+@st.composite
+def ifs_specs(draw, max_translations=5):
+    """Homogeneous families with 1 to max_translations maps; overlapping
+    images, whose pieces merge, are common at these ratios."""
+    r = draw(st.floats(0.05, 0.7))
+    raw = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=max_translations))
+    try:
+        return IfsSpec(r, tuple(t * (1.0 - r) for t in raw))
+    except SpecValidationError:
+        assume(False)
+
+
+@st.composite
+def moran_specs(draw):
+    """Geometric 'c^-j' specs and explicit length lists of 1 to 8 generations."""
+    k = draw(st.integers(1, 6))
+    need = 2 * k - 1
+    if draw(st.booleans()):
+        c = draw(st.floats(max(need, 1.1), 4.0 * need + 4.0))
+        return MoranSpec(k, f"{c:.4f}^-j")
+    lengths, prev = [], 1.0
+    for _ in range(draw(st.integers(1, 8))):
+        prev = prev * draw(st.floats(0.1, 1.0)) / need
+        lengths.append(prev)
+    return MoranSpec(k, tuple(lengths))
+
+
+class TestArrayGenerators:
+    """The array refinements against the scalar loops kept in conftest:
+    identical int64 arrays at every level."""
+
+    @given(ifs_specs(), st.integers(0, 18))
+    @example(IfsSpec(0.3, (0.0, 0.35, 0.7)), 18)  # disjoint images
+    @example(IfsSpec(0.5, (0.0, 0.5)), 12)  # touching images fill [0, 1]
+    @example(IfsSpec(0.6, (0.0, 0.1, 0.4)), 16)  # overlaps merge into [0, 1]
+    @example(IfsSpec(0.25, (0.0, 0.1, 0.75)), 14)  # overlaps merge, gaps stay
+    @example(IfsSpec(0.3, (0.0, 0.2, 0.7)), 18)
+    @example(CANTOR, 0)
+    def test_ifs_matches_scalar_refinement(self, spec, depth):
+        assert_same_tree(ifs_attractor(spec, depth), ifs_attractor_oracle(spec, depth))
+
+    @given(ifs_specs(max_translations=3), st.integers(2, 3), st.integers(0, 18))
+    @example(CANTOR, 2, 16)
+    @example(IfsSpec(0.3, (0.0, 0.35, 0.7)), 3, 14)
+    def test_iterated_ifs_matches_scalar_refinement(self, spec, k, depth):
+        family = iterated_ifs(spec, k)
+        assert_same_tree(ifs_attractor(family, depth), ifs_attractor_oracle(family, depth))
+
+    @given(moran_specs(), st.integers(0, 18))
+    @example(MoranSpec(8, "16^-j"), 16)
+    @example(MoranSpec(2, (0.25, 0.0625)), 8)
+    @example(MoranSpec(1, "2^-j"), 18)
+    def test_moran_matches_scalar_refinement(self, spec, depth):
+        assert_same_tree(moran_tree(spec, depth), moran_tree_oracle(spec, depth))
+
+    @pytest.mark.parametrize("depth", range(19))
+    def test_reciprocal_matches_set_comprehension(self, depth):
+        assert_same_tree(reciprocal_tree(depth), reciprocal_tree_oracle(depth))
+
+    def test_out_of_range_endpoint_raises_as_scalar(self):
+        # a translation inside the tolerance below 0 puts the hull just left of 0
+        spec = IfsSpec(0.5, (-1e-13,))
+        with pytest.raises(ValueError) as want:
+            ifs_attractor_oracle(spec, 4)
+        with pytest.raises(ValueError) as got:
+            ifs_attractor(spec, 4)
+        assert str(got.value) == str(want.value)
+
+    @given(
+        st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(0.0, 0.6)), min_size=1, max_size=20),
+        st.integers(0, 12),
+        st.integers(1, 2),
+    )
+    def test_interval_cells_places_endpoints_as_cell_of(self, pieces, depth, span):
+        lo = np.array([a for a, _ in pieces])
+        hi = np.minimum(lo + np.array([w for _, w in pieces]), span)
+        try:
+            want = [c for a, b in zip(lo.tolist(), hi.tolist())
+                    for c in range(cell_of(a, depth, span), cell_of(b, depth, span) + 1)]
+        except ValueError as exc:
+            with pytest.raises(ValueError) as err:
+                _interval_cells(lo, hi, depth, span)
+            assert str(err.value) == str(exc)
+            return
+        assert _interval_cells(lo, hi, depth, span).tolist() == want
+
+    # Each refused round would allocate arrays of `cells` 8-byte values; all
+    # that may run before the refusal, the round before it, forms a 16th to
+    # a 64th as many, so the peak stays under half of one refused array.
+    REFUSALS = {
+        "ifs": (lambda: ifs_attractor(IfsSpec(1 / 128, tuple(k / 64 for k in range(64))), 20),
+                64**3, "attractor refinement"),
+        "moran": (lambda: moran_tree(MoranSpec(16, "32^-j"), 20), 16**4, "Moran refinement"),
+        "reciprocal": (lambda: reciprocal_tree(18), 1 << 18, "reciprocal tree"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(REFUSALS))
+    def test_refusal_comes_before_the_round_is_allocated(self, name):
+        build, cells, what = self.REFUSALS[name]
+        tracemalloc.start()
+        try:
+            with limit(cells - 1), pytest.raises(ResourceLimitError, match=f"{what} needs {cells} cells"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 // 2
 
 
 class TestSemigroup:

@@ -9,6 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimlab import (
+    FormatError,
     GridSetD,
     assouad_estimate,
     box_estimate,
@@ -135,3 +136,23 @@ def test_non_integer_coordinates_rejected(d, cells):
     # these were truncated to integers when cells were normalized with int()
     with pytest.raises(ValueError, match="integers"):
         GridSetD(d, 2, 1, cells)
+
+
+@pytest.mark.parametrize("line, quoted", [
+    (" ".join(map(str, range(100_000))) + " x", "'x' at index 100000"),
+    (" ".join(map(str, range(100_000))), "expected 100001 coordinates: '0 1 2"),
+    (" ".join(["1"] * 100_000) + f" {2**64}", "cell (1, 1, 1"),
+], ids=["bad-last-token", "short-line", "cell-outside-grid"])
+def test_bad_line_message_is_short(line, quoted):
+    with pytest.raises(FormatError) as err:
+        loads_grid(f"grid-set v1 d=100001 depth=4 span=1\n{line}\n")
+    assert quoted in str(err.value)
+    assert len(str(err.value)) < 200
+
+
+def test_bad_last_cell_message_is_short():
+    # 100,000 one-coordinate lines, the last of them not an integer
+    text = "grid-set v1 d=1 depth=17 span=1\n" + "\n".join(map(str, range(100_000))) + "\n7x\n"
+    with pytest.raises(FormatError) as err:
+        loads_grid(text)
+    assert str(err.value) == "non-integer token '7x' at index 0"
