@@ -31,6 +31,11 @@ def limit(cells: int):
         _cap.reset(token)
 
 
+def current_cap() -> int:
+    """The cap the charges made here are checked against."""
+    return _cap.get()
+
+
 def charge(cells: int, what: str) -> None:
     """Raise ResourceLimitError if `what` needs more than the cap."""
     cap = _cap.get()

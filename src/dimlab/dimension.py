@@ -17,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from .dyadic import DyadicTree
-from .arithmetic import GridSetD, iterated_sumset
+from .arithmetic import GridSetD, index_sumset
 from .budget import charge
 from .generators import build_tree, spec_span
 
@@ -190,7 +190,7 @@ def growth_experiment(gen_spec, k_max: int, depth: int) -> GrowthTable:
     window = (m, depth)
     rows = []
     for k in range(1, k_max + 1):
-        tree = base if k == 1 else iterated_sumset(base, k, depth)
+        tree = base if k == 1 else index_sumset(tree, base, depth)[0]  # kA = (k-1)A + A
         rows.append(
             GrowthRow(
                 k,

@@ -149,14 +149,14 @@ class DyadicTree:
 
     array(n) is the sorted occupied indices at level n as a read-only int64
     array, the one stored form of a level.  levels[n] is the same level as
-    a tuple of ints, a view built from the arrays on first read and cached.
+    a tuple of ints, a view built from that array on first read and cached.
     The constructor trusts its input; use :func:`validate` to audit
     hand-built trees.  :meth:`from_leaves` saturates by construction: it
     sorts the leaves once and derives each parent level by an adjacent
     dedupe of the sorted child level shifted right.
     """
 
-    __slots__ = ("max_depth", "span", "_arrays", "_levels")
+    __slots__ = ("max_depth", "span", "_arrays", "_views", "_levels")
 
     def __init__(self, max_depth: int, span: int, levels: Iterable[Iterable[int]]):
         self._set(max_depth, span, [_level_array(level) for level in levels])
@@ -192,14 +192,22 @@ class DyadicTree:
         self.max_depth = max_depth
         self.span = span
         self._arrays = tuple(arrays)
+        self._views = [None] * len(arrays)
         self._levels = None
 
     @property
     def levels(self) -> tuple[tuple[int, ...], ...]:
         """Every level as a sorted tuple of ints, built on first read."""
         if self._levels is None:
-            self._levels = tuple(tuple(a.tolist()) for a in self._arrays)
+            self._levels = tuple(map(self._view, range(self.max_depth + 1)))
         return self._levels
+
+    def _view(self, level: int) -> tuple[int, ...]:
+        """One level as a sorted tuple of ints, built on first read."""
+        view = self._views[level]
+        if view is None:
+            view = self._views[level] = tuple(self._arrays[level].tolist())
+        return view
 
     # -- queries ---------------------------------------------------------
 
@@ -223,7 +231,7 @@ class DyadicTree:
         when that cell is unoccupied."""
         if not 0 <= level <= self.max_depth:
             raise ValueError(f"level {level} outside 0..{self.max_depth}")
-        lv = self.levels[level]
+        lv = self._view(level)
         pos = bisect_left(lv, index)
         return pos if pos < len(lv) and lv[pos] == index else -1
 
@@ -316,7 +324,7 @@ def descendant_range(tree: DyadicTree, v: Vertex, m: int) -> tuple[int, int]:
         raise ValueError(f"vertex level {k} outside 0..{tree.max_depth}")
     if m < 0 or k + m > tree.max_depth:
         raise ValueError(f"window m={m} leaves the tree at level {k}")
-    level = tree.levels[k + m]
+    level = tree._view(k + m)
     return bisect_left(level, index << m), bisect_left(level, (index + 1) << m)
 
 
@@ -372,35 +380,6 @@ def validate(tree: DyadicTree) -> list[str]:
             if lo >= len(children) or children[lo] > (j << 1) + 1:
                 problems.append(f"leaf-support: level {n} index {j} has no child")
     return problems
-
-
-# -- bit-grid helpers ----------------------------------------------------
-
-
-def _bitmask_of(indices: np.ndarray, size: int) -> int:
-    """Pack sorted cell indices into an integer bit grid of `size` bits."""
-    if indices.size == 0:
-        return 0
-    bits = np.zeros(size, dtype=np.uint8)
-    bits[indices] = 1
-    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-
-
-def _indices_of_bitmask(mask: int, size: int) -> np.ndarray:
-    """Unpack a bit grid back into a sorted int64 index array."""
-    if mask == 0:
-        return np.empty(0, dtype=np.int64)
-    raw = mask.to_bytes((size + 7) // 8, "little")
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
-    return np.nonzero(bits)[0].astype(np.int64)
-
-
-def _shift_or(mask: int, shifts: Iterable[int]) -> int:
-    """OR of the bit grid shifted by each shift: the sumset of cell indices."""
-    out = 0
-    for s in shifts:
-        out |= mask << int(s)
-    return out
 
 
 # -- serialization -------------------------------------------------------

@@ -25,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, cell_of, descendant_range
-from .dyadic import _bitmask_of, _expand_runs, _indices_of_bitmask, _shift_or
+from .arithmetic import _sum_indices
+from .dyadic import DyadicTree, Vertex, _dedupe_sorted, _expand_runs, cell_of, descendant_range
 from .budget import charge
 from .errors import HypothesisError, SpecValidationError
 from .io import _is_int
@@ -320,13 +320,12 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
             raise SpecValidationError(f"generator {g} outside (0, {bound})")
     size = bound << depth
     charge(size, "semigroup grid")
-    gcells = sorted({cell_of(g, depth, bound) for g in gens})
-    full = (1 << size) - 1
-    state = _bitmask_of(np.asarray(gcells, dtype=np.int64), size)
+    state = gcells = np.array(sorted({cell_of(g, depth, bound) for g in gens}), dtype=np.int64)
     converged = False
     for _ in range(64):
-        nxt = state | (_shift_or(state, gcells) & full)
-        if nxt == state:
+        sums = _sum_indices(state, gcells, size)
+        nxt = _dedupe_sorted(np.sort(np.concatenate((state, sums[: np.searchsorted(sums, size)]))))
+        if nxt.size == state.size:
             converged = True
             break
         state = nxt
@@ -336,7 +335,7 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
             RuntimeWarning,
             stacklevel=2,
         )
-    return DyadicTree.from_leaves(depth, bound, _indices_of_bitmask(state, size))
+    return DyadicTree.from_leaves(depth, bound, state)
 
 
 # -- JSON specs ----------------------------------------------------------

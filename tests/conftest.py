@@ -55,9 +55,68 @@ def from_leaves_oracle(max_depth: int, span: int, leaves) -> DyadicTree:
 
 def sum_indices_oracle(a, b) -> np.ndarray:
     """{i + j} as a sorted int64 array, by a set merge over every index
-    pair: the slow, independent check of the bit-grid sumset kernel."""
+    pair: the slow, independent check of the sumset kernel's two routes."""
     sums = {int(i) + int(j) for i in a for j in b}
     return np.fromiter(sorted(sums), dtype=np.int64, count=len(sums))
+
+
+def bitmask_of(indices: np.ndarray, size: int) -> int:
+    """Pack sorted cell indices into an integer bit grid of `size` bits."""
+    if indices.size == 0:
+        return 0
+    bits = np.zeros(size, dtype=np.uint8)
+    bits[indices] = 1
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def indices_of_bitmask(mask: int, size: int) -> np.ndarray:
+    """Unpack a bit grid back into a sorted int64 index array."""
+    if mask == 0:
+        return np.empty(0, dtype=np.int64)
+    raw = mask.to_bytes((size + 7) // 8, "little")
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:size]
+    return np.nonzero(bits)[0].astype(np.int64)
+
+
+def shift_or(mask: int, shifts) -> int:
+    """OR of the bit grid shifted by each shift: the sumset of cell indices."""
+    out = 0
+    for s in shifts:
+        out |= mask << int(s)
+    return out
+
+
+def iterated_sumset_oracle(idx: np.ndarray, k: int, cap: int) -> np.ndarray:
+    """kA of sorted indices below cap, by k - 1 shift-ors of a Python-int
+    bit grid: the parity check of `iterated_sumset`."""
+    part = bitmask_of(idx, k * cap)
+    for _ in range(k - 1):
+        part = shift_or(part, idx)
+    return indices_of_bitmask(part, k * cap)
+
+
+def semigroup_oracle(gcells, size: int) -> tuple[np.ndarray, bool]:
+    """The grid saturation of the generator cells below size, by bit-grid
+    shift-or rounds, and whether it converged within 64 rounds: the parity
+    check of `semigroup_tree`."""
+    full = (1 << size) - 1
+    state = bitmask_of(np.asarray(gcells, dtype=np.int64), size)
+    for _ in range(64):
+        nxt = state | (shift_or(state, gcells) & full)
+        if nxt == state:
+            return indices_of_bitmask(state, size), True
+        state = nxt
+    return indices_of_bitmask(state, size), False
+
+
+def delta_dense_oracle(tree, level: int, upper: float) -> bool:
+    """`delta_dense_check` by a bit grid widened one cell each way."""
+    cap = tree.capacity(level)
+    hi = min(int(upper * (1 << level)), cap - 1)
+    occ = bitmask_of(tree.array(level), cap)
+    wide = occ | (occ << 1) | (occ >> 1)
+    need = (1 << (hi + 1)) - 1
+    return wide & need == need
 
 
 def distance_set_oracle(f) -> DyadicTree:

@@ -1,6 +1,9 @@
 """Sumsets, differences, distance sets: kernels, frozen examples, budgets."""
 
+import functools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from dimlab import (
     FormatError,
     GridSetD,
     IfsSpec,
+    MoranSpec,
     ResourceLimitError,
     annulus_cells,
     delta_dense_check,
@@ -25,6 +29,7 @@ from dimlab import (
     iterated_sumset,
     load_grid,
     loads_grid,
+    moran_tree,
     reciprocal_tree,
     save_grid,
 )
@@ -32,7 +37,12 @@ from dimlab.arithmetic import _difference_vectors, _sum_indices
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
 
-from conftest import distance_set_oracle, sum_indices_oracle
+from conftest import (
+    delta_dense_oracle,
+    distance_set_oracle,
+    iterated_sumset_oracle,
+    sum_indices_oracle,
+)
 
 
 def tree_of(depth, leaves, span=1):
@@ -113,10 +123,10 @@ class TestIndexSumset:
 
     @given(x=leaf_sets, y=leaf_sets)
     def test_kernels_agree(self, x, y):
-        # the bit-grid shift-or must equal the pairwise set merge
+        # the route the cost rule picks must equal the pairwise set merge
         a = np.fromiter(sorted(x), dtype=np.int64)
         b = np.fromiter(sorted(y), dtype=np.int64)
-        assert np.array_equal(_sum_indices(a, 64, b, 64), sum_indices_oracle(a, b))
+        assert np.array_equal(_sum_indices(a, b, 128), sum_indices_oracle(a, b))
 
     @pytest.mark.parametrize(
         "r, translations, depth",
@@ -143,6 +153,163 @@ class TestIndexSumset:
         a = tree_of(4, [0, 3])
         with limit(16), pytest.raises(ResourceLimitError):
             index_sumset(a, a, 4)
+
+
+@functools.cache
+def deep_leaves(r: int, depth: int) -> np.ndarray:
+    """The level-`depth` cells of the two-map attractor with ratio 1/r."""
+    return ifs_attractor(IfsSpec(1 / r, (0.0, 1 - 1 / r)), depth).array(depth)
+
+
+@st.composite
+def deep_sparse_operands(draw):
+    """Two subsets of a depth-28..30 r = 1/5 or 1/7 attractor: grids far
+    beyond any transform the budget admits, with few cells."""
+    leaves = deep_leaves(*draw(st.sampled_from([(5, 28), (5, 30), (7, 28), (7, 30)])))
+    pick = st.lists(st.integers(0, leaves.size - 1), min_size=1, max_size=80, unique=True)
+    return [np.sort(leaves[draw(pick)]) for _ in range(2)]
+
+
+@st.composite
+def dense_operands(draw):
+    """Two random subsets of density 0.2..0.95 of grids of 2^2..2^9 cells,
+    each shifted by its own offset."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cap = 1 << draw(st.integers(2, 9))
+    p = draw(st.floats(0.2, 0.95))
+    ops = [np.flatnonzero(rng.random(cap) < p) + draw(st.integers(0, 1000)) for _ in range(2)]
+    assume(all(op.size for op in ops))
+    return ops
+
+
+def transform_length(a, b):
+    """The least power of two covering the extent of the sums of a and b."""
+    return 1 << int(a[-1] - a[0] + b[-1] - b[0]).bit_length()
+
+
+def fft_sums(a, b):
+    """{i + j} by the FFT route alone."""
+    counts = arith._fft_counts(a, b, transform_length(a, b))
+    return np.flatnonzero(counts > 0.5) + (a[0] + b[0])
+
+
+class TestSumRoutes:
+    @given(deep_sparse_operands())
+    def test_outer_route_on_deep_sparse_operands(self, ops):
+        a, b = ops
+        want = sum_indices_oracle(a, b)
+        assert np.array_equal(arith._outer_sums(a, b), want)
+        # blocks of a few pairs exercise the merge of the blocks
+        with mock.patch.object(arith, "_BLOCK_PAIRS", 97):
+            assert np.array_equal(arith._outer_sums(a, b), want)
+
+    def test_outer_route_merges_blocks_of_a_whole_deep_tree(self):
+        a = deep_leaves(5, 28)
+        b = deep_leaves(7, 30)[::25].copy()
+        assert a.size * b.size > 4 * arith._BLOCK_PAIRS
+        assert np.array_equal(arith._outer_sums(a, b), sum_indices_oracle(a, b))
+
+    def test_outer_route_holds_the_sums_not_the_blocks(self, monkeypatch):
+        # 1,024 blocks of 4,096 pairs with 4,095 distinct sums in all: the
+        # parts are merged as they come, so no more than a few blocks are held
+        monkeypatch.setattr(arith, "_BLOCK_PAIRS", 4096)
+        a = np.arange(2048)
+        tracemalloc.start()
+        try:
+            got = arith._outer_sums(a, a)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, np.arange(4095))
+        assert peak < 16 * 4096 * 8
+
+    def test_outer_blocks_fit_a_small_budget(self):
+        # 390,000 pairs under a budget of two rows: twenty blocks, merged
+        a, b = np.arange(0, 30_000, 3), np.arange(0, 270, 7)
+        with limit(2 * a.size):
+            got = arith._outer_sums(a, b)
+        assert np.array_equal(got, sum_indices_oracle(a, b))
+
+    @given(dense_operands())
+    def test_both_routes_on_dense_operands(self, ops):
+        a, b = ops
+        want = sum_indices_oracle(a, b)
+        assert np.array_equal(fft_sums(a, b), want)
+        assert np.array_equal(arith._outer_sums(a, b), want)
+        assert np.array_equal(_sum_indices(a, b, 4096), want)
+        assert np.array_equal(_sum_indices(a, a, 4096), sum_indices_oracle(a, a))
+
+    def test_cost_rule(self):
+        # few pairs on a wide grid: outer sums; many on a narrow one: FFT
+        assert not arith._fft_wins(512, 512, 1 << 19)
+        assert arith._fft_wins(3784, 3784, 1 << 17)
+        assert arith._fft_wins(888, 255, 1 << 15)
+        # a transform has a fixed cost too: small dust axes take outer sums
+        assert not arith._fft_wins(42, 42, 1 << 8)
+        assert not arith._fft_wins(84, 84, 1 << 9)
+        assert arith._fft_wins(142, 142, 1 << 10)
+        # the rounding bound fails long before the pair count does
+        assert not arith._fft_wins(1 << 45, 1 << 45, 1 << 46)
+
+    def test_fft_rounding_on_workload_operands(self, record_property):
+        def ifs(r, ts, depth):
+            return ifs_attractor(IfsSpec(r, ts), depth).array(depth)
+
+        q3 = ifs(1 / 4, (0.0, 1 / 4, 3 / 4), 16)
+        f3 = ifs(1 / 5, (0.0, 2 / 5, 4 / 5), 16)
+        c3 = ifs(1 / 3, (0.0, 2 / 3), 16)
+        moran = moran_tree(MoranSpec(2, "4^-j"), 14).array(14)
+        pairs = [
+            (q3, q3[-1] - q3[::-1]),  # difference set of 9,841 cells
+            (f3, f3),
+            (c3, f3),
+            (iterated_sumset_oracle(moran, 3, 1 << 14), moran),
+        ]
+        worst = 0.0
+        for a, b in pairs:
+            counts = arith._fft_counts(a, b, transform_length(a, b))
+            worst = max(worst, float(np.abs(counts - np.rint(counts)).max()))
+        record_property("fft_max_rounding_error", worst)
+        assert worst < 1e-6
+        # the rounded counts are the exact pair counts
+        f14 = ifs(1 / 5, (0.0, 2 / 5, 4 / 5), 14)
+        counts = arith._fft_counts(f14, f14, transform_length(f14, f14))
+        exact = np.bincount(np.add.outer(f14, f14).ravel() - 2 * f14[0], minlength=counts.size)
+        assert np.array_equal(np.rint(counts), exact)
+
+    @pytest.mark.parametrize("route", ["outer", "fft"])
+    def test_routes_charge_before_they_allocate(self, route):
+        a, b = np.arange(0, 30_000, 3), np.arange(0, 2_700, 7)
+        fn, cells, what = {
+            # blocks shrink to fit the budget, down to one row of a
+            "outer": (arith._outer_sums, a.size, "sumset pairs"),
+            "fft": (functools.partial(arith._fft_counts, length=1 << 15), 1 << 15, "sumset transform"),
+        }[route]
+        tracemalloc.start()
+        try:
+            with limit(cells - 1), pytest.raises(ResourceLimitError, match=f"{what} needs {cells} cells"):
+                fn(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 // 2
+
+    def test_sums_run_at_exactly_their_grid_budget(self):
+        # span 3: the least power of two covering the sums overshoots the
+        # 6 * 2^10-cell grid, and a block of 2^18 pairs would too
+        rng = np.random.default_rng(5)
+        dense = tree_of(10, rng.choice(3 << 10, 1800, replace=False), span=3)
+        sparse = tree_of(10, [1, 500, 3000], span=3)
+        for b in (dense, sparse):
+            with limit(6 << 10):
+                got, _ = index_sumset(dense, b, 10)
+            assert np.array_equal(got.array(10), sum_indices_oracle(dense.array(10), b.array(10)))
+        want = difference_set(dense, 10)[0]
+        with limit(6 << 10):
+            assert difference_set(dense, 10)[0].array(10).tobytes() == want.array(10).tobytes()
+        with limit(9 << 10):
+            got = iterated_sumset(dense, 3, 10)
+        assert np.array_equal(got.array(10), iterated_sumset_oracle(dense.array(10), 3, 3 << 10))
 
 
 class TestIteratedSumset:
@@ -186,6 +353,26 @@ class TestIteratedSumset:
     def test_bad_fold_count(self):
         with pytest.raises(ValueError):
             iterated_sumset(tree_of(2, [0]), 0, 2)
+
+    @given(x=leaf_sets, k=st.integers(1, 6))
+    def test_matches_shift_or_oracle(self, x, k):
+        a = tree_of(6, x)
+        assert np.array_equal(iterated_sumset(a, k, 6).array(6), iterated_sumset_oracle(a.array(6), k, 64))
+
+    @pytest.mark.parametrize(
+        "build, depth, k",
+        [
+            (lambda d: moran_tree(MoranSpec(2, "4^-j"), d), 14, 4),
+            (reciprocal_tree, 14, 3),
+            (lambda d: ifs_attractor(IfsSpec(1 / 4, (0.0, 1 / 2)), d), 16, 2),
+            (lambda d: ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), d), 12, 4),
+        ],
+        ids=["moran-14-4", "recip-14-3", "q2n-16-2", "c3-12-4"],
+    )
+    def test_workload_folds_match_shift_or_oracle(self, build, depth, k):
+        a = build(depth)
+        want = iterated_sumset_oracle(a.array(depth), k, a.capacity(depth))
+        assert np.array_equal(iterated_sumset(a, k, depth).array(depth), want)
 
 
 class TestDifferenceSet:
@@ -242,6 +429,15 @@ class TestDeltaDense:
             delta_dense_check(t, 5, 0.5)
         with pytest.raises(ValueError):
             delta_dense_check(t, 4, 1.5)
+
+    @given(
+        x=st.sets(st.integers(0, 63), min_size=1, max_size=64),
+        level=st.integers(0, 6),
+        upper=st.floats(0.0, 1.0),
+    )
+    def test_matches_shift_or_oracle(self, x, level, upper):
+        a = tree_of(6, x)
+        assert delta_dense_check(a, level, upper) == delta_dense_oracle(a, level, upper)
 
     def test_grid_charged_before_it_is_packed(self):
         t = tree_of(20, [0, 5, 1 << 19])

@@ -23,8 +23,7 @@ from dimlab import (
     validate,
 )
 from dimlab.budget import limit
-from dimlab.dyadic import _bitmask_of
-from conftest import decode_level_oracle, encode_level_oracle, from_leaves_oracle, random_tree
+from conftest import bitmask_of, decode_level_oracle, encode_level_oracle, from_leaves_oracle, random_tree
 
 leaf_sets = st.builds(
     lambda depth, idx: (depth, sorted(set(idx))),
@@ -125,6 +124,13 @@ class TestTreeConstruction:
         assert t._levels is None
         assert t.levels is t.levels
         assert t.levels == tuple(tuple(t.array(n).tolist()) for n in range(7))
+
+    def test_point_query_builds_one_level_view(self):
+        t = tree_from(6, [1, 5, 9, 40])
+        assert t.is_occupied(4, 10) and not t.is_occupied(4, 11)
+        assert [n for n, view in enumerate(t._views) if view is not None] == [4]
+        assert t._levels is None
+        assert t.levels[4] is t._views[4]
 
 
 leaf_inputs = st.integers(0, 7).flatmap(
@@ -501,6 +507,6 @@ class TestInvariants:
     def test_mask_matches_indices(self, rng):
         t = random_tree(rng, 8, 0.6)
         for n in (4, 8):
-            mask = _bitmask_of(t.array(n), t.capacity(n))
+            mask = bitmask_of(t.array(n), t.capacity(n))
             got = tuple(i for i in range(t.capacity(n)) if mask >> i & 1)
             assert got == t.levels[n]

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     ifs_attractor_oracle,
     moran_tree_oracle,
     reciprocal_tree_oracle,
+    semigroup_oracle,
 )
 from dimlab import (
     DyadicTree,
@@ -450,6 +452,28 @@ class TestSemigroup:
             frontier = nxt
         tree = semigroup_tree(gens, bound, depth)
         assert tree.levels[depth] == tuple(sorted(seen))
+
+    @given(
+        fracs=st.lists(st.floats(0.001, 0.999), min_size=1, max_size=3),
+        bound=st.sampled_from([1, 2, 4, 8]),
+        depth=st.integers(0, 7),
+    )
+    def test_matches_shift_or_oracle(self, fracs, bound, depth):
+        gens = [f * bound for f in fracs]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            tree = semigroup_tree(gens, bound, depth)
+        gcells = sorted({cell_of(g, depth, bound) for g in gens})
+        want, converged = semigroup_oracle(gcells, bound << depth)
+        assert np.array_equal(tree.array(depth), want)
+        assert converged == (not caught)
+
+    def test_runs_at_exactly_its_grid_budget(self):
+        # the sums reach past the grid, so no transform fits: outer sums
+        with limit(1 << 12):
+            tree = semigroup_tree([0.3, 0.7], 1, 12)
+        want, _ = semigroup_oracle(sorted({cell_of(g, 12, 1) for g in (0.3, 0.7)}), 1 << 12)
+        assert np.array_equal(tree.array(12), want)
 
     def test_block_counts_grow(self):
         # cells per value block [2^j, 2^(j+1)) increase as sums mix

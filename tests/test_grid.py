@@ -139,15 +139,20 @@ def test_non_integer_coordinates_rejected(d, cells):
 
 
 @pytest.mark.parametrize("line, quoted", [
-    (" ".join(map(str, range(100_000))) + " x", "'x' at index 100000"),
-    (" ".join(map(str, range(100_000))), "expected 100001 coordinates: '0 1 2"),
-    (" ".join(["1"] * 100_000) + f" {2**64}", "cell (1, 1, 1"),
+    ("0 1 " + "x" * 100_000, "... (100002 characters) at index 2"),
+    ("1 " + "2" * 100_000, "expected 3 coordinates: '1 222"),
+    ("1 1 " + "9" * 4_000, "cell (1, 1, 999"),
 ], ids=["bad-last-token", "short-line", "cell-outside-grid"])
 def test_bad_line_message_is_short(line, quoted):
     with pytest.raises(FormatError) as err:
-        loads_grid(f"grid-set v1 d=100001 depth=4 span=1\n{line}\n")
+        loads_grid(f"grid-set v1 d=3 depth=4 span=1\n{line}\n")
     assert quoted in str(err.value)
     assert len(str(err.value)) < 200
+
+
+def test_dimension_is_refused_before_the_body():
+    with pytest.raises(FormatError, match=r"^dimension 100001 not in \{1, 2, 3\}$"):
+        loads_grid("grid-set v1 d=100001 depth=4 span=1\nx y\n")
 
 
 def test_bad_last_cell_message_is_short():

@@ -1,7 +1,9 @@
 """Source hygiene: every name a module imports is read somewhere in it,
 only dyadic.py reads a tree's `levels`, so the level representation can
-change inside that one module, and every library tree comes from
-`DyadicTree.from_leaves`, not the trusting hand-built constructor."""
+change inside that one module, every library tree comes from
+`DyadicTree.from_leaves`, not the trusting hand-built constructor, and no
+kernel calls the hash-based `np.unique` or packs an `int.from_bytes` bit
+grid, the two slow paths the sort-and-dedupe and FFT kernels replace."""
 
 import ast
 from pathlib import Path
@@ -94,3 +96,28 @@ def test_detects_a_hand_built_tree():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_trees_built_from_leaves(path):
     assert hand_built_trees(path.read_text(encoding="utf-8")) == []
+
+
+def slow_kernel_calls(source: str) -> list[int]:
+    """Lines that reach `np.unique` / `numpy.unique` or `int.from_bytes`."""
+    banned = {("np", "unique"), ("numpy", "unique"), ("int", "from_bytes")}
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and (node.value.id, node.attr) in banned
+    )
+
+
+def test_detects_slow_kernel_calls():
+    source = (
+        "import numpy as np\nx = np.unique(a)\ny = numpy.unique(a, axis=0)\n"
+        "m = int.from_bytes(b, 'little')\nz = np.sort(a)\n"
+    )
+    assert slow_kernel_calls(source) == [2, 3, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unique_or_bit_grid(path):
+    assert slow_kernel_calls(path.read_text(encoding="utf-8")) == []
