@@ -4,7 +4,9 @@ Index sumsets realize F1(n) + F2(n) = {i + j} at a fixed level n.  One
 kernel computes them and the difference, iterated and semigroup sums by the
 cheaper of two numpy routes, |A|·|B| pairs against L·log2 L: sorted outer
 sums of the index pairs in bounded blocks, or an FFT convolution of length
-L of the 0/1 indicators.  The exact pair count sits inside the covering
+L of the 0/1 indicators.  It charges what it holds, not the grid the sums
+live on: at most min(extent, |A|·|B|) distinct sums, the pairs of each
+block, or the transform.  The exact pair count sits inside the covering
 bracket [N/2, 2N] for the true sumset, as SumsetReport records.
 
 Distance sets use the same kernel.  Two cell centers differ by an exact
@@ -88,18 +90,22 @@ def _fft_counts(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
     return np.fft.irfft(fa * fb, length)
 
 
-def _sum_indices(a: np.ndarray, b: np.ndarray, cap: int) -> np.ndarray:
-    """{i + j} of two sorted distinct index arrays, by the cheaper route.
-    cap, charged first, is the grid the caller admits; neither route holds
-    more than a small multiple of it plus one block of pairs.  A transform
-    runs only when the extent of the sums fits in cap, with the least power
-    of two covering that extent, or cap itself if shorter."""
+def _sum_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """{i + j} of two sorted distinct nonnegative index arrays, by the
+    cheaper route.  It charges the most sums there can be, the least of
+    their extent and |A|·|B|; the outer route holds at most twice that plus
+    one block.  A transform runs with the least length 2^j or 3·2^j that
+    covers the extent, and only when that length fits the budget."""
     if a.size == 0 or b.size == 0:
         return np.empty(0, dtype=np.int64)
-    charge(cap, "sumset grid")
+    if int(a[-1]) + int(b[-1]) >= 1 << 63:
+        raise ValueError(f"sums up to {int(a[-1]) + int(b[-1])} do not fit int64")
     extent = int(a[-1] - a[0] + b[-1] - b[0]) + 1
-    length = min(1 << (extent - 1).bit_length(), cap)
-    if extent <= length and _fft_wins(a.size, b.size, length):
+    charge(min(extent, a.size * b.size), "sumset grid")
+    length = 1 << (extent - 1).bit_length()
+    if 4 * extent <= 3 * length:
+        length = 3 * length // 4
+    if length <= current_cap() and _fft_wins(a.size, b.size, length):
         return np.flatnonzero(_fft_counts(a, b, length) > 0.5) + (a[0] + b[0])
     return _outer_sums(a, b)
 
@@ -124,7 +130,7 @@ def index_sumset(a: DyadicTree, b: DyadicTree, level: int) -> tuple[DyadicTree, 
     """Sum the level-`level` occupancies; result spans a.span + b.span."""
     if not 0 <= level <= min(a.max_depth, b.max_depth):
         raise ValueError(f"level {level} exceeds a tree depth")
-    sums = _sum_indices(a.array(level), b.array(level), a.capacity(level) + b.capacity(level))
+    sums = _sum_indices(a.array(level), b.array(level))
     tree = DyadicTree.from_leaves(level, a.span + b.span, sums)
     report = SumsetReport(level, sums.size, (sums.size / 2.0, 2.0 * sums.size))
     return tree, report
@@ -138,22 +144,20 @@ def iterated_sumset(a: DyadicTree, k: int, level: int) -> DyadicTree:
         raise ValueError(f"fold count k={k} must be >= 1")
     if not 0 <= level <= a.max_depth:
         raise ValueError(f"level {level} exceeds tree depth {a.max_depth}")
-    cap = k * a.capacity(level)
-    charge(cap, "iterated sumset grid")
     idx = part = a.array(level)
     for bit in bin(k)[3:]:
-        part = _sum_indices(part, part, cap)
+        part = _sum_indices(part, part)
         if bit == "1":
-            part = _sum_indices(part, idx, cap)
+            part = _sum_indices(part, idx)
     return DyadicTree.from_leaves(level, a.span * k, part)
 
 
-def _differences(idx: np.ndarray, cap: int) -> tuple[np.ndarray, int]:
+def _differences(idx: np.ndarray) -> tuple[np.ndarray, int]:
     """Every difference i - j of the sorted indices, shifted by offset =
     max - min so the most negative lands at 0, and the offset."""
     offset = int(idx[-1] - idx[0])
     shifted = idx - idx[0]
-    return _sum_indices(shifted, offset - shifted[::-1], 2 * cap), offset
+    return _sum_indices(shifted, offset - shifted[::-1]), offset
 
 
 def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
@@ -166,7 +170,7 @@ def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
     idx = a.array(level)
     if idx.size == 0:
         return DyadicTree.from_leaves(level, 2 * a.span, []), 0
-    sums, offset = _differences(idx, a.capacity(level))
+    sums, offset = _differences(idx)
     return DyadicTree.from_leaves(level, 2 * a.span, sums), offset
 
 
@@ -329,9 +333,9 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
     return GridSetD._trusted(d, depth, span, np.stack([g.ravel() for g in grids], axis=1))
 
 
-def _nonneg_differences(idx: np.ndarray, cap: int) -> np.ndarray:
+def _nonneg_differences(idx: np.ndarray) -> np.ndarray:
     """The differences |i - j| >= 0 of sorted distinct indices."""
-    sums, offset = _differences(idx, cap)
+    sums, offset = _differences(idx)
     return sums[sums >= offset] - offset
 
 
@@ -343,7 +347,7 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     cells = f.array()
     axes = [_dedupe_sorted(np.sort(cells[:, i])) for i in range(f.dimension)]
     if math.prod(a.size for a in axes) == len(cells):
-        diffs = [_nonneg_differences(a, f.span << f.depth) for a in axes]
+        diffs = [_nonneg_differences(a) for a in axes]
         charge(math.prod(d.size for d in diffs), "distance vectors")
         # every combination occurs; a broadcast view holds no memory
         return diffs, np.broadcast_to(np.True_, tuple(d.size for d in diffs)), True
@@ -352,9 +356,11 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     cells = cells - cells.min(axis=0)
     extents = [int(e) for e in cells.max(axis=0) + 1]
     radices = [math.prod(2 * e - 1 for e in extents[:i]) for i in range(f.dimension)]
-    code_cap = 1 + sum((e - 1) * r for e, r in zip(extents, radices))
+    if sum((e - 1) * r for e, r in zip(extents, radices)) >= 1 << 63:
+        raise ValueError(f"codes of a grid of extents {extents} do not fit int64")
+    charge(math.prod(extents), "distance vectors")
     codes = np.sort(cells @ np.asarray(radices, dtype=np.int64))
-    rest = _nonneg_differences(codes, code_cap)
+    rest = _nonneg_differences(codes)
     seen = np.zeros(extents, dtype=bool)
     digits = []
     for e in extents:

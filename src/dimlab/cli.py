@@ -44,10 +44,20 @@ from .arithmetic import (
     SumsetReport,
 )
 from .dimension import assouad_estimate, box_estimate, growth_experiment, lower_estimate
-from .io import _is_int, atomic_write_text, dumps_json
+from .io import _check_keys, _is_int, atomic_write_text, dumps_json
 from .verify import run_suite
 
 _MEASURES = {"counting": counting_measure, "splitting": splitting_measure}
+# the fields of each config analysis besides "kind"
+_ANALYSIS_FIELDS = {
+    "box": ("window",),
+    "assouad": ("m",),
+    "lower": ("m",),
+    "growth": ("k_max",),
+    "profile": ("eps", "measure", "m", "n"),
+    "covering-check": ("eps", "measure", "m"),
+}
+_CONFIG_KEYS = ("name", "depth", "budget_cells", "generators", "pipeline", "analyses", "out")
 
 
 def _emit_error(code: str, message: str) -> None:
@@ -73,13 +83,15 @@ def _budget(args) -> int:
     return DEFAULT_CELLS
 
 
-def _kv(tokens: list[str], what: str) -> dict[str, str]:
+def _kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict[str, str]:
+    """The key=value tokens of a generator flag, whose keys must be in `keys`."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise SpecValidationError(f"{what}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         out[key] = val
+    _check_keys(out, keys, what)
     return out
 
 
@@ -114,7 +126,7 @@ def _spec_from_args(args):
         )
     kind = chosen[0]
     if kind == "ifs":
-        kv = _kv(args.ifs, "--ifs")
+        kv = _kv(args.ifs, "--ifs", ("r", "t", "span"))
         if "r" not in kv or "t" not in kv:
             raise SpecValidationError("--ifs needs r=... and t=...")
         spec = {"type": "ifs", "r": kv["r"],
@@ -123,7 +135,7 @@ def _spec_from_args(args):
             spec["span"] = int(kv["span"])
         return spec_from_json(spec)
     if kind == "moran":
-        kv = _kv(args.moran, "--moran")
+        kv = _kv(args.moran, "--moran", ("k", "lengths"))
         if "k" not in kv or "lengths" not in kv:
             raise SpecValidationError("--moran needs k=... and lengths=...")
         lengths = kv["lengths"]
@@ -133,7 +145,7 @@ def _spec_from_args(args):
     if kind == "reciprocal":
         return spec_from_json({"type": "reciprocal"})
     if kind == "semigroup":
-        kv = _kv(args.semigroup, "--semigroup")
+        kv = _kv(args.semigroup, "--semigroup", ("gens", "bound"))
         if "gens" not in kv or "bound" not in kv:
             raise SpecValidationError("--semigroup needs gens=... and bound=...")
         gens = [g for g in kv["gens"].split(",") if g]
@@ -249,6 +261,9 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
     half = max(1, depth // 2)
     for req in reqs:
         kind = _json_type(req, dict, f"{label}: analysis").get("kind")
+        if not isinstance(kind, str) or kind not in _ANALYSIS_FIELDS:
+            raise SpecValidationError(f"{label}: unknown analysis kind {kind!r}")
+        _check_keys(req, ("kind", *_ANALYSIS_FIELDS[kind]), f"{label}: {kind} analysis")
         if kind == "box":
             window = req.get("window", [half, depth])
             if not (isinstance(window, (list, tuple)) and len(window) == 2
@@ -290,8 +305,6 @@ def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[di
                 results.append({"kind": "covering-check", "set": label, **rep.to_json()})
                 if not rep.ok:
                     status = 1
-        else:
-            raise SpecValidationError(f"{label}: unknown analysis kind {kind!r}")
     return results, csv_rows, status
 
 
@@ -340,6 +353,7 @@ def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
         op = _json_type(stage, dict, f"config {name}: pipeline stage").get("op")
         if op not in ("sum", "iterate", "difference", "product", "distance"):
             raise SpecValidationError(f"config {name}: unknown pipeline op {op!r}")
+        _check_keys(stage, ("op", "k") if op == "iterate" else ("op",), f"config {name}: {op} stage")
         if (op == "distance") == isinstance(current, DyadicTree):
             need = "a product grid" if op == "distance" else "a 1-d tree"
             raise SpecValidationError(f"config {name}: {op} needs {need}")
@@ -365,6 +379,7 @@ def _run_config(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = _json_type(json.load(fh), dict, "config")
     name = cfg.get("name", "experiment")
+    _check_keys(cfg, _CONFIG_KEYS, f"config {name}")
     depth = args.depth if args.depth is not None else cfg.get("depth")
     if not _is_int(depth) or depth < 1:
         raise SpecValidationError(f"config {name}: depth must be a positive integer")
@@ -372,6 +387,7 @@ def _run_config(args) -> int:
     if budget is not None and not _is_int(budget):
         raise SpecValidationError(f"config {name}: budget_cells must be an integer")
     out = _json_type(cfg.get("out", {}), dict, f"config {name}: out")
+    _check_keys(out, ("tree", "json", "csv"), f"config {name}: out")
     for key in ("tree", "json", "csv"):
         if out.get(key) is not None and not isinstance(out[key], str):
             raise SpecValidationError(f"config {name}: out {key} must be a path string")

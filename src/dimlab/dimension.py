@@ -16,10 +16,10 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import DyadicTree
+from .dyadic import DyadicTree, _check_grid
 from .arithmetic import GridSetD, index_sumset
 from .budget import charge
-from .generators import build_tree, spec_span
+from .generators import build_tree
 
 GridLike = Union[DyadicTree, GridSetD]
 
@@ -182,10 +182,9 @@ def growth_experiment(gen_spec, k_max: int, depth: int) -> GrowthTable:
     """
     if k_max < 2:
         raise ValueError(f"k_max={k_max} must be >= 2")
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
-    charge(spec_span(gen_spec) * k_max << depth, "growth experiment")
+    charge(k_max, "growth rows")
     base = build_tree(gen_spec, depth)
+    _check_grid(depth, k_max * base.span)
     m = max(1, depth // 2)
     window = (m, depth)
     rows = []

@@ -96,6 +96,17 @@ def _require_integers(values: Iterable, what: str) -> None:
         raise ValueError(f"{what} must be integers, got {sorted(t.__name__ for t in kinds)}")
 
 
+def _check_grid(depth: int, span: int) -> None:
+    """Refuse a negative depth, a span below 1, or a grid whose cell indices
+    overflow int64: the rule for grids in memory and in files alike."""
+    if depth < 0:
+        raise ValueError(f"negative depth {depth}")
+    if span < 1:
+        raise ValueError(f"span must be a positive integer, got {span}")
+    if int(span).bit_length() + depth > 63:
+        raise ValueError(f"depth={depth} span={span} is not a grid of under 2^63 cells")
+
+
 def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
     """The leaves as a sorted int64 copy, checked to be integer indices of
     the level-max_depth grid.  A sequence is type-checked element by
@@ -159,6 +170,7 @@ class DyadicTree:
     __slots__ = ("max_depth", "span", "_arrays", "_views", "_levels")
 
     def __init__(self, max_depth: int, span: int, levels: Iterable[Iterable[int]]):
+        _check_grid(max_depth, span)
         self._set(max_depth, span, [_level_array(level) for level in levels])
 
     @classmethod
@@ -170,6 +182,7 @@ class DyadicTree:
         level-max_depth grid.  The caller's array is neither reordered nor
         frozen.
         """
+        _check_grid(max_depth, span)
         arr = _sorted_leaves(leaves, max_depth, span)
         stack = [_dedupe_sorted(arr)]
         for _ in range(max_depth):
@@ -181,10 +194,6 @@ class DyadicTree:
 
     def _set(self, max_depth: int, span: int, arrays: list[np.ndarray]) -> None:
         """Take arrays[n] as level n; each array is owned by the tree and frozen."""
-        if max_depth < 0:
-            raise ValueError(f"negative max_depth {max_depth}")
-        if span < 1:
-            raise ValueError(f"span must be a positive integer, got {span}")
         if len(arrays) != max_depth + 1:
             raise ValueError(f"expected {max_depth + 1} levels, got {len(arrays)}")
         for a in arrays:
@@ -468,9 +477,10 @@ def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[in
         values = {key: int(fields[key]) for key in keys}
     except (KeyError, ValueError) as exc:
         raise FormatError(f"bad header fields: {_clip(repr(lines[0]))}") from exc
-    depth, span = values["depth"], values["span"]
-    if depth < 0 or span < 1 or span.bit_length() + depth > 63:
-        raise FormatError(f"depth={depth} span={span} is not a grid of under 2^63 cells")
+    try:
+        _check_grid(values["depth"], values["span"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
     return [values[key] for key in keys]
 
 

@@ -26,10 +26,12 @@ from typing import Sequence
 import numpy as np
 
 from .arithmetic import _sum_indices
-from .dyadic import DyadicTree, Vertex, _dedupe_sorted, _expand_runs, cell_of, descendant_range
+from .dyadic import (
+    DyadicTree, Vertex, _check_grid, _dedupe_sorted, _expand_runs, cell_of, descendant_range
+)
 from .budget import charge
 from .errors import HypothesisError, SpecValidationError
-from .io import _is_int
+from .io import _check_keys, _is_int
 
 _SEP_TOL = 1e-9
 _DUP_TOL = 1e-12
@@ -110,13 +112,16 @@ def iterated_ifs(spec: IfsSpec, k: int) -> IfsSpec:
 
 def _interval_cells(lo: np.ndarray, hi: np.ndarray, depth: int, span: int) -> np.ndarray:
     """The cells meeting each closed interval [lo[i], hi[i]] of [0, span],
-    in interval order, each endpoint placed as cell_of places it."""
+    in interval order, each endpoint placed as cell_of places it.  The
+    cells are charged before they are expanded."""
     ends = np.column_stack((lo, hi)).ravel()
     outside = ~((ends >= 0) & (ends <= span))
     if outside.any():
         raise ValueError(f"x={float(ends[outside.argmax()])!r} outside [0, {span}]")
     cells = np.minimum((ends * float(1 << depth)).astype(np.int64), (span << depth) - 1)
-    return _expand_runs(cells[::2], cells[1::2] - cells[::2] + 1)
+    lengths = cells[1::2] - cells[::2] + 1
+    charge(int(lengths.sum()), "interval cells")
+    return _expand_runs(cells[::2], lengths)
 
 
 def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
@@ -129,8 +134,7 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
     interval where its left end passes the maximum before it, which is
     exactly where a merge walking the pieces one by one closes one.
     """
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
+    _check_grid(depth, spec.span)
     lo, hi = spec.hull()
     a, b = np.array([lo]), np.array([hi])
     ts = np.array(spec.translations)
@@ -224,8 +228,7 @@ def moran_tree(spec: MoranSpec, depth: int) -> DyadicTree:
     """Discretize the Moran set to the given depth (span 1).  Each
     generation is one broadcast: the lefts p + i * step, i < k, of every
     parent left p, in parent order, as a loop over the parents forms them."""
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
+    _check_grid(depth, 1)
     lefts = np.zeros(1)
     g = 0
     length = 1.0
@@ -293,12 +296,27 @@ def extract_moran_subset(tree: DyadicTree, s: float, eps: float, m: int) -> Dyad
 def reciprocal_tree(depth: int) -> DyadicTree:
     """Cells meeting {1/k : 1 <= k <= 2^depth} plus the cell of the
     accumulation point 0.  One integer array pass, so placement is exact."""
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
+    _check_grid(depth, 1)
     size = 1 << depth
     charge(size, "reciprocal tree")
     leaves = np.minimum(size // np.arange(1, size + 1), size - 1)
     return DyadicTree.from_leaves(depth, 1, np.append(leaves, 0))
+
+
+def _sums_below(state: np.ndarray, gcells: np.ndarray, size: int) -> list[np.ndarray]:
+    """The sums s + g below size of the sorted state and generator cells,
+    whose least element state[0] is also the least generator cell.  The
+    generators go in bands [lo, 2 lo + state[0]], each summed with the
+    states below size - lo, so every sum's extent stays within the grid."""
+    parts = []
+    i = 0
+    while i < gcells.size:
+        lo = int(gcells[i])
+        j = int(np.searchsorted(gcells, 2 * lo + int(state[0]), "right"))
+        sums = _sum_indices(state[: np.searchsorted(state, size - lo)], gcells[i:j])
+        parts.append(sums[: np.searchsorted(sums, size)])
+        i = j
+    return parts
 
 
 def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> DyadicTree:
@@ -310,8 +328,7 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
     """
     if bound < 1 or bound & (bound - 1):
         raise SpecValidationError(f"bound {bound} must be a positive power of two")
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
+    _check_grid(depth, bound)
     gens = sorted(set(float(g) for g in generators))
     if not gens:
         raise SpecValidationError("at least one generator required")
@@ -323,8 +340,7 @@ def semigroup_tree(generators: Sequence[float], bound: int, depth: int) -> Dyadi
     state = gcells = np.array(sorted({cell_of(g, depth, bound) for g in gens}), dtype=np.int64)
     converged = False
     for _ in range(64):
-        sums = _sum_indices(state, gcells, size)
-        nxt = _dedupe_sorted(np.sort(np.concatenate((state, sums[: np.searchsorted(sums, size)]))))
+        nxt = _dedupe_sorted(np.sort(np.concatenate((state, *_sums_below(state, gcells, size)))))
         if nxt.size == state.size:
             converged = True
             break
@@ -354,11 +370,22 @@ class SemigroupSpec:
 
 GeneratorSpec = IfsSpec | MoranSpec | ReciprocalSpec | SemigroupSpec
 
+# the fields of each JSON spec type besides "type"
+_SPEC_FIELDS = {
+    "ifs": ("r", "translations", "span"),
+    "moran": ("k", "lengths"),
+    "reciprocal": (),
+    "semigroup": ("generators", "bound"),
+}
+
 
 def spec_from_json(data: dict) -> GeneratorSpec:
     if not isinstance(data, dict) or "type" not in data:
         raise SpecValidationError(f"generator spec must be an object with a 'type': {data!r}")
     kind = data["type"]
+    if not isinstance(kind, str) or kind not in _SPEC_FIELDS:
+        raise SpecValidationError(f"unknown generator type {kind!r}")
+    _check_keys(data, ("type", *_SPEC_FIELDS[kind]), f"{kind} spec")
     try:
         if kind == "ifs":
             return IfsSpec(
@@ -373,14 +400,12 @@ def spec_from_json(data: dict) -> GeneratorSpec:
             return MoranSpec(_spec_int(data["k"], "k", kind), lengths)
         if kind == "reciprocal":
             return ReciprocalSpec()
-        if kind == "semigroup":
-            return SemigroupSpec(
-                tuple(_as_float(g) for g in data["generators"]),
-                _spec_int(data["bound"], "bound", kind),
-            )
+        return SemigroupSpec(
+            tuple(_as_float(g) for g in data["generators"]),
+            _spec_int(data["bound"], "bound", kind),
+        )
     except KeyError as exc:
         raise SpecValidationError(f"missing field {exc} in {kind!r} spec") from exc
-    raise SpecValidationError(f"unknown generator type {kind!r}")
 
 
 def spec_to_json(spec: GeneratorSpec) -> dict:
@@ -401,22 +426,10 @@ def spec_to_json(spec: GeneratorSpec) -> dict:
     raise SpecValidationError(f"not a generator spec: {spec!r}")
 
 
-def spec_span(spec) -> int:
-    """The span of the grid a generator spec (object or JSON dict) builds on."""
-    if isinstance(spec, dict):
-        spec = spec_from_json(spec)
-    if isinstance(spec, SemigroupSpec):
-        return spec.bound
-    return getattr(spec, "span", 1)
-
-
 def build_tree(spec, depth: int) -> DyadicTree:
     """Dispatch a generator spec (object or JSON dict) to its builder."""
     if isinstance(spec, dict):
         spec = spec_from_json(spec)
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
-    charge(spec_span(spec) << depth, "generated tree")
     if isinstance(spec, IfsSpec):
         return ifs_attractor(spec, depth)
     if isinstance(spec, MoranSpec):

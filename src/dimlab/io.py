@@ -1,10 +1,12 @@
-"""Small I/O helpers: atomic writes, deterministic JSON, JSON integers."""
+"""Small I/O helpers: atomic writes, deterministic JSON, JSON integers and keys."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
+
+from .errors import SpecValidationError
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -33,3 +35,10 @@ def dumps_json(obj) -> str:
 def _is_int(value) -> bool:
     """A JSON integer: bool is an int subclass, so `true` would pass as 1."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_keys(data: dict, allowed, what: str) -> None:
+    """Refuse a key of `data` outside `allowed`, naming the first one."""
+    unknown = [key for key in data if key not in allowed]
+    if unknown:
+        raise SpecValidationError(f"{what} has unknown key {unknown[0]!r}")

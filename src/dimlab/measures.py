@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, covering_count, descendant_range, subtree
+from .dyadic import DyadicTree, Vertex, _clip, covering_count, descendant_range, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -410,11 +410,11 @@ def loads_measure(text: str) -> TreeMeasure:
             continue
         parts = ln.split()
         if len(parts) != 4:
-            raise FormatError(f"bad mass line: {ln!r}")
+            raise FormatError(f"bad mass line: {_clip(repr(ln))}")
         try:
             key, mass = (int(parts[1]), int(parts[2])), float(parts[3])
         except ValueError as exc:
-            raise FormatError(f"bad mass line: {ln!r}") from exc
+            raise FormatError(f"bad mass line: {_clip(repr(ln))}") from exc
         if key in given:
             raise FormatError(f"duplicate mass for cell {key}")
         given[key] = mass

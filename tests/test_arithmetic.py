@@ -64,10 +64,13 @@ def grids(draw):
 
 
 @st.composite
-def product_grids(draw):
-    d, depth, span = draw(grid_shapes)
+def product_grids(draw, least=1):
+    """A product of d sorted axes of least..6 values each.  least = 2 draws
+    d >= 2 and depth >= 1, so that every axis has room for two values."""
+    shapes = grid_shapes if least == 1 else st.tuples(st.integers(2, 3), st.integers(1, 6), st.integers(1, 3))
+    d, depth, span = draw(shapes)
     coord = st.integers(0, (span << depth) - 1)
-    axes = [sorted(draw(st.sets(coord, min_size=1, max_size=6))) for _ in range(d)]
+    axes = [sorted(draw(st.sets(coord, min_size=least, max_size=6))) for _ in range(d)]
     cells = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     return GridSetD(d, depth, span, tuple(map(tuple, cells.tolist())))
 
@@ -126,7 +129,7 @@ class TestIndexSumset:
         # the route the cost rule picks must equal the pairwise set merge
         a = np.fromiter(sorted(x), dtype=np.int64)
         b = np.fromiter(sorted(y), dtype=np.int64)
-        assert np.array_equal(_sum_indices(a, b, 128), sum_indices_oracle(a, b))
+        assert np.array_equal(_sum_indices(a, b), sum_indices_oracle(a, b))
 
     @pytest.mark.parametrize(
         "r, translations, depth",
@@ -150,9 +153,44 @@ class TestIndexSumset:
         assert out.levels[24] == tuple(want.tolist())
 
     def test_bit_budget(self):
+        # charged |A|·|B| = 4 sums, fewer than the extent of 7
         a = tree_of(4, [0, 3])
-        with limit(16), pytest.raises(ResourceLimitError):
+        with limit(3), pytest.raises(ResourceLimitError, match="sumset grid needs 4 cells"):
             index_sumset(a, a, 4)
+        with limit(4):
+            assert index_sumset(a, a, 4)[0].array(4).tolist() == [0, 3, 6]
+
+    @pytest.mark.parametrize("depth", [28, 30])
+    def test_deep_random_operands_at_the_default_budget(self, depth):
+        # 1,000 cells each on a grid past the budget: charged the at most
+        # 10^6 sums they can have, not the grid
+        rng = np.random.default_rng(depth)
+        a, b = (tree_of(depth, rng.choice(1 << depth, 1000, replace=False)) for _ in range(2))
+        idx = a.array(depth)
+        got, _ = index_sumset(a, b, depth)
+        assert np.array_equal(got.array(depth), sum_indices_oracle(idx, b.array(depth)))
+        diff, offset = difference_set(a, depth)
+        assert np.array_equal(diff.array(depth), sum_indices_oracle(idx, -idx) + offset)
+
+    def test_sums_past_int64_are_refused_before_any_work(self):
+        # under a budget of 0, any charge would raise ResourceLimitError first
+        big = np.array([1 << 62])
+        with limit(0), pytest.raises(ValueError, match="sums up to 9223372036854775808 do not fit int64"):
+            _sum_indices(big, big)
+        # 2^61 copies of the cell 15 would wrap around at the 60th doubling
+        with pytest.raises(ValueError, match="do not fit int64"):
+            iterated_sumset(tree_of(4, [15]), 2**61, 4)
+
+    def test_sum_grids_past_int64_are_refused(self):
+        # the sums fit, but no tree file could hold their grid
+        a = tree_of(60, [0], span=7)
+        too_wide = "is not a grid of under 2\\^63 cells"
+        with pytest.raises(ValueError, match=too_wide):
+            index_sumset(a, a, 60)
+        with pytest.raises(ValueError, match=too_wide):
+            difference_set(a, 60)
+        with pytest.raises(ValueError, match=too_wide):
+            iterated_sumset(tree_of(4, [0]), 2**61, 4)
 
 
 @functools.cache
@@ -236,8 +274,8 @@ class TestSumRoutes:
         want = sum_indices_oracle(a, b)
         assert np.array_equal(fft_sums(a, b), want)
         assert np.array_equal(arith._outer_sums(a, b), want)
-        assert np.array_equal(_sum_indices(a, b, 4096), want)
-        assert np.array_equal(_sum_indices(a, a, 4096), sum_indices_oracle(a, a))
+        assert np.array_equal(_sum_indices(a, b), want)
+        assert np.array_equal(_sum_indices(a, a), sum_indices_oracle(a, a))
 
     def test_cost_rule(self):
         # few pairs on a wide grid: outer sums; many on a narrow one: FFT
@@ -295,8 +333,8 @@ class TestSumRoutes:
         assert peak < cells * 8 // 2
 
     def test_sums_run_at_exactly_their_grid_budget(self):
-        # span 3: the least power of two covering the sums overshoots the
-        # 6 * 2^10-cell grid, and a block of 2^18 pairs would too
+        # span 3: a power-of-two transform would overshoot the 6 * 2^10-cell
+        # grid, and a block of 2^18 pairs would too
         rng = np.random.default_rng(5)
         dense = tree_of(10, rng.choice(3 << 10, 1800, replace=False), span=3)
         sparse = tree_of(10, [1, 500, 3000], span=3)
@@ -538,7 +576,7 @@ class TestDistanceSet:
             distance_set(GridSetD(2, 3, 1, ()))
 
     def test_pair_budget(self):
-        # a product grid is charged its 2 * 2^depth axis difference grids
+        # refused by its 2 * 2^depth-cell distance bitmap; the axis sums are charged 13
         f = GridSetD(1, 3, 1, ((0,), (2,), (4,), (6,)))
         with limit(16):
             distance_set(f)
@@ -546,14 +584,26 @@ class TestDistanceSet:
             distance_set(f)
 
     def test_non_product_budget(self):
-        # the L-shape is charged its code grid, the corners only their axes
+        # the L-shape is charged its 64 x 64 grid of vectors, the corners only their axes
         with limit(10_000):
             distance_set(self.CORNERS)
-        with pytest.raises(ResourceLimitError), limit(10_000):
+        with pytest.raises(ResourceLimitError, match="distance vectors needs 4096 cells"), limit(4095):
             distance_set(self.L_SHAPE)
+        with limit(4096):
+            assert distance_set(self.L_SHAPE) == distance_set_oracle(self.L_SHAPE)
+
+    def test_codes_past_int64_are_refused_before_any_work(self):
+        n = (1 << 61) - 1
+        f = GridSetD(2, 61, 1, [(0, 0), (0, n), (n, 0)])
+        with limit(0), pytest.raises(ValueError, match="codes of a grid of extents .* do not fit int64"):
+            distance_set(f)
+        # codes up to 3 * 2^61 - 2 fit, their differences do not
+        g = GridSetD(2, 61, 1, [(0, 0), (0, n), (1, 0)])
+        with limit(1 << 62), pytest.raises(ValueError, match="sums up to .* do not fit int64"):
+            distance_set(g)
 
     def test_vector_count_is_charged(self):
-        # each axis grid needs 32 cells, the 16 x 16 difference vectors 256
+        # each axis has at most 31 differences, the 16 x 16 difference vectors 256
         f = grid_product([tree_of(4, range(16))] * 2)
         with limit(256):
             distance_set(f)
@@ -591,12 +641,10 @@ class TestDistanceSet:
         assert _difference_vectors(f)[2]
         assert distance_set(f) == distance_set_oracle(f)
 
-    @given(f=product_grids())
+    @given(f=product_grids(least=2))
     def test_non_products_match_oracle(self, f):
         # dropping a corner of a product with two or more values per axis
         # keeps every projection, so the rest is not a product
-        assume(f.dimension > 1)
-        assume(all(len({c[i] for c in f.cells}) > 1 for i in range(f.dimension)))
         g = GridSetD(f.dimension, f.depth, f.span, f.cells[1:])
         assert not _difference_vectors(g)[2]
         assert distance_set(g) == distance_set_oracle(g)

@@ -80,6 +80,21 @@ class TestGen:
         assert code == 2
         assert err_code(err) == "SPEC_INVALID"
 
+    @pytest.mark.parametrize(
+        "flag, tokens",
+        [
+            ("--ifs", ["r=1/3", "t=0,2/3", "spn=2"]),
+            ("--moran", ["k=2", "lengths=4^-j", "span=1"]),
+            ("--semigroup", ["gens=1", "bound=8", "bnd=4"]),
+        ],
+    )
+    def test_unknown_flag_key_is_invalid(self, capsys, flag, tokens):
+        # the key was ignored: spn=2 built a span-1 tree
+        code, out, err = run(capsys, ["gen", flag, *tokens, "--depth", "3"])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+        key = tokens[-1].split("=")[0]
+        assert json.loads(err.splitlines()[-1])["message"] == f"{flag} has unknown key {key!r}"
+
     def test_budget_flag(self, capsys):
         code, _, err = run(
             capsys, ["--budget-cells", "100", "gen", "--reciprocal", "--depth", "12"]
@@ -516,6 +531,31 @@ class TestConfigPipeline:
         assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
         message = json.loads(err.splitlines()[-1])["message"]
         assert message.endswith(problem)
+
+    @pytest.mark.parametrize(
+        "cfg, problem",
+        [
+            ({**RECIPROCAL, "budget": 5}, "config experiment has unknown key 'budget'"),
+            ({**RECIPROCAL, "out": {"jsn": "x.json"}}, "config experiment: out has unknown key 'jsn'"),
+            ({**RECIPROCAL, "pipeline": [{"op": "iterate", "kk": 3}]},
+             "config experiment: iterate stage has unknown key 'kk'"),
+            ({**RECIPROCAL, "pipeline": [{"op": "difference", "k": 3}]},
+             "config experiment: difference stage has unknown key 'k'"),
+            ({**RECIPROCAL, "analyses": [{"kind": "box", "windw": [2, 4]}]},
+             "experiment: box analysis has unknown key 'windw'"),
+            ({"depth": 4, "generators": [{"type": "ifs", "r": "1/3", "translations": [0, "2/3"], "spn": 2}]},
+             "ifs spec has unknown key 'spn'"),
+        ],
+        ids=["config", "out", "stage", "stage-k-off-iterate", "analysis", "generator"],
+    )
+    def test_unknown_key_is_invalid(self, capsys, tmp_path, cfg, problem):
+        # each key was ignored: the run went on with its default
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+        assert json.loads(err.splitlines()[-1])["message"] == problem
+        assert list(tmp_path.iterdir()) == [path]
 
     @pytest.mark.parametrize("key", ["tree", "json", "csv"])
     def test_non_string_out_path_is_invalid(self, capsys, tmp_path, key):

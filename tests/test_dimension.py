@@ -1,6 +1,7 @@
 """Box / local branching estimators and the sumset growth experiment."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,8 @@ from dimlab import (
     moran_tree,
     reciprocal_tree,
 )
+import dimlab.dimension as dimension
+from dimlab.budget import limit
 from dimlab.verify import LOG2_3
 
 
@@ -259,8 +262,24 @@ class TestGrowthExperiment:
             growth_experiment(MoranSpec(2, "4^-j"), 1, 8)
 
     def test_work_budget(self):
-        with pytest.raises(ResourceLimitError):
-            growth_experiment(MoranSpec(1, "2^-j"), 4, 27)
+        # each fold is charged its own sums: 2A of the 32 depth-10 cells has
+        # at most 32 x 32 = 1,024
+        with limit(1023), pytest.raises(ResourceLimitError, match="sumset grid needs 1024 cells"):
+            growth_experiment(MoranSpec(2, "4^-j"), 3, 10)
+        # kA of one point is one point, charged one cell, not a 4 x 2^27 grid
+        table = growth_experiment(MoranSpec(1, "2^-j"), 4, 27)
+        assert [row.assouad.value for row in table.rows] == [0.0] * 4
+
+    def test_fold_count_is_bounded_before_any_fold(self):
+        # one row per fold is charged, so a huge k_max on one point is refused
+        # at once; within the budget, the last fold's grid must fit int64
+        point = MoranSpec(1, "2^-j")
+        with mock.patch.object(dimension, "index_sumset") as fold:
+            with pytest.raises(ResourceLimitError, match="growth rows needs 1000000000 cells"):
+                growth_experiment(point, 10**9, 27)
+            with pytest.raises(ValueError, match=r"is not a grid of under 2\^63 cells"):
+                growth_experiment(point, 1 << 20, 50)
+        assert not fold.called
 
     def test_negative_depth(self):
         with pytest.raises(ValueError, match="negative depth -1"):

@@ -93,6 +93,15 @@ class TestTreeConstruction:
         with pytest.raises(ValueError):
             DyadicTree.from_leaves(2, 1, [4])
 
+    def test_grid_must_index_in_int64(self):
+        # the rule tree files follow: span * 2^depth < 2^63
+        assert DyadicTree.from_leaves(60, 7, [0]).capacity(60) < 2**63
+        for build in (DyadicTree.from_leaves, lambda d, s, leaves: DyadicTree(d, s, [leaves] * (d + 1))):
+            with pytest.raises(ValueError, match=r"^depth=61 span=4 is not a grid of under 2\^63 cells$"):
+                build(61, 4, [0])
+            with pytest.raises(ValueError, match="negative depth -1"):
+                build(-1, 1, [0])
+
     @pytest.mark.parametrize(
         "leaves",
         [[1.7, 2.2], [True, True], ["5"], np.array([1.0, 2.0]), np.array([1, 2], dtype=object),
@@ -297,6 +306,17 @@ class TestSerialization:
     def test_bad_header(self):
         with pytest.raises(FormatError):
             loads_tree("nonsense v9\n0: 0\n")
+
+    @pytest.mark.parametrize("header, message", [
+        ("depth=-1 span=1", "negative depth -1"),
+        ("depth=2 span=0", "span must be a positive integer, got 0"),
+        ("depth=61 span=4", r"depth=61 span=4 is not a grid of under 2\^63 cells"),
+    ])
+    def test_header_follows_the_in_memory_grid_rule(self, header, message):
+        with pytest.raises(ValueError, match=message):
+            DyadicTree(*(int(tok.split("=")[1]) for tok in header.split()), [[0]])
+        with pytest.raises(FormatError, match=message):
+            loads_tree(f"dyadic-tree v1 {header}\n0: 0\n")
 
     def test_orphan_rejected_on_load(self):
         with pytest.raises(FormatError):

@@ -4,12 +4,14 @@ import math
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+import dimlab.arithmetic as arith
 from conftest import (
     assert_same_tree,
     cantor_cells_exact,
@@ -427,6 +429,67 @@ class TestArrayGenerators:
         assert peak < cells * 8 // 2
 
 
+class TestGridGuards:
+    """A generator's grid must index in int64, as a loaded file's must;
+    within that, nothing charges a grid that no generator allocates."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ifs_attractor(IfsSpec(1 / 1024, (0.0, 1023 / 1024)), 70),
+            lambda: ifs_attractor(IfsSpec(1 / 1024, (0.0, 1023 / 1024)), 63),
+            lambda: ifs_attractor(IfsSpec(1 / 2, (0.0, 1.0), span=2), 62),
+            lambda: moran_tree(MoranSpec(2, "4^-j"), 63),
+            lambda: reciprocal_tree(63),
+            lambda: semigroup_tree([1.0], 2, 62),
+            lambda: build_tree({"type": "reciprocal"}, 64),
+        ],
+        ids=["ifs-70", "ifs-63", "ifs-span2-62", "moran-63", "reciprocal-63", "semigroup-2-62", "build-64"],
+    )
+    def test_grid_past_int64_is_refused_before_any_work(self, build):
+        # under a budget of 0, any charged round would raise ResourceLimitError first
+        with limit(0), pytest.raises(ValueError, match=r"is not a grid of under 2\^63 cells"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build, cells",
+        [
+            (lambda: ifs_attractor(IfsSpec(1 / 2, (0.0, 1 / 2)), 30), 1 << 30),
+            (lambda: moran_tree(MoranSpec(1, (0.5,)), 40), (1 << 39) + 1),
+        ],
+        ids=["ifs-interval-30", "moran-interval-40"],
+    )
+    def test_dense_interval_union_is_charged_before_it_is_expanded(self, build, cells):
+        # one merged interval of `cells` cells, refused at the default budget
+        # before any of its cells is formed
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimitError, match=f"interval cells needs {cells} cells"):
+                build()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_interval_cells_run_at_exactly_their_budget(self):
+        spec = IfsSpec(1 / 2, (0.0, 1 / 2))
+        with limit(4095), pytest.raises(ResourceLimitError, match="interval cells needs 4096 cells"):
+            ifs_attractor(spec, 12)
+        with limit(4096):
+            assert ifs_attractor(spec, 12).array(12).tolist() == list(range(4096))
+
+    def test_deepest_int64_grid_is_built(self):
+        spec = IfsSpec(1 / 1024, (0.0, 1023 / 1024))
+        assert_same_tree(ifs_attractor(spec, 62), ifs_attractor_oracle(spec, 62))
+
+    def test_deep_small_dimension_set_at_the_default_budget(self):
+        # 15,378 leaves of a 2^30-cell grid
+        spec = {"type": "ifs", "r": "1/5", "translations": ["0", "4/5"]}
+        tree = build_tree(spec, 30)
+        assert tree.count(30) == 15_378
+        assert_same_tree(tree, ifs_attractor_oracle(spec_from_json(spec), 30))
+
+
 class TestSemigroup:
     def test_integer_generator_coarse(self):
         assert semigroup_tree([1.0], 8, 0).levels[0] == tuple(range(1, 8))
@@ -474,6 +537,27 @@ class TestSemigroup:
             tree = semigroup_tree([0.3, 0.7], 1, 12)
         want, _ = semigroup_oracle(sorted({cell_of(g, 12, 1) for g in (0.3, 0.7)}), 1 << 12)
         assert np.array_equal(tree.array(12), want)
+
+    def test_sums_stay_in_the_grid(self):
+        # generators from 1 to 3.5 with bound 8: all their sums at once would
+        # span 4,353 cells, more than the 4,096-cell grid the budget allows
+        gens = [1 + k / 64 for k in range(64)] + [3.5]
+        with limit(8 << 9):
+            tree = semigroup_tree(gens, 8, 9)
+        want, converged = semigroup_oracle(sorted({cell_of(g, 9, 8) for g in gens}), 8 << 9)
+        assert converged
+        assert np.array_equal(tree.array(9), want)
+
+    def test_transform_route_matches_shift_or_oracle(self):
+        # 20 generators in [1, 2): once the state grows, the cost rule picks the FFT
+        gens = [1 + k / 20 for k in range(20)]
+        gcells = sorted({cell_of(g, 7, 32) for g in gens})
+        with mock.patch.object(arith, "_fft_counts", wraps=arith._fft_counts) as fft:
+            tree = semigroup_tree(gens, 32, 7)
+        assert fft.called
+        want, converged = semigroup_oracle(gcells, 32 << 7)
+        assert converged
+        assert np.array_equal(tree.array(7), want)
 
     def test_block_counts_grow(self):
         # cells per value block [2^j, 2^(j+1)) increase as sums mix
@@ -537,6 +621,21 @@ class TestSpecJson:
     def test_not_an_object(self):
         with pytest.raises(SpecValidationError):
             spec_from_json(["ifs"])
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            {"type": "ifs", "r": 0.5, "translations": [0, 0.5], "spn": 2},
+            {"type": "moran", "k": 2, "lengths": "4^-j", "span": 1},
+            {"type": "reciprocal", "depth": 3},
+            {"type": "semigroup", "generators": [1], "bound": 8, "gens": [2]},
+        ],
+        ids=["ifs", "moran", "reciprocal", "semigroup"],
+    )
+    def test_unknown_key(self, data):
+        key = list(data)[-1]
+        with pytest.raises(SpecValidationError, match=f"^{data['type']} spec has unknown key '{key}'$"):
+            spec_from_json(data)
 
     @pytest.mark.parametrize(
         "data",

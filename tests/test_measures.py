@@ -294,6 +294,15 @@ class TestSerialization:
         with pytest.raises(FormatError):
             loads_measure(f"dyadic-tree v1 depth=0 span=1\n0: 0\n{mass}\n")
 
+    @pytest.mark.parametrize("tail", ["", " 1"], ids=["bad-mass", "five-fields"])
+    def test_long_mass_line_is_clipped(self, cantor3_split, tail):
+        line = "mass 1 0 " + "x" * 100_000 + tail
+        with pytest.raises(FormatError) as err:
+            loads_measure(dumps_measure(cantor3_split) + line + "\n")
+        assert str(err.value).startswith("bad mass line: 'mass 1 0 xxx")
+        assert f"({len(line) + 2} characters)" in str(err.value)
+        assert len(str(err.value)) < 200
+
     def test_incomplete_masses_rejected(self, cantor3_split):
         text = dumps_measure(cantor3_split)
         trimmed = "\n".join(ln for ln in text.splitlines() if not ln.startswith("mass 3 5")) + "\n"
