@@ -28,7 +28,11 @@ import numpy as np
 
 from .dyadic import (
     DyadicTree,
+    _check_grid,
     _clip,
+    _KERNEL_MIN_CHARS,
+    _decimal_lines,
+    _decimal_tokens,
     _dedupe_sorted,
     _ints,
     _read_header,
@@ -40,6 +44,7 @@ from .errors import FormatError, ResourceLimitError
 _MAX_GRID_CELLS = 1_000_000
 _BLOCK_VECTORS = 4_000_000
 _BLOCK_PAIRS = 1 << 18
+_ROW_BLOCK = 1 << 16  # grid file lines parsed or formatted at once
 _PAIR_COST = 5  # one outer-sum pair ~ 5 units of L·log2 L, timed on 2^4..2^21 grids
 _FFT_CALL = 40_000  # per FFT call, in those units; tiny sums never load numpy.fft (0.4 MB)
 _ROUNDING = 64 * 2.0**-53  # c·u of the FFT rounding bound, u = 2^-53
@@ -207,6 +212,18 @@ def _distinct_rows(a: np.ndarray, return_counts: bool = False):
     return rows, np.diff(np.append(np.flatnonzero(first), len(s)))
 
 
+def _increasing_rows(a: np.ndarray) -> bool:
+    """Whether the rows of an (N, d) array strictly increase in
+    lexicographic order, by one comparison of adjacent rows per column."""
+    later, earlier = a[1:], a[:-1]
+    ahead = np.zeros(len(later), dtype=bool)
+    tied = np.ones(len(later), dtype=bool)
+    for i in range(a.shape[1]):
+        ahead |= tied & (later[:, i] > earlier[:, i])
+        tied &= later[:, i] == earlier[:, i]
+    return bool(ahead.all())
+
+
 class GridSetD:
     """A finite set of occupied level-`depth` grid cells in d dimensions,
     d in {1, 2, 3}, over [0, span)^d.  Immutable after construction.
@@ -216,7 +233,8 @@ class GridSetD:
     a sorted tuple of tuples, built on first use.  The constructor takes
     the cells in any order, with repeats, as integer tuples or an integer
     array; floats, booleans, strings and cells outside the grid raise
-    ValueError.
+    ValueError, as do a depth and span that dyadic._check_grid refuses, so
+    every grid built is one that loads_grid reads back.
     """
 
     __slots__ = ("dimension", "depth", "span", "_array", "_cells")
@@ -224,8 +242,7 @@ class GridSetD:
     def __init__(self, dimension: int, depth: int, span: int, cells):
         if dimension not in (1, 2, 3):
             raise ValueError(f"dimension {dimension} not in {{1, 2, 3}}")
-        if depth < 0 or span < 1:
-            raise ValueError("depth must be >= 0 and span >= 1")
+        _check_grid(depth, span)
         arr = _cell_array(cells, dimension, span << depth)
         self._set(dimension, depth, span, _distinct_rows(arr))
 
@@ -422,17 +439,67 @@ def annulus_cells(
 
 
 def dumps_grid(f: GridSetD) -> str:
+    """The grid-set v1 text of f, formatted in numpy in blocks of
+    _ROW_BLOCK rows."""
     cells = f.array()
-    row = " ".join(["%d"] * f.dimension) + "\n"
-    header = f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n"
-    return header + (row * len(cells)) % tuple(cells.ravel().tolist())
+    parts = [f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n"]
+    for start in range(0, len(cells), _ROW_BLOCK):
+        parts.append(_decimal_lines(cells[start : start + _ROW_BLOCK]))
+    return "".join(parts)
 
 
 def loads_grid(text: str) -> GridSetD:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse grid-set v1 text.
+
+    The decimal kernel reads the body in blocks of up to _ROW_BLOCK lines
+    when the text is ASCII and at least _KERNEL_MIN_CHARS long, opens with
+    its header as a single line, and has a body of only digits, spaces and
+    newlines, with d numbers of at most 18 digits on every line that is not
+    blank, all inside the grid.  Rows in strictly increasing order, as
+    dumps_grid writes them, are kept as they are; others are sorted and
+    deduplicated.  Any other text goes to the token parser, which alone
+    names what is wrong, so a bad file gets the same FormatError on either
+    path."""
+    grid = _kernel_grid(text) if len(text) >= _KERNEL_MIN_CHARS and text.isascii() else None
+    return _token_grid(text) if grid is None else grid
+
+
+def _grid_header(lines: list[str]) -> tuple[int, int, int]:
     d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
+    return d, depth, span
+
+
+def _kernel_grid(text: str) -> GridSetD | None:
+    """The grid of an ASCII text by the decimal kernel, or None where only
+    the token parser may read it: a first line that is blank or is not a
+    single line, or a body the kernel refuses."""
+    end = text.find("\n")
+    header = text if end < 0 else text[:end]
+    if not header.strip() or header.splitlines() != [header]:
+        return None
+    d, depth, span = _grid_header([header])
+    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(header) + 1 :]
+    many = text.count("\n") > _ROW_BLOCK
+    cuts = np.flatnonzero(body == 10)[_ROW_BLOCK - 1 :: _ROW_BLOCK] + 1 if many else []
+    values = []
+    for block in np.split(body, cuts):
+        got = _decimal_tokens(block, " ")
+        if got is None or not ((got[1] == 0) | (got[1] == d)).all():
+            return None
+        values.append(got[0])
+    rows = np.concatenate(values).reshape(-1, d)
+    if rows.size and rows.max() >= span << depth:
+        return None
+    return GridSetD._trusted(d, depth, span, rows if _increasing_rows(rows) else _distinct_rows(rows))
+
+
+def _token_grid(text: str) -> GridSetD:
+    """The grid of any text by splitting it into Python tokens; it names the
+    first thing wrong with a bad one."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    d, depth, span = _grid_header(lines)
     rows = [ln.split() for ln in lines[1:]]
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d:

@@ -97,8 +97,10 @@ def _require_integers(values: Iterable, what: str) -> None:
 
 
 def _check_grid(depth: int, span: int) -> None:
-    """Refuse a negative depth, a span below 1, or a grid whose cell indices
-    overflow int64: the rule for grids in memory and in files alike."""
+    """Refuse a depth or span that is not an integer (booleans and integral
+    floats included), a negative depth, a span below 1, or a grid whose cell
+    indices overflow int64: the rule for grids in memory and in files alike."""
+    _require_integers((depth, span), "depth and span")
     if depth < 0:
         raise ValueError(f"negative depth {depth}")
     if span < 1:
@@ -407,11 +409,25 @@ def _encode_level(a: np.ndarray) -> str:
 
 def _decode_level(body: str, cap: int) -> np.ndarray:
     """Parse one level of a grid of `cap` cells.  RUNS payloads are checked
-    against `cap` and charged to the budget before they are expanded."""
+    against `cap` and charged to the budget before they are expanded.
+
+    The decimal kernel reads a comma list, or a RUNS payload of numbers
+    separated by spaces, whose bytes are all ASCII digits and separators
+    and whose numbers have at most 18 digits; one vectorized test checks its
+    runs.  Every other body, and every bad one, goes to the token parser,
+    which alone names what is wrong, so a bad body gets the same FormatError
+    on either path."""
     body = body.strip()
     if not body:
         return np.empty(0, dtype=np.int64)
     if body.startswith("RUNS"):
+        got = None if body[4:5].isdigit() else _decimals(body[4:], " ")
+        # the lengths, each at most cap, then sum inside int64
+        if got is not None and got[0].size % 2 == 0 and got[0].size * cap < 1 << 64:
+            starts, lengths = got[0][::2], got[0][1::2]
+            if ((lengths >= 1) & (starts + lengths <= cap)).all():
+                charge(int(lengths.sum()), "RUNS payload")
+                return _expand_runs(starts, lengths)
         parts = _ints(body.split()[1:])
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
@@ -421,6 +437,10 @@ def _decode_level(body: str, cap: int) -> np.ndarray:
                 raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
         charge(sum(lengths), "RUNS payload")
         return _expand_runs(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    got = _decimals(body, ",")
+    # one line, and one number between each pair of commas
+    if got is not None and got[1].size == 1 and got[0].size == body.count(",") + 1:
+        return got[0]
     return _level_array(_ints(body.split(",")))
 
 
@@ -436,6 +456,70 @@ def _clip(text: str, limit: int = 80) -> str:
     """text, cut after `limit` characters when longer, so that an error
     message quoting its input stays short."""
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
+
+
+_POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to 10^18 < 2^63
+_MAX_DIGITS = 18  # so every number the kernel reads fits int64
+_KERNEL_MIN_CHARS = 2048  # below this, the kernel's fixed cost exceeds the token parser's
+
+
+def _decimal_tokens(buf: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The unsigned decimal numbers in a block of ASCII bytes (a uint8
+    array) as int64 values in order, and how many of them each of its
+    newline-separated lines holds.
+
+    It returns None unless every byte is a digit, `sep` or a newline and
+    every number has at most 18 digits.  Each digit is weighted by the power
+    of ten of its place: pass k adds 10^k times each digit to the byte k
+    places on, where both lie in one number, so the last digit of each
+    number ends up holding its value.  It takes as many passes as the
+    longest number has digits, each a few elementwise operations on the
+    block; on grid files that costs about half of np.add.reduceat over the
+    digits.  A caller hands text that the kernel refuses to a token parser,
+    which names what is wrong."""
+    digit = buf - np.uint8(48)  # wraps below "0", so digits are exactly those < 10
+    is_digit = digit < 10
+    newline = buf == 10
+    if not (is_digit | newline | (buf == ord(sep))).all():
+        return None
+    value = digit.astype(np.int64)
+    run = is_digit.copy()  # at pass k: bytes whose k bytes before are digits too
+    for k in range(1, _MAX_DIGITS + 1):
+        run[k - 1 : k] = False
+        run[k:] &= is_digit[:-k]
+        if not run.any():
+            break
+        if k == _MAX_DIGITS:
+            return None
+        value[k:] += digit[:-k] * run[k:] * _POW10[k]
+    last = is_digit.copy()
+    last[:-1] &= ~is_digit[1:]
+    events = (last | newline).nonzero()[0]  # the last digit of each number, and the newlines
+    at_break = newline[events]
+    bounds = np.concatenate(([-1], at_break.nonzero()[0], [events.size]))
+    return value[events[~at_break]], bounds[1:] - bounds[:-1] - 1
+
+
+def _decimals(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """_decimal_tokens of a string, or None when it is short or not ASCII."""
+    if len(text) < _KERNEL_MIN_CHARS or not text.isascii():
+        return None
+    return _decimal_tokens(np.frombuffer(text.encode("ascii"), dtype=np.uint8), sep)
+
+
+def _decimal_lines(rows: np.ndarray) -> str:
+    """The rows of a 2-d array of nonnegative int64 values as text, one line
+    per row, its numbers separated by single spaces: the text "%d" writes,
+    placed digit by digit in numpy, so no Python int is made."""
+    values = rows.ravel()
+    widths = np.maximum(np.searchsorted(_POW10, values, side="right"), 1)
+    ends = np.cumsum(widths + 1) - 2  # where each number's last digit goes; a separator follows
+    out = np.full(ends[-1] + 2 if ends.size else 0, ord(" "), dtype=np.uint8)
+    out[ends[rows.shape[1] - 1 :: rows.shape[1]] + 1] = ord("\n")
+    for k in range(widths.max(initial=0)):
+        live = widths > k
+        out[ends[live] - k] = values[live] // _POW10[k] % 10 + ord("0")
+    return out.tobytes().decode("ascii")
 
 
 def _ints(tokens: list[str]) -> list[int]:

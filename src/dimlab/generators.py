@@ -62,7 +62,7 @@ class IfsSpec:
     def __post_init__(self):
         if not 0.0 < self.r < 1.0:
             raise SpecValidationError(f"contraction ratio r={self.r} outside (0, 1)")
-        if self.span < 1 or int(self.span) != self.span:
+        if isinstance(self.span, bool) or not isinstance(self.span, (int, np.integer)) or self.span < 1:
             raise SpecValidationError(f"span must be a positive integer, got {self.span}")
         ts = tuple(sorted(float(t) for t in self.translations))
         if not ts:

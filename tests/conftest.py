@@ -1,14 +1,17 @@
 """Shared fixtures and exact-arithmetic oracles for the test suite."""
 
 import math
+from contextlib import contextmanager
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dimlab import DyadicTree, FormatError
-from dimlab.dyadic import cell_of
+from dimlab import DyadicTree, FormatError, GridSetD
+from dimlab.budget import charge
+from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -196,26 +199,68 @@ def encode_level_oracle(level) -> str:
     return ",".join(str(j) for j in level)
 
 
-def decode_level_oracle(body: str, cap: int) -> tuple[int, ...]:
-    """One level body of a grid of `cap` cells as a tuple, RUNS expanded by
-    range() run after run: the independent check of the array decoder in
-    `loads_tree`.  Runs outside the grid raise the decoder's FormatError."""
+def decode_level_oracle(body: str, cap: int) -> np.ndarray:
+    """One level body of a grid of `cap` cells by the token parser that
+    `_decode_level` falls back to, kept verbatim: Python tokens, a run-by-run
+    range check, and the budget charge before the expansion.  The parity
+    check of the decimal kernel, FormatError texts included."""
     body = body.strip()
     if not body:
-        return ()
+        return np.empty(0, dtype=np.int64)
     if body.startswith("RUNS"):
-        parts = [int(tok) for tok in body.split()[1:]]
+        parts = _ints(body.split()[1:])
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
-        runs = list(zip(parts[::2], parts[1::2]))
-        for start, length in runs:
+        starts, lengths = parts[::2], parts[1::2]
+        for start, length in zip(starts, lengths):
             if length < 1 or start < 0 or start + length > cap:
                 raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
-        out: list[int] = []
-        for start, length in runs:
-            out.extend(range(start, start + length))
-        return tuple(out)
-    return tuple(int(tok) for tok in body.split(","))
+        charge(sum(lengths), "RUNS payload")
+        return _expand_runs(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
+    return _level_array(_ints(body.split(",")))
+
+
+def loads_grid_oracle(text: str) -> GridSetD:
+    """A grid-set v1 text by the token parser that `loads_grid` falls back
+    to, kept verbatim: every line split into Python tokens at once.  The
+    parity check of the decimal kernel, FormatError texts included."""
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
+    if d not in (1, 2, 3):
+        raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
+    rows = [ln.split() for ln in lines[1:]]
+    for ln, parts in zip(lines[1:], rows):
+        if len(parts) != d:
+            raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
+    try:
+        flat = np.array([tok for parts in rows for tok in parts], dtype=np.int64)
+    except (ValueError, OverflowError):
+        # name the culprit: a non-integer token, or an integer beyond int64
+        for parts in rows:
+            cell = tuple(_ints(parts))
+            if any(not 0 <= c < span << depth for c in cell):
+                raise FormatError(f"cell {_clip(str(cell))} outside the {span << depth}^d grid") from None
+        raise
+    try:
+        return GridSetD(d, depth, span, flat.reshape(len(rows), d))
+    except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+@contextmanager
+def kernel_for_every_size():
+    """Let the decimal kernel read texts of any length: below
+    _KERNEL_MIN_CHARS the parsers otherwise take the token path."""
+    with mock.patch("dimlab.dyadic._KERNEL_MIN_CHARS", 0), mock.patch("dimlab.arithmetic._KERNEL_MIN_CHARS", 0):
+        yield
+
+
+def parse_outcome(parse, *args):
+    """("ok", result) or (exception type, message): what a parser did."""
+    try:
+        return "ok", parse(*args)
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared, not handled
+        return type(exc), str(exc)
 
 
 def ifs_attractor_oracle(spec, depth: int) -> DyadicTree:

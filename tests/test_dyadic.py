@@ -23,7 +23,14 @@ from dimlab import (
     validate,
 )
 from dimlab.budget import limit
-from conftest import bitmask_of, decode_level_oracle, encode_level_oracle, from_leaves_oracle, random_tree
+from conftest import (
+    bitmask_of,
+    decode_level_oracle,
+    encode_level_oracle,
+    from_leaves_oracle,
+    kernel_for_every_size,
+    random_tree,
+)
 
 leaf_sets = st.builds(
     lambda depth, idx: (depth, sorted(set(idx))),
@@ -101,6 +108,13 @@ class TestTreeConstruction:
                 build(61, 4, [0])
             with pytest.raises(ValueError, match="negative depth -1"):
                 build(-1, 1, [0])
+
+    @pytest.mark.parametrize("depth, span", [(3, True), (3, 2.0), (2.0, 1), (False, 1), (3, "2")])
+    def test_grid_refuses_non_integer_depth_or_span(self, depth, span):
+        # a bool span used to be written as span=True, which loads_tree refuses
+        for build in (DyadicTree.from_leaves, lambda d, s, leaves: DyadicTree(d, s, [leaves] * 4)):
+            with pytest.raises(ValueError, match="^depth and span must be integers"):
+                build(depth, span, [1])
 
     @pytest.mark.parametrize(
         "leaves",
@@ -485,20 +499,21 @@ class TestTreeCodecOracle:
         lines[n + 1] = f"{n}: {body}"
         text = "\n".join(lines) + "\n"
         try:
-            levels = [decode_level_oracle(ln.partition(":")[2], span << k)
+            levels = [tuple(decode_level_oracle(ln.partition(":")[2], span << k).tolist())
                       for k, ln in enumerate(lines[1:])]
         except FormatError as exc:
-            with pytest.raises(FormatError) as err:
+            with pytest.raises(FormatError) as err, kernel_for_every_size():
                 loads_tree(text)
             assert str(err.value) == str(exc)
             return
         problems = validate(DyadicTree(depth, span, levels))
         if not problems:
-            back = loads_tree(text)
+            with kernel_for_every_size():
+                back = loads_tree(text)
             assert back.levels == tuple(levels)
             assert dumps_tree(back) == dumps_tree(DyadicTree(depth, span, levels))
             return
-        with pytest.raises(FormatError) as err:
+        with pytest.raises(FormatError) as err, kernel_for_every_size():
             loads_tree(text)
         assert str(err.value) == "invalid tree: " + "; ".join(problems[:5])
 

@@ -67,6 +67,12 @@ class TestIfsSpec:
             IfsSpec(0.5, (-0.1,))
         IfsSpec(0.5, (0.0, 1.0), span=2)
 
+    @pytest.mark.parametrize("span", [2.0, True, 1.5, 0])
+    def test_span_must_be_a_positive_integer(self, span):
+        # a float span of 2.0 used to pass here and fail in ifs_attractor
+        with pytest.raises(SpecValidationError, match="span must be a positive integer"):
+            IfsSpec(0.5, (0.0, 0.5), span=span)
+
     def test_duplicates_rejected(self):
         with pytest.raises(SpecValidationError):
             IfsSpec(1 / 3, (0.0, 0.0))

@@ -113,6 +113,19 @@ def test_local_estimates_match_oracle(args):
         )
 
 
+@pytest.mark.parametrize("depth, span, message", [
+    (70, 1, r"^depth=70 span=1 is not a grid of under 2\^63 cells$"),
+    (3, True, "^depth and span must be integers"),
+    (3, 2.0, "^depth and span must be integers"),
+    (-1, 1, "^negative depth -1$"),
+    (3, 0, "^span must be a positive integer, got 0$"),
+])
+def test_constructor_builds_only_grids_files_can_hold(depth, span, message):
+    # the first two used to build grids whose dumps loads_grid refuses
+    with pytest.raises(ValueError, match=message):
+        GridSetD(1, depth, span, [[0]])
+
+
 def test_level_queries_reject_levels_outside_the_grid():
     g = GridSetD(2, 3, 1, [(1, 2), (5, 6)])
     for bad in (lambda: g.count(4), lambda: g.count(-1), lambda: g.descendant_counts(0, 4),
