@@ -83,15 +83,17 @@ def _budget(args) -> int:
     return DEFAULT_CELLS
 
 
-def _kv(tokens: list[str], what: str, keys: tuple[str, ...]) -> dict[str, str]:
-    """The key=value tokens of a generator flag, whose keys must be in `keys`."""
+def _kv(tokens: list[str], what: str, required: tuple[str, str], optional=()) -> dict[str, str]:
+    """A generator flag's key=value tokens: both `required` keys, any `optional` ones."""
     out = {}
     for tok in tokens:
         if "=" not in tok:
             raise SpecValidationError(f"{what}: expected key=value, got {tok!r}")
         key, val = tok.split("=", 1)
         out[key] = val
-    _check_keys(out, keys, what)
+    _check_keys(out, (*required, *optional), what)
+    if not all(key in out for key in required):
+        raise SpecValidationError(f"{what} needs {required[0]}=... and {required[1]}=...")
     return out
 
 
@@ -126,9 +128,7 @@ def _spec_from_args(args):
         )
     kind = chosen[0]
     if kind == "ifs":
-        kv = _kv(args.ifs, "--ifs", ("r", "t", "span"))
-        if "r" not in kv or "t" not in kv:
-            raise SpecValidationError("--ifs needs r=... and t=...")
+        kv = _kv(args.ifs, "--ifs", ("r", "t"), ("span",))
         spec = {"type": "ifs", "r": kv["r"],
                 "translations": [t for t in kv["t"].split(",") if t]}
         if "span" in kv:
@@ -136,8 +136,6 @@ def _spec_from_args(args):
         return spec_from_json(spec)
     if kind == "moran":
         kv = _kv(args.moran, "--moran", ("k", "lengths"))
-        if "k" not in kv or "lengths" not in kv:
-            raise SpecValidationError("--moran needs k=... and lengths=...")
         lengths = kv["lengths"]
         if "," in lengths:
             lengths = [x for x in lengths.split(",") if x]
@@ -146,8 +144,6 @@ def _spec_from_args(args):
         return spec_from_json({"type": "reciprocal"})
     if kind == "semigroup":
         kv = _kv(args.semigroup, "--semigroup", ("gens", "bound"))
-        if "gens" not in kv or "bound" not in kv:
-            raise SpecValidationError("--semigroup needs gens=... and bound=...")
         gens = [g for g in kv["gens"].split(",") if g]
         return spec_from_json({"type": "semigroup", "generators": gens, "bound": int(kv["bound"])})
     with open(args.spec, "r", encoding="utf-8") as fh:
@@ -167,11 +163,12 @@ def cmd_gen(args) -> int:
 # -- sum / diff / dist ---------------------------------------------------
 
 
-def _report_json(report: SumsetReport, extra: dict | None = None) -> str:
-    body = report.to_json()
-    if extra:
-        body.update(extra)
-    return dumps_json(body)
+def _level(args, depth: int) -> int:
+    """--level, else `depth`; a level past an input's depth is refused later."""
+    level = depth if args.level is None else args.level
+    if level < 0:
+        raise SpecValidationError(f"level {level} outside 0..{depth}")
+    return level
 
 
 def cmd_sum(args) -> int:
@@ -180,32 +177,27 @@ def cmd_sum(args) -> int:
     if len(args.inputs) == 2 and args.k != 1:
         raise SpecValidationError("--k applies to a single input only")
     trees = [load_tree(p) for p in args.inputs]
-    level = args.level if args.level is not None else min(t.max_depth for t in trees)
+    level = _level(args, min(t.max_depth for t in trees))
     for t in trees:
         if level > t.max_depth:
             raise SpecValidationError(f"level {level} exceeds input depth {t.max_depth}")
-    if any(t.is_empty() for t in trees):
-        _emit_error("EMPTY_INPUT", "an input tree is empty; output is empty")
-        out = DyadicTree.from_leaves(level, sum(t.span for t in trees) * max(1, args.k), [])
-        _write_text(args.out, dumps_tree(out))
-        if args.report:
-            _write_text(args.report, _report_json(SumsetReport(level, 0, (0.0, 0.0))))
-        return 0
     if len(trees) == 2:
         out, report = index_sumset(trees[0], trees[1], level)
     else:
         out = iterated_sumset(trees[0], args.k, level)
         count = out.count(level)
         report = SumsetReport(level, count, (count / 2.0, 2.0 * count))
+    if any(t.is_empty() for t in trees):
+        _emit_error("EMPTY_INPUT", "an input tree is empty; output is empty")
     _write_text(args.out, dumps_tree(out))
     if args.report:
-        _write_text(args.report, _report_json(report, {"k": args.k, "inputs": len(trees)}))
+        _write_text(args.report, dumps_json({**report.to_json(), "k": args.k, "inputs": len(trees)}))
     return 0
 
 
 def cmd_diff(args) -> int:
     tree = load_tree(args.input)
-    level = args.level if args.level is not None else tree.max_depth
+    level = _level(args, tree.max_depth)
     out, offset = difference_set(tree, level)
     _write_text(args.out, dumps_tree(out))
     if args.report:
@@ -222,19 +214,15 @@ def cmd_dist(args) -> int:
 # -- analyze -------------------------------------------------------------
 
 
-def _parse_pair(text: str, what: str) -> tuple[int, int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise SpecValidationError(f"{what} expects two comma-separated integers, got {text!r}")
-    return int(parts[0]), int(parts[1])
-
-
 def _flag_analyses(args) -> list[dict]:
     """The --box/--assouad/--lower/--profile/--covering-check flags in the
     config `analyses` form, in the order their results are emitted."""
-    reqs = [{"kind": "box", "window": list(_parse_pair(spec, "--box"))} for spec in args.box or []]
-    reqs += [{"kind": "assouad", "m": m} for m in args.assouad or []]
-    reqs += [{"kind": "lower", "m": m} for m in args.lower or []]
+    reqs = []
+    for spec in args.box or []:
+        if spec.count(",") != 1:
+            raise SpecValidationError(f"--box expects two comma-separated integers, got {spec!r}")
+        reqs.append({"kind": "box", "window": [int(n) for n in spec.split(",")]})
+    reqs += [{"kind": kind, "m": m} for kind in ("assouad", "lower") for m in getattr(args, kind) or []]
     for kind, specs in (("profile", args.profile), ("covering-check", args.covering_check)):
         for spec in specs or []:
             parts = [p for p in spec.split(",") if p]
@@ -249,80 +237,90 @@ def _flag_analyses(args) -> list[dict]:
     return reqs
 
 
-def _run_analyses(obj, reqs: list[dict], label: str, base_spec) -> tuple[list[dict], list[str], int]:
-    """Run config-form analysis requests on a tree or grid set.  Returns the
+def _analysis(req, label: str, depth: int, is_tree: bool) -> dict:
+    """A config-form analysis request, checked, with every default filled in;
+    m defaults to default_window(eps) for a profile or covering check."""
+    kind = _json_type(req, dict, f"{label}: analysis").get("kind")
+    if not isinstance(kind, str) or kind not in _ANALYSIS_FIELDS:
+        raise SpecValidationError(f"{label}: unknown analysis kind {kind!r}")
+    _check_keys(req, ("kind", *_ANALYSIS_FIELDS[kind]), f"{label}: {kind} analysis")
+    half = max(1, depth // 2)
+    full = {"window": [half, depth], "m": half, "k_max": 3, "measure": "counting",
+            "eps": 0.1, "n": None, **req}
+    if kind in ("profile", "covering-check"):
+        if not is_tree:
+            raise SpecValidationError(f"{label}: {kind} needs a 1-d tree")
+        if not isinstance(full["measure"], str) or full["measure"] not in _MEASURES:
+            raise SpecValidationError(f"{label}: unknown measure {full['measure']!r}")
+        if not isinstance(full["eps"], (int, float)) or isinstance(full["eps"], bool):
+            raise SpecValidationError(f"{label}: {kind} eps must be a number")
+        full["eps"] = float(full["eps"])
+        full["m"] = req.get("m", default_window(full["eps"]))
+    if kind == "box" and not (isinstance(full["window"], list) and len(full["window"]) == 2
+                              and all(map(_is_int, full["window"]))):
+        raise SpecValidationError(f"{label}: box window must be two integers")
+    for key in ("m", "k_max", "n"):
+        if key in _ANALYSIS_FIELDS[kind] and not (_is_int(full[key]) or key == "n" and full[key] is None):
+            raise SpecValidationError(f"{label}: {kind} {key} must be an integer")
+    return full
+
+
+def _run_analyses(obj, reqs: list[dict], label: str, depth: int,
+                  base_spec) -> tuple[list[dict], list[str], int]:
+    """Run checked analysis requests on a tree or grid set.  Returns the
     result rows, the per-scale CSV lines and the exit status (1 when a
     covering check fails).  `growth` runs on `base_spec`, not on obj."""
-    depth = obj.max_depth if isinstance(obj, DyadicTree) else obj.depth
     results: list[dict] = []
     csv_rows = ["scale,log2_count"]
-    measures: dict = {}
+    measure_of = functools.cache(lambda name: _MEASURES[name](obj))
     status = 0
-    half = max(1, depth // 2)
     for req in reqs:
-        kind = _json_type(req, dict, f"{label}: analysis").get("kind")
-        if not isinstance(kind, str) or kind not in _ANALYSIS_FIELDS:
-            raise SpecValidationError(f"{label}: unknown analysis kind {kind!r}")
-        _check_keys(req, ("kind", *_ANALYSIS_FIELDS[kind]), f"{label}: {kind} analysis")
+        kind = req["kind"]
         if kind == "box":
-            window = req.get("window", [half, depth])
-            if not (isinstance(window, (list, tuple)) and len(window) == 2
-                    and all(_is_int(n) for n in window)):
-                raise SpecValidationError(f"{label}: box window must be two integers")
-            n_min, n_max = window
-            for variant in ("upper", "lower"):
-                est = box_estimate(obj, n_min, n_max, variant)
-                results.append(est.to_json(label))
-                if variant == "upper":
-                    for n, logc in est.per_scale:
-                        csv_rows.append(f"{n},{logc:.6f}")
-        elif kind == "assouad":
-            results.append(assouad_estimate(obj, _int_field(req, "m", half, label)).to_json(label))
-        elif kind == "lower":
-            results.append(lower_estimate(obj, _int_field(req, "m", half, label)).to_json(label))
+            upper, lower = (box_estimate(obj, *req["window"], v) for v in ("upper", "lower"))
+            results += [upper.to_json(label), lower.to_json(label)]
+            csv_rows += [f"{n},{logc:.6f}" for n, logc in upper.per_scale]
+        elif kind in ("assouad", "lower"):
+            estimate = assouad_estimate if kind == "assouad" else lower_estimate
+            results.append(estimate(obj, req["m"]).to_json(label))
         elif kind == "growth":
-            table = growth_experiment(base_spec, _int_field(req, "k_max", 3, label), depth)
+            table = growth_experiment(base_spec, req["k_max"], depth)
             results.append({"kind": "growth", "set": label, **table.to_json()})
-        elif kind in ("profile", "covering-check"):
-            if not isinstance(obj, DyadicTree):
-                raise SpecValidationError(f"{label}: {kind} needs a 1-d tree")
-            measure = req.get("measure", "counting")
-            if measure not in _MEASURES:
-                raise SpecValidationError(f"{label}: unknown measure {measure!r}")
-            if measure not in measures:
-                measures[measure] = _MEASURES[measure](obj)
-            eps = req.get("eps", 0.1)
-            if not isinstance(eps, (int, float)) or isinstance(eps, bool):
-                raise SpecValidationError(f"{label}: {kind} eps must be a number")
-            eps = float(eps)
-            m = _int_field(req, "m", default_window(eps), label)
+        else:
+            prof = scale_profile(measure_of(req["measure"]), req["eps"], req["m"], req["n"])
             if kind == "profile":
-                n = None if req.get("n") is None else _int_field(req, "n", None, label)
-                prof = scale_profile(measures[measure], eps, m, n)
                 results.append({"kind": "profile", "set": label, **prof.to_json()})
             else:
-                rep = covering_bounds_check(obj, scale_profile(measures[measure], eps, m), depth)
+                rep = covering_bounds_check(obj, prof, depth)
                 results.append({"kind": "covering-check", "set": label, **rep.to_json()})
-                if not rep.ok:
-                    status = 1
+                status |= not rep.ok
     return results, csv_rows, status
 
 
-def _write_outputs(payload: str, csv_rows: list[str], json_path, csv_path) -> None:
-    _write_text(json_path or "-", payload)
+def _write_outputs(envelope: dict, results: list[dict], csv_rows: list[str], json_path, csv_path) -> None:
+    _write_text(json_path or "-", dumps_json({**envelope, "results": results}))
     if csv_path:
         _write_text(csv_path, "\n".join(csv_rows) + "\n")
 
 
 def cmd_analyze(args) -> int:
+    flags = [args.input] if args.input else []
+    flags += [f"--{kind}" for kind in _ANALYSIS_FIELDS
+              if kind != "growth" and getattr(args, kind.replace("-", "_"))]
     if args.config:
+        if flags:
+            raise SpecValidationError(f"analyze --config takes no input file or analysis flag, got {flags}")
         return _run_config(args)
     if not args.input:
         raise SpecValidationError("analyze needs an input file or --config")
+    if args.depth is not None:
+        raise SpecValidationError("analyze --depth applies to --config only")
     obj = _load_any(args.input)
-    results, csv_rows, status = _run_analyses(obj, _flag_analyses(args), args.input, None)
-    payload = dumps_json({"input": args.input, "results": results})
-    _write_outputs(payload, csv_rows, args.json, args.csv)
+    is_tree = isinstance(obj, DyadicTree)
+    depth = obj.max_depth if is_tree else obj.depth
+    reqs = [_analysis(req, args.input, depth, is_tree) for req in _flag_analyses(args)]
+    results, csv_rows, status = _run_analyses(obj, reqs, args.input, depth, None)
+    _write_outputs({"input": args.input}, results, csv_rows, args.json, args.csv)
     return status
 
 
@@ -333,38 +331,36 @@ def _json_type(value, kind: type, what: str):
     return value
 
 
-def _int_field(req: dict, key: str, default: int | None, label: str) -> int:
-    """req[key], or default when absent, which must be a JSON integer."""
-    value = req.get(key, default)
-    if not _is_int(value):
-        raise SpecValidationError(f"{label}: {req.get('kind')} {key} must be an integer")
-    return value
-
-
-def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
-    """Build the config's generator trees and run its pipeline stages on the
-    first; `sum` and `product` combine the current stage with the others."""
-    gens = _json_type(cfg.get("generators") or [], list, f"config {name}: generators")
-    if not gens:
-        raise SpecValidationError(f"config {name}: no generators")
-    trees = [build_tree(g, depth) for g in gens]
-    current: DyadicTree | GridSetD = trees[0]
-    for stage in _json_type(cfg.get("pipeline", []), list, f"config {name}: pipeline"):
+def _stages(pipeline, name: str, n_generators: int) -> tuple[list[tuple[str, int]], bool]:
+    """The checked (op, k) stages, and whether the last one ends on a tree."""
+    stages, is_tree = [], True
+    for stage in _json_type(pipeline, list, f"config {name}: pipeline"):
         op = _json_type(stage, dict, f"config {name}: pipeline stage").get("op")
         if op not in ("sum", "iterate", "difference", "product", "distance"):
             raise SpecValidationError(f"config {name}: unknown pipeline op {op!r}")
         _check_keys(stage, ("op", "k") if op == "iterate" else ("op",), f"config {name}: {op} stage")
-        if (op == "distance") == isinstance(current, DyadicTree):
+        if (op == "distance") == is_tree:
             need = "a product grid" if op == "distance" else "a 1-d tree"
             raise SpecValidationError(f"config {name}: {op} needs {need}")
+        if op == "sum" and n_generators < 2:
+            raise SpecValidationError(f"config {name}: sum needs two generators")
+        k = stage.get("k", 2)
+        if not _is_int(k):
+            raise SpecValidationError(f"config {name}: iterate k must be an integer")
+        stages.append((op, k))
+        is_tree = op != "product"  # only product makes a grid, and only distance takes one
+    return stages, is_tree
+
+
+def _run_pipeline(specs: list, stages: list[tuple[str, int]], depth: int) -> DyadicTree | GridSetD:
+    """Build the generator trees and run the stages on the first; `sum` and
+    `product` combine the current stage with the other generators."""
+    trees = [build_tree(spec, depth) for spec in specs]
+    current: DyadicTree | GridSetD = trees[0]
+    for op, k in stages:
         if op == "sum":
-            if len(trees) < 2:
-                raise SpecValidationError(f"config {name}: sum needs two generators")
             current, _ = index_sumset(current, trees[1], depth)
         elif op == "iterate":
-            k = stage.get("k", 2)
-            if not _is_int(k):
-                raise SpecValidationError(f"config {name}: iterate k must be an integer")
             current = iterated_sumset(current, k, depth)
         elif op == "difference":
             current, _ = difference_set(current, depth)
@@ -376,6 +372,7 @@ def _run_pipeline(cfg: dict, name: str, depth: int) -> DyadicTree | GridSetD:
 
 
 def _run_config(args) -> int:
+    """Check the whole config, then run it."""
     with open(args.config, "r", encoding="utf-8") as fh:
         cfg = _json_type(json.load(fh), dict, "config")
     name = cfg.get("name", "experiment")
@@ -386,22 +383,26 @@ def _run_config(args) -> int:
     budget = cfg.get("budget_cells")
     if budget is not None and not _is_int(budget):
         raise SpecValidationError(f"config {name}: budget_cells must be an integer")
-    out = _json_type(cfg.get("out", {}), dict, f"config {name}: out")
+    out = {"tree": None, "json": None, "csv": None,
+           **_json_type(cfg.get("out", {}), dict, f"config {name}: out")}
     _check_keys(out, ("tree", "json", "csv"), f"config {name}: out")
     for key in ("tree", "json", "csv"):
-        if out.get(key) is not None and not isinstance(out[key], str):
+        if out[key] is not None and not isinstance(out[key], str):
             raise SpecValidationError(f"config {name}: out {key} must be a path string")
+    gens = _json_type(cfg.get("generators") or [], list, f"config {name}: generators")
+    if not gens:
+        raise SpecValidationError(f"config {name}: no generators")
+    specs = [spec_from_json(g) for g in gens]
+    stages, is_tree = _stages(cfg.get("pipeline", []), name, len(specs))
+    reqs = [_analysis(req, name, depth, is_tree)
+            for req in _json_type(cfg.get("analyses", []), list, f"config {name}: analyses")]
     with nullcontext() if budget is None else limit(budget):
-        current = _run_pipeline(cfg, name, depth)
-        results, csv_rows, status = _run_analyses(
-            current, _json_type(cfg.get("analyses", []), list, f"config {name}: analyses"),
-            name, cfg["generators"][0],
-        )
-    if out.get("tree"):
-        dump = dumps_tree if isinstance(current, DyadicTree) else dumps_grid
-        _write_text(out["tree"], dump(current))
-    payload = dumps_json({"name": name, "depth": depth, "results": results})
-    _write_outputs(payload, csv_rows, args.json or out.get("json"), args.csv or out.get("csv"))
+        current = _run_pipeline(specs, stages, depth)
+        results, csv_rows, status = _run_analyses(current, reqs, name, depth, specs[0])
+    if out["tree"]:
+        _write_text(out["tree"], (dumps_tree if is_tree else dumps_grid)(current))
+    _write_outputs({"name": name, "depth": depth}, results, csv_rows,
+                   args.json or out["json"], args.csv or out["csv"])
     return status
 
 
@@ -493,9 +494,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with limit(_budget(args)):
             return args.func(args)
-    except (SpecValidationError, FormatError) as exc:
-        _emit_error("SPEC_INVALID", str(exc))
-        return 2
     except ResourceLimitError as exc:
         _emit_error("RESOURCE_LIMIT", str(exc))
         return 3

@@ -44,6 +44,7 @@ class DyadicInterval:
     span: int = 1
 
     def __post_init__(self):
+        _require_integers((self.level, self.index, self.span), "level, index and span")
         if self.level < 0:
             raise ValueError(f"negative level {self.level}")
         if self.span < 1:
@@ -83,6 +84,7 @@ def locate(x: float, level: int, span: int = 1) -> DyadicInterval:
 
 def cell_of(x: float, level: int, span: int = 1) -> int:
     """Index of the cell containing x, clamping x = span into the last cell."""
+    _require_integers((level, span), "level and span")
     if not 0 <= x <= span:
         raise ValueError(f"x={x!r} outside [0, {span}]")
     return min(int(x * (1 << level)), (span << level) - 1)

@@ -194,6 +194,40 @@ class TestSumDiffDist:
         assert loads_tree(out).levels[3] == (0, 2, 4)
         assert json.loads(rep.read_text())["offset"] == 2
 
+    @pytest.mark.parametrize(
+        "argv, report",
+        [
+            (["e"], {"level": 3, "count_exact": 0, "bracket": [0.0, 0.0], "k": 1, "inputs": 1}),
+            (["e", "--k", "3"], {"level": 3, "count_exact": 0, "bracket": [0.0, 0.0], "k": 3, "inputs": 1}),
+            (["s", "e"], {"level": 3, "count_exact": 0, "bracket": [0.0, 0.0], "k": 1, "inputs": 2}),
+        ],
+        ids=["single", "iterated", "pair"],
+    )
+    def test_empty_input_report_has_every_field(self, capsys, small, tmp_path, argv, report):
+        # the report once lacked k and inputs for an empty input
+        empty = tmp_path / "empty.tree"
+        empty.write_text(dumps_tree(DyadicTree.from_leaves(3, 1, [])))
+        rep = tmp_path / "r.json"
+        paths = [str(empty) if a == "e" else str(small) if a == "s" else a for a in argv]
+        code, out, err = run(capsys, ["sum", *paths, "--report", str(rep)])
+        assert (code, err_code(err)) == (0, "EMPTY_INPUT")
+        assert loads_tree(out).is_empty()
+        assert json.loads(rep.read_text()) == report
+
+    def test_empty_input_fold_count_zero_is_invalid(self, capsys, tmp_path):
+        empty = tmp_path / "empty.tree"
+        empty.write_text(dumps_tree(DyadicTree.from_leaves(3, 1, [])))
+        code, out, err = run(capsys, ["sum", str(empty), "--k", "0"])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+
+    @pytest.mark.parametrize("argv", [["sum"], ["sum", "--k", "2"], ["diff"]])
+    def test_negative_level_is_outside_the_tree(self, capsys, small, argv):
+        code, _, err = run(capsys, [*argv, str(small), "--level", "-1"])
+        assert code == 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "code": "SPEC_INVALID", "message": "level -1 outside 0..3",
+        }
+
     def test_dist_matches_library(self, capsys, tmp_path):
         t = tmp_path / "t.tree"
         g = tmp_path / "g.grid"
@@ -566,6 +600,128 @@ class TestConfigPipeline:
         message = json.loads(err.splitlines()[-1])["message"]
         assert message == f"config experiment: out {key} must be a path string"
         assert list(tmp_path.iterdir()) == [path]
+
+
+R1 = {"depth": 6, "generators": [{"type": "reciprocal"}]}
+R2 = {"depth": 6, "generators": [{"type": "reciprocal"}, {"type": "reciprocal"}]}
+
+
+class TestCheckBeforeRun:
+    """An invalid config or flag run exits 2 before any generator runs."""
+
+    @pytest.fixture(autouse=True)
+    def no_generator(self, monkeypatch):
+        def fail(spec, depth):
+            raise AssertionError(f"a generator ran at depth {depth}")
+
+        monkeypatch.setattr("dimlab.cli.build_tree", fail)
+
+    @pytest.mark.parametrize(
+        "cfg, message",
+        [
+            ({**R1, "budget": 5}, "config experiment has unknown key 'budget'"),
+            ({**R1, "depth": 2.0}, "config experiment: depth must be a positive integer"),
+            ({**R1, "budget_cells": "9"}, "config experiment: budget_cells must be an integer"),
+            ({**R1, "out": {"tree": 5}}, "config experiment: out tree must be a path string"),
+            ({"depth": 6, "generators": [{"type": "reciprocal"}, {"type": "cantor"}]},
+             "unknown generator type 'cantor'"),
+            ({"depth": 6, "generators": []}, "config experiment: no generators"),
+            ({**R1, "pipeline": [{"op": "fold"}]}, "config experiment: unknown pipeline op 'fold'"),
+            ({**R1, "pipeline": [{"op": "iterate", "kk": 3}]},
+             "config experiment: iterate stage has unknown key 'kk'"),
+            ({**R1, "pipeline": [{"op": "iterate", "k": 2}, {"op": "iterate", "k": 2.0}]},
+             "config experiment: iterate k must be an integer"),
+            ({**R1, "analyses": [{"kind": "hausdorff"}]}, "experiment: unknown analysis kind 'hausdorff'"),
+            ({**R1, "analyses": [{"kind": "box", "windw": [2, 4]}]},
+             "experiment: box analysis has unknown key 'windw'"),
+            ({**R1, "analyses": [{"kind": "box"}, {"kind": "box", "window": [2, "4"]}]},
+             "experiment: box window must be two integers"),
+            ({**R1, "pipeline": [{"op": "iterate", "k": 8}], "analyses": [{"kind": "assouad", "m": "6"}]},
+             "experiment: assouad m must be an integer"),
+            ({**R1, "analyses": [{"kind": "lower", "m": None}]}, "experiment: lower m must be an integer"),
+            ({**R1, "analyses": [{"kind": "growth", "k_max": 2.5}]},
+             "experiment: growth k_max must be an integer"),
+            ({**R1, "analyses": [{"kind": "profile", "eps": "0.1"}]},
+             "experiment: profile eps must be a number"),
+            ({**R1, "analyses": [{"kind": "covering-check", "measure": "lebesgue"}]},
+             "experiment: unknown measure 'lebesgue'"),
+            ({**R1, "analyses": [{"kind": "profile", "measure": ["counting"]}]},
+             "experiment: unknown measure ['counting']"),
+            ({**R1, "analyses": [{"kind": "profile", "m": 1.5}]}, "experiment: profile m must be an integer"),
+            ({**R1, "analyses": [{"kind": "profile", "n": True}]}, "experiment: profile n must be an integer"),
+            ({**R1, "pipeline": [{"op": "iterate", "k": 8}, {"op": "distance"}]},
+             "config experiment: distance needs a product grid"),
+            ({**R2, "pipeline": [{"op": "product"}, {"op": "sum"}]}, "config experiment: sum needs a 1-d tree"),
+            ({**R2, "pipeline": [{"op": "product"}, {"op": "iterate"}]},
+             "config experiment: iterate needs a 1-d tree"),
+            ({**R2, "pipeline": [{"op": "product"}, {"op": "difference"}]},
+             "config experiment: difference needs a 1-d tree"),
+            ({**R2, "pipeline": [{"op": "product"}, {"op": "product"}]},
+             "config experiment: product needs a 1-d tree"),
+            ({**R1, "pipeline": [{"op": "iterate"}, {"op": "sum"}]}, "config experiment: sum needs two generators"),
+            ({**R2, "pipeline": [{"op": "product"}], "analyses": [{"kind": "box"}, {"kind": "profile"}]},
+             "experiment: profile needs a 1-d tree"),
+            ({**R2, "pipeline": [{"op": "product"}, {"op": "distance"}, {"op": "product"}],
+              "analyses": [{"kind": "covering-check"}]},
+             "experiment: covering-check needs a 1-d tree"),
+            ({**R2, "pipeline": [{"op": "product"}], "analyses": [{"kind": "covering-check"}]},
+             "experiment: covering-check needs a 1-d tree"),
+        ],
+        ids=["config-key", "depth", "budget_cells", "out", "generator", "no-generators", "op",
+             "stage-key", "iterate-k", "kind", "analysis-key", "window", "m", "lower-m", "k_max",
+             "eps", "measure", "measure-list", "profile-m", "n", "distance-on-tree", "sum-on-grid",
+             "iterate-on-grid", "difference-on-grid", "product-on-grid", "sum-one-generator",
+             "profile-on-grid", "grid-again-after-distance", "covering-check-on-grid"],
+    )
+    def test_invalid_config_is_refused_before_any_generator(self, capsys, tmp_path, cfg, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({**cfg, "out": {"json": str(tmp_path / "o.json"), **cfg.get("out", {})}}))
+        code, out, err = run(capsys, ["analyze", "--config", str(path)])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"code": "SPEC_INVALID", "message": message}
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize(
+        "extra, named",
+        [
+            (["IN"], "'IN'"),
+            (["--box", "2,5", "--lower", "3"], "'--box', '--lower'"),
+            (["--assouad", "2"], "'--assouad'"),
+            (["--profile", "0.25"], "'--profile'"),
+            (["--covering-check", "0.25"], "'--covering-check'"),
+        ],
+        ids=["input", "box-lower", "assouad", "profile", "covering-check"],
+    )
+    def test_config_refuses_flags_it_would_ignore(self, capsys, tmp_path, extra, named):
+        # each once ran the config and dropped the flag without a word
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(R1))
+        tree = tmp_path / "in.tree"
+        tree.write_text(dumps_tree(reciprocal_tree(4)))
+        argv = [str(tree) if a == "IN" else a for a in extra]
+        code, out, err = run(capsys, ["analyze", "--config", str(path), *argv])
+        assert (code, out) == (2, "")
+        named = named.replace("IN", str(tree))
+        assert json.loads(err) == {
+            "code": "SPEC_INVALID",
+            "message": f"analyze --config takes no input file or analysis flag, got [{named}]",
+        }
+
+    def test_depth_needs_a_config(self, capsys, tmp_path):
+        tree = tmp_path / "in.tree"
+        tree.write_text(dumps_tree(reciprocal_tree(4)))
+        code, out, err = run(capsys, ["analyze", str(tree), "--depth", "3", "--box", "1,3"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "code": "SPEC_INVALID", "message": "analyze --depth applies to --config only",
+        }
+
+
+def test_cli_battery_runs_with_its_listed_exit_codes(tmp_path, monkeypatch):
+    from cli_battery import CASES, run_battery
+
+    monkeypatch.delenv("DIMLAB_BUDGET_CELLS", raising=False)
+    assert run_battery(tmp_path) == {name: code for name, code, _, _ in CASES}
 
 
 class TestRepeatedCalls:

@@ -69,6 +69,32 @@ class TestIntervals:
         with pytest.raises(ValueError):
             DyadicInterval(-1, 0, 1)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: DyadicInterval(1, 0, True),
+            lambda: DyadicInterval(1, 0, 2.0),
+            lambda: DyadicInterval(1.0, 0, 1),
+            lambda: DyadicInterval(2, 1.0),
+            lambda: interval_of(True, 0),
+            lambda: locate(0.5, True, 1),
+            lambda: cell_of(0.5, 3, 2.0),
+            lambda: cell_of(0.5, True),
+        ],
+        ids=["span-bool", "span-float", "level-float", "index-float", "interval_of-level-bool",
+             "locate-level-bool", "cell_of-span-float", "cell_of-level-bool"],
+    )
+    def test_non_integer_level_index_or_span_is_refused(self, call):
+        # bools once built span=True or level=True; floats raised TypeError from <<
+        with pytest.raises(ValueError, match="must be integers"):
+            call()
+
+    def test_numpy_integers_and_the_negative_level_text_are_kept(self):
+        assert locate(0.5, np.int64(3), np.int64(1)).index == 4
+        assert cell_of(0.5, np.int64(3)) == 4
+        with pytest.raises(ValueError, match="^negative level -1$"):
+            DyadicInterval(-1, 0, 1)
+
 
 class TestTreeConstruction:
     def test_from_leaves_saturates_upward(self):
