@@ -15,7 +15,7 @@ nonnegative difference vectors (|dx_1|, ..., |dx_d|), which are far fewer
 than the cell pairs.  A product grid A_1 x ... x A_d has the product of the
 axes' 1-d differences as its vectors; any other grid packs each cell into
 one mixed-radix code, whose 1-d differences decode uniquely into vectors.
-No kernel forms all cell pairs.
+No kernel forms all cell pairs, and runs of vectors map to distance intervals.
 """
 
 from __future__ import annotations
@@ -132,9 +132,8 @@ class SumsetReport:
 
 
 def index_sumset(a: DyadicTree, b: DyadicTree, level: int) -> tuple[DyadicTree, SumsetReport]:
-    """Sum the level-`level` occupancies; result spans a.span + b.span."""
-    if not 0 <= level <= min(a.max_depth, b.max_depth):
-        raise ValueError(f"level {level} exceeds a tree depth")
+    """Sum the level-`level` occupancies; result spans a.span + b.span.
+    Here and below, a.array(level) refuses a level outside 0..depth."""
     sums = _sum_indices(a.array(level), b.array(level))
     tree = DyadicTree.from_leaves(level, a.span + b.span, sums)
     report = SumsetReport(level, sums.size, (sums.size / 2.0, 2.0 * sums.size))
@@ -147,8 +146,6 @@ def iterated_sumset(a: DyadicTree, k: int, level: int) -> DyadicTree:
     jA to 2jA and then to 2jA + A on a 1 bit."""
     if k < 1:
         raise ValueError(f"fold count k={k} must be >= 1")
-    if not 0 <= level <= a.max_depth:
-        raise ValueError(f"level {level} exceeds tree depth {a.max_depth}")
     idx = part = a.array(level)
     for bit in bin(k)[3:]:
         part = _sum_indices(part, part)
@@ -170,8 +167,6 @@ def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
     most negative difference lands at 0.  Returns the tree (span doubled)
     and the offset; the occupancy is symmetric about the offset cell.
     """
-    if not 0 <= level <= a.max_depth:
-        raise ValueError(f"level {level} exceeds tree depth {a.max_depth}")
     idx = a.array(level)
     if idx.size == 0:
         return DyadicTree.from_leaves(level, 2 * a.span, []), 0
@@ -182,13 +177,11 @@ def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:
 def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
     """Whether every level-`delta_level` cell meeting [0, upper] is within
     one cell of an occupied cell (a 2 * 2^-delta_level density surrogate)."""
-    if not 0 <= delta_level <= a.max_depth:
-        raise ValueError(f"level {delta_level} exceeds tree depth {a.max_depth}")
+    idx = a.array(delta_level)
     if not 0.0 <= upper <= a.span:
         raise ValueError(f"upper={upper} outside [0, {a.span}]")
     charge(a.capacity(delta_level), "density grid")
     hi = min(int(upper * (1 << delta_level)), a.capacity(delta_level) - 1)
-    idx = a.array(delta_level)
     occ = np.zeros(hi + 3, dtype=bool)  # cells -1 .. hi + 1
     occ[idx[: np.searchsorted(idx, hi + 2)] + 1] = True
     return bool((occ[:-2] | occ[1:-1] | occ[2:]).all())
@@ -197,19 +190,35 @@ def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
 # -- d-dimensional grids -------------------------------------------------
 
 
-def _distinct_rows(a: np.ndarray, return_counts: bool = False):
+def _distinct_rows(a: np.ndarray) -> np.ndarray:
     """The distinct rows of an (N, d) integer array in lexicographic order,
-    by one lexsort and an adjacent-row dedupe; with return_counts, also how
-    often each row occurs.  The result never shares memory with `a`."""
+    by one lexsort and an adjacent-row dedupe, never sharing memory with a."""
     s = a.take(np.lexsort(a.T[::-1]), axis=0)
     first = np.zeros(len(s), dtype=bool)
     first[:1] = True
     for col in s.T:
         first[1:] |= col[1:] != col[:-1]
-    rows = s.compress(first, axis=0)
-    if not return_counts:
-        return rows
-    return rows, np.diff(np.append(np.flatnonzero(first), len(s)))
+    return s.compress(first, axis=0)
+
+
+def _split_levels(cells: np.ndarray, depth: int) -> np.ndarray:
+    """For distinct cells sorted once in Morton order, which keeps each cell's
+    descendants contiguous at every level, part[i] = depth + 1 - max over the
+    axes of bitlen(p xor q), the level at which the i-th adjacent pair p, q
+    parts.  Sort key j spreads bits [j·w, (j + 1)·w) of each axis, w = 63 // d,
+    to stride d by masks; bitlen is exact, by searchsorted on powers of two."""
+    d = cells.shape[1]
+    width = 63 // d
+    steps = [(s * (d - 1), sum(1 << (b // s * s * d + b % s) for b in range(width))) for s in (16, 8, 4, 2, 1)]
+    keys = []
+    for low in range(0, int(cells.max(initial=0)).bit_length(), width):
+        x = (cells >> low) & ((1 << width) - 1)
+        for shift, mask in steps:
+            x = (x | x << shift) & mask
+        keys.append(np.bitwise_or.reduce(x << np.arange(d - 1, -1, -1), axis=1))
+    s = cells.take(np.lexsort(keys), axis=0) if keys else cells
+    apart = np.bitwise_or.reduce(s[1:] ^ s[:-1], axis=1)
+    return depth + 1 - np.searchsorted(np.left_shift(1, np.arange(63)), apart, side="right")
 
 
 def _increasing_rows(a: np.ndarray) -> bool:
@@ -230,14 +239,15 @@ class GridSetD:
 
     The cells are held as one read-only (N, d) int64 array of distinct rows
     in lexicographic order, returned by array(); `cells` is the same set as
-    a sorted tuple of tuples, built on first use.  The constructor takes
+    a sorted tuple of tuples, built on first use, as is the index that
+    counts coarser levels (_split_levels).  The constructor takes
     the cells in any order, with repeats, as integer tuples or an integer
     array; floats, booleans, strings and cells outside the grid raise
     ValueError, as do a depth and span that dyadic._check_grid refuses, so
     every grid built is one that loads_grid reads back.
     """
 
-    __slots__ = ("dimension", "depth", "span", "_array", "_cells")
+    __slots__ = ("dimension", "depth", "span", "_array", "_cells", "_part")
 
     def __init__(self, dimension: int, depth: int, span: int, cells):
         if dimension not in (1, 2, 3):
@@ -256,7 +266,7 @@ class GridSetD:
 
     def _set(self, dimension: int, depth: int, span: int, arr: np.ndarray) -> None:
         arr.flags.writeable = False
-        for name, value in zip(self.__slots__, (dimension, depth, span, arr, None)):
+        for name, value in zip(self.__slots__, (dimension, depth, span, arr, None, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -272,21 +282,29 @@ class GridSetD:
         """The cells as a read-only (N, d) int64 array in lexicographic order."""
         return self._array
 
-    def _at(self, n: int) -> np.ndarray:
-        """The distinct level-n cells, n <= depth, in lexicographic order."""
-        return self._array if n == self.depth else _distinct_rows(self._array >> (self.depth - n))
+    def _index(self) -> np.ndarray:
+        """The split levels of the cells in Morton order, built on first use."""
+        if self._part is None:
+            charge(len(self._array), "grid index")
+            object.__setattr__(self, "_part", _split_levels(self._array, self.depth))
+        return self._part
 
     def count(self, n: int) -> int:
-        """Occupied level-n cells."""
+        """Occupied level-n cells: 1 + #(part <= n) below the finest level."""
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} outside 0..{self.depth}")
-        return len(self._at(n))
+        if n == self.depth or len(self._array) == 0:
+            return len(self._array)
+        return 1 + int(np.count_nonzero(self._index() <= n))
 
     def descendant_counts(self, k: int, m: int) -> np.ndarray:
-        """Per occupied level-k cell in lexicographic order, its level-(k+m) cells."""
+        """Per occupied level-k cell in Morton order (not lexicographic), its
+        level-(k+m) cells: the cells that open one, summed per level-k cell."""
         if not 0 <= k <= k + m <= self.depth:
             raise ValueError(f"levels {k}..{k + m} outside 0..{self.depth}")
-        return _distinct_rows(self._at(k + m) >> m, return_counts=True)[1]
+        part = self._index()
+        heads = np.flatnonzero(np.append(len(self._array) > 0, part <= k))
+        return np.add.reduceat(np.append(True, part <= k + m), heads, dtype=np.int64)
 
     def centers(self) -> np.ndarray:
         return (self._array + 0.5) * 2.0 ** -self.depth
@@ -388,36 +406,55 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     return [np.arange(e) for e in extents], seen, False
 
 
+def _isqrt(s: np.ndarray) -> np.ndarray:
+    """floor(sqrt(s)) of int64 s < 2^63: a float root, off by at most one,
+    then an exact integer fix; r < 2^31.5, so r·r never overflows."""
+    r = np.sqrt(s).astype(np.int64)
+    r -= r * r > s
+    r += s - r * r > 2 * r
+    return r
+
+
 def distance_set(f: GridSetD) -> DyadicTree:
     """Cells of pairwise center-to-center distances, widened one cell each
     side; always contains the cell of 0.  Output depth matches f.
 
-    Each distinct difference vector is measured once, in blocks of about
-    _BLOCK_VECTORS: its squared length in units of 2^-2n is an exact float,
-    so every distance is the correctly rounded one its cell pairs give.
+    A difference vector v >= 0 lands in distance cell isqrt(|v|²).  A step
+    of 1 in one coordinate moves |v| by at most 1 (triangle inequality), so
+    isqrt never skips a cell and, v being nonnegative, never falls: a box of
+    runs of consecutive differences, the product of the axes' runs or a run
+    along the last axis of seen, hits exactly isqrt(Σ lo²) .. isqrt(Σ hi²),
+    along a monotone lattice path between its corners.  The widened
+    intervals, in blocks of _BLOCK_VECTORS, join by one difference array
+    and one cumulative sum, in exact int64.
     """
     if len(f.array()) == 0:
         raise ValueError("empty grid set")
     n = f.depth
-    values, seen, _ = _difference_vectors(f)
-    squares = np.ix_(*[(v * 2.0 ** -n) ** 2 for v in values])
+    values, seen, product = _difference_vectors(f)
     bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
     charge(bound << n, "distance bitmap")
-    bitmap = np.zeros(bound << n, dtype=bool)
-    scale = float(1 << n)
-    dmax = 0.0
-    rows = max(1, _BLOCK_VECTORS // seen[0].size)
-    for start in range(0, len(values[0]), rows):
-        block = sum(squares[1:], squares[0][start : start + rows])
-        dist = np.sqrt(block[seen[start : start + rows]])
-        dmax = max(dmax, float(dist.max(initial=0.0)))
-        k = np.minimum((dist * scale).astype(np.int64), bitmap.size - 1)
-        bitmap[k] = True
-    span = max(1, int(math.ceil(dmax - 1e-9)))
-    idx = np.nonzero(bitmap)[0]
+    top = sum(int(v[-1]) ** 2 for v in values)
+    if top >= 1 << 63:
+        raise ValueError(f"squared distances up to {top} do not fit int64")
+    if product:  # (lo², hi²) of the runs [lo, hi] of consecutive values on each axis
+        cuts = [np.flatnonzero(np.diff(v) != 1) + 1 for v in values]
+        squares = [(v[np.append(0, c)] ** 2, v[np.append(c - 1, -1)] ** 2) for v, c in zip(values, cuts)]
+    else:  # of the runs of True along the last axis of seen, whose indices are the vectors
+        row, col = np.nonzero(np.diff(seen.reshape(-1, seen.shape[-1]), axis=1, prepend=False, append=False))
+        base = sum(x * x for x in np.unravel_index(row[::2], seen.shape[:-1]))
+        squares = [(base + col[::2] ** 2, base + (col[1::2] - 1) ** 2)]
+    span = max(1, math.ceil(math.sqrt(top if product else int(squares[0][1].max())) * 2.0**-n - 1e-9))
     cap = span << n
-    widened = np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1)
-    return DyadicTree.from_leaves(n, span, widened)
+    ends = np.zeros(cap + 1, dtype=np.int64)
+    lo2, hi2 = (np.ix_(*side) for side in zip(*squares))
+    rows = max(1, _BLOCK_VECTORS // math.prod(lo.size for lo, _ in squares[1:]))
+    for start in range(0, lo2[0].size, rows):
+        lo = _isqrt(sum(lo2[1:], lo2[0][start : start + rows]).ravel())
+        hi = _isqrt(sum(hi2[1:], hi2[0][start : start + rows]).ravel())
+        np.add.at(ends, np.clip(lo - 1, 0, cap), 1)
+        np.add.at(ends, np.minimum(hi + 2, cap), -1)
+    return DyadicTree.from_leaves(n, span, np.flatnonzero(np.cumsum(ends[:-1]) > 0))
 
 
 def annulus_cells(

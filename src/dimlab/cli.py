@@ -127,6 +127,10 @@ def _spec_from_args(args):
             f"gen needs exactly one of --ifs/--moran/--reciprocal/--semigroup/--spec/--product, got {chosen or 'none'}"
         )
     kind = chosen[0]
+    if kind == "product":
+        if args.depth is not None:
+            raise SpecValidationError("gen --product takes no --depth: the trees set it")
+        return None
     if kind == "ifs":
         kv = _kv(args.ifs, "--ifs", ("r", "t"), ("span",))
         spec = {"type": "ifs", "r": kv["r"],
@@ -151,11 +155,12 @@ def _spec_from_args(args):
 
 
 def cmd_gen(args) -> int:
+    spec = _spec_from_args(args)
     if args.product:
         trees = [load_tree(p) for p in args.product]
         _write_text(args.out, dumps_grid(grid_product(trees)))
         return 0
-    tree = build_tree(_spec_from_args(args), args.depth)
+    tree = build_tree(spec, 12 if args.depth is None else args.depth)
     _write_text(args.out, dumps_tree(tree))
     return 0
 
@@ -163,11 +168,11 @@ def cmd_gen(args) -> int:
 # -- sum / diff / dist ---------------------------------------------------
 
 
-def _level(args, depth: int) -> int:
-    """--level, else `depth`; a level past an input's depth is refused later."""
-    level = depth if args.level is None else args.level
-    if level < 0:
-        raise SpecValidationError(f"level {level} outside 0..{depth}")
+def _level(args, trees: list[DyadicTree]) -> int:
+    """--level, else the least input depth D; array() refuses one outside 0..D."""
+    shallow = min(trees, key=lambda t: t.max_depth)
+    level = shallow.max_depth if args.level is None else args.level
+    shallow.array(level)
     return level
 
 
@@ -177,10 +182,7 @@ def cmd_sum(args) -> int:
     if len(args.inputs) == 2 and args.k != 1:
         raise SpecValidationError("--k applies to a single input only")
     trees = [load_tree(p) for p in args.inputs]
-    level = _level(args, min(t.max_depth for t in trees))
-    for t in trees:
-        if level > t.max_depth:
-            raise SpecValidationError(f"level {level} exceeds input depth {t.max_depth}")
+    level = _level(args, trees)
     if len(trees) == 2:
         out, report = index_sumset(trees[0], trees[1], level)
     else:
@@ -197,7 +199,7 @@ def cmd_sum(args) -> int:
 
 def cmd_diff(args) -> int:
     tree = load_tree(args.input)
-    level = _level(args, tree.max_depth)
+    level = _level(args, [tree])
     out, offset = difference_set(tree, level)
     _write_text(args.out, dumps_tree(out))
     if args.report:
@@ -228,7 +230,7 @@ def _flag_analyses(args) -> list[dict]:
             parts = [p for p in spec.split(",") if p]
             if not parts:
                 raise SpecValidationError(f"--{kind} needs EPS, got {spec!r}")
-            req = {"kind": kind, "eps": float(parts[0]), "measure": args.measure}
+            req = {"kind": kind, "eps": float(parts[0]), "measure": args.measure or "counting"}
             if len(parts) > 1:
                 req["m"] = int(parts[1])
             if len(parts) > 2 and kind == "profile":
@@ -305,8 +307,8 @@ def _write_outputs(envelope: dict, results: list[dict], csv_rows: list[str], jso
 
 def cmd_analyze(args) -> int:
     flags = [args.input] if args.input else []
-    flags += [f"--{kind}" for kind in _ANALYSIS_FIELDS
-              if kind != "growth" and getattr(args, kind.replace("-", "_"))]
+    flags += [f"--{name}" for name in (*_ANALYSIS_FIELDS, "measure")
+              if name != "growth" and getattr(args, name.replace("-", "_"))]
     if args.config:
         if flags:
             raise SpecValidationError(f"analyze --config takes no input file or analysis flag, got {flags}")
@@ -443,7 +445,7 @@ def _build_parser() -> _Parser:
     gen.add_argument("--semigroup", nargs="+", metavar="K=V", help="gens=1,1.5 bound=8")
     gen.add_argument("--spec", help="generator spec JSON file")
     gen.add_argument("--product", nargs="+", metavar="TREE", help="tree files to multiply")
-    gen.add_argument("--depth", type=int, default=12)
+    gen.add_argument("--depth", type=int, default=None, help="default 12; not with --product")
     gen.add_argument("--out", default="-")
     gen.set_defaults(func=cmd_gen)
 
@@ -476,7 +478,7 @@ def _build_parser() -> _Parser:
     an.add_argument("--lower", action="append", type=int, metavar="M")
     an.add_argument("--profile", action="append", metavar="EPS[,M[,N]]")
     an.add_argument("--covering-check", action="append", metavar="EPS[,M]")
-    an.add_argument("--measure", choices=("counting", "splitting"), default="counting")
+    an.add_argument("--measure", choices=("counting", "splitting"), help="default counting")
     an.add_argument("--json", default=None, help="write results JSON here ('-' stdout)")
     an.add_argument("--csv", default=None, help="write per-scale CSV here")
     an.set_defaults(func=cmd_analyze)

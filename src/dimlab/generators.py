@@ -128,8 +128,8 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
     """Discretize the attractor to the given depth.
 
     Refines hull images until the unmerged piece length drops below one
-    cell, then marks every cell meeting a closed piece.  The right endpoint
-    of the span is clamped into the last cell.  Each round merges the
+    cell, then marks every cell meeting a closed piece; both ends are
+    clamped to span, the left one also to 0.  Each round merges the
     sorted pieces by a running maximum of right ends: a piece opens a new
     interval where its left end passes the maximum before it, which is
     exactly where a merge walking the pieces one by one closes one.
@@ -149,7 +149,7 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
         new = np.append(True, a[1:] > reach[:-1])
         a, b = a[new], reach[np.append(new[1:], True)]
         length *= spec.r
-    cells = _interval_cells(np.maximum(a, 0.0), np.minimum(b, float(spec.span)), depth, spec.span)
+    cells = _interval_cells(np.clip(a, 0.0, spec.span), np.minimum(b, float(spec.span)), depth, spec.span)
     return DyadicTree.from_leaves(depth, spec.span, cells)
 
 

@@ -49,6 +49,8 @@ CASES = [
     ("gen-spec", 0, ["gen", "--spec", "spec.json", "--depth", "6"], None),
     ("gen-product", 0, ["gen", "--product", "c.tree", "c.tree", "--out", "o.grid"], None),
     ("gen-no-source", 2, ["gen", "--depth", "4"], None),
+    ("gen-product-two-sources", 2, ["gen", "--product", "c.tree", "c.tree", "--reciprocal"], None),
+    ("gen-product-depth", 2, ["gen", "--product", "c.tree", "c.tree", "--depth", "9"], None),
     ("gen-two-sources", 2, ["gen", "--reciprocal", "--ifs", "r=1/3", "t=0"], None),
     ("gen-ifs-needs-t", 2, ["gen", "--ifs", "r=1/3"], None),
     ("gen-ifs-unknown-key", 2, ["gen", "--ifs", "r=1/3", "t=0", "spn=2"], None),
@@ -163,6 +165,7 @@ CASES = [
      _cfg(pipeline=[{"op": "iterate", "k": 8}, {"op": "distance"}])),
     ("cfg-with-input", 2, ["analyze", "c.tree", "--config", "cfg.json"], _cfg()),
     ("cfg-with-flags", 2, ["analyze", "--config", "cfg.json", "--box", "2,5", "--lower", "3"], _cfg()),
+    ("cfg-with-measure", 2, ["analyze", "--config", "cfg.json", "--measure", "splitting"], _cfg()),
     ("cfg-missing", 2, ["analyze", "--config", "nope.json"], None),
 ]
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 
 from dimlab import DyadicTree, FormatError, GridSetD
+from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
 from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of
 
@@ -145,6 +146,52 @@ def distance_set_oracle(f) -> DyadicTree:
     cap = span << n
     widened = np.unique(np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1))
     return DyadicTree.from_leaves(n, span, widened)
+
+
+def distance_set_sqrt_oracle(f) -> DyadicTree:
+    """The distance set by one float square root per distinct difference
+    vector of `_difference_vectors`, in blocks of up to 4e6 vectors, marked
+    in a bitmap: the vector route that the run intervals of `distance_set`
+    replace, fast enough for the deep dusts the pair oracle cannot reach."""
+    n = f.depth
+    values, seen, _ = _difference_vectors(f)
+    squares = np.ix_(*[(v * 2.0 ** -n) ** 2 for v in values])
+    bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
+    bitmap = np.zeros(bound << n, dtype=bool)
+    scale = float(1 << n)
+    dmax = 0.0
+    rows = max(1, 4_000_000 // seen[0].size)
+    for start in range(0, len(values[0]), rows):
+        block = sum(squares[1:], squares[0][start : start + rows])
+        dist = np.sqrt(block[seen[start : start + rows]])
+        dmax = max(dmax, float(dist.max(initial=0.0)))
+        k = np.minimum((dist * scale).astype(np.int64), bitmap.size - 1)
+        bitmap[k] = True
+    span = max(1, int(math.ceil(dmax - 1e-9)))
+    idx = np.nonzero(bitmap)[0]
+    cap = span << n
+    widened = np.clip(np.concatenate([idx - 1, idx, idx + 1]), 0, cap - 1)
+    return DyadicTree.from_leaves(n, span, widened)
+
+
+def grid_level_lexsort_oracle(f, n: int) -> np.ndarray:
+    """The distinct level-n cells of a grid set in lexicographic order, by
+    one lexsort of every cell per level: the per-level route that the
+    split-level index replaces."""
+    return f.array() if n == f.depth else _distinct_rows(f.array() >> (f.depth - n))
+
+
+def grid_descendants_lexsort_oracle(f, k: int, m: int) -> np.ndarray:
+    """Per occupied level-k cell in lexicographic order, its level-(k + m)
+    cells, by a second lexsort of the level-(k + m) cells and the lengths of
+    the runs of equal adjacent rows."""
+    a = grid_level_lexsort_oracle(f, k + m) >> m
+    s = a.take(np.lexsort(a.T[::-1]), axis=0)
+    first = np.zeros(len(s), dtype=bool)
+    first[:1] = True
+    for col in s.T:
+        first[1:] |= col[1:] != col[:-1]
+    return np.diff(np.append(np.flatnonzero(first), len(s)))
 
 
 def grid_rows_oracle(f) -> np.ndarray:
@@ -287,7 +334,7 @@ def ifs_attractor_oracle(spec, depth: int) -> DyadicTree:
         length *= spec.r
     leaves = []
     for a, b in pieces:
-        first = cell_of(max(a, 0.0), depth, spec.span)
+        first = cell_of(min(max(a, 0.0), spec.span), depth, spec.span)
         last = cell_of(min(b, float(spec.span)), depth, spec.span)
         leaves.extend(range(first, last + 1))
     return DyadicTree.from_leaves(depth, spec.span, leaves)

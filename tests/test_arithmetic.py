@@ -33,13 +33,14 @@ from dimlab import (
     reciprocal_tree,
     save_grid,
 )
-from dimlab.arithmetic import _difference_vectors, _sum_indices
+from dimlab.arithmetic import _difference_vectors, _isqrt, _sum_indices
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
 
 from conftest import (
     delta_dense_oracle,
     distance_set_oracle,
+    distance_set_sqrt_oracle,
     iterated_sumset_oracle,
     sum_indices_oracle,
 )
@@ -73,6 +74,20 @@ def product_grids(draw, least=1):
     axes = [sorted(draw(st.sets(coord, min_size=least, max_size=6))) for _ in range(d)]
     cells = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
     return GridSetD(d, depth, span, tuple(map(tuple, cells.tolist())))
+
+
+def test_one_level_rule_and_text():
+    a, b = tree_of(3, [0, 5]), tree_of(2, [1])
+    calls = [
+        lambda: index_sumset(a, b, 3),
+        lambda: iterated_sumset(b, 2, 3),
+        lambda: difference_set(b, 3),
+        lambda: delta_dense_check(b, 3, 0.5),
+        lambda: index_sumset(b, a, -1),
+    ]
+    for call, level in zip(calls, (3, 3, 3, 3, -1)):
+        with pytest.raises(ValueError, match=rf"^level {level} outside 0\.\.2$"):
+            call()
 
 
 class TestIndexSumset:
@@ -666,6 +681,33 @@ class TestDistanceSet:
         want = distance_set(f)
         monkeypatch.setattr(arith, "_BLOCK_VECTORS", 1)
         assert distance_set(f) == want == distance_set_oracle(f)
+
+    @pytest.mark.parametrize("r, depth", [(1 / 3, 12), (1 / 3, 13), (1 / 3, 14), (0.2, 16)])
+    def test_deep_dusts_match_the_square_root_route(self, r, depth):
+        # the pair oracle is too slow here: the dust has up to 788,544 cells
+        c = ifs_attractor(IfsSpec(r, (0.0, 1 - r)), depth)
+        dust = grid_product([c, c])
+        assert distance_set(dust) == distance_set_sqrt_oracle(dust)
+
+    def test_3d_dusts_match_the_square_root_route(self):
+        c = ifs_attractor(IfsSpec(0.2, (0.0, 0.8)), 7)
+        dust = grid_product([c, c, c])
+        assert distance_set(dust) == distance_set_sqrt_oracle(dust)
+        holed = GridSetD(3, 7, 1, dust.array()[1:])
+        assert not _difference_vectors(holed)[2]
+        assert distance_set(holed) == distance_set_sqrt_oracle(holed)
+
+    def test_isqrt_is_exact_over_int64(self):
+        roots = [0, 1, 2, 3, (1 << 26) - 1, 1 << 26, 94906265, (1 << 31) - 1, 3037000499]
+        s = sorted({max(0, m * m + e) for m in roots for e in (-1, 0, 1, m)} | {(1 << 63) - 1})
+        s = [x for x in s if x < 1 << 63]
+        assert _isqrt(np.array(s, dtype=np.int64)).tolist() == [math.isqrt(x) for x in s]
+
+    def test_squares_past_int64_are_refused(self):
+        x = (1 << 32) - 1
+        f = GridSetD(2, 32, 1, [(0, 0), (0, x), (x, 0), (x, x)])
+        with limit(1 << 40), pytest.raises(ValueError, match=r"squared distances up to \d+ do not fit int64"):
+            distance_set(f)
 
     def test_cantor_dust_matches_oracle(self):
         c8 = ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), 8)

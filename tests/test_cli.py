@@ -140,6 +140,27 @@ class TestGen:
         grid = load_grid(g)
         assert grid == grid_product([load_tree(t), load_tree(t)])
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--reciprocal"], "gen needs exactly one of --ifs/--moran/--reciprocal/--semigroup/--spec/"
+                               "--product, got ['reciprocal', 'product']"),
+            (["--depth", "9"], "gen --product takes no --depth: the trees set it"),
+        ],
+        ids=["second-source", "depth"],
+    )
+    def test_product_is_one_source_and_takes_no_depth(self, capsys, tmp_path, extra, message):
+        # each once wrote the product grid and dropped the flag without a word
+        t = tmp_path / "t.tree"
+        t.write_text(dumps_tree(reciprocal_tree(4)))
+        code, out, err = run(capsys, ["gen", "--product", str(t), str(t), *extra])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"code": "SPEC_INVALID", "message": message}
+
+    def test_depth_defaults_to_12(self, capsys):
+        code, out, _ = run(capsys, ["gen", "--reciprocal"])
+        assert (code, loads_tree(out).max_depth) == (0, 12)
+
 
 class TestSumDiffDist:
     @pytest.fixture()
@@ -226,6 +247,18 @@ class TestSumDiffDist:
         assert code == 2
         assert json.loads(err.splitlines()[-1]) == {
             "code": "SPEC_INVALID", "message": "level -1 outside 0..3",
+        }
+
+    @pytest.mark.parametrize("argv", [["sum"], ["sum", "--k", "2"], ["diff"], ["sum", "DEEP"]])
+    def test_level_past_an_input_has_the_same_text(self, capsys, small, tmp_path, argv):
+        # the least input depth bounds the level, with one text for either end
+        deep = tmp_path / "deep.tree"
+        deep.write_text(dumps_tree(DyadicTree.from_leaves(5, 1, [0])))
+        argv = [str(deep) if a == "DEEP" else a for a in argv]
+        code, _, err = run(capsys, [*argv, str(small), "--level", "4"])
+        assert code == 2
+        assert json.loads(err.splitlines()[-1]) == {
+            "code": "SPEC_INVALID", "message": "level 4 outside 0..3",
         }
 
     def test_dist_matches_library(self, capsys, tmp_path):
@@ -705,6 +738,17 @@ class TestCheckBeforeRun:
         assert json.loads(err) == {
             "code": "SPEC_INVALID",
             "message": f"analyze --config takes no input file or analysis flag, got [{named}]",
+        }
+
+    def test_config_refuses_measure(self, capsys, tmp_path):
+        # --measure once defaulted to counting, so a config run could not see it
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(R1))
+        code, out, err = run(capsys, ["analyze", "--config", str(path), "--measure", "splitting"])
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {
+            "code": "SPEC_INVALID",
+            "message": "analyze --config takes no input file or analysis flag, got ['--measure']",
         }
 
     def test_depth_needs_a_config(self, capsys, tmp_path):

@@ -131,6 +131,17 @@ class TestIfsAttractor:
         with pytest.raises(ValueError):
             ifs_attractor(CANTOR, -1)
 
+    @pytest.mark.parametrize("spec", [
+        IfsSpec(0.5, (0.5,)),  # fixed point 1
+        IfsSpec(0.5, (0.5 + 5e-10,)),  # a translation IfsSpec admits past span(1 - r)
+        IfsSpec(0.25, (2.25,), 3),  # fixed point 3
+        iterated_ifs(IfsSpec(0.6072452905838118, (0.3927547094161882,)), 3),  # hull 3.0000000000000004
+    ])
+    def test_a_point_at_span_lands_in_the_last_cell(self, spec):
+        for depth in range(21):
+            assert ifs_attractor(spec, depth).array(depth).tolist() == [(spec.span << depth) - 1]
+            assert ifs_attractor_oracle(spec, depth).array(depth).tolist() == [(spec.span << depth) - 1]
+
     @pytest.mark.parametrize("spec,k", [(CANTOR, 2), (CANTOR, 3), (QUARTER, 2)])
     def test_iterated_covers_index_sumset(self, spec, k):
         # The attractor of the k-fold family is the k-fold sumset of the
@@ -364,12 +375,14 @@ class TestArrayGenerators:
     @example(IfsSpec(0.25, (0.0, 0.1, 0.75)), 14)  # overlaps merge, gaps stay
     @example(IfsSpec(0.3, (0.0, 0.2, 0.7)), 18)
     @example(CANTOR, 0)
+    @example(IfsSpec(0.5, (0.5 + 5e-10,)), 4)  # the fixed point lies a hair past span
     def test_ifs_matches_scalar_refinement(self, spec, depth):
         assert_same_tree(ifs_attractor(spec, depth), ifs_attractor_oracle(spec, depth))
 
     @given(ifs_specs(max_translations=3), st.integers(2, 3), st.integers(0, 18))
     @example(CANTOR, 2, 16)
     @example(IfsSpec(0.3, (0.0, 0.35, 0.7)), 3, 14)
+    @example(IfsSpec(0.6072452905838118, (0.3927547094161882,)), 3, 0)  # hull end past span
     def test_iterated_ifs_matches_scalar_refinement(self, spec, k, depth):
         family = iterated_ifs(spec, k)
         assert_same_tree(ifs_attractor(family, depth), ifs_attractor_oracle(family, depth))

@@ -1,5 +1,6 @@
-"""GridSetD as one sorted cell array, checked against set, np.unique and
-per-row oracles: the constructor, the grid estimators and grid I/O."""
+"""GridSetD as one sorted cell array, checked against set, np.unique,
+per-level lexsort and per-row oracles: the constructor, the split-level
+index behind the grid estimators, and grid I/O."""
 
 import math
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from dimlab import (
     FormatError,
+    ResourceLimitError,
     GridSetD,
     assouad_estimate,
     box_estimate,
@@ -18,7 +20,15 @@ from dimlab import (
     lower_estimate,
 )
 
-from conftest import dumps_grid_oracle, grid_count_oracle, grid_descendants_oracle
+from dimlab.budget import limit
+
+from conftest import (
+    dumps_grid_oracle,
+    grid_count_oracle,
+    grid_descendants_lexsort_oracle,
+    grid_descendants_oracle,
+    grid_level_lexsort_oracle,
+)
 
 
 @st.composite
@@ -39,6 +49,9 @@ EMPTY = (2, 4, 1, [])
 SINGLETON = (3, 5, 2, [(63, 0, 17)])
 # a 3-d grid of (3 * 2^40)^3 cells: mixed-radix cell codes would overflow int64
 DEEP = (3, 40, 3, [((3 << 40) - 1, 0, 5), (0, (3 << 40) - 1, 5), (1 << 40, 1 << 40, 1 << 41), (0, 0, 5)])
+# a 3-d grid whose coordinates reach bit 62: its Morton order takes 3 sort keys
+TOP = (3 << 61) - 1
+BIT62 = (3, 61, 3, [(TOP, 0, 1 << 62), (1 << 62, TOP, 5), (0, 0, 0), (1, 1 << 62, 7), (TOP - 1, 1, TOP), (TOP, 0, 1)])
 
 
 @given(grid_inputs())
@@ -111,6 +124,36 @@ def test_local_estimates_match_oracle(args):
         assert lower_estimate(g, m).per_scale == tuple(
             (k, math.log2(int(c.min()))) for k, c in enumerate(counts)
         )
+
+
+@given(grid_inputs())
+@example(EMPTY)
+@example(SINGLETON)
+@example(DEEP)
+@example(BIT62)
+def test_index_counts_match_oracles(args):
+    g = GridSetD(*args)
+    depth = args[1]
+    for n in range(depth + 1):
+        assert g.count(n) == grid_count_oracle(g, n) == len(grid_level_lexsort_oracle(g, n))
+    for m in range(depth + 1):
+        for k, want in enumerate(grid_descendants_oracle(g, m)):
+            got = g.descendant_counts(k, m)
+            assert got.dtype == np.int64
+            assert sorted(got.tolist()) == sorted(want.tolist())
+            assert sorted(got.tolist()) == sorted(grid_descendants_lexsort_oracle(g, k, m).tolist())
+
+
+def test_index_is_charged_before_it_is_built():
+    g = GridSetD(2, 4, 1, [(0, 0), (3, 5), (15, 15)])
+    with limit(0):
+        assert g.count(4) == 3  # the finest level reads no index
+    with limit(2), pytest.raises(ResourceLimitError, match="grid index needs 3 cells"):
+        g.count(2)
+    with limit(3):
+        assert g.count(2) == grid_count_oracle(g, 2) == 3
+    with limit(0):
+        assert g.descendant_counts(0, 1).tolist() == [2]  # built once, then kept
 
 
 @pytest.mark.parametrize("depth, span, message", [

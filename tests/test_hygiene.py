@@ -3,9 +3,12 @@ only dyadic.py reads a tree's `levels`, so the level representation can
 change inside that one module, every library tree comes from
 `DyadicTree.from_leaves`, not the trusting hand-built constructor, and no
 kernel calls the hash-based `np.unique` or packs an `int.from_bytes` bit
-grid, the two slow paths the sort-and-dedupe and FFT kernels replace."""
+grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  The
+suite's warning filter lets a failing hypothesis test report its example."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -121,3 +124,37 @@ def test_detects_slow_kernel_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unique_or_bit_grid(path):
     assert slow_kernel_calls(path.read_text(encoding="utf-8")) == []
+
+
+FAILING_TESTS = """
+import warnings
+
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails_past_four(x):
+    assert x < 5
+
+
+def test_library_deprecation_is_an_error():
+    warnings.warn_explicit("old", DeprecationWarning, "arithmetic.py", 1, module="dimlab.arithmetic")
+"""
+
+
+def test_failing_hypothesis_test_reports_its_example(tmp_path):
+    # the report hook imports libcst, which warns of mypy_extensions.TypedDict;
+    # under a blanket error filter that warning aborts the whole session
+    (tmp_path / "test_failing.py").write_text(FAILING_TESTS, encoding="utf-8")
+    config = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "--rootdir", str(tmp_path), "test_failing.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert "Falsifying example: test_fails_past_four(" in out
+    assert "FAILED test_failing.py::test_library_deprecation_is_an_error" in out
+    assert "DeprecationWarning: old" in out
+    assert "2 failed" in out
