@@ -39,11 +39,9 @@ from .dyadic import (
     _require_integers,
 )
 from .budget import charge, current_cap
-from .errors import FormatError, ResourceLimitError
+from .errors import FormatError
 
-_MAX_GRID_CELLS = 1_000_000
-_BLOCK_VECTORS = 4_000_000
-_BLOCK_PAIRS = 1 << 18
+_BLOCK_PAIRS = 1 << 18  # outer-sum pairs or distance boxes formed at once
 _ROW_BLOCK = 1 << 16  # grid file lines parsed or formatted at once
 _PAIR_COST = 5  # one outer-sum pair ~ 5 units of L·log2 L, timed on 2^4..2^21 grids
 _FFT_CALL = 40_000  # per FFT call, in those units; tiny sums never load numpy.fft (0.4 MB)
@@ -180,8 +178,8 @@ def delta_dense_check(a: DyadicTree, delta_level: int, upper: float) -> bool:
     idx = a.array(delta_level)
     if not 0.0 <= upper <= a.span:
         raise ValueError(f"upper={upper} outside [0, {a.span}]")
-    charge(a.capacity(delta_level), "density grid")
     hi = min(int(upper * (1 << delta_level)), a.capacity(delta_level) - 1)
+    charge(hi + 3, "density grid")
     occ = np.zeros(hi + 3, dtype=bool)  # cells -1 .. hi + 1
     occ[idx[: np.searchsorted(idx, hi + 2)] + 1] = True
     return bool((occ[:-2] | occ[1:-1] | occ[2:]).all())
@@ -350,7 +348,7 @@ def _cell_array(cells, d: int, cap: int) -> np.ndarray:
 
 
 def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
-    """Cartesian product of 1-d leaf occupancies into a d-dimensional grid."""
+    """Cartesian product of 1-d leaf occupancies, charged d coordinates a cell."""
     d = len(trees)
     if d not in (1, 2, 3):
         raise ValueError(f"need 1..3 factors, got {d}")
@@ -359,13 +357,12 @@ def grid_product(trees: Sequence[DyadicTree]) -> GridSetD:
     if any(t.max_depth != depth or t.span != span for t in trees):
         raise ValueError("factors must share depth and span")
     sizes = [t.count(depth) for t in trees]
-    total = math.prod(sizes)
-    charge(total, "grid product")
-    if total > _MAX_GRID_CELLS:
-        raise ResourceLimitError(f"{total} product cells exceed the {_MAX_GRID_CELLS} budget")
+    charge(d * math.prod(sizes), "grid product")
     # sorted, distinct factor levels give distinct rows in lexicographic order
-    grids = np.meshgrid(*[t.array(depth) for t in trees], indexing="ij")
-    return GridSetD._trusted(d, depth, span, np.stack([g.ravel() for g in grids], axis=1))
+    cells = np.empty((*sizes, d), dtype=np.int64)
+    for i, t in enumerate(trees):
+        cells[..., i] = t.array(depth).reshape([-1 if j == i else 1 for j in range(d)])
+    return GridSetD._trusted(d, depth, span, cells.reshape(-1, d))
 
 
 def _nonneg_differences(idx: np.ndarray) -> np.ndarray:
@@ -383,7 +380,6 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
     axes = [_dedupe_sorted(np.sort(cells[:, i])) for i in range(f.dimension)]
     if math.prod(a.size for a in axes) == len(cells):
         diffs = [_nonneg_differences(a) for a in axes]
-        charge(math.prod(d.size for d in diffs), "distance vectors")
         # every combination occurs; a broadcast view holds no memory
         return diffs, np.broadcast_to(np.True_, tuple(d.size for d in diffs)), True
     # code = sum_i x_i * radix_i in radix 2 * extent_i - 1: a code difference
@@ -425,15 +421,13 @@ def distance_set(f: GridSetD) -> DyadicTree:
     runs of consecutive differences, the product of the axes' runs or a run
     along the last axis of seen, hits exactly isqrt(Σ lo²) .. isqrt(Σ hi²),
     along a monotone lattice path between its corners.  The widened
-    intervals, in blocks of _BLOCK_VECTORS, join by one difference array
-    and one cumulative sum, in exact int64.
+    intervals, in blocks of up to 2^18 boxes or the budget, each charged,
+    join by one difference array and one cumulative sum, in exact int64.
     """
     if len(f.array()) == 0:
         raise ValueError("empty grid set")
     n = f.depth
     values, seen, product = _difference_vectors(f)
-    bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
-    charge(bound << n, "distance bitmap")
     top = sum(int(v[-1]) ** 2 for v in values)
     if top >= 1 << 63:
         raise ValueError(f"squared distances up to {top} do not fit int64")
@@ -446,10 +440,13 @@ def distance_set(f: GridSetD) -> DyadicTree:
         squares = [(base + col[::2] ** 2, base + (col[1::2] - 1) ** 2)]
     span = max(1, math.ceil(math.sqrt(top if product else int(squares[0][1].max())) * 2.0**-n - 1e-9))
     cap = span << n
+    charge(cap + 1, "distance bitmap")
     ends = np.zeros(cap + 1, dtype=np.int64)
     lo2, hi2 = (np.ix_(*side) for side in zip(*squares))
-    rows = max(1, _BLOCK_VECTORS // math.prod(lo.size for lo, _ in squares[1:]))
+    row = math.prod(lo.size for lo, _ in squares[1:])
+    rows = max(1, min(_BLOCK_PAIRS, current_cap()) // row)
     for start in range(0, lo2[0].size, rows):
+        charge(min(rows, lo2[0].size - start) * row, "distance boxes")
         lo = _isqrt(sum(lo2[1:], lo2[0][start : start + rows]).ravel())
         hi = _isqrt(sum(hi2[1:], hi2[0][start : start + rows]).ravel())
         np.add.at(ends, np.clip(lo - 1, 0, cap), 1)

@@ -129,10 +129,10 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
 
     Refines hull images until the unmerged piece length drops below one
     cell, then marks every cell meeting a closed piece; both ends are
-    clamped to span, the left one also to 0.  Each round merges the
-    sorted pieces by a running maximum of right ends: a piece opens a new
-    interval where its left end passes the maximum before it, which is
-    exactly where a merge walking the pieces one by one closes one.
+    clamped into [0, span].  Each round merges the sorted pieces by a
+    running maximum of right ends: a piece opens a new interval where its
+    left end passes the maximum before it, which is exactly where a merge
+    walking the pieces one by one closes one.
     """
     _check_grid(depth, spec.span)
     lo, hi = spec.hull()
@@ -149,7 +149,7 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
         new = np.append(True, a[1:] > reach[:-1])
         a, b = a[new], reach[np.append(new[1:], True)]
         length *= spec.r
-    cells = _interval_cells(np.clip(a, 0.0, spec.span), np.minimum(b, float(spec.span)), depth, spec.span)
+    cells = _interval_cells(np.clip(a, 0.0, spec.span), np.clip(b, 0.0, spec.span), depth, spec.span)
     return DyadicTree.from_leaves(depth, spec.span, cells)
 
 

@@ -335,7 +335,7 @@ def ifs_attractor_oracle(spec, depth: int) -> DyadicTree:
     leaves = []
     for a, b in pieces:
         first = cell_of(min(max(a, 0.0), spec.span), depth, spec.span)
-        last = cell_of(min(b, float(spec.span)), depth, spec.span)
+        last = cell_of(min(max(b, 0.0), spec.span), depth, spec.span)
         leaves.extend(range(first, last + 1))
     return DyadicTree.from_leaves(depth, spec.span, leaves)
 

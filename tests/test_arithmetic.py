@@ -493,11 +493,15 @@ class TestDeltaDense:
         assert delta_dense_check(a, level, upper) == delta_dense_oracle(a, level, upper)
 
     def test_grid_charged_before_it_is_packed(self):
+        # the hi + 3 flags of cells -1 .. hi + 1 up to `upper`, not the level
         t = tree_of(20, [0, 5, 1 << 19])
         with limit(100):
-            assert delta_dense_check(t, 6, 0.0)
-            with pytest.raises(ResourceLimitError, match="density grid needs 1048576 cells"):
-                delta_dense_check(t, 20, 0.0)
+            assert delta_dense_check(t, 20, 0.0)
+            assert not delta_dense_check(t, 20, 97 / (1 << 20))
+            with pytest.raises(ResourceLimitError, match="density grid needs 101 cells"):
+                delta_dense_check(t, 20, 98 / (1 << 20))
+            with pytest.raises(ResourceLimitError, match="density grid needs 1048578 cells"):
+                delta_dense_check(t, 20, 1.0)
 
 
 class TestGridSetD:
@@ -538,11 +542,32 @@ class TestGridSetD:
         with pytest.raises(ValueError):
             grid_product([tree_of(2, [0]), tree_of(2, [0], span=2)])
 
-    def test_product_budget(self, monkeypatch):
-        monkeypatch.setattr(arith, "_MAX_GRID_CELLS", 8)
+    def test_product_budget(self):
+        # 9 cells of 2 coordinates each
         t = tree_of(4, [0, 3, 7])
-        with pytest.raises(ResourceLimitError):
+        with limit(18):
+            assert len(grid_product([t, t]).array()) == 9
+        with pytest.raises(ResourceLimitError, match="grid product needs 18 cells"), limit(17):
             grid_product([t, t])
+
+    def test_product_charged_before_it_is_allocated(self):
+        t = ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), 12)
+        cells = 3 * t.count(12) ** 3
+        tracemalloc.start()
+        try:
+            with limit(cells - 1), pytest.raises(ResourceLimitError, match=f"grid product needs {cells} cells"):
+                grid_product([t, t, t])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 // 2
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_product_rows_match_meshgrid(self, d):
+        trees = [tree_of(5, [1, 4, 9, 30]), tree_of(5, [0, 31]), tree_of(5, [2, 3, 17])][:d]
+        grids = np.meshgrid(*[t.array(5) for t in trees], indexing="ij")
+        want = np.stack([g.ravel() for g in grids], axis=1)
+        assert np.array_equal(grid_product(trees).array(), want)
 
 
 class TestDistanceSet:
@@ -591,11 +616,11 @@ class TestDistanceSet:
             distance_set(GridSetD(2, 3, 1, ()))
 
     def test_pair_budget(self):
-        # refused by its 2 * 2^depth-cell distance bitmap; the axis sums are charged 13
-        f = GridSetD(1, 3, 1, ((0,), (2,), (4,), (6,)))
-        with limit(16):
-            distance_set(f)
-        with pytest.raises(ResourceLimitError), limit(15):
+        # refused by its span * 2^depth + 1 = 9 ends; the axis sums are charged 4
+        f = GridSetD(1, 3, 1, ((0,), (7,)))
+        with limit(9):
+            assert distance_set(f).array(3).tolist() == [0, 1, 6, 7]
+        with pytest.raises(ResourceLimitError, match="distance bitmap needs 9 cells"), limit(8):
             distance_set(f)
 
     def test_non_product_budget(self):
@@ -617,13 +642,33 @@ class TestDistanceSet:
         with limit(1 << 62), pytest.raises(ValueError, match="sums up to .* do not fit int64"):
             distance_set(g)
 
-    def test_vector_count_is_charged(self):
-        # each axis has at most 31 differences, the 16 x 16 difference vectors 256
-        f = grid_product([tree_of(4, range(16))] * 2)
+    def test_box_blocks_are_charged(self):
+        # each axis has 16 isolated differences 0, 2, .., 30, so a block of
+        # boxes holds whole rows of 16 x 16; the ends are 2 * 32 + 1 = 65
+        f = grid_product([tree_of(5, range(0, 32, 2))] * 3)
+        want = distance_set(f)
         with limit(256):
+            assert distance_set(f) == want
+        with pytest.raises(ResourceLimitError, match="distance boxes needs 256 cells"), limit(255):
             distance_set(f)
-        with pytest.raises(ResourceLimitError), limit(255):
-            distance_set(f)
+
+    def test_box_blocks_charged_before_they_are_formed(self):
+        # the up to 190 differences of 20 scattered indices are mostly isolated
+        # runs: a row of boxes far outweighs the axis sums and the 2^13 ends
+        rng = np.random.default_rng(3)
+        a = tree_of(12, rng.choice(1 << 12, 20, replace=False))
+        f = grid_product([a, a, a])
+        values, _, _ = _difference_vectors(f)
+        runs = np.count_nonzero(np.diff(values[0]) != 1) + 1
+        cells = runs * runs
+        tracemalloc.start()
+        try:
+            with limit(cells - 1), pytest.raises(ResourceLimitError, match=f"distance boxes needs {cells} cells"):
+                distance_set(f)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < cells * 8 // 2
 
     def test_bitmap_is_charged(self):
         # two cells, two difference vectors, but a 3 * 2^20-cell distance bitmap
@@ -679,7 +724,7 @@ class TestDistanceSet:
         # one row of axis-0 values per block, some of them with no vector
         f = GridSetD(2, 6, 1, cells)
         want = distance_set(f)
-        monkeypatch.setattr(arith, "_BLOCK_VECTORS", 1)
+        monkeypatch.setattr(arith, "_BLOCK_PAIRS", 1)
         assert distance_set(f) == want == distance_set_oracle(f)
 
     @pytest.mark.parametrize("r, depth", [(1 / 3, 12), (1 / 3, 13), (1 / 3, 14), (0.2, 16)])
@@ -688,6 +733,23 @@ class TestDistanceSet:
         c = ifs_attractor(IfsSpec(r, (0.0, 1 - r)), depth)
         dust = grid_product([c, c])
         assert distance_set(dust) == distance_set_sqrt_oracle(dust)
+
+    def test_deep_cantor_dust_at_the_default_budget(self):
+        # the Cantor index differences cover 0 .. 2^15 - 1, so the distances
+        # fill 0 .. isqrt(2 (2^15 - 1)^2), widened by one cell
+        c = ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), 15)
+        out = distance_set(grid_product([c, c]))
+        assert math.isqrt(2 * ((1 << 15) - 1) ** 2) + 1 == 46_340
+        assert np.array_equal(out.array(15), np.arange(46_341))
+
+    def test_small_dimension_dust_at_the_default_budget(self):
+        # the r = 1/5 dust (dimension 2 log 2 / log 5 ~ 0.86): 22,060
+        # differences per axis, whose vectors are a broadcast view, not held
+        c = ifs_attractor(IfsSpec(0.2, (0.0, 0.8)), 20)
+        out = distance_set(grid_product([c, c])).array(20)
+        diffs = arith._nonneg_differences(c.array(20))
+        assert np.isin(diffs, out).all()  # axis-aligned pairs
+        assert out[-1] == math.isqrt(2 * int(diffs[-1]) ** 2) + 1  # opposite corners
 
     def test_3d_dusts_match_the_square_root_route(self):
         c = ifs_attractor(IfsSpec(0.2, (0.0, 0.8)), 7)

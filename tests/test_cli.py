@@ -140,6 +140,17 @@ class TestGen:
         grid = load_grid(g)
         assert grid == grid_product([load_tree(t), load_tree(t)])
 
+    def test_deep_dust_product_at_the_default_budget(self, capsys, tmp_path):
+        # 1,340^2 cells of 2 coordinates each, charged 3,591,200
+        t = tmp_path / "t.tree"
+        g = tmp_path / "g.grid"
+        run(capsys, ["gen", "--ifs", "r=1/3", "t=0,2/3", "--depth", "15", "--out", str(t)])
+        assert run(capsys, ["gen", "--product", str(t), str(t), "--out", str(g)])[0] == 0
+        assert g.read_text().count("\n") == 1 + 1340 * 1340
+        code, _, err = run(capsys, ["--budget-cells", "3591199", "gen", "--product", str(t), str(t)])
+        assert code == 3
+        assert json.loads(err)["message"] == "grid product needs 3591200 cells, budget is 3591199"
+
     @pytest.mark.parametrize(
         "extra, message",
         [

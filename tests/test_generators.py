@@ -398,14 +398,13 @@ class TestArrayGenerators:
     def test_reciprocal_matches_set_comprehension(self, depth):
         assert_same_tree(reciprocal_tree(depth), reciprocal_tree_oracle(depth))
 
-    def test_out_of_range_endpoint_raises_as_scalar(self):
-        # a translation inside the tolerance below 0 puts the hull just left of 0
+    def test_endpoint_below_zero_matches_scalar(self):
+        # a translation inside the tolerance below 0 puts the whole piece
+        # just left of 0; both ends are clamped to 0, as for translation 0
         spec = IfsSpec(0.5, (-1e-13,))
-        with pytest.raises(ValueError) as want:
-            ifs_attractor_oracle(spec, 4)
-        with pytest.raises(ValueError) as got:
-            ifs_attractor(spec, 4)
-        assert str(got.value) == str(want.value)
+        got = ifs_attractor(spec, 4)
+        assert_same_tree(got, ifs_attractor_oracle(spec, 4))
+        assert_same_tree(got, ifs_attractor(IfsSpec(0.5, (0.0,)), 4))
 
     @given(
         st.lists(st.tuples(st.floats(-0.5, 2.5), st.floats(0.0, 0.6)), min_size=1, max_size=20),

@@ -3,8 +3,10 @@ only dyadic.py reads a tree's `levels`, so the level representation can
 change inside that one module, every library tree comes from
 `DyadicTree.from_leaves`, not the trusting hand-built constructor, and no
 kernel calls the hash-based `np.unique` or packs an `int.from_bytes` bit
-grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  The
-suite's warning filter lets a failing hypothesis test report its example."""
+grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  Only
+budget.py raises ResourceLimitError, so `budget.charge` is the one resource
+limit.  The suite's warning filter lets a failing hypothesis test report its
+example."""
 
 import ast
 import subprocess
@@ -124,6 +126,33 @@ def test_detects_slow_kernel_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unique_or_bit_grid(path):
     assert slow_kernel_calls(path.read_text(encoding="utf-8")) == []
+
+
+def resource_limit_raises(source: str) -> list[int]:
+    """Lines that raise `ResourceLimitError`, bare or through a module."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Raise)
+        and node.exc is not None
+        for name in ast.walk(node.exc)
+        if isinstance(name, ast.Name) and name.id == "ResourceLimitError"
+        or isinstance(name, ast.Attribute) and name.attr == "ResourceLimitError"
+    )
+
+
+def test_detects_a_resource_limit_raise():
+    source = (
+        "def f(n):\n    if n > 8:\n        raise ResourceLimitError(f'{n} > 8')\n"
+        "    try:\n        g()\n    except ResourceLimitError:\n        raise\n"
+        "    raise errors.ResourceLimitError('cap')\n"
+    )
+    assert resource_limit_raises(source) == [3, 8]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "budget.py"], ids=lambda p: p.name)
+def test_only_the_budget_refuses_work(path):
+    assert resource_limit_raises(path.read_text(encoding="utf-8")) == []
 
 
 FAILING_TESTS = """
