@@ -403,11 +403,15 @@ def _difference_vectors(f: GridSetD) -> tuple[list[np.ndarray], np.ndarray, bool
 
 
 def _isqrt(s: np.ndarray) -> np.ndarray:
-    """floor(sqrt(s)) of int64 s < 2^63: a float root, off by at most one,
-    then an exact integer fix; r < 2^31.5, so r·r never overflows."""
+    """floor(sqrt(s)) of int64 s < 2^63: the floor of the float root, exact
+    below 2^52 (s is exact and sqrt correctly rounded, and (k+1)² - 1 keeps
+    its root more than half an ulp below k + 1).  Past 2^52 it is off by at
+    most one, so an exact integer fix follows; r < 2^31.5, so r·r never
+    overflows."""
     r = np.sqrt(s).astype(np.int64)
-    r -= r * r > s
-    r += s - r * r > 2 * r
+    if s.size and s.max() >= 1 << 52:
+        r -= r * r > s
+        r += s - r * r > 2 * r
     return r
 
 

@@ -33,16 +33,20 @@ TOTAL_MASS_TOL = 1e-9
 
 
 def _xlogx(w: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(w)
-    nz = w > 0.0
-    out[nz] = w[nz] * np.log(w[nz])
+    out = np.log(w, out=np.zeros_like(w), where=w > 0.0)
+    out *= w
     return out
 
 
 class TreeMeasure:
-    """Masses aligned positionally with tree.array(n).  Immutable once built."""
+    """Masses aligned positionally with tree.array(n).  Immutable once built.
 
-    __slots__ = ("tree", "masses", "_wlogw_cache")
+    The measure keeps, per level n < max_depth, the position of each cell's
+    first child in level n + 1 (tree.descendant_starts(n, 1), which the
+    child-sum check computes anyway).  The starts of an m-level window are
+    these arrays composed, one gather per level."""
+
+    __slots__ = ("tree", "masses", "_child", "_wlogw_cache")
 
     def __init__(self, tree: DyadicTree, masses):
         if tree.is_empty():
@@ -54,7 +58,7 @@ class TreeMeasure:
                 raise MeasureInvariantError(
                     f"level {n}: {w.size} masses for {tree.count(n)} occupied cells"
                 )
-            if np.any(w < 0.0) or not np.all(np.isfinite(w)):
+            if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
                 raise MeasureInvariantError(f"level {n}: masses must be finite and >= 0")
             arrays.append(w)
         total = float(arrays[0].sum())
@@ -62,19 +66,24 @@ class TreeMeasure:
             raise MeasureInvariantError(f"root masses sum to {total!r}, expected 1")
         if total != 1.0:
             arrays = [w / total for w in arrays]
+        child = []
         for n in range(tree.max_depth):
-            child_w = arrays[n + 1]
             bounds = tree.descendant_starts(n, 1)
-            sums = np.add.reduceat(child_w, bounds) if child_w.size else child_w
-            drift = float(np.max(np.abs(sums - arrays[n]))) if bounds.size else 0.0
+            drift = 0.0
+            if bounds.size:
+                diff = np.add.reduceat(arrays[n + 1], bounds) - arrays[n]
+                drift = float(np.abs(diff, out=diff).max())
             if drift > CHILD_SUM_TOL:
                 raise MeasureInvariantError(
                     f"level {n}: children deviate from parents by {drift:.3e}"
                 )
+            bounds.flags.writeable = False
+            child.append(bounds)
         for w in arrays:
             w.flags.writeable = False
         self.tree = tree
         self.masses = tuple(arrays)
+        self._child = tuple(child)
         self._wlogw_cache: dict[int, np.ndarray] = {}
 
     def mass(self, v: Vertex) -> float:
@@ -83,6 +92,13 @@ class TreeMeasure:
         if pos < 0:
             raise ValueError(f"vertex (level={level}, index={index}) not occupied")
         return float(self.masses[level][pos])
+
+    def _starts(self, k: int, m: int) -> np.ndarray:
+        """tree.descendant_starts(k, m), composed from the kept child starts."""
+        starts = self._child[k]
+        for j in range(k + 1, k + m):
+            starts = self._child[j][starts]
+        return starts
 
     def _wlogw(self, level: int) -> np.ndarray:
         arr = self._wlogw_cache.get(level)
@@ -270,10 +286,11 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     J: list[int] = []
     for k in range(n + 1):
         w = mu.masses[k]
-        a = np.add.reduceat(mu._wlogw(k + m), tree.descendant_starts(k, m))
+        a = np.add.reduceat(mu._wlogw(k + m), mu._starts(k, m))
         pos = w > 0.0
-        h = np.zeros_like(w)
-        h[pos] = (np.log(w[pos]) - a[pos] / w[pos]) / (m * LN2)
+        h = np.log(w, out=np.zeros_like(w), where=pos)
+        h -= np.divide(a, w, out=a, where=pos)
+        h /= m * LN2
         uniform_frac = float(np.sum(w[pos & (h >= 1.0 - eps)]))
         atomic_frac = float(np.sum(w[pos & (h <= eps)]))
         stats.append(LevelStats(k, uniform_frac, atomic_frac))

@@ -369,6 +369,37 @@ def reciprocal_tree_oracle(depth: int) -> DyadicTree:
     return DyadicTree.from_leaves(depth, 1, sorted(leaves))
 
 
+def xlogx_oracle(w: np.ndarray) -> np.ndarray:
+    """w log w with 0 log 0 := 0, by masked gathers and a scatter."""
+    out = np.zeros_like(w)
+    nz = w > 0.0
+    out[nz] = w[nz] * np.log(w[nz])
+    return out
+
+
+def scale_profile_oracle(mu, eps: float, m: int, n: int):
+    """`scale_profile` by a fresh `tree.descendant_starts(k, m)` run-head pass
+    per window and masked gathers: the check of the composed child starts
+    and the mask-free level kernels."""
+    from dimlab.measures import LN2, LevelStats, ScaleProfile
+
+    stats, I, J = [], [], []
+    for k in range(n + 1):
+        w = mu.masses[k]
+        a = np.add.reduceat(xlogx_oracle(mu.masses[k + m]), mu.tree.descendant_starts(k, m))
+        pos = w > 0.0
+        h = np.zeros_like(w)
+        h[pos] = (np.log(w[pos]) - a[pos] / w[pos]) / (m * LN2)
+        uniform_frac = float(np.sum(w[pos & (h >= 1.0 - eps)]))
+        atomic_frac = float(np.sum(w[pos & (h <= eps)]))
+        stats.append(LevelStats(k, uniform_frac, atomic_frac))
+        if uniform_frac > 1.0 - eps:
+            I.append(k)
+        if atomic_frac > 1.0 - eps:
+            J.append(k)
+    return ScaleProfile(eps, m, tuple(stats), tuple(I), tuple(J))
+
+
 def assert_same_tree(got: DyadicTree, want: DyadicTree) -> None:
     """Equal depth and span, and identical int64 arrays at every level."""
     assert (got.max_depth, got.span) == (want.max_depth, want.span)

@@ -765,6 +765,13 @@ class TestDistanceSet:
         s = [x for x in s if x < 1 << 63]
         assert _isqrt(np.array(s, dtype=np.int64)).tolist() == [math.isqrt(x) for x in s]
 
+    @pytest.mark.parametrize("first", [1, (1 << 26) - 20_000, (1 << 26) + 1, (1 << 31) - 10_000])
+    def test_isqrt_on_both_sides_of_2_52(self, first):
+        k = np.arange(first, first + 20_000, dtype=np.int64)
+        s = np.concatenate([k * k - 1, k * k, k * k + 2 * k])
+        assert (s.max() < 1 << 52) == (first < 1 << 26)
+        assert _isqrt(s).tolist() == [math.isqrt(x) for x in s.tolist()]
+
     def test_squares_past_int64_are_refused(self):
         x = (1 << 32) - 1
         f = GridSetD(2, 32, 1, [(0, 0), (0, x), (x, 0), (x, x)])

@@ -32,7 +32,7 @@ from dimlab import (
     scale_profile,
     splitting_measure,
 )
-from conftest import random_tree
+from conftest import random_tree, scale_profile_oracle, xlogx_oracle
 
 LN2 = math.log(2)
 
@@ -71,6 +71,34 @@ class TestConstruction:
                   np.array([0.125, 0.125, 0.25, 0.25, 0.125, 0.125])]
         with pytest.raises(MeasureInvariantError):
             TreeMeasure(cantor3, masses)
+
+    @pytest.mark.parametrize("level", [0, 2, 3])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
+    def test_non_finite_or_negative_mass_refused(self, cantor3_split, level, bad):
+        masses = [w.copy() for w in cantor3_split.masses]
+        masses[level][0] = bad
+        with pytest.raises(
+            MeasureInvariantError, match=f"^level {level}: masses must be finite and >= 0$"
+        ):
+            TreeMeasure(cantor3_split.tree, masses)
+
+    def test_negative_zero_mass_accepted(self, cantor3):
+        zero_leaf = from_leaf_masses(cantor3, [0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
+        masses = [w.copy() for w in zero_leaf.masses]
+        masses[3][2] = -0.0
+        mu = TreeMeasure(cantor3, masses)
+        assert math.copysign(1.0, mu.masses[3][2]) == -1.0
+        assert entropy(mu, 3) == entropy(zero_leaf, 3)
+
+    @pytest.mark.parametrize(
+        "level1, level, drift", [([0.7, 0.3], 1, "2.000e-01"), ([0.5, 0.4], 0, "1.000e-01")]
+    )
+    def test_child_sum_drift_message(self, cantor3_split, level1, level, drift):
+        masses = [w.copy() for w in cantor3_split.masses]
+        masses[1][:] = level1
+        with pytest.raises(MeasureInvariantError) as err:
+            TreeMeasure(cantor3_split.tree, masses)
+        assert str(err.value) == f"level {level}: children deviate from parents by {drift}"
 
     def test_small_drift_renormalized(self, cantor3):
         leaf = np.array([0.125, 0.125, 0.25, 0.25, 0.125, 0.125]) * (1 + 2e-10)
@@ -200,6 +228,57 @@ class TestProfile:
         mu = counting_measure(DyadicTree.from_leaves(6, 1, range(64)))
         with pytest.raises(ValueError):
             scale_profile(mu, 0.1, 3, 5)
+
+
+def profile_measures(seed: int):
+    """A random saturated tree of depth 4..14 with its counting, splitting
+    and random leaf-mass measures; about 30 % of the leaf masses are zero."""
+    rng = np.random.default_rng(seed)
+    depth = int(rng.integers(4, 15))
+    tree = random_tree(rng, depth, float(rng.uniform(0.3, 0.9)))
+    leaf = rng.random(tree.count(depth))
+    leaf[rng.random(leaf.size) < 0.3] = 0.0
+    leaf[int(rng.integers(leaf.size))] += 1.0
+    return tree, (counting_measure(tree), splitting_measure(tree), from_leaf_masses(tree, leaf))
+
+
+class TestProfileKernels:
+    """The composed window starts and the mask-free kernels against the
+    run-head pass per window and masked gathers they replace."""
+
+    @pytest.mark.parametrize("block", range(10))
+    def test_matches_oracle_exactly(self, block):
+        for seed in range(10 * block, 10 * block + 10):
+            tree, measures = profile_measures(seed)
+            for mu in measures:
+                for n in range(tree.max_depth + 1):
+                    assert entropy(mu, n) == -float(np.sum(xlogx_oracle(mu.masses[n])))
+                for m in range(1, min(5, tree.max_depth) + 1):
+                    for eps in (0.05, 0.1, 0.2, 0.4, 0.6):
+                        want = scale_profile_oracle(mu, eps, m, tree.max_depth - m)
+                        assert scale_profile(mu, eps, m).to_json() == want.to_json()
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_composed_starts_equal_descendant_starts(self, seed):
+        tree, (mu, _, _) = profile_measures(seed)
+        for k in range(tree.max_depth):
+            for m in range(1, tree.max_depth - k + 1):
+                assert np.array_equal(mu._starts(k, m), tree.descendant_starts(k, m))
+
+    def test_no_run_head_pass_and_no_float_faults(self, monkeypatch):
+        tree, measures = profile_measures(5)
+        calls = []
+        real = DyadicTree.descendant_starts
+        monkeypatch.setattr(
+            DyadicTree, "descendant_starts",
+            lambda self, k, m: calls.append((k, m)) or real(self, k, m),
+        )
+        assert np.count_nonzero(measures[2].masses[tree.max_depth - 3] == 0.0)
+        with np.errstate(all="raise"):
+            for mu in measures:
+                for m in (1, 3):
+                    scale_profile(mu, 0.2, m)
+        assert calls == []
 
 
 class TestGreedyCover:
