@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _clip, covering_count, descendant_range, subtree
+from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, descendant_range, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -44,11 +44,23 @@ class TreeMeasure:
     The measure keeps, per level n < max_depth, the position of each cell's
     first child in level n + 1 (tree.descendant_starts(n, 1), which the
     child-sum check computes anyway).  The starts of an m-level window are
-    these arrays composed, one gather per level."""
+    these arrays composed, one gather per level.
 
-    __slots__ = ("tree", "masses", "_child", "_wlogw_cache")
+    Local entropies read a read-only table per window (k, m), built on the
+    first query at that window: per occupied level-k vertex in order, the
+    sum of mu(E) log mu(E) over its level-(k + m) descendants E.  Building
+    it gathers count(k + m) entries once; later queries at (k, m) read one
+    entry."""
+
+    __slots__ = ("tree", "masses", "_child", "_wlogw_cache", "_local_cache")
 
     def __init__(self, tree: DyadicTree, masses):
+        self._build(tree, masses, None)
+
+    def _build(self, tree: DyadicTree, masses, child_starts) -> None:
+        """Check and store the masses.  child_starts, when given, is
+        tree.descendant_starts(n, 1) for each level n < max_depth, already
+        computed by the caller."""
         if tree.is_empty():
             raise MeasureInvariantError("cannot put a probability measure on an empty tree")
         arrays = []
@@ -68,7 +80,7 @@ class TreeMeasure:
             arrays = [w / total for w in arrays]
         child = []
         for n in range(tree.max_depth):
-            bounds = tree.descendant_starts(n, 1)
+            bounds = tree.descendant_starts(n, 1) if child_starts is None else child_starts[n]
             drift = 0.0
             if bounds.size:
                 diff = np.add.reduceat(arrays[n + 1], bounds) - arrays[n]
@@ -85,12 +97,18 @@ class TreeMeasure:
         self.masses = tuple(arrays)
         self._child = tuple(child)
         self._wlogw_cache: dict[int, np.ndarray] = {}
+        self._local_cache: dict[tuple[int, int], np.ndarray] = {}
 
-    def mass(self, v: Vertex) -> float:
-        level, index = v
+    def _position(self, level: int, index: int) -> int:
+        """The position of an occupied vertex in its level."""
         pos = self.tree.position(level, index)
         if pos < 0:
             raise ValueError(f"vertex (level={level}, index={index}) not occupied")
+        return pos
+
+    def mass(self, v: Vertex) -> float:
+        level, index = v
+        pos = self._position(level, index)
         return float(self.masses[level][pos])
 
     def _starts(self, k: int, m: int) -> np.ndarray:
@@ -108,8 +126,35 @@ class TreeMeasure:
             self._wlogw_cache[level] = arr
         return arr
 
+    def _local_sums(self, k: int, m: int) -> np.ndarray:
+        """Per occupied level-k vertex in order, the sum of _wlogw(k + m)
+        over its descendants, built on first use.  The segments are grouped
+        by length and each group summed as the rows of one gathered 2-d
+        array, which adds in the same order as np.sum on each slice, so the
+        sums equal it bit for bit (np.add.reduceat does not)."""
+        table = self._local_cache.get((k, m))
+        if table is None:
+            w = self._wlogw(k + m)
+            starts = self._starts(k, m)
+            lengths = np.diff(starts, append=w.size)
+            table = np.empty(starts.size)
+            ordered = np.sort(lengths)
+            for length in ordered[_run_heads(ordered)].tolist():
+                rows = (lengths == length).nonzero()[0]
+                table[rows] = np.add.reduce(w[starts[rows, None] + np.arange(length)], axis=1)
+            table.flags.writeable = False
+            self._local_cache[(k, m)] = table
+        return table
+
     def __repr__(self) -> str:
         return f"TreeMeasure(on {self.tree!r})"
+
+
+def _measure(tree: DyadicTree, masses, child_starts) -> TreeMeasure:
+    """A TreeMeasure whose builder already holds the one-level starts."""
+    mu = object.__new__(TreeMeasure)
+    mu._build(tree, masses, child_starts)
+    return mu
 
 
 def from_leaf_masses(tree: DyadicTree, leaf_masses) -> TreeMeasure:
@@ -121,11 +166,12 @@ def from_leaf_masses(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     if not (total > 0.0 and np.all(w >= 0.0) and np.isfinite(total)):
         raise MeasureInvariantError("leaf masses must be >= 0 with positive finite sum")
     w = w / total
+    starts = [tree.descendant_starts(n, 1) for n in range(tree.max_depth)]
     levels = [w]
     for n in range(tree.max_depth, 0, -1):
-        w = np.add.reduceat(w, tree.descendant_starts(n - 1, 1))
+        w = np.add.reduceat(w, starts[n - 1])
         levels.append(w)
-    return TreeMeasure(tree, tuple(reversed(levels)))
+    return _measure(tree, tuple(reversed(levels)), starts)
 
 
 def counting_measure(tree: DyadicTree) -> TreeMeasure:
@@ -138,10 +184,12 @@ def splitting_measure(tree: DyadicTree) -> TreeMeasure:
     """Unit mass split equally among occupied children, root-down."""
     roots = tree.count(0)
     levels = [np.full(roots, 1.0 / roots)]
+    starts = []
     for n in range(tree.max_depth):
-        counts = tree.descendant_counts(n, 1)
+        starts.append(tree.descendant_starts(n, 1))
+        counts = np.diff(starts[n], append=tree.count(n + 1))
         levels.append(np.repeat(levels[n] / counts, counts))
-    return TreeMeasure(tree, tuple(levels))
+    return _measure(tree, tuple(levels), starts)
 
 
 def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
@@ -185,17 +233,18 @@ def cond_entropy(mu: TreeMeasure, i: int, j: int) -> float:
 def local_entropy(mu: TreeMeasure, v: Vertex, m: int) -> float:
     """H of the renormalized measure below v at window depth m, in nats.
 
-    Equal to entropy(restrict_renormalize(mu, v), m) but computed in place
-    from the descendant slice.
+    Equal to entropy(restrict_renormalize(mu, v), m), read from the measure's
+    table for the window (v.level, m): the first query at a window gathers
+    count(v.level + m) entries to build it, later ones read one entry.
     """
-    v = Vertex(*v)
-    mv = mu.mass(v)
+    level, index = Vertex(*v)
+    pos = mu._position(level, index)
+    mv = float(mu.masses[level][pos])
     if mv <= 0.0:
-        raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
-    if m < 1:
-        raise ValueError(f"window m={m} leaves the tree at level {v.level}")
-    lo, hi = descendant_range(mu.tree, v, m)
-    a = float(np.sum(mu._wlogw(v.level + m)[lo:hi]))
+        raise ZeroMassError(f"vertex (level={level}, index={index}) has zero mass")
+    if m < 1 or level + m > mu.tree.max_depth:
+        raise ValueError(f"window m={m} leaves the tree at level {level}")
+    a = float(mu._local_sums(level, m)[pos])
     return math.log(mv) - a / mv
 
 

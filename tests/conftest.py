@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from dimlab import DyadicTree, FormatError, GridSetD
+from dimlab import DyadicTree, FormatError, GridSetD, Vertex, ZeroMassError
 from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
-from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of
+from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of, descendant_range
+from dimlab.measures import LN2
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -375,6 +376,28 @@ def xlogx_oracle(w: np.ndarray) -> np.ndarray:
     nz = w > 0.0
     out[nz] = w[nz] * np.log(w[nz])
     return out
+
+
+def local_entropy_oracle(mu, v, m: int) -> float:
+    """`local_entropy` by the per-call formula the window tables replace:
+    the descendant slice from `descendant_range`, `float(np.sum(...))` of
+    its w log w and `math.log`, refusals in the same order."""
+    v = Vertex(*v)
+    mv = mu.mass(v)
+    if mv <= 0.0:
+        raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
+    if m < 1:
+        raise ValueError(f"window m={m} leaves the tree at level {v.level}")
+    lo, hi = descendant_range(mu.tree, v, m)
+    a = float(np.sum(xlogx_oracle(mu.masses[v.level + m][lo:hi])))
+    return math.log(mv) - a / mv
+
+
+def classify_local_oracle(mu, v, eps: float, m: int) -> str:
+    """`classify_local` on the entropy of `local_entropy_oracle`."""
+    h = local_entropy_oracle(mu, v, m) / (m * LN2)
+    uniform, atomic = h >= 1.0 - eps, h <= eps
+    return "both" if uniform and atomic else "uniform" if uniform else "atomic" if atomic else "neither"
 
 
 def scale_profile_oracle(mu, eps: float, m: int, n: int):

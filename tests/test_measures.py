@@ -13,6 +13,7 @@ from dimlab import (
     DyadicTree,
     FormatError,
     MeasureInvariantError,
+    MoranSpec,
     TreeMeasure,
     Vertex,
     ZeroMassError,
@@ -28,11 +29,19 @@ from dimlab import (
     greedy_cover,
     loads_measure,
     local_entropy,
+    moran_tree,
     restrict_renormalize,
     scale_profile,
     splitting_measure,
 )
-from conftest import random_tree, scale_profile_oracle, xlogx_oracle
+from conftest import (
+    classify_local_oracle,
+    local_entropy_oracle,
+    parse_outcome,
+    random_tree,
+    scale_profile_oracle,
+    xlogx_oracle,
+)
 
 LN2 = math.log(2)
 
@@ -66,11 +75,40 @@ class TestConstruction:
             TreeMeasure(cantor3, masses)
 
     def test_child_sum_violation(self, cantor3):
+        masses = [np.array([1.0]), np.array([0.5, 0.5]),
+                  np.array([0.25, 0.25, 0.25, 0.25]),
+                  np.array([0.125, 0.125, 0.25, 0.3, 0.125, 0.125])]
+        with pytest.raises(
+            MeasureInvariantError, match=r"^level 2: children deviate from parents by 5\.000e-02$"
+        ):
+            TreeMeasure(cantor3, masses)
+
+    def test_mass_count_must_match_level(self, cantor3):
         masses = [np.array([1.0]), np.array([0.7, 0.3]),
                   np.array([0.25, 0.25, 0.5]),
                   np.array([0.125, 0.125, 0.25, 0.25, 0.125, 0.125])]
-        with pytest.raises(MeasureInvariantError):
+        with pytest.raises(MeasureInvariantError, match="^level 2: 3 masses for 4 occupied cells$"):
             TreeMeasure(cantor3, masses)
+
+    def test_builders_make_one_run_head_pass_per_level(self, monkeypatch):
+        tree, (mu, _, _) = profile_measures(4)
+        calls = []
+        real = DyadicTree.descendant_starts
+        monkeypatch.setattr(
+            DyadicTree, "descendant_starts",
+            lambda self, k, m: calls.append((k, m)) or real(self, k, m),
+        )
+        once = [(n, 1) for n in range(tree.max_depth)]
+        builds = (
+            counting_measure,
+            splitting_measure,
+            lambda t: from_leaf_masses(t, mu.masses[-1]),
+            lambda t: TreeMeasure(t, mu.masses),
+        )
+        for build in builds:
+            calls.clear()
+            build(tree)
+            assert calls == once
 
     @pytest.mark.parametrize("level", [0, 2, 3])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
@@ -279,6 +317,131 @@ class TestProfileKernels:
                 for m in (1, 3):
                     scale_profile(mu, 0.2, m)
         assert calls == []
+
+
+EPSILONS = (0.1, 0.25, 0.4, 0.6)
+
+
+def assert_local_matches_oracle(mu, levels=None, windows=None) -> tuple[int, int]:
+    """local_entropy and classify_local equal the per-call oracle with ==
+    at every vertex of the given levels (default all) and every window m
+    (default 1..D-k) that stays in the tree, and zero-mass vertices raise
+    ZeroMassError in both.  Returns the (vertex, m) pairs compared and the
+    zero-mass ones among them."""
+    tree = mu.tree
+    compared = zeros = 0
+    for k in range(tree.max_depth) if levels is None else levels:
+        for m in range(1, tree.max_depth - k + 1) if windows is None else windows:
+            if k + m > tree.max_depth:
+                continue
+            for j in tree.array(k).tolist():
+                v = Vertex(k, j)
+                compared += 1
+                if mu.mass(v) == 0.0:
+                    zeros += 1
+                    want = (ZeroMassError, f"vertex (level={k}, index={j}) has zero mass")
+                    assert parse_outcome(local_entropy_oracle, mu, v, m) == want
+                    assert parse_outcome(local_entropy, mu, v, m) == want
+                    continue
+                assert local_entropy(mu, v, m) == local_entropy_oracle(mu, v, m), (v, m)
+                for eps in EPSILONS:
+                    assert classify_local(mu, v, eps, m) == classify_local_oracle(mu, v, eps, m), (v, m, eps)
+    return compared, zeros
+
+
+class TestLocalTables:
+    """The per-window sum tables against the descendant slice, np.sum and
+    math.log per call that they replace: equal bit for bit, since class
+    strings sit on their thresholds on splitting measures."""
+
+    @pytest.mark.parametrize("block", range(3))
+    def test_matches_oracle_exactly(self, block):
+        zeros = 0
+        for seed in range(4 * block, 4 * block + 4):
+            for mu in profile_measures(seed)[1]:
+                zeros += assert_local_matches_oracle(mu)[1]
+        assert zeros > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_short_rows(self, seed):
+        """Many level-8 vertices with 3 to 7 descendants three levels down."""
+        rng = np.random.default_rng([31, seed])
+        leaves = [
+            (j << 3) | int(c) for j in range(256) for c in rng.choice(8, int(rng.integers(3, 8)), replace=False)
+        ]
+        tree = DyadicTree.from_leaves(11, 1, leaves)
+        mu = from_leaf_masses(tree, rng.random(tree.count(11)))
+        assert set(tree.descendant_counts(8, 3).tolist()) == {3, 4, 5, 6, 7}
+        assert assert_local_matches_oracle(mu, levels=[8], windows=[3]) == (256, 0)
+        assert assert_local_matches_oracle(mu, levels=range(6, 11))[0]
+
+    def test_long_segments(self):
+        """Windows whose segments hold more than 8192 leaves."""
+        rng = np.random.default_rng(32)
+        leaves = np.flatnonzero(rng.random(1 << 15) < 0.9)
+        tree = DyadicTree.from_leaves(15, 1, leaves)
+        mu = from_leaf_masses(tree, rng.random(leaves.size))
+        assert tree.descendant_counts(1, 14).min() > 8192
+        assert assert_local_matches_oracle(mu, levels=range(3))[0]
+
+    def test_moran_threshold_vertices(self):
+        """The 16^-j Moran measure at m = 4: 1607 (vertex, eps, threshold)
+        triples lie within 1e-12 of eps or 1 - eps, 67 of them on it."""
+        mu = splitting_measure(moran_tree(MoranSpec(8, "16^-j"), 16))
+        near = exact = 0
+        for k in range(13):
+            for j in mu.tree.array(k).tolist():
+                h = local_entropy(mu, Vertex(k, j), 4) / (4 * LN2)
+                for eps in (0.1, 0.25, 0.4):
+                    for threshold in (1.0 - eps, eps):
+                        near += abs(h - threshold) < 1e-12
+                        exact += h == threshold
+        assert (near, exact) == (1607, 67)
+        assert assert_local_matches_oracle(mu, windows=[4]) == (sum(map(mu.tree.count, range(13))), 0)
+
+
+class TestLocalRefusals:
+    """local_entropy refuses in the order of the per-call formula, with its
+    texts, and builds each window's table once."""
+
+    @pytest.fixture(scope="class")
+    def zero_leaf(self, cantor3):
+        return from_leaf_masses(cantor3, [0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
+
+    @pytest.mark.parametrize(
+        "v, m, want",
+        [
+            (Vertex(-1, 0), 0, (ValueError, "level -1 outside 0..3")),
+            (Vertex(4, 0), 1, (ValueError, "level 4 outside 0..3")),
+            (Vertex(2, 5), 0, (ValueError, "vertex (level=2, index=5) not occupied")),
+            (Vertex(3, 3), 1, (ValueError, "vertex (level=3, index=3) not occupied")),
+            (Vertex(2, 1), 0, (ZeroMassError, "vertex (level=2, index=1) has zero mass")),
+            (Vertex(3, 7), 2, (ZeroMassError, "vertex (level=3, index=7) has zero mass")),
+            (Vertex(1, 1), 0, (ValueError, "window m=0 leaves the tree at level 1")),
+            (Vertex(1, 1), -2, (ValueError, "window m=-2 leaves the tree at level 1")),
+            (Vertex(1, 1), 3, (ValueError, "window m=3 leaves the tree at level 1")),
+            (Vertex(3, 6), 1, (ValueError, "window m=1 leaves the tree at level 3")),
+        ],
+    )
+    def test_refusal_text_and_order(self, zero_leaf, v, m, want):
+        assert parse_outcome(local_entropy, zero_leaf, v, m) == want
+        assert parse_outcome(local_entropy_oracle, zero_leaf, v, m) == want
+        assert parse_outcome(classify_local, zero_leaf, v, 0.25, m) == want
+
+    def test_one_table_per_window(self, monkeypatch):
+        tree, (mu, _, _) = profile_measures(3)
+        calls = []
+        real = TreeMeasure._starts
+        monkeypatch.setattr(TreeMeasure, "_starts", lambda self, k, m: calls.append((k, m)) or real(self, k, m))
+        level = tree.array(2).tolist()
+        for j in level:
+            local_entropy(mu, Vertex(2, j), 2)
+            classify_local(mu, Vertex(2, j), 0.25, 2)
+        assert calls == [(2, 2)]
+        local_entropy(mu, Vertex(2, level[0]), 1)
+        local_entropy(mu, Vertex(1, tree.array(1)[0]), 2)
+        assert calls == [(2, 2), (2, 1), (1, 2)]
+        assert not mu._local_sums(2, 2).flags.writeable
 
 
 class TestGreedyCover:
