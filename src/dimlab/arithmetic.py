@@ -210,13 +210,32 @@ def _split_levels(cells: np.ndarray, depth: int) -> np.ndarray:
     steps = [(s * (d - 1), sum(1 << (b // s * s * d + b % s) for b in range(width))) for s in (16, 8, 4, 2, 1)]
     keys = []
     for low in range(0, int(cells.max(initial=0)).bit_length(), width):
-        x = (cells >> low) & ((1 << width) - 1)
+        x = cells >> low
+        x &= (1 << width) - 1
         for shift, mask in steps:
-            x = (x | x << shift) & mask
-        keys.append(np.bitwise_or.reduce(x << np.arange(d - 1, -1, -1), axis=1))
+            x |= x << shift
+            x &= mask
+        x <<= np.arange(d - 1, -1, -1)
+        keys.append(np.bitwise_or.reduce(x, axis=1))
+        del x
     s = cells.take(np.lexsort(keys), axis=0) if keys else cells
+    del keys
     apart = np.bitwise_or.reduce(s[1:] ^ s[:-1], axis=1)
-    return depth + 1 - np.searchsorted(np.left_shift(1, np.arange(63)), apart, side="right")
+    del s
+    part = np.searchsorted(np.left_shift(1, np.arange(63)), apart, side="right")
+    return np.subtract(depth + 1, part, out=part)
+
+
+def _index_words(n: int, d: int, top: int) -> int:
+    """The most int64 words _split_levels holds at once beside its input,
+    for n cells of d axes whose largest coordinate is top, with
+    k = ceil(bitlen(top) / (63 // d)) sort keys of n words each: while key j
+    is spread, the j earlier keys, x and one shifted copy of it, (k - 1 + 2d)·n;
+    while sorting, the keys, the order and the sorted cells, (k + 1 + d)·n;
+    while adjacent cells are compared, the sorted cells, their xor and its
+    reduction, (2d + 1)·n.  The levels and their bit lengths take 2n last."""
+    k = -(-top.bit_length() // (63 // d))
+    return n * max(k - 1 + 2 * d, k + 1 + d, 2 * d + 1)
 
 
 def _increasing_rows(a: np.ndarray) -> bool:
@@ -283,8 +302,9 @@ class GridSetD:
     def _index(self) -> np.ndarray:
         """The split levels of the cells in Morton order, built on first use."""
         if self._part is None:
-            charge(len(self._array), "grid index")
-            object.__setattr__(self, "_part", _split_levels(self._array, self.depth))
+            a = self._array
+            charge(_index_words(len(a), self.dimension, int(a.max(initial=0))), "grid index")
+            object.__setattr__(self, "_part", _split_levels(a, self.depth))
         return self._part
 
     def count(self, n: int) -> int:

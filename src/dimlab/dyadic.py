@@ -129,7 +129,13 @@ def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
     # Python ints come back as float or object only when no integer dtype
     # holds them all, so one of them lies outside [0, 2^63).
     if arr.dtype.kind in "iu":
-        arr = np.sort(arr, axis=None)
+        # Sums, flatnonzero outputs and most callers' leaves already
+        # strictly increase: one comparison then costs less than a sort.
+        # The copy keeps the caller's array apart from the tree's.
+        if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
+            arr = arr.copy()
+        else:
+            arr = np.sort(arr, axis=None)
         if arr[0] >= 0 and arr[-1] < span << max_depth:
             return arr.astype(np.int64, copy=False)
     raise ValueError(f"leaf index out of range at depth {max_depth} (span {span})")

@@ -231,6 +231,33 @@ class TestFromLeavesOracle:
         assert arr.tolist() == leaves
         assert arr.flags.writeable
 
+    @pytest.mark.parametrize(
+        "leaves",
+        [
+            np.array([9, 3, 40, 1, 5]),
+            np.array([1, 5, 5, 9, 9, 40]),
+            np.array([[1, 40], [9, 5]]),
+            np.array([1, 5, 9, 40], dtype=np.uint64),
+            np.array([1, 5, 9, 40], dtype=np.int32),
+            np.array([1, 5, 9, 40]),
+            np.array([40]),
+            [1, 5, 9, 40],
+            [40, 9, 5, 1, 5],
+        ],
+        ids=["unsorted", "repeated", "2-d", "uint64", "int32", "sorted", "one", "list", "list-unsorted"],
+    )
+    def test_sorted_and_unsorted_inputs_match_oracle(self, leaves):
+        want = from_leaves_oracle(6, 1, np.ravel(leaves).tolist())
+        assert DyadicTree.from_leaves(6, 1, leaves) == want
+
+    @pytest.mark.parametrize("leaves", [[3, 17, 40], [40]], ids=["increasing", "one"])
+    def test_tree_owns_its_leaves(self, leaves):
+        arr = np.array(leaves, dtype=np.int64)
+        t = DyadicTree.from_leaves(6, 1, arr)
+        assert not np.shares_memory(t.array(6), arr)
+        arr[:] = 0
+        assert t.array(6).tolist() == leaves
+
 
 class TestDescendants:
     def test_descendant_range_and_count(self):

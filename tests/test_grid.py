@@ -148,9 +148,11 @@ def test_index_is_charged_before_it_is_built():
     g = GridSetD(2, 4, 1, [(0, 0), (3, 5), (15, 15)])
     with limit(0):
         assert g.count(4) == 3  # the finest level reads no index
-    with limit(2), pytest.raises(ResourceLimitError, match="grid index needs 3 cells"):
+    # 3 cells of 2 axes, one sort key: the adjacent-cell pass holds the
+    # sorted cells, their xor and its reduction, (2·2 + 1)·3 words.
+    with limit(14), pytest.raises(ResourceLimitError, match="grid index needs 15 cells"):
         g.count(2)
-    with limit(3):
+    with limit(15):
         assert g.count(2) == grid_count_oracle(g, 2) == 3
     with limit(0):
         assert g.descendant_counts(0, 1).tolist() == [2]  # built once, then kept

@@ -319,6 +319,89 @@ class TestProfileKernels:
         assert calls == []
 
 
+def with_masses(tree: DyadicTree, seed: int):
+    """The counting measure and a random leaf-mass measure with zeros."""
+    rng = np.random.default_rng(seed)
+    leaf = rng.random(tree.count(tree.max_depth))
+    leaf[rng.random(leaf.size) < 0.3] = 0.0
+    leaf[0] += 1.0
+    return counting_measure(tree), from_leaf_masses(tree, leaf)
+
+
+def assert_profiles_match_oracle(mu, windows, eps_values=(0.1, 0.3, 0.6)) -> None:
+    """entropy at every level, and scale_profile at every (m, n) given,
+    equal their oracles with ==."""
+    for n in range(mu.tree.max_depth + 1):
+        assert entropy(mu, n) == -float(np.sum(xlogx_oracle(mu.masses[n])))
+    for m, n in windows:
+        for eps in eps_values:
+            want = scale_profile_oracle(mu, eps, m, n).to_json()
+            assert scale_profile(mu, eps, m, n).to_json() == want, (m, n, eps)
+
+
+class TestLevelBlocks:
+    """The level kernels run once per block of consecutive levels; what they
+    give must not depend on where the blocks fall."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 64, 1 << 15])
+    def test_blocks_cover_each_level_once(self, monkeypatch, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        tree = random_tree(np.random.default_rng(4), 12, 0.7)
+        offsets = measures._level_offsets(tree)
+        for first, stop in ((0, tree.max_depth + 1), (0, tree.max_depth), (3, 9), (5, 6)):
+            runs = list(measures._blocks(offsets, first, stop))
+            assert [k for k0, k1 in runs for k in range(k0, k1)] == list(range(first, stop))
+            for k0, k1 in runs:
+                assert k1 == k0 + 1 or offsets[k1] - offsets[k0] <= block
+
+    def test_levels_larger_than_a_block(self):
+        tree = random_tree(np.random.default_rng(17), 17, 0.9)
+        assert tree.count(17) > 1 << 15 > tree.count(15)
+        D = tree.max_depth
+        for mu in with_masses(tree, 1):
+            assert_profiles_match_oracle(mu, [(1, D - 1), (2, D - 2), (3, 9), (D, 0)], (0.2, 0.6))
+
+    def test_many_tiny_levels_share_a_block(self):
+        tree = DyadicTree.from_leaves(40, 1, [3, 4, 5, 1 << 20, (1 << 20) + 7, (1 << 39) + 9])
+        D = tree.max_depth
+        for mu in (*with_masses(tree, 2), splitting_measure(tree)):
+            assert_profiles_match_oracle(mu, [(1, D - 1), (5, D - 5), (4, 7), (D, 0), (1, 0)])
+
+    @pytest.mark.parametrize("block", [1, 3, 40, 500])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_small_blocks_match_oracle(self, monkeypatch, block, seed):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        tree, measures_ = profile_measures(seed)
+        D = tree.max_depth
+        windows = [(1, D - 1), (2, D - 2), (3, D - 5), (D - 1, 1), (D, 0), (1, 0)]
+        for mu in measures_:
+            assert_profiles_match_oracle(mu, windows)
+
+    @pytest.mark.parametrize("block", [1, 16, 1 << 15])
+    def test_first_drifting_level_is_named(self, monkeypatch, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        # Levels of 1, 2, 4, 8, 16, 22 and 22 cells: with 16 or more cells a
+        # block, level 2 sits inside the first block.  Each pair moved
+        # shares a parent, so only the pair's own level drifts.
+        tree = DyadicTree.from_leaves(6, 1, range(0, 64, 3))
+        masses = [w.copy() for w in splitting_measure(tree).masses]
+        masses[2][[0, 1]] += [1e-9, -1e-9]
+        masses[4][[0, 1]] += [3e-6, -3e-6]
+        with pytest.raises(MeasureInvariantError) as err:
+            TreeMeasure(tree, masses)
+        assert str(err.value) == "level 2: children deviate from parents by 1.000e-09"
+        masses[2][[0, 1]] -= [1e-9, -1e-9]
+        with pytest.raises(MeasureInvariantError) as err:
+            TreeMeasure(tree, masses)
+        assert str(err.value) == "level 4: children deviate from parents by 3.000e-06"
+
+
 EPSILONS = (0.1, 0.25, 0.4, 0.6)
 
 
