@@ -2,12 +2,17 @@
 
 Index sumsets realize F1(n) + F2(n) = {i + j} at a fixed level n.  One
 kernel computes them and the difference, iterated and semigroup sums by the
-cheaper of two numpy routes, |A|·|B| pairs against L·log2 L: sorted outer
-sums of the index pairs in bounded blocks, or an FFT convolution of length
-L of the 0/1 indicators.  It charges what it holds, not the grid the sums
-live on: at most min(extent, |A|·|B|) distinct sums, the pairs of each
-block, or the transform.  The exact pair count sits inside the covering
-bracket [N/2, 2N] for the true sumset, as SumsetReport records.
+cheapest of three exact numpy routes, chosen by one cost rule: the index
+pairs formed in bounded blocks and marked in one boolean grid over the
+extent of the sums, then read back in order; the same blocks sorted and
+deduped, for extents too wide to mark; or an FFT convolution of length L of
+the 0/1 indicators, written into one float64 buffer, whose spectra are
+multiplied in place.  A difference set takes one forward transform, its
+circular autocorrelation.  The kernel charges what it holds, not the grid
+the sums live on: at most min(extent, |A|·|B|) distinct sums, the pairs of
+each block, the marked grid, or the transform.  The exact pair count sits
+inside the covering bracket [N/2, 2N] for the true sumset, as SumsetReport
+records.
 
 Distance sets use the same kernel.  Two cell centers differ by an exact
 index difference times 2^-n, so the distances depend only on the distinct
@@ -43,16 +48,34 @@ from .errors import FormatError
 
 _BLOCK_PAIRS = 1 << 18  # outer-sum pairs or distance boxes formed at once
 _ROW_BLOCK = 1 << 16  # grid file lines parsed or formatted at once
-_PAIR_COST = 5  # one outer-sum pair ~ 5 units of L·log2 L, timed on 2^4..2^21 grids
-_FFT_CALL = 40_000  # per FFT call, in those units; tiny sums never load numpy.fft (0.4 MB)
+# Route costs in units of one step of a transform of length L, which takes
+# L·log2 L of them.  Timed on random operands on 2^4..2^21 grids (numpy 2.4.6,
+# 2 cores, one thread): a unit is ~3 ns up to L = 2^16 and ~8 ns at 2^21; a
+# least-squares fit gives 4.0 units a sorted pair, and a marked pair 1.23 and
+# a marked cell 0.15 up to 2^16 cells, 0.5-0.9 past that.
+_SORT_COST = 5  # one outer-sum pair formed, sorted and deduped
+_MARK_COST = 1.2  # one outer-sum pair formed and marked
+_CELL_COST = 0.5  # one cell of the marked grid zeroed and scanned
+_FFT_CALL = 40_000  # per FFT call; tiny sums never load numpy.fft (0.4 MB)
 _ROUNDING = 64 * 2.0**-53  # c·u of the FFT rounding bound, u = 2^-53
 
 
-def _fft_wins(na: int, nb: int, length: int) -> bool:
-    """Whether a transform of `length` is cheaper than na·nb pairs, and exact."""
+def _route(na: int, nb: int, extent: int) -> tuple[str, int]:
+    """The cheapest exact route for na·nb pairs whose sums span `extent`
+    cells, "fft", "marks" or "sort", and the transform length L, the least
+    2^j or 3·2^j covering the extent.  A transform needs L to fit the budget
+    and its rounding bound below 1/2; marks need the extent to fit it."""
+    length = 1 << (extent - 1).bit_length()
+    if 4 * extent <= 3 * length:
+        length = 3 * length // 4
     log = max(1, length.bit_length() - 1)
-    cheaper = _PAIR_COST * na * nb > length * log + _FFT_CALL
-    return cheaper and _ROUNDING * log * math.sqrt(na * nb) < 0.5
+    pairs = na * nb
+    cost = {"sort": _SORT_COST * pairs}
+    if extent <= current_cap():
+        cost["marks"] = _MARK_COST * pairs + _CELL_COST * extent
+    if length <= current_cap() and _ROUNDING * log * math.sqrt(pairs) < 0.5:
+        cost["fft"] = length * log + _FFT_CALL
+    return min(cost, key=cost.get), length
 
 
 def _outer_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -79,38 +102,79 @@ def _outer_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return parts[0]
 
 
-def _fft_counts(a: np.ndarray, b: np.ndarray, length: int) -> np.ndarray:
+def _marked_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """{i + j} by one boolean grid over the extent of the sums, charged
+    before it is allocated: each block of rows b[i:j, None] + a, of up to
+    2^18 pairs or the budget if smaller and charged as _outer_sums charges
+    it, marks its sums, which are then read back in order.  Nothing is
+    sorted."""
+    if a.size < b.size:
+        a, b = b, a
+    base = a[0] + b[0]
+    extent = int(a[-1] + b[-1] - base) + 1
+    charge(extent, "sumset marks")
+    hit = np.zeros(extent, dtype=bool)
+    rows = max(1, min(_BLOCK_PAIRS, current_cap()) // a.size)
+    b = b - base
+    for start in range(0, b.size, rows):
+        charge(min(rows, b.size - start) * a.size, "sumset pairs")
+        hit[np.add.outer(b[start : start + rows], a)] = True
+    sums = np.flatnonzero(hit)
+    sums += base
+    return sums
+
+
+def _fft_counts(a: np.ndarray, b: np.ndarray, length: int, reflected: bool = False) -> np.ndarray:
     """The count of pairs summing to a[0] + b[0] + s, s = 0 .. length - 1,
     in float64: the convolution of the 0/1 indicators of a - a[0] and
     b - b[0] by real transforms of `length`, at least the extent of the
-    sums; a sum a + a takes one forward transform.  For 0/1 inputs the
-    rounding error is at most about c·u·log2(L)·sqrt(|A|·|B|), u = 2^-53,
-    which _fft_wins keeps below 1/2; with c = 64 it is under 1e-4 for every
-    grid the default budget admits."""
+    sums.  The indicators are written into one float64 buffer, which also
+    takes the inverse transform, and the spectra are multiplied in place; a
+    sum a + a takes one forward transform.  So does a reflected b, which is
+    r - a[::-1] for some r: its spectrum is the conjugate of a's up to a
+    phase, so the counts are the circular autocorrelation |F|² of a, read
+    from L - off (the most negative difference, off = a[-1] - a[0]) round
+    to off, and only their first 2·off + 1 entries are returned.  For 0/1
+    inputs the rounding error is at most about c·u·log2(L)·sqrt(|A|·|B|),
+    u = 2^-53, which _route keeps below 1/2; with c = 64 it is under 1e-4
+    for every grid the default budget admits."""
     charge(length, "sumset transform")
-    fa = np.fft.rfft(np.bincount(a - a[0]), length)
-    fb = fa if b is a else np.fft.rfft(np.bincount(b - b[0]), length)
-    return np.fft.irfft(fa * fb, length)
+    buf = np.zeros(length)
+    buf[a - a[0]] = 1.0
+    fa = np.fft.rfft(buf)
+    if reflected:
+        np.multiply(fa, fa.conj(), out=fa)
+    elif b is a:
+        np.square(fa, out=fa)
+    else:
+        buf.fill(0.0)
+        buf[b - b[0]] = 1.0
+        fa *= np.fft.rfft(buf)
+    counts = np.fft.irfft(fa, length, out=buf)
+    if not reflected:
+        return counts
+    off = int(a[-1] - a[0])
+    return np.concatenate((counts[length - off :], counts[: off + 1]))
 
 
-def _sum_indices(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sum_indices(a: np.ndarray, b: np.ndarray, reflected: bool = False) -> np.ndarray:
     """{i + j} of two sorted distinct nonnegative index arrays, by the
-    cheaper route.  It charges the most sums there can be, the least of
+    cheapest route.  It charges the most sums there can be, the least of
     their extent and |A|·|B|; the outer route holds at most twice that plus
-    one block.  A transform runs with the least length 2^j or 3·2^j that
-    covers the extent, and only when that length fits the budget."""
+    one block, the marked route one flag per cell of the extent, and the
+    transform route one float64 buffer of its length and two spectra.
+    reflected tells that b is r - a[::-1], so the sums are the differences
+    of a shifted by r - a[-1]: a transform then runs once forward."""
     if a.size == 0 or b.size == 0:
         return np.empty(0, dtype=np.int64)
     if int(a[-1]) + int(b[-1]) >= 1 << 63:
         raise ValueError(f"sums up to {int(a[-1]) + int(b[-1])} do not fit int64")
     extent = int(a[-1] - a[0] + b[-1] - b[0]) + 1
     charge(min(extent, a.size * b.size), "sumset grid")
-    length = 1 << (extent - 1).bit_length()
-    if 4 * extent <= 3 * length:
-        length = 3 * length // 4
-    if length <= current_cap() and _fft_wins(a.size, b.size, length):
-        return np.flatnonzero(_fft_counts(a, b, length) > 0.5) + (a[0] + b[0])
-    return _outer_sums(a, b)
+    route, length = _route(a.size, b.size, extent)
+    if route == "fft":
+        return np.flatnonzero(_fft_counts(a, b, length, reflected) > 0.5) + (a[0] + b[0])
+    return _marked_sums(a, b) if route == "marks" else _outer_sums(a, b)
 
 
 @dataclass(frozen=True)
@@ -157,7 +221,7 @@ def _differences(idx: np.ndarray) -> tuple[np.ndarray, int]:
     max - min so the most negative lands at 0, and the offset."""
     offset = int(idx[-1] - idx[0])
     shifted = idx - idx[0]
-    return _sum_indices(shifted, offset - shifted[::-1]), offset
+    return _sum_indices(shifted, offset - shifted[::-1], reflected=True), offset
 
 
 def difference_set(a: DyadicTree, level: int) -> tuple[DyadicTree, int]:

@@ -112,10 +112,10 @@ def _check_grid(depth: int, span: int) -> None:
 
 
 def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
-    """The leaves as a sorted int64 copy, checked to be integer indices of
-    the level-max_depth grid.  A sequence is type-checked element by
-    element, since numpy reads a bool among ints as an int; an array only
-    by its dtype."""
+    """The distinct leaves as a sorted int64 copy, checked to be integer
+    indices of the level-max_depth grid.  A sequence is type-checked
+    element by element, since numpy reads a bool among ints as an int; an
+    array only by its dtype."""
     if isinstance(leaves, np.ndarray):
         arr = leaves
         if arr.size and arr.dtype.kind not in "iu":
@@ -135,10 +135,13 @@ def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
         if arr.ndim == 1 and (arr[1:] > arr[:-1]).all():
             arr = arr.copy()
         else:
-            arr = np.sort(arr, axis=None)
+            arr = _dedupe_sorted(np.sort(arr, axis=None))
         if arr[0] >= 0 and arr[-1] < span << max_depth:
             return arr.astype(np.int64, copy=False)
     raise ValueError(f"leaf index out of range at depth {max_depth} (span {span})")
+
+
+_LEVEL_BLOCK = 1 << 16  # cells of a level compared with their neighbours at once
 
 
 def _run_heads(a: np.ndarray) -> np.ndarray:
@@ -194,7 +197,7 @@ class DyadicTree:
         """
         _check_grid(max_depth, span)
         arr = _sorted_leaves(leaves, max_depth, span)
-        stack = [_dedupe_sorted(arr)]
+        stack = [arr]
         for _ in range(max_depth):
             stack.append(_dedupe_sorted(stack[-1] >> 1))
         stack.reverse()
@@ -260,10 +263,26 @@ class DyadicTree:
     def descendant_starts(self, k: int, m: int) -> np.ndarray:
         """For each occupied level-k cell in order, the position of its first
         level-(k+m) descendant: the run starts of array(k+m) >> m, which on
-        a saturated tree has one run per occupied level-k cell."""
+        a saturated tree has one run per occupied level-k cell.  A few cells
+        over a large level, count(k)·bitlen(count(k+m)) < count(k+m), take
+        one binary search each; otherwise neighbours are compared in blocks
+        of _LEVEL_BLOCK cells, so the temporaries are one flag per cell of
+        level k+m and one block of its cells shifted, not a shifted copy."""
         if not 0 <= k <= k + m <= self.max_depth:
             raise ValueError(f"levels {k}..{k + m} outside 0..{self.max_depth}")
-        return _run_heads(self.array(k + m) >> m).nonzero()[0]
+        above, below = self._arrays[k], self._arrays[k + m]
+        if above.size * below.size.bit_length() < below.size:
+            return np.searchsorted(below, above << m)
+        # the run of below[0] starts at 0; each block of pairs (i, i + 1)
+        # shifts into one kept buffer and flags the cells i + 1 that differ
+        heads = np.empty(below.size, dtype=bool)
+        heads[:1] = True
+        shifted = np.empty(min(below.size, _LEVEL_BLOCK + 1), dtype=np.int64)
+        for lo in range(0, below.size - 1, _LEVEL_BLOCK):
+            block = below[lo : lo + _LEVEL_BLOCK + 1]
+            x = np.right_shift(block, m, out=shifted[: block.size])
+            np.not_equal(x[1:], x[:-1], out=heads[lo + 1 : lo + block.size])
+        return np.flatnonzero(heads)
 
     def descendant_counts(self, k: int, m: int) -> np.ndarray:
         """Per occupied level-k cell in order, its occupied level-(k+m) cells."""

@@ -52,6 +52,11 @@ def _level_offsets(tree: DyadicTree) -> list[int]:
     return [0, *accumulate(map(tree.count, range(tree.max_depth + 1)))]
 
 
+def _require_cells(tree: DyadicTree) -> None:
+    if tree.is_empty():
+        raise MeasureInvariantError("cannot put a probability measure on an empty tree")
+
+
 def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
     """tree.descendant_starts(n, 1) for n < max_depth, end to end."""
     kids = np.empty(offsets[-2], dtype=np.int64)
@@ -97,8 +102,7 @@ class TreeMeasure:
     __slots__ = ("tree", "masses", "_offsets", "_flat", "_kids", "_flat_wlogw", "_local_cache")
 
     def __init__(self, tree: DyadicTree, masses):
-        if tree.is_empty():
-            raise MeasureInvariantError("cannot put a probability measure on an empty tree")
+        _require_cells(tree)
         offsets = _level_offsets(tree)
         flat = np.empty(offsets[-1])
         for n in range(tree.max_depth + 1):
@@ -220,6 +224,7 @@ def from_leaf_masses(tree: DyadicTree, leaf_masses) -> TreeMeasure:
 
 def counting_measure(tree: DyadicTree) -> TreeMeasure:
     """Uniform mass on the deepest level."""
+    _require_cells(tree)
     return _sum_upward(tree, 1.0 / tree.count(tree.max_depth))
 
 
@@ -244,6 +249,7 @@ def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
 
 def splitting_measure(tree: DyadicTree) -> TreeMeasure:
     """Unit mass split equally among occupied children, root-down."""
+    _require_cells(tree)
     offsets = _level_offsets(tree)
     kids = _child_starts(tree, offsets)
     flat = np.empty(offsets[-1])

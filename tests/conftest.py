@@ -60,7 +60,7 @@ def from_leaves_oracle(max_depth: int, span: int, leaves) -> DyadicTree:
 
 def sum_indices_oracle(a, b) -> np.ndarray:
     """{i + j} as a sorted int64 array, by a set merge over every index
-    pair: the slow, independent check of the sumset kernel's two routes."""
+    pair: the slow, independent check of the sumset kernel's three routes."""
     a, b = np.asarray(a).tolist(), np.asarray(b).tolist()
     sums = {i + j for i in a for j in b}
     return np.fromiter(sorted(sums), dtype=np.int64, count=len(sums))

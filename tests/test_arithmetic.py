@@ -235,6 +235,14 @@ def dense_operands(draw):
     return ops
 
 
+@st.composite
+def spread_operands(draw):
+    """Two sets of 1..60 cells spread over grids of up to 2^16 cells, each
+    shifted by its own offset: sparse operands whose extent fits any route."""
+    cells = st.sets(st.integers(0, (1 << draw(st.integers(1, 16))) - 1), min_size=1, max_size=60)
+    return [np.fromiter(sorted(draw(cells)), dtype=np.int64) + draw(st.integers(0, 1000)) for _ in range(2)]
+
+
 def transform_length(a, b):
     """The least power of two covering the extent of the sums of a and b."""
     return 1 << int(a[-1] - a[0] + b[-1] - b[0]).bit_length()
@@ -244,6 +252,22 @@ def fft_sums(a, b):
     """{i + j} by the FFT route alone."""
     counts = arith._fft_counts(a, b, transform_length(a, b))
     return np.flatnonzero(counts > 0.5) + (a[0] + b[0])
+
+
+def reflection(a):
+    """a[-1] - a[::-1]: the operand whose sums with a are its differences
+    shifted by a[-1] - a[0]."""
+    return a[-1] - a[::-1]
+
+
+def autocorrelation_differences(a):
+    """The differences of a shifted by a[-1] - a[0], by the one-transform
+    autocorrelation route alone."""
+    b = reflection(a)
+    return np.flatnonzero(arith._fft_counts(a, b, transform_length(a, b), reflected=True) > 0.5)
+
+
+ROUTES = {"sort": arith._outer_sums, "marks": arith._marked_sums, "fft": fft_sums}
 
 
 class TestSumRoutes:
@@ -292,17 +316,43 @@ class TestSumRoutes:
         assert np.array_equal(_sum_indices(a, b), want)
         assert np.array_equal(_sum_indices(a, a), sum_indices_oracle(a, a))
 
+    @pytest.mark.parametrize("route", sorted(ROUTES))
+    @given(ops=st.one_of(dense_operands(), spread_operands()))
+    def test_each_route_matches_oracle(self, route, ops):
+        a, b = ops
+        assert np.array_equal(ROUTES[route](a, b), sum_indices_oracle(a, b))
+        assert np.array_equal(ROUTES[route](a, a), sum_indices_oracle(a, a))
+
+    @given(ops=st.one_of(dense_operands(), spread_operands()))
+    def test_autocorrelation_differences_match_outer_differences(self, ops):
+        a = ops[0]
+        want = sum_indices_oracle(a, -a) + int(a[-1] - a[0])
+        assert np.array_equal(autocorrelation_differences(a), want)
+        # _differences reflects a shifted to 0; every route it may take agrees
+        assert np.array_equal(arith._differences(a)[0], want)
+        shifted = a - a[0]
+        for fn in ROUTES.values():
+            assert np.array_equal(fn(shifted, reflection(shifted)), want)
+
     def test_cost_rule(self):
-        # few pairs on a wide grid: outer sums; many on a narrow one: FFT
-        assert not arith._fft_wins(512, 512, 1 << 19)
-        assert arith._fft_wins(3784, 3784, 1 << 17)
-        assert arith._fft_wins(888, 255, 1 << 15)
-        # a transform has a fixed cost too: small dust axes take outer sums
-        assert not arith._fft_wins(42, 42, 1 << 8)
-        assert not arith._fft_wins(84, 84, 1 << 9)
-        assert arith._fft_wins(142, 142, 1 << 10)
+        # few pairs on a wide grid: marks; many on a narrow one: FFT
+        assert arith._route(512, 512, 1 << 19) == ("marks", 1 << 19)
+        assert arith._route(3784, 3784, (1 << 17) - 1) == ("fft", 1 << 17)
+        # marks are cheaper than a transform up to a few pairs per cell
+        assert arith._route(888, 255, (1 << 15) - 1)[0] == "marks"
+        assert arith._route(2187, 2187, 43_689) == ("fft", 3 << 14)
+        # a transform has a fixed cost too: small dust axes never load numpy.fft
+        for n, extent in ((42, 1 << 8), (84, 1 << 9), (142, 1 << 10)):
+            assert arith._route(n, n, extent)[0] == "marks"
+        assert arith._route(300, 300, 1 << 10)[0] == "fft"
+        # extents past the budget are sorted: 1,000 cells each at depth 28
+        assert arith._route(1000, 1000, 1 << 29)[0] == "sort"
+        with limit(1 << 12):
+            assert arith._route(3784, 3784, 1 << 13)[0] == "sort"
+            assert arith._route(64, 64, 1 << 12)[0] == "marks"
         # the rounding bound fails long before the pair count does
-        assert not arith._fft_wins(1 << 45, 1 << 45, 1 << 46)
+        with limit(1 << 62):
+            assert arith._route(1 << 45, 1 << 45, 1 << 46)[0] != "fft"
 
     def test_fft_rounding_on_workload_operands(self, record_property):
         def ifs(r, ts, depth):
@@ -319,24 +369,27 @@ class TestSumRoutes:
             (iterated_sumset_oracle(moran, 3, 1 << 14), moran),
         ]
         worst = 0.0
-        for a, b in pairs:
-            counts = arith._fft_counts(a, b, transform_length(a, b))
+        for a, b, reflected in [(a, b, False) for a, b in pairs] + [(q3, reflection(q3), True), (f3, reflection(f3), True)]:
+            counts = arith._fft_counts(a, b, transform_length(a, b), reflected)
             worst = max(worst, float(np.abs(counts - np.rint(counts)).max()))
         record_property("fft_max_rounding_error", worst)
         assert worst < 1e-6
-        # the rounded counts are the exact pair counts
+        # the rounded counts are the exact pair counts, by either transform
         f14 = ifs(1 / 5, (0.0, 2 / 5, 4 / 5), 14)
-        counts = arith._fft_counts(f14, f14, transform_length(f14, f14))
-        exact = np.bincount(np.add.outer(f14, f14).ravel() - 2 * f14[0], minlength=counts.size)
-        assert np.array_equal(np.rint(counts), exact)
+        for b, reflected in ((f14, False), (reflection(f14), True)):
+            counts = arith._fft_counts(f14, b, transform_length(f14, b), reflected)
+            exact = np.bincount(np.add.outer(f14, b).ravel() - (f14[0] + b[0]), minlength=counts.size)
+            assert np.array_equal(np.rint(counts), exact)
 
-    @pytest.mark.parametrize("route", ["outer", "fft"])
+    @pytest.mark.parametrize("route", ["outer", "fft", "marks"])
     def test_routes_charge_before_they_allocate(self, route):
         a, b = np.arange(0, 30_000, 3), np.arange(0, 2_700, 7)
         fn, cells, what = {
             # blocks shrink to fit the budget, down to one row of a
             "outer": (arith._outer_sums, a.size, "sumset pairs"),
             "fft": (functools.partial(arith._fft_counts, length=1 << 15), 1 << 15, "sumset transform"),
+            # the grid of flags over the extent of the sums, 29,997 + 2,695 + 1
+            "marks": (arith._marked_sums, 32_693, "sumset marks"),
         }[route]
         tracemalloc.start()
         try:
@@ -346,6 +399,29 @@ class TestSumRoutes:
         finally:
             tracemalloc.stop()
         assert peak < cells * 8 // 2
+
+    def test_marked_blocks_fit_a_small_budget(self):
+        # the flags fit, and 390,000 pairs go in blocks of four rows
+        a, b = np.arange(0, 30_000, 3), np.arange(0, 270, 7)
+        with limit(4 * a.size):
+            got = arith._marked_sums(a, b)
+        assert np.array_equal(got, sum_indices_oracle(a, b))
+
+    @pytest.mark.parametrize("length", [1 << 16, 3 << 15])
+    @pytest.mark.parametrize("kind", ["square", "product", "reflected"])
+    def test_transform_holds_one_buffer_and_two_spectra(self, kind, length):
+        a = np.sort(np.random.default_rng(length).choice(length // 2, 5000, replace=False))
+        b = {"square": a, "product": a + 7, "reflected": reflection(a)}[kind]
+        args = (a, b, length, kind == "reflected")
+        arith._fft_counts(*args)  # numpy.fft's first call sets up its own caches
+        tracemalloc.start()
+        try:
+            arith._fft_counts(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        spectrum = 16 * (length // 2 + 1)
+        assert peak < 8 * length + 2 * spectrum + 8 * (a.size + b.size)
 
     def test_sums_run_at_exactly_their_grid_budget(self):
         # span 3: a power-of-two transform would overshoot the 6 * 2^10-cell

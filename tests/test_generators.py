@@ -567,8 +567,9 @@ class TestSemigroup:
         assert np.array_equal(tree.array(9), want)
 
     def test_transform_route_matches_shift_or_oracle(self):
-        # 20 generators in [1, 2): once the state grows, the cost rule picks the FFT
-        gens = [1 + k / 20 for k in range(20)]
+        # 60 generators in [1, 2): once the state grows, the cost rule picks
+        # the FFT over marking its state's 60 sums per cell of the grid
+        gens = [1 + k / 60 for k in range(60)]
         gcells = sorted({cell_of(g, 7, 32) for g in gens})
         with mock.patch.object(arith, "_fft_counts", wraps=arith._fft_counts) as fft:
             tree = semigroup_tree(gens, 32, 7)

@@ -67,6 +67,15 @@ class TestConstruction:
         assert np.allclose(mu.masses[3], 1 / 6)
         assert mu.masses[0][0] == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("build", [counting_measure, splitting_measure])
+    def test_empty_tree_refused_as_by_the_constructor(self, build):
+        empty = DyadicTree.from_leaves(3, 1, [])
+        text = "cannot put a probability measure on an empty tree"
+        with pytest.raises(MeasureInvariantError, match=f"^{text}$"):
+            TreeMeasure(empty, [[]] * 4)
+        with pytest.raises(MeasureInvariantError, match=f"^{text}$"):
+            build(empty)
+
     def test_total_mass_violation(self, cantor3):
         masses = [np.array([0.5]), np.array([0.25, 0.25]),
                   np.array([0.125, 0.125, 0.25]),
