@@ -164,7 +164,7 @@ def _sum_indices(a: np.ndarray, b: np.ndarray, reflected: bool = False) -> np.nd
     one block, the marked route one flag per cell of the extent, and the
     transform route one float64 buffer of its length and two spectra.
     reflected tells that b is r - a[::-1], so the sums are the differences
-    of a shifted by r - a[-1]: a transform then runs once forward."""
+    of a shifted by r: a transform then runs once forward."""
     if a.size == 0 or b.size == 0:
         return np.empty(0, dtype=np.int64)
     if int(a[-1]) + int(b[-1]) >= 1 << 63:

@@ -256,7 +256,7 @@ def fft_sums(a, b):
 
 def reflection(a):
     """a[-1] - a[::-1]: the operand whose sums with a are its differences
-    shifted by a[-1] - a[0]."""
+    shifted by a[-1]."""
     return a[-1] - a[::-1]
 
 
