@@ -22,6 +22,7 @@ from dimlab import (
     subtree,
     validate,
 )
+import dimlab.dyadic as dyadic
 from dimlab.budget import limit
 from conftest import (
     bitmask_of,
@@ -283,6 +284,19 @@ class TestDescendants:
             where = {j: pos for pos, j in enumerate(parents.tolist())}
             for j in range(span << k):
                 assert t.position(k, j) == where.get(j, -1)
+
+    @pytest.mark.parametrize("block, leaves, depth", [(1, 300, 10), (7, 2000, 12), (None, 150_000, 18)])
+    def test_descendant_starts_equal_run_heads(self, monkeypatch, block, leaves, depth):
+        # every route, the binary search and blocks of neighbours, of 1 and
+        # 7 cells and of the default 2^16 on levels of up to 150,000 cells
+        if block is not None:
+            monkeypatch.setattr(dyadic, "_LEVEL_BLOCK", block)
+        t = DyadicTree.from_leaves(depth, 1, np.random.default_rng(leaves).choice(1 << depth, leaves, replace=False))
+        for k in range(depth + 1):
+            for m in {min(1, depth - k), (depth - k) // 2, depth - k}:
+                shifted = t.array(k + m) >> m
+                want = np.flatnonzero(np.diff(shifted, prepend=-1))
+                assert np.array_equal(t.descendant_starts(k, m), want)
 
     @pytest.mark.parametrize("k, m", [(-1, 1), (2, -1), (3, 2)])
     def test_level_queries_reject_windows_outside_the_tree(self, k, m):
