@@ -36,7 +36,8 @@ from .dyadic import (
     _check_grid,
     _clip,
     _KERNEL_MIN_CHARS,
-    _decimal_lines,
+    _ROW_BLOCK,
+    _decimal_text,
     _decimal_tokens,
     _dedupe_sorted,
     _ints,
@@ -47,16 +48,21 @@ from .budget import charge, current_cap
 from .errors import FormatError
 
 _BLOCK_PAIRS = 1 << 18  # outer-sum pairs or distance boxes formed at once
-_ROW_BLOCK = 1 << 16  # grid file lines parsed or formatted at once
-# Route costs in units of one step of a transform of length L, which takes
-# L·log2 L of them.  Timed on random operands on 2^4..2^21 grids (numpy 2.4.6,
-# 2 cores, one thread): a unit is ~3 ns up to L = 2^16 and ~8 ns at 2^21; a
+# Route costs in units of one step of a transform of length L <= 2^16, of
+# which such a transform takes L·log2 L.  Timed on random operands on
+# 2^4..2^21 grids (numpy 2.4.6, 2 cores, one thread): a unit is ~3 ns; a
 # least-squares fit gives 4.0 units a sorted pair, and a marked pair 1.23 and
-# a marked cell 0.15 up to 2^16 cells, 0.5-0.9 past that.
+# a marked cell 0.15 up to 2^16 cells, 0.5-0.9 past that.  Past 2^16 a step
+# costs more, as the transform leaves the cache: about 3.1 ns up to 2^16,
+# 6.3 ns at 2^21 and 7.9 ns at 2^22, and timed against the marked route at
+# 2^18..2^22 the two break even at about 1.5-2 units a step past 2^17.  A
+# least-squares line through the step's cost in units against log2 L - 16
+# gives a slope of 0.17-0.24 between runs: _STEP_GROWTH.
 _SORT_COST = 5  # one outer-sum pair formed, sorted and deduped
 _MARK_COST = 1.2  # one outer-sum pair formed and marked
 _CELL_COST = 0.5  # one cell of the marked grid zeroed and scanned
 _FFT_CALL = 40_000  # per FFT call; tiny sums never load numpy.fft (0.4 MB)
+_STEP_GROWTH = 0.25  # units a transform step gains per doubling of L past 2^16
 _ROUNDING = 64 * 2.0**-53  # c·u of the FFT rounding bound, u = 2^-53
 
 
@@ -74,7 +80,8 @@ def _route(na: int, nb: int, extent: int) -> tuple[str, int]:
     if extent <= current_cap():
         cost["marks"] = _MARK_COST * pairs + _CELL_COST * extent
     if length <= current_cap() and _ROUNDING * log * math.sqrt(pairs) < 0.5:
-        cost["fft"] = length * log + _FFT_CALL
+        step = 1 + _STEP_GROWTH * max(0, log - 16)
+        cost["fft"] = step * length * log + _FFT_CALL
     return min(cost, key=cost.get), length
 
 
@@ -561,13 +568,9 @@ def annulus_cells(
 
 
 def dumps_grid(f: GridSetD) -> str:
-    """The grid-set v1 text of f, formatted in numpy in blocks of
-    _ROW_BLOCK rows."""
-    cells = f.array()
-    parts = [f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n"]
-    for start in range(0, len(cells), _ROW_BLOCK):
-        parts.append(_decimal_lines(cells[start : start + _ROW_BLOCK]))
-    return "".join(parts)
+    """The grid-set v1 text of f: one line per cell, by _decimal_text."""
+    body = _decimal_text(f.array().ravel(), " " * (f.dimension - 1) + "\n")
+    return "".join((f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n", body, "\n" if body else ""))
 
 
 def loads_grid(text: str) -> GridSetD:

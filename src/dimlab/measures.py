@@ -15,6 +15,11 @@ A vertex v is (eps, m)-uniform when the averaged entropy of the renormalized
 measure below v is >= 1 - eps over an m-level window, (eps, m)-atomic when it
 is <= eps; both thresholds use the averaged form, so "both" can only occur
 when eps >= 1/2.
+
+The level kernels (child starts, the child-sum check, scale profiles) work
+on blocks of consecutive levels holding at most _BLOCK_CELLS cells, one
+numpy pass a block, so a small tree costs a few numpy calls in all and a
+large level is a block by itself; see TreeMeasure.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, descendant_range, subtree
+from .dyadic import DyadicTree, Vertex, _clip, _run_heads, _select, covering_count, descendant_range, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -57,14 +62,6 @@ def _require_cells(tree: DyadicTree) -> None:
         raise MeasureInvariantError("cannot put a probability measure on an empty tree")
 
 
-def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
-    """tree.descendant_starts(n, 1) for n < max_depth, end to end."""
-    kids = np.empty(offsets[-2], dtype=np.int64)
-    for n in range(tree.max_depth):
-        kids[offsets[n] : offsets[n + 1]] = tree.descendant_starts(n, 1)
-    return kids
-
-
 def _blocks(offsets: list[int], first: int, stop: int):
     """Split levels first..stop-1 into runs [k0, k1) of consecutive levels
     holding at most _BLOCK_CELLS cells; a larger level is a run by itself."""
@@ -73,6 +70,33 @@ def _blocks(offsets: list[int], first: int, stop: int):
         k1 = max(bisect_right(offsets, offsets[k0] + _BLOCK_CELLS, k0 + 1, stop + 1) - 1, k0 + 1)
         yield k0, k1
         k0 = k1
+
+
+def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
+    """For each cell of levels 0..max_depth-1 in level-major order, the
+    global position of its first child: tree.descendant_starts(n, 1) plus
+    offsets[n + 1], end to end.  One run-head pass per block of levels: a
+    level by itself takes descendant_starts, several small ones the run
+    heads of their child levels end to end, each shifted right once, with
+    each child level's first cell a head."""
+    kids = np.empty(offsets[-2], dtype=np.int64)
+    for k0, k1 in _blocks(offsets, 0, tree.max_depth):
+        kids[offsets[k0] : offsets[k1]] = _block_child_starts(tree, offsets, k0, k1)
+    return kids
+
+
+def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int) -> np.ndarray:
+    """_child_starts for the cells of levels k0..k1-1, in one pass."""
+    if k1 == k0 + 1:
+        return tree.descendant_starts(k0, 1) + offsets[k1]
+    base = offsets[k0 + 1]
+    below = np.concatenate([tree.array(n) for n in range(k0 + 1, k1 + 1)])
+    below >>= 1
+    heads = _run_heads(below)
+    heads[np.subtract(offsets[k0 + 2 : k1 + 1], base)] = True
+    starts = np.flatnonzero(heads)
+    starts += base
+    return starts
 
 
 class TreeMeasure:
@@ -88,10 +112,17 @@ class TreeMeasure:
     gather per level of the window; w log w is one lazily built array laid
     out like the masses.
 
-    The level kernels (the child-sum check, scale profiles) run once per
-    block of consecutive levels holding at most _BLOCK_CELLS cells, so a
-    tree of many small levels costs a few numpy calls, and a larger level
-    forms a block by itself, keeping the temporaries of a pass in cache.
+    The level kernels (the child starts, the child-sum check, scale
+    profiles) run once per block of consecutive levels holding at most
+    _BLOCK_CELLS cells, so a tree of many small levels costs a few numpy
+    calls, and a larger level forms a block by itself, keeping the
+    temporaries of a pass in cache.  The child starts of a block are the
+    run heads of its child levels end to end, shifted right once; a level
+    alone in its block takes tree.descendant_starts(n, 1), which bounds its
+    temporaries.  One pass over a whole large tree would hold a shifted
+    copy of every level at once, and on a tree of 1.3M cells it measured
+    3.1 ms against 2.85 ms by blocks.  Scale profiles pick the masses of
+    each class by index (dyadic._select) on large blocks.
 
     Local entropies read a read-only table per window (k, m), built on the
     first query at that window: per occupied level-k vertex in order, the
@@ -118,16 +149,13 @@ class TreeMeasure:
 
     def _build(self, tree: DyadicTree, offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> None:
         """Take flat (all masses, level-major, finite and >= 0) and kids
-        (tree.descendant_starts(n, 1) for n < max_depth, end to end) as the
-        measure's own arrays: renormalize, make the starts global, check
+        (see _child_starts) as the measure's own arrays: renormalize, check
         the child sums and freeze."""
         total = float(flat[: offsets[1]].sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise MeasureInvariantError(f"root masses sum to {total!r}, expected 1")
         if total != 1.0:
             flat /= total
-        for n in range(tree.max_depth):
-            kids[offsets[n] : offsets[n + 1]] += offsets[n + 1]
         for k0, k1 in _blocks(offsets, 0, tree.max_depth):
             lo, hi = offsets[k0], offsets[k1]
             diff = np.add.reduceat(flat[: offsets[k1 + 1]], kids[lo:hi])
@@ -243,7 +271,7 @@ def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     kids = _child_starts(tree, offsets)
     for n in range(tree.max_depth, 0, -1):
         parents = slice(offsets[n - 1], offsets[n])
-        np.add.reduceat(flat[offsets[n] : offsets[n + 1]], kids[parents], out=flat[parents])
+        np.add.reduceat(flat[: offsets[n + 1]], kids[parents], out=flat[parents])
     return _measure(tree, offsets, flat, kids)
 
 
@@ -252,11 +280,14 @@ def splitting_measure(tree: DyadicTree) -> TreeMeasure:
     _require_cells(tree)
     offsets = _level_offsets(tree)
     kids = _child_starts(tree, offsets)
+    # the last child of the last cell of a level ends that child level,
+    # where the first child of the next level's first cell starts
+    counts = np.diff(kids, append=offsets[-1])
     flat = np.empty(offsets[-1])
     flat[: offsets[1]] = 1.0 / tree.count(0)
     for n in range(tree.max_depth):
-        counts = np.diff(kids[offsets[n] : offsets[n + 1]], append=tree.count(n + 1))
-        flat[offsets[n + 1] : offsets[n + 2]] = np.repeat(flat[offsets[n] : offsets[n + 1]] / counts, counts)
+        parents = slice(offsets[n], offsets[n + 1])
+        flat[offsets[n + 1] : offsets[n + 2]] = np.repeat(flat[parents] / counts[parents], counts[parents])
     return _measure(tree, offsets, flat, kids)
 
 
@@ -427,7 +458,7 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
         fracs = []
         for sel in (h >= 1.0 - eps, h <= eps):
             sel &= pos
-            picked = w[sel]
+            picked = _select(w, sel)
             sums, start = [], 0
             for k in range(k0, k1):
                 stop = start + np.count_nonzero(sel[offsets[k] - lo : offsets[k + 1] - lo])

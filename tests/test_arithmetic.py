@@ -354,6 +354,54 @@ class TestSumRoutes:
         with limit(1 << 62):
             assert arith._route(1 << 45, 1 << 45, 1 << 46)[0] != "fft"
 
+    def test_wide_transforms_cost_more_per_step(self, monkeypatch):
+        # 20 million pairs over an extent near 2^20: a flat step sends them
+        # to a transform of 2^20, which times slower than marking them
+        # (2 cores, numpy 2.4.6: 64-92 ms against 42-64 ms marked)
+        assert arith._route(4500, 4500, (1 << 20) - 1) == ("marks", 1 << 20)
+        monkeypatch.setattr(arith, "_STEP_GROWTH", 0)
+        assert arith._route(4500, 4500, (1 << 20) - 1) == ("fft", 1 << 20)
+
+    SLOT_ROUTES = {
+        # (kind, operands, depth): the route and transform length each
+        # sum of the sumset-growth benchmark's sum and difference slots takes
+        ("sum", ("q2", "q2"), 16): ("marks", 1 << 17),
+        ("sum", ("q2n", "q2n"), 18): ("marks", 3 << 17),
+        ("sum", ("q2", "q2n"), 16): ("marks", 1 << 17),
+        ("sum", ("c3", "c3"), 16): ("fft", 1 << 17),
+        ("sum", ("f3", "f3"), 16): ("fft", 1 << 17),
+        ("sum", ("c3", "f3"), 16): ("fft", 1 << 17),
+        ("diff", ("q2n",), 18): ("marks", 3 << 17),
+        ("diff", ("q2",), 16): ("marks", 1 << 17),
+        ("diff", ("f3",), 16): ("fft", 1 << 17),
+        ("diff", ("q3",), 16): ("fft", 1 << 17),
+    }
+
+    @pytest.mark.parametrize("case", SLOT_ROUTES, ids=lambda c: "-".join([c[0], *c[1], str(c[2])]))
+    def test_benchmark_sums_keep_their_routes(self, monkeypatch, case):
+        from dimlab import spec_from_json
+
+        ifs = {
+            "c3": ("1/3", ["0", "2/3"]),
+            "q2": ("1/4", ["0", "3/4"]),
+            "q2n": ("1/4", ["0", "1/2"]),
+            "q3": ("1/4", ["0", "1/4", "3/4"]),
+            "f3": ("1/5", ["0", "2/5", "4/5"]),
+        }
+        kind, names, depth = case
+        trees = [
+            ifs_attractor(spec_from_json({"type": "ifs", "r": ifs[n][0], "translations": ifs[n][1]}), depth)
+            for n in names
+        ]
+        verdicts = []
+        real = arith._route
+        monkeypatch.setattr(arith, "_route", lambda *args: verdicts.append(real(*args)) or verdicts[-1])
+        if kind == "sum":
+            index_sumset(trees[0], trees[1], depth)
+        else:
+            difference_set(trees[0], depth)
+        assert verdicts == [self.SLOT_ROUTES[case]]
+
     def test_fft_rounding_on_workload_operands(self, record_property):
         def ifs(r, ts, depth):
             return ifs_attractor(IfsSpec(r, ts), depth).array(depth)

@@ -99,15 +99,24 @@ class TestConstruction:
         with pytest.raises(MeasureInvariantError, match="^level 2: 3 masses for 4 occupied cells$"):
             TreeMeasure(cantor3, masses)
 
-    def test_builders_make_one_run_head_pass_per_level(self, monkeypatch):
+    @pytest.mark.parametrize("block", [1, 40, 1 << 15])
+    def test_builders_make_one_run_head_pass_per_block(self, monkeypatch, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
         tree, (mu, _, _) = profile_measures(4)
-        calls = []
-        real = DyadicTree.descendant_starts
+        passes, calls = [], []
+        real_pass, real_starts = measures._block_child_starts, DyadicTree.descendant_starts
+        monkeypatch.setattr(
+            measures, "_block_child_starts",
+            lambda t, offsets, k0, k1: passes.append((k0, k1)) or real_pass(t, offsets, k0, k1),
+        )
         monkeypatch.setattr(
             DyadicTree, "descendant_starts",
-            lambda self, k, m: calls.append((k, m)) or real(self, k, m),
+            lambda self, k, m: calls.append((k, m)) or real_starts(self, k, m),
         )
-        once = [(n, 1) for n in range(tree.max_depth)]
+        blocks = list(measures._blocks(measures._level_offsets(tree), 0, tree.max_depth))
+        assert len(blocks) < tree.max_depth or block == 1
         builds = (
             counting_measure,
             splitting_measure,
@@ -115,9 +124,12 @@ class TestConstruction:
             lambda t: TreeMeasure(t, mu.masses),
         )
         for build in builds:
+            passes.clear()
             calls.clear()
             build(tree)
-            assert calls == once
+            assert passes == blocks
+            # a level alone in its block keeps its own run-head pass
+            assert calls == [(k0, 1) for k0, k1 in blocks if k1 == k0 + 1]
 
     @pytest.mark.parametrize("level", [0, 2, 3])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e-300])
@@ -305,12 +317,53 @@ class TestProfileKernels:
                         want = scale_profile_oracle(mu, eps, m, tree.max_depth - m)
                         assert scale_profile(mu, eps, m).to_json() == want.to_json()
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_selection_by_index_matches_oracle(self, monkeypatch, seed):
+        # the test trees' levels are smaller than the selection cut: take
+        # every level's masses by index, as a large level does
+        from dimlab import dyadic
+
+        monkeypatch.setattr(dyadic, "_SELECT_MIN", 0)
+        tree, measures = profile_measures(seed)
+        for mu in measures:
+            for m in range(1, min(4, tree.max_depth) + 1):
+                for eps in (0.1, 0.4, 0.6):
+                    want = scale_profile_oracle(mu, eps, m, tree.max_depth - m)
+                    assert scale_profile(mu, eps, m).to_json() == want.to_json()
+
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_starts_equal_descendant_starts(self, seed):
         tree, (mu, _, _) = profile_measures(seed)
-        for k in range(tree.max_depth):
-            for m in range(1, tree.max_depth - k + 1):
-                assert np.array_equal(mu._starts(k, m), tree.descendant_starts(k, m))
+        assert_starts_equal_descendant_starts(mu)
+
+    @pytest.mark.parametrize(
+        "tree",
+        [
+            DyadicTree.from_leaves(0, 1, [0]),
+            DyadicTree.from_leaves(0, 5, [1, 3, 4]),
+            DyadicTree.from_leaves(13, 1, [5000]),
+            DyadicTree.from_leaves(9, 3, [0, 1, 2, 700, 1023, 1024, 1500, 1535]),
+        ],
+        ids=["depth-0", "depth-0-span-5", "chain", "span-3"],
+    )
+    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
+    def test_starts_on_edge_trees(self, monkeypatch, tree, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        for mu in (counting_measure(tree), splitting_measure(tree)):
+            assert_starts_equal_descendant_starts(mu)
+
+    def test_starts_on_levels_straddling_a_block(self):
+        from dimlab import measures
+
+        tree = random_tree(np.random.default_rng(17), 17, 0.9)
+        counts = [tree.count(n) for n in range(tree.max_depth + 1)]
+        assert counts[14] < measures._BLOCK_CELLS < counts[16]
+        offsets = measures._level_offsets(tree)
+        blocks = list(measures._blocks(offsets, 0, tree.max_depth))
+        assert any(k1 > k0 + 1 for k0, k1 in blocks) and any(k1 == k0 + 1 for k0, k1 in blocks)
+        assert_starts_equal_descendant_starts(counting_measure(tree), windows=3)
 
     def test_no_run_head_pass_and_no_float_faults(self, monkeypatch):
         tree, measures = profile_measures(5)
@@ -326,6 +379,19 @@ class TestProfileKernels:
                 for m in (1, 3):
                     scale_profile(mu, 0.2, m)
         assert calls == []
+
+
+def assert_starts_equal_descendant_starts(mu, windows: int | None = None) -> None:
+    """The measure's child starts, and the starts it composes for windows
+    m = 1..windows (default every window), equal descendant_starts."""
+    tree = mu.tree
+    offsets = np.cumsum([0] + [tree.count(n) for n in range(tree.max_depth + 1)])
+    want = [tree.descendant_starts(n, 1) + offsets[n + 1] for n in range(tree.max_depth)]
+    assert mu._kids.dtype == np.int64
+    assert np.array_equal(mu._kids, np.concatenate([[], *want]))
+    for k in range(tree.max_depth):
+        for m in range(1, min(windows or tree.max_depth, tree.max_depth - k) + 1):
+            assert np.array_equal(mu._starts(k, m), tree.descendant_starts(k, m))
 
 
 def with_masses(tree: DyadicTree, seed: int):

@@ -6,6 +6,7 @@ FormatError texts from bad files, and bounded memory on a 10^6-cell grid."""
 import re
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 from dimlab import DyadicTree, FormatError, GridSetD, dumps_grid, dumps_tree, grid_product, loads_grid, loads_tree
 from dimlab.arithmetic import _kernel_grid
-from dimlab.dyadic import _KERNEL_MIN_CHARS, _decimal_tokens, _decode_level
+from dimlab import dyadic
+from dimlab.dyadic import _KERNEL_MIN_CHARS, _decimal_text, _decimal_tokens, _decode_level
 
 from conftest import (
     decode_level_oracle,
@@ -246,6 +248,70 @@ def test_bad_levels_keep_their_messages(body, message):
         _same_outcome(parse_outcome(_decode_level, text, 1 << 20), want)
         with kernel_for_every_size():
             _same_outcome(parse_outcome(_decode_level, text, 1 << 20), want)
+
+
+# -- the writer ----------------------------------------------------------------
+
+# the edges of every digit count, and the ends of int64
+WRITER_EDGES = [0, 9, 10, 99, 100, *(10**k + e for k in range(3, 19) for e in (-1, 0)), 2**63 - 1]
+CUT = dyadic._WRITE_MIN
+WRITER_SEPS = [",", " ", "\n", " \n", "  \n"]  # level lists, RUNS pairs, grid rows of d = 1, 2, 3
+
+
+def decimal_text_oracle(values, seps: str) -> str:
+    """What _decimal_text should write, by "%d"."""
+    values = [int(v) for v in values]
+    if len(seps) == 1:
+        return seps.join(["%d"] * len(values)) % tuple(values)
+    d = len(seps)  # grid rows: d - 1 spaces, then a newline
+    rows = [values[i : i + d] for i in range(0, len(values), d)]
+    return "\n".join(" ".join(["%d"] * len(row)) % tuple(row) for row in rows)
+
+
+@given(
+    drawn=st.lists(st.one_of(st.sampled_from(WRITER_EDGES), st.integers(0, 2**63 - 1)), min_size=1, max_size=30),
+    length=st.sampled_from([0, 1, 2, 3, CUT - 1, CUT, CUT + 1, 2 * CUT + 3]),
+    seps=st.sampled_from(WRITER_SEPS),
+    block=st.sampled_from([1, 5, 1 << 16]),
+)
+@example(drawn=WRITER_EDGES, length=CUT, seps=",", block=1 << 16)
+@example(drawn=WRITER_EDGES, length=len(WRITER_EDGES), seps=" \n", block=1 << 16)
+def test_decimal_text_matches_percent_d(drawn, length, seps, block):
+    values = np.resize(np.array(drawn, dtype=np.int64), length)
+    want = decimal_text_oracle(values, seps)
+    for cut in (CUT, 0):
+        with mock.patch.object(dyadic, "_WRITE_MIN", cut), mock.patch.object(dyadic, "_ROW_BLOCK", block):
+            assert _decimal_text(values, seps) == want
+
+
+def writer_cases():
+    rng = np.random.default_rng(21)
+    trees = [
+        DyadicTree.from_leaves(0, 1, [0]),
+        DyadicTree.from_leaves(4, 1, []),
+        DyadicTree.from_leaves(12, 3, np.arange(0, 3 << 12, 2)),
+        DyadicTree.from_leaves(40, 1, [0, 9, 10, 99, 100, (1 << 40) - 1]),
+        random_tree(rng, 14, 0.8),
+        DyadicTree.from_leaves(13, 1, np.flatnonzero(rng.random(1 << 13) < 0.9)),
+        DyadicTree.from_leaves(60, 4, rng.integers(1 << 61, 1 << 62, 3000)),
+    ]
+    grids = [GridSetD(d, 0, 1, []) for d in (1, 2, 3)] + [
+        GridSetD(1, 10, 1, rng.choice(1 << 10, (900, 1), replace=False)),
+        grid_product([DyadicTree.from_leaves(11, 1, rng.choice(1 << 11, 50, replace=False))] * 2),
+        GridSetD(3, 20, 4, rng.integers(0, 4 << 20, (700, 3))),
+        GridSetD(2, 61, 3, [[0, 0], [10**18, 2**62], [(3 << 61) - 1, 99]]),
+    ]
+    return trees, grids
+
+
+@pytest.mark.parametrize("cut", [0, 1 << 62])
+def test_dumps_keep_their_bytes_on_either_writer(cut):
+    trees, grids = writer_cases()
+    want = [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids]
+    assert want[len(trees):] == [dumps_grid_oracle(g) for g in grids]
+    assert [loads_tree(text) for text in want[: len(trees)]] == trees
+    with mock.patch.object(dyadic, "_WRITE_MIN", cut):
+        assert [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids] == want
 
 
 # -- memory --------------------------------------------------------------------
