@@ -53,11 +53,12 @@ _BLOCK_PAIRS = 1 << 18  # outer-sum pairs or distance boxes formed at once
 # 2^4..2^21 grids (numpy 2.4.6, 2 cores, one thread): a unit is ~3 ns; a
 # least-squares fit gives 4.0 units a sorted pair, and a marked pair 1.23 and
 # a marked cell 0.15 up to 2^16 cells, 0.5-0.9 past that.  Past 2^16 a step
-# costs more, as the transform leaves the cache: about 3.1 ns up to 2^16,
-# 6.3 ns at 2^21 and 7.9 ns at 2^22, and timed against the marked route at
-# 2^18..2^22 the two break even at about 1.5-2 units a step past 2^17.  A
-# least-squares line through the step's cost in units against log2 L - 16
-# gives a slope of 0.17-0.24 between runs: _STEP_GROWTH.
+# costs more as the transform leaves the cache: relative to its cost up to
+# 2^16, 2.0x at 2^21 and 2.5x at 2^22 in one set of runs (3.1, 6.3 and
+# 7.9 ns), 1.8x and 2.5x in another.  A least-squares line through the
+# ratio against log2 L - 16, at L = 2^17..2^22, has slope 0.17 and 0.24 in
+# the two sets: _STEP_GROWTH.  Timed against the marked route, 2^18..2^20
+# transforms break even with 1.6-2.0 units a step.
 _SORT_COST = 5  # one outer-sum pair formed, sorted and deduped
 _MARK_COST = 1.2  # one outer-sum pair formed and marked
 _CELL_COST = 0.5  # one cell of the marked grid zeroed and scanned
