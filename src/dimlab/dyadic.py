@@ -586,6 +586,8 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     out the blank bytes leaves the text."""
     n = values.size
     if n < _WRITE_MIN:
+        if len(seps) == 1:
+            return seps.join(["%d"] * n) % tuple(values.tolist())
         pattern = "".join("%d" + sep for sep in seps) * -(-n // len(seps))
         return pattern[: 3 * n - 1] % tuple(values.tolist())
     sep_bytes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)

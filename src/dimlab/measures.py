@@ -88,14 +88,14 @@ def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
 def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int) -> np.ndarray:
     """_child_starts for the cells of levels k0..k1-1, in one pass."""
     if k1 == k0 + 1:
-        return tree.descendant_starts(k0, 1) + offsets[k1]
-    base = offsets[k0 + 1]
-    below = np.concatenate([tree.array(n) for n in range(k0 + 1, k1 + 1)])
-    below >>= 1
-    heads = _run_heads(below)
-    heads[np.subtract(offsets[k0 + 2 : k1 + 1], base)] = True
-    starts = np.flatnonzero(heads)
-    starts += base
+        starts = tree.descendant_starts(k0, 1)
+    else:
+        below = np.concatenate([tree.array(n) for n in range(k0 + 1, k1 + 1)])
+        below >>= 1
+        heads = _run_heads(below)
+        heads[np.subtract(offsets[k0 + 2 : k1 + 1], offsets[k0 + 1])] = True
+        starts = np.flatnonzero(heads)
+    starts += offsets[k0 + 1]
     return starts
 
 
