@@ -21,6 +21,7 @@ from dimlab.dyadic import _KERNEL_MIN_CHARS, _decimal_text, _decimal_tokens, _de
 from conftest import (
     decode_level_oracle,
     dumps_grid_oracle,
+    encode_level_oracle,
     kernel_for_every_size,
     loads_grid_oracle,
     parse_outcome,
@@ -304,11 +305,17 @@ def writer_cases():
     return trees, grids
 
 
+def dumps_tree_oracle(tree) -> str:
+    lines = [f"dyadic-tree v1 depth={tree.max_depth} span={tree.span}"]
+    lines += [f"{n}: {encode_level_oracle(tree.levels[n])}".rstrip() for n in range(tree.max_depth + 1)]
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("cut", [0, 1 << 62])
 def test_dumps_keep_their_bytes_on_either_writer(cut):
     trees, grids = writer_cases()
     want = [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids]
-    assert want[len(trees):] == [dumps_grid_oracle(g) for g in grids]
+    assert want == [dumps_tree_oracle(t) for t in trees] + [dumps_grid_oracle(g) for g in grids]
     assert [loads_tree(text) for text in want[: len(trees)]] == trees
     with mock.patch.object(dyadic, "_WRITE_MIN", cut):
         assert [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids] == want
