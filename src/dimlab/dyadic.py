@@ -23,9 +23,9 @@ One line per level.  A level is either a comma-separated sorted index list or
 whichever is shorter, so round trips are byte-exact.
 
 Level kernels cost what their data costs.  A sorted level is deduped by
-comparing neighbours and selecting the run heads, by index (ndarray.compress)
-once an array reaches _SELECT_MIN entries, where boolean indexing is several
-times slower.  Number lists of at least _WRITE_MIN numbers, tree levels and
+comparing neighbours and selecting the run heads by index (ndarray.compress),
+which on large irregular masks is several times faster than boolean
+indexing.  Number lists of at least _WRITE_MIN numbers, tree levels and
 grid-file rows alike, are written by one numpy digit writer, _decimal_text,
 and read by one decimal kernel, _decimal_tokens; shorter ones take "%d" and
 Python tokens.
@@ -150,18 +150,6 @@ def _sorted_leaves(leaves, max_depth: int, span: int) -> np.ndarray:
 
 
 _LEVEL_BLOCK = 1 << 16  # cells of a level compared with their neighbours at once
-# Entries from which a mask selects by index (ndarray.compress) rather than
-# by boolean indexing.  Timed on random masks keeping 60 % (numpy 2.4.6,
-# 2 cores): 1.8 against 1.4 us at 512 entries, 5.9 against 3.3 us at 2,048
-# and 387 against 79 us at 65,536; below 256 entries compress costs about
-# 0.1 us more a call.  (np.compress costs about 1 us more than the method.)
-_SELECT_MIN = 1 << 9
-
-
-def _select(a: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """a[mask] for a 1-d boolean mask, by index on large arrays."""
-    return a.compress(mask) if mask.size >= _SELECT_MIN else a[mask]
-
 
 def _run_heads(a: np.ndarray) -> np.ndarray:
     """Mask of the entries of a sorted array that differ from the one before."""
@@ -173,8 +161,11 @@ def _run_heads(a: np.ndarray) -> np.ndarray:
 
 
 def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
-    """A sorted array without its repeats, by comparing neighbours."""
-    return _select(a, _run_heads(a)) if a.size > 1 else a
+    """A sorted array without its repeats, by comparing neighbours.
+    ndarray.compress selects the heads by index: on random masks it timed
+    387 against 79 us at 65,536 entries, about 0.1 us more below 256
+    (numpy 2.4.6, 2 cores; np.compress costs about 1 us more a call)."""
+    return a.compress(_run_heads(a)) if a.size > 1 else a
 
 
 def _level_array(level: Iterable[int]) -> np.ndarray:
@@ -573,19 +564,21 @@ _DIGIT_PAIRS = np.array(
 
 
 def _decimal_text(values: np.ndarray, seps: str) -> str:
-    """The 1-d nonnegative int64 values in decimal, the i-th preceded by
+    """The 1-d integer values in decimal, the i-th preceded by
     seps[(i - 1) % len(seps)] for i >= 1: the text "%d" writes for
     seps[0].join, or with seps " " * (d - 1) + "\n", d numbers a line
     without the last newline.
 
-    A short list takes "%d".  A long one is written in blocks of _ROW_BLOCK
-    numbers, each into a uint8 matrix of one row per number, a separator
-    column then the digits right-aligned, two digits per pass by a lookup
+    A short list takes "%d", as does a list that is not int64 or holds a
+    negative value, such as a hand-built level.  A long nonnegative int64
+    one is written in blocks of _ROW_BLOCK numbers, each into a uint8
+    matrix of one row per number, a separator column then the digits
+    right-aligned, two digits per pass by a lookup
     in _DIGIT_PAIRS: pass j writes the pair r = x mod 100 of x = v // 100^j,
     as it leads its number when x < 100 and blank when x = 0.  Compressing
     out the blank bytes leaves the text."""
     n = values.size
-    if n < _WRITE_MIN:
+    if n < max(_WRITE_MIN, 1) or values.dtype != np.int64 or values.min() < 0:
         if len(seps) == 1:
             return seps.join(["%d"] * n) % tuple(values.tolist())
         pattern = "".join("%d" + sep for sep in seps) * -(-n // len(seps))

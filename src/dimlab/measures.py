@@ -31,7 +31,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _clip, _run_heads, _select, covering_count, descendant_range, subtree
+from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, descendant_range, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -122,7 +122,7 @@ class TreeMeasure:
     temporaries.  One pass over a whole large tree would hold a shifted
     copy of every level at once, and on a tree of 1.3M cells it measured
     3.1 ms against 2.85 ms by blocks.  Scale profiles pick the masses of
-    each class by index (dyadic._select) on large blocks.
+    each class by index (ndarray.compress).
 
     Local entropies read a read-only table per window (k, m), built on the
     first query at that window: per occupied level-k vertex in order, the
@@ -458,7 +458,7 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
         fracs = []
         for sel in (h >= 1.0 - eps, h <= eps):
             sel &= pos
-            picked = _select(w, sel)
+            picked = w.compress(sel)
             sums, start = [], 0
             for k in range(k0, k1):
                 stop = start + np.count_nonzero(sel[offsets[k] - lo : offsets[k + 1] - lo])

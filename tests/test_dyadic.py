@@ -251,17 +251,14 @@ class TestFromLeavesOracle:
         want = from_leaves_oracle(6, 1, np.ravel(leaves).tolist())
         assert DyadicTree.from_leaves(6, 1, leaves) == want
 
-    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("size", [2, 511, 70000])
     @pytest.mark.parametrize("repeats", [0.0, 0.4, 1.0])
-    def test_dedupe_at_the_selection_cut(self, shift, repeats):
-        # either side of the cut, and the cut itself, select the same entries
-        size = dyadic._SELECT_MIN + shift
+    def test_dedupe_matches_unique(self, size, repeats):
         rng = np.random.default_rng(size)
         steps = (rng.random(size) >= repeats).astype(np.int64) * rng.integers(1, 4, size)
         a = np.cumsum(steps) + int(rng.integers(0, 1 << 40))
         got = dyadic._dedupe_sorted(a)
         assert got.dtype == np.int64 and np.array_equal(got, np.unique(a))
-        assert np.array_equal(dyadic._select(a, a % 3 == 0), a[a % 3 == 0])
         t = DyadicTree.from_leaves(42, 1, a)
         assert t == from_leaves_oracle(42, 1, a.tolist())
 

@@ -317,20 +317,6 @@ class TestProfileKernels:
                         want = scale_profile_oracle(mu, eps, m, tree.max_depth - m)
                         assert scale_profile(mu, eps, m).to_json() == want.to_json()
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_selection_by_index_matches_oracle(self, monkeypatch, seed):
-        # the test trees' levels are smaller than the selection cut: take
-        # every level's masses by index, as a large level does
-        from dimlab import dyadic
-
-        monkeypatch.setattr(dyadic, "_SELECT_MIN", 0)
-        tree, measures = profile_measures(seed)
-        for mu in measures:
-            for m in range(1, min(4, tree.max_depth) + 1):
-                for eps in (0.1, 0.4, 0.6):
-                    want = scale_profile_oracle(mu, eps, m, tree.max_depth - m)
-                    assert scale_profile(mu, eps, m).to_json() == want.to_json()
-
     @pytest.mark.parametrize("seed", range(10))
     def test_composed_starts_equal_descendant_starts(self, seed):
         tree, (mu, _, _) = profile_measures(seed)

@@ -321,6 +321,26 @@ def test_dumps_keep_their_bytes_on_either_writer(cut):
         assert [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids] == want
 
 
+@pytest.mark.parametrize(
+    "level",
+    [
+        [-5, -4, -3, *(10 * i + j for i in range(CUT // 2) for j in range(3))],  # RUNS -5 3 ...
+        [-5, *range(10, 20 * CUT, 20)],  # a comma list led by -5
+        [*range(0, 2 * CUT, 2), 2**64 + 1],  # past int64: an object array
+    ],
+    ids=["runs", "list", "object"],
+)
+def test_hand_built_levels_keep_percent_d(level):
+    # the constructor trusts its input; a long level the digit writer cannot
+    # take is written by "%d", so loads_tree refuses it rather than reading
+    # another tree
+    tree = DyadicTree(2, 1, [[0], [0], level])
+    text = dumps_tree(tree)
+    assert text == dumps_tree_oracle(tree)
+    with pytest.raises(FormatError):
+        loads_tree(text)
+
+
 # -- memory --------------------------------------------------------------------
 
 
