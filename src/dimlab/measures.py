@@ -1,9 +1,10 @@
 """Probability measures on dyadic trees and their entropy diagnostics.
 
 A TreeMeasure assigns a mass to every occupied cell of a DyadicTree so that
-the level-0 masses sum to 1 and each cell's children sum to the cell (within
-1e-12; equal splitting yields exact dyadic rationals, renormalized
-restrictions may drift by rounding).
+the level-0 masses sum to 1 and each cell's children sum to the cell within
+CHILD_SUM_TOL.  The constructor, and so loads_measure, checks this of masses
+from outside; the builders guarantee it, with a drift of at most about
+4u mu(parent), u = 2^-53 (see _sum_upward and splitting_measure).
 
 Entropy is computed in nats with 0 log 0 := 0:
 
@@ -15,11 +16,6 @@ A vertex v is (eps, m)-uniform when the averaged entropy of the renormalized
 measure below v is >= 1 - eps over an m-level window, (eps, m)-atomic when it
 is <= eps; both thresholds use the averaged form, so "both" can only occur
 when eps >= 1/2.
-
-The level kernels (child starts, the child-sum check, scale profiles) work
-on blocks of consecutive levels holding at most _BLOCK_CELLS cells, one
-numpy pass a block, so a small tree costs a few numpy calls in all and a
-large level is a block by itself; see TreeMeasure.
 """
 
 from __future__ import annotations
@@ -107,28 +103,21 @@ class TreeMeasure:
     and level n starts at `_offsets[n]`.  Beside it the measure keeps one
     int64 array of global positions: for each cell above the deepest level,
     the position of its first child (tree.descendant_starts(n, 1) shifted by
-    the offset of level n + 1, which the child-sum check reads anyway).  The
-    starts of an m-level window are that array composed with itself, one
-    gather per level of the window; w log w is one lazily built array laid
-    out like the masses.
+    the offset of level n + 1).  The starts of an m-level window are that
+    array composed with itself, one gather per level of the window; w log w
+    is one lazily built array laid out like the masses.
 
-    The level kernels (the child starts, the child-sum check, scale
-    profiles) run once per block of consecutive levels holding at most
-    _BLOCK_CELLS cells, so a tree of many small levels costs a few numpy
-    calls, and a larger level forms a block by itself, keeping the
-    temporaries of a pass in cache.  The child starts of a block are the
-    run heads of its child levels end to end, shifted right once; a level
-    alone in its block takes tree.descendant_starts(n, 1), which bounds its
-    temporaries.  One pass over a whole large tree would hold a shifted
-    copy of every level at once, and on a tree of 1.3M cells it measured
-    3.1 ms against 2.85 ms by blocks.  Scale profiles pick the masses of
-    each class by index (ndarray.compress).
+    The constructor checks the child sums of the masses it is given; the
+    builders keep them by construction.  The level kernels (child starts,
+    that check, scale profiles) take one pass per block of levels (see
+    _blocks).  The child starts of a block are the run heads of its child
+    levels end to end, shifted right once; a level alone in its block takes
+    tree.descendant_starts(n, 1), which bounds its temporaries.
 
     Local entropies read a read-only table per window (k, m), built on the
-    first query at that window: per occupied level-k vertex in order, the
-    sum of mu(E) log mu(E) over its level-(k + m) descendants E.  Building
-    it gathers count(k + m) entries once; later queries at (k, m) read one
-    entry."""
+    first query there: per occupied level-k vertex in order, the sum of
+    mu(E) log mu(E) over its level-(k + m) descendants E, gathering
+    count(k + m) entries once; later queries at (k, m) read one entry."""
 
     __slots__ = ("tree", "masses", "_offsets", "_flat", "_kids", "_flat_wlogw", "_local_cache")
 
@@ -146,27 +135,17 @@ class TreeMeasure:
                 raise MeasureInvariantError(f"level {n}: masses must be finite and >= 0")
             flat[offsets[n] : offsets[n + 1]] = w
         self._build(tree, offsets, flat, _child_starts(tree, offsets))
+        _check_child_sums(offsets, flat, self._kids)
 
     def _build(self, tree: DyadicTree, offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> None:
         """Take flat (all masses, level-major, finite and >= 0) and kids
-        (see _child_starts) as the measure's own arrays: renormalize, check
-        the child sums and freeze."""
+        (see _child_starts) as the measure's own arrays: renormalize and
+        freeze.  The child sums are the caller's to check or guarantee."""
         total = float(flat[: offsets[1]].sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise MeasureInvariantError(f"root masses sum to {total!r}, expected 1")
         if total != 1.0:
             flat /= total
-        for k0, k1 in _blocks(offsets, 0, tree.max_depth):
-            lo, hi = offsets[k0], offsets[k1]
-            diff = np.add.reduceat(flat[: offsets[k1 + 1]], kids[lo:hi])
-            diff -= flat[lo:hi]
-            drift = np.maximum.reduceat(np.abs(diff, out=diff), np.subtract(offsets[k0:k1], lo))
-            over = np.flatnonzero(drift > CHILD_SUM_TOL)
-            if over.size:
-                n = int(over[0])
-                raise MeasureInvariantError(
-                    f"level {k0 + n}: children deviate from parents by {float(drift[n]):.3e}"
-                )
         flat.flags.writeable = False
         kids.flags.writeable = False
         self.tree = tree
@@ -235,8 +214,22 @@ class TreeMeasure:
         return f"TreeMeasure(on {self.tree!r})"
 
 
+def _check_child_sums(offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> None:
+    """Refuse masses whose children stray from their parent by more than
+    CHILD_SUM_TOL, naming the first such level: one reduceat pass a block."""
+    for k0, k1 in _blocks(offsets, 0, len(offsets) - 2):
+        lo, hi = offsets[k0], offsets[k1]
+        diff = np.add.reduceat(flat[: offsets[k1 + 1]], kids[lo:hi])
+        diff -= flat[lo:hi]
+        drift = np.maximum.reduceat(np.abs(diff, out=diff), np.subtract(offsets[k0:k1], lo))
+        over = np.flatnonzero(drift > CHILD_SUM_TOL)
+        if over.size:
+            n = int(over[0])
+            raise MeasureInvariantError(f"level {k0 + n}: children deviate from parents by {drift[n]:.3e}")
+
+
 def _measure(tree: DyadicTree, offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> TreeMeasure:
-    """A TreeMeasure on arrays its builder filled: see TreeMeasure._build."""
+    """A TreeMeasure on arrays whose child sums its builder guarantees."""
     mu = object.__new__(TreeMeasure)
     mu._build(tree, offsets, flat, kids)
     return mu
@@ -259,7 +252,13 @@ def counting_measure(tree: DyadicTree) -> TreeMeasure:
 def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     """The measure with leaf_masses (an array, or one value for every leaf)
     normalized on the deepest level and every level above it summed from
-    its children, each written straight into the measure's own array."""
+    its children, each written straight into the measure's own array.
+
+    No child-sum check is needed: a cell has at most two children, 2j and
+    2j + 1, whatever the span, and each parent is fl(c0 + c1) by the very
+    reduceat the check repeats, so the drift is 0 unless _build divides by a
+    root total t != 1; then fl(c0/t), fl(c1/t), their sum and fl(parent/t)
+    round once each, a drift of at most about 4u mu(parent), u = 2^-53."""
     offsets = _level_offsets(tree)
     flat = np.empty(offsets[-1])
     w = flat[offsets[-2] :]
@@ -276,7 +275,10 @@ def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
 
 
 def splitting_measure(tree: DyadicTree) -> TreeMeasure:
-    """Unit mass split equally among occupied children, root-down."""
+    """Unit mass split equally among occupied children, root-down.
+
+    No child-sum check is needed: masses stay above 2^-64, so halving is
+    exact and commutes with _build's division by the root total: drift 0."""
     _require_cells(tree)
     offsets = _level_offsets(tree)
     kids = _child_starts(tree, offsets)
@@ -292,17 +294,20 @@ def splitting_measure(tree: DyadicTree) -> TreeMeasure:
 
 
 def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
-    """The measure conditioned on v's cell, rescaled to the unit subtree."""
+    """The measure conditioned on v's cell, rescaled to the unit subtree.
+
+    Built unchecked: the root is exactly 1, and each child-sum drift is at
+    most mu's drift there over mu(v) plus about 4u times the new parent mass
+    (u = 2^-53), so it may pass CHILD_SUM_TOL where mu(v) is small."""
     v = Vertex(*v)
     mv = mu.mass(v)
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
     sub = subtree(mu.tree, v)
-    masses = []
-    for m in range(sub.max_depth + 1):
-        lo, hi = descendant_range(mu.tree, v, m)
-        masses.append(mu.masses[v.level + m][lo:hi] / mv)
-    return TreeMeasure(sub, tuple(masses))
+    ranges = (descendant_range(mu.tree, v, m) for m in range(sub.max_depth + 1))
+    flat = np.concatenate([mu.masses[v.level + m][lo:hi] for m, (lo, hi) in enumerate(ranges)]) / mv
+    offsets = _level_offsets(sub)
+    return _measure(sub, offsets, flat, _child_starts(sub, offsets))
 
 
 # -- entropy -------------------------------------------------------------
@@ -419,14 +424,11 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     levels are taken in blocks (see TreeMeasure), one vectorized pass per
     block, and the result does not depend on how they are blocked.
 
-    Known disagreement: each window's w log w is summed in np.add.reduceat
-    order and its log taken by np.log, where classify_local sums in np.sum's
-    pairwise order and uses math.log.  So a vertex whose averaged entropy
-    lies within an ulp of a threshold can be classified differently here:
-    7 of 225 (tree, m, eps, level) rows on the depth-16 Moran splitting
-    measures (4^-j, 8^-j, 16^-j; m in {4, 5}; eps in {0.1, 0.25, 0.4}) give
-    other uniform/atomic fractions than summing classify_local's masses.
-    It is left so because the fix changes recorded benchmark outputs.
+    Known disagreement: windows are summed in np.add.reduceat order and
+    logged by np.log, classify_local uses np.sum's pairwise order and
+    math.log, so a vertex within an ulp of a threshold may fall in another
+    class: 7 of 225 (tree, m, eps, level) rows on the depth-16 Moran
+    splitting measures.  The fix would change recorded benchmark outputs.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
@@ -453,18 +455,16 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
         h -= np.divide(a, w, out=a, where=pos)
         h /= m * LN2
         # Each level's fraction reduces its own run of the selected masses
-        # as np.sum does (pairwise); one reduction per block would add them
-        # in another order.
+        # as np.sum does (pairwise), where one reduction per block would add
+        # in another order; one search finds where each level's run starts.
+        bounds = np.subtract(offsets[k0 : k1 + 1], lo)
         fracs = []
         for sel in (h >= 1.0 - eps, h <= eps):
             sel &= pos
-            picked = w.compress(sel)
-            sums, start = [], 0
-            for k in range(k0, k1):
-                stop = start + np.count_nonzero(sel[offsets[k] - lo : offsets[k + 1] - lo])
-                sums.append(float(np.add.reduce(picked[start:stop])))
-                start = stop
-            fracs.append(sums)
+            at = np.flatnonzero(sel)
+            picked = w.take(at)
+            cuts = np.searchsorted(at, bounds).tolist()
+            fracs.append([float(np.add.reduce(picked[a:b])) if b > a else 0.0 for a, b in zip(cuts, cuts[1:])])
         for k, uniform_frac, atomic_frac in zip(range(k0, k1), *fracs):
             stats.append(LevelStats(k, uniform_frac, atomic_frac))
             if uniform_frac > 1.0 - eps:

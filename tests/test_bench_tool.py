@@ -17,10 +17,11 @@ from pathlib import Path
 counter = Path(__file__).with_name("count")
 n = int(counter.read_text()) if counter.exists() else 0
 counter.write_text(str(n + 1))
-jobs, p50, correct = {values!r}[n]
+jobs, p50, correct, *raw = {values!r}[n]
+raw_jobs = raw[0] if raw else jobs - 1
 print("machine " + json.dumps({{"cpu": "stub", "nproc": 2}}))
 print("workload w seed " + sys.argv[sys.argv.index("--seed") + 1] + " jobs 5 failed 0")
-print(f"unadjusted jobs_per_s={{jobs - 1:.6g}} job_p50_ms={{p50 + 1:.6g}}")
+print(f"unadjusted jobs_per_s={{raw_jobs:.6g}} job_p50_ms={{p50 + 1:.6g}}")
 print(f"metric jobs_per_s {{jobs:.6g}} 1/s")
 print(json.dumps({{"correct": correct, "attempted": 5, "failed": 0 if correct else 1,
                   "metrics": {{"jobs_per_s": {{"value": jobs, "unit": "1/s"}},
@@ -65,6 +66,25 @@ def test_pairs_keep_the_harness_figures_and_count_wins(tmp_path):
     # lower is better: 5 < 5.5 and 6 < 7 win, 4 > 3 loses
     p50 = series["pairs"]["job_p50_ms"]
     assert (p50["change_wins"], p50["median_gap"], p50["gap_exceeds_parent_iqr"]) == (2, 0.5, False)
+
+
+def test_pairs_compare_the_unadjusted_figures_too(tmp_path):
+    # the host adjustment says the change loses every pair, the raw figures
+    # that it wins every pair: both verdicts are kept
+    change = checkout(tmp_path, "change", [(9.0, 5.0, True, 12.0), (9.5, 5.0, True, 13.0), (9.0, 5.0, True, 12.5)])
+    parent = checkout(tmp_path, "parent", [(10.0, 5.0, True, 10.0), (10.5, 5.0, True, 11.0), (10.0, 5.0, True, 9.0)])
+    out = tmp_path / "BENCH.json"
+    proc = bench(change, "--repo", str(parent), "--pairs", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    (series,) = json.loads(out.read_text())["series"]
+    adjusted, raw = series["pairs"]["jobs_per_s"], series["pairs"]["unadjusted"]["jobs_per_s"]
+    assert (adjusted["change_wins"], adjusted["median_gap"], adjusted["gap_exceeds_parent_iqr"]) == (0, -1.0, False)
+    assert raw == {
+        "change_wins": 3, "pairs": 3, "median_gap": 2.5, "parent_iqr": 1.0, "gap_exceeds_parent_iqr": True,
+    }
+    # unadjusted p50 is p50 + 1 on both sides: no pair won, no gap
+    assert series["pairs"]["unadjusted"]["job_p50_ms"]["change_wins"] == 0
+    assert set(series["pairs"]["unadjusted"]) == {"jobs_per_s", "job_p50_ms"}
 
 
 def test_runs_of_one_checkout_extend_the_file(tmp_path):

@@ -34,6 +34,7 @@ from dimlab import (
     scale_profile,
     splitting_measure,
 )
+from dimlab.dyadic import descendant_range
 from conftest import (
     classify_local_oracle,
     local_entropy_oracle,
@@ -198,7 +199,79 @@ class TestEntropy:
             entropy(cantor3_split, 4)
 
 
+U = 2.0 ** -53
+
+
+@st.composite
+def builder_measures(draw):
+    """A tree of span 1..7 and depth 0..14 with one of its built measures:
+    counting, splitting, or leaf masses between 1e-300 and 1e300 with
+    zeros, whose root total is rarely exactly 1."""
+    span, depth = draw(st.integers(1, 7)), draw(st.integers(0, 14))
+    leaves = draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=48))
+    tree = DyadicTree.from_leaves(depth, span, leaves)
+    kind = draw(st.sampled_from(["counting", "splitting", "leaf"]))
+    if kind == "counting":
+        return counting_measure(tree)
+    if kind == "splitting":
+        return splitting_measure(tree)
+    mass = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+    leaf = draw(st.lists(mass, min_size=tree.count(depth), max_size=tree.count(depth)))
+    leaf[draw(st.integers(0, len(leaf) - 1))] = draw(st.floats(1e-300, 1e300))
+    return from_leaf_masses(tree, leaf)
+
+
+class TestBuilderInvariant:
+    """The builders skip the child-sum check because they keep every
+    child-sum drift within about 4u of the parent's mass (u = 2^-53)."""
+
+    @given(builder_measures())
+    def test_child_sums_hold_by_construction(self, mu):
+        from dimlab.measures import _check_child_sums
+
+        _check_child_sums(mu._offsets, mu._flat, mu._kids)
+        tree = mu.tree
+        for n in range(tree.max_depth):
+            # an independent child sum: each child added onto its parent
+            parent = np.searchsorted(tree.array(n), tree.array(n + 1) >> 1)
+            sums = np.zeros(tree.count(n))
+            np.add.at(sums, parent, mu.masses[n + 1])
+            drift = np.abs(sums - mu.masses[n])
+            # underflowed masses round in absolute terms, by at most 2^-1075 each
+            assert np.all(drift <= 4 * U * mu.masses[n] + 2.0 ** -1073), n
+
+    @given(builder_measures())
+    def test_the_constructor_rebuilds_the_measure(self, mu):
+        rebuilt = TreeMeasure(mu.tree, mu.masses)
+        # the constructor renormalizes again where the built root masses do
+        # not sum to exactly 1
+        total = float(mu._flat[: mu._offsets[1]].sum())
+        want = mu._flat if total == 1.0 else mu._flat / total
+        assert rebuilt._flat.tobytes() == want.tobytes()
+
+
 class TestLocal:
+    def test_restriction_of_an_accepted_drift(self):
+        t = DyadicTree.from_leaves(3, 1, [0, 1, 6, 7])
+        masses = [w.copy() for w in counting_measure(t).masses]
+        masses[3][0] += 9e-13
+        nu = TreeMeasure(t, masses)
+        # dividing by mu(v) = 0.5 doubles the drift the constructor accepted
+        rest = restrict_renormalize(nu, (2, 0))
+        assert [w.tolist() for w in rest.masses] == [[1.0], [(0.25 + 9e-13) / 0.5, 0.5]]
+
+    def test_restriction_masses_are_the_divided_slices(self, rng):
+        tree = random_tree(rng, 8, 0.7)
+        mu = from_leaf_masses(tree, 0.1 + rng.random(tree.count(8)))
+        for lev in (0, 2, 5):
+            v = Vertex(lev, int(tree.array(lev)[-1]))
+            rest = restrict_renormalize(mu, v)
+            want = [
+                mu.masses[lev + m][slice(*descendant_range(tree, v, m))] / mu.mass(v)
+                for m in range(rest.tree.max_depth + 1)
+            ]
+            assert rest._flat.tobytes() == TreeMeasure(rest.tree, want)._flat.tobytes()
+
     def test_local_matches_restriction(self, rng):
         tree = random_tree(rng, 8, 0.7)
         mu = from_leaf_masses(tree, 0.1 + rng.random(len(tree.levels[8])))
@@ -688,6 +761,17 @@ class TestSerialization:
         assert str(err.value).startswith("bad mass line: 'mass 1 0 xxx")
         assert f"({len(line) + 2} characters)" in str(err.value)
         assert len(str(err.value)) < 200
+
+    @pytest.mark.parametrize("mass, drift", [("0.12500000000095", None), ("0.1250000000011", "1.100e-12")])
+    def test_loaded_masses_are_checked(self, cantor3_split, mass, drift):
+        # the constructor checks masses read from text; the builders skip it
+        text = dumps_measure(cantor3_split).replace("mass 3 6 0.125\n", f"mass 3 6 {mass}\n")
+        if drift is None:
+            assert loads_measure(text).masses[3][4] == float(mass)
+            return
+        with pytest.raises(MeasureInvariantError) as err:
+            loads_measure(text)
+        assert str(err.value) == f"level 2: children deviate from parents by {drift}"
 
     def test_incomplete_masses_rejected(self, cantor3_split):
         text = dumps_measure(cantor3_split)

@@ -23,7 +23,9 @@ host-adjusted and of the unadjusted values, with the machine line, seed,
 run length and, per checkout, `git rev-parse HEAD` and whether its tree is
 dirty.  With --pairs it also counts, per metric, the pairs the change wins
 (by the metric's `better` direction in BENCHMARK.json), and whether the
-gap between the two medians exceeds the other checkout's Q1-Q3 spread.
+gap between the two medians exceeds the other checkout's Q1-Q3 spread:
+for the host-adjusted metrics under their names, and for the unadjusted
+ones under "unadjusted", since the two can disagree.
 An existing file keeps its other series: one series per workload, seed and
 run length, replaced when recorded again.
 """
@@ -108,15 +110,16 @@ def side(repo: str, runs: list[dict]) -> dict:
     return {**checkout(repo), "machine": runs[0]["machine"], "runs": runs, "summary": summary(runs)}
 
 
-def compare(change: list[dict], parent: list[dict], better: dict) -> dict:
-    """Per adjusted metric: pairs the change wins, and whether the gap of
-    the medians exceeds the parent's Q1-Q3 spread in the better direction."""
+def compare(change: list[dict], parent: list[dict], better: dict, kind: str = "adjusted") -> dict:
+    """Per metric of a kind (adjusted or unadjusted): pairs the change wins,
+    and whether the gap of the medians exceeds the parent's Q1-Q3 spread in
+    the better direction."""
     out = {}
     for name, direction in better.items():
         sign = 1 if direction == "higher" else -1
-        wins = sum(sign * (c["adjusted"][name] - p["adjusted"][name]) > 0 for c, p in zip(change, parent))
-        mine = quartiles([r["adjusted"][name] for r in change])
-        theirs = quartiles([r["adjusted"][name] for r in parent])
+        wins = sum(sign * (c[kind][name] - p[kind][name]) > 0 for c, p in zip(change, parent))
+        mine = quartiles([r[kind][name] for r in change])
+        theirs = quartiles([r[kind][name] for r in parent])
         gap = sign * (mine["median"] - theirs["median"])
         out[name] = {
             "change_wins": wins,
@@ -144,6 +147,7 @@ def record(args) -> dict:
     if args.pairs:
         series["parent"] = side(args.repo, parent)
         series["pairs"] = compare(change, parent, better)
+        series["pairs"]["unadjusted"] = compare(change, parent, better, "unadjusted")
     return series
 
 
