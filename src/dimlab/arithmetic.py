@@ -181,6 +181,8 @@ def _sum_indices(a: np.ndarray, b: np.ndarray, reflected: bool = False) -> np.nd
     charge(min(extent, a.size * b.size), "sumset grid")
     route, length = _route(a.size, b.size, extent)
     if route == "fft":
+        if b is not a and a.size == b.size and np.array_equal(a, b):
+            b = a  # equal operands held apart take the one-transform square
         return np.flatnonzero(_fft_counts(a, b, length, reflected) > 0.5) + (a[0] + b[0])
     return _marked_sums(a, b) if route == "marks" else _outer_sums(a, b)
 

@@ -5,7 +5,9 @@ cells [k 2^-n, (k+1) 2^-n) for 0 <= k < B 2^n.  A DyadicTree records, for
 every level 0..max_depth, the sorted set of occupied cell indices.  Trees are
 saturated: occupancy is determined by the deepest level and propagated upward,
 so every occupied cell has an occupied parent and (below max_depth) at least
-one occupied child.
+one occupied child.  The vertex queries rely on it, and validate() audits it:
+a cell is occupied exactly when it has a descendant at a deeper level, and
+the cells below a vertex are one slice of each level.
 
 Sets that contain the right endpoint of the span (e.g. compact attractors
 containing x = B) are handled by clamping: x = B belongs to the last cell of
@@ -263,7 +265,7 @@ class DyadicTree:
         when that cell is unoccupied."""
         if not 0 <= level <= self.max_depth:
             raise ValueError(f"level {level} outside 0..{self.max_depth}")
-        lv = self._view(level)
+        lv = self._views[level] or self._view(level)
         pos = bisect_left(lv, index)
         return pos if pos < len(lv) and lv[pos] == index else -1
 
@@ -377,8 +379,24 @@ def descendant_range(tree: DyadicTree, v: Vertex, m: int) -> tuple[int, int]:
 
 
 def descendant_count(tree: DyadicTree, v: Vertex, m: int) -> int:
-    """Count occupied cells m levels below v inside v's cell."""
-    v = Vertex(*v)
+    """Count occupied cells m levels below v inside v's cell.
+
+    Saturation (each occupied cell has an occupied parent, and an occupied
+    child below max_depth) makes v occupied exactly when it has a
+    descendant m levels down, by induction on m: a non-empty range, two
+    searches of one level, is the count.  Anything else, a non-integer
+    index too, takes the checks, which refuse as before, in the same order."""
+    k, index = v if isinstance(v, Vertex) else Vertex(*v)
+    try:
+        if 0 <= k <= k + m <= tree.max_depth:
+            level = tree._views[k + m] or tree._view(k + m)
+            lo = bisect_left(level, index << m)
+            hi = bisect_left(level, (index + 1) << m, lo)
+            if hi > lo:
+                return hi - lo
+    except TypeError:
+        pass
+    v = Vertex(k, index)
     _require_occupied(tree, v)
     lo, hi = descendant_range(tree, v, m)
     return hi - lo
@@ -396,12 +414,18 @@ def is_full_branching(tree: DyadicTree, v: Vertex, eps: float, m: int) -> bool:
 
 
 def subtree(tree: DyadicTree, v: Vertex) -> DyadicTree:
-    """The tree below v, rescaled to span 1 and depth max_depth - v.level."""
-    v = Vertex(*v)
+    """The tree below v, rescaled to span 1 and depth max_depth - v.level.
+
+    Level m is the slice of level v.level + m below v, less v.index << m:
+    sorted and distinct, and saturated, since the parent of a cell below v
+    is below v and so is an occupied child; no saturation pass is made."""
+    v = v if isinstance(v, Vertex) else Vertex(*v)
     _require_occupied(tree, v)
-    depth = tree.max_depth - v.level
-    lo, hi = descendant_range(tree, v, depth)
-    return DyadicTree.from_leaves(depth, 1, tree.array(tree.max_depth)[lo:hi] - (v.index << depth))
+    ranges = (descendant_range(tree, v, m) for m in range(tree.max_depth - v.level + 1))
+    levels = [tree._arrays[v.level + m][lo:hi] - (v.index << m) for m, (lo, hi) in enumerate(ranges)]
+    sub = DyadicTree.__new__(DyadicTree)
+    sub._set(len(levels) - 1, 1, levels)
+    return sub
 
 
 def validate(tree: DyadicTree) -> list[str]:

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, descendant_range, subtree
+from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -122,6 +122,12 @@ class TreeMeasure:
     __slots__ = ("tree", "masses", "_offsets", "_flat", "_kids", "_flat_wlogw", "_local_cache")
 
     def __init__(self, tree: DyadicTree, masses):
+        """Check masses from outside; keep them if their root total is within
+        2cu of 1 (c = count(0), u = 2^-53), as a normalized one is: c masses
+        over their float sum S(1 + d), |d| <= (c - 1)u, each rounded by u,
+        sum to (1 + e)/(1 + d), |e| <= u, and summing them adds (c - 1)u:
+        (2c - 1)u + O(u^2).  So dumps and masses rebuild a measure bit for
+        bit.  Totals further off are renormalized up to TOTAL_MASS_TOL."""
         _require_cells(tree)
         offsets = _level_offsets(tree)
         flat = np.empty(offsets[-1])
@@ -134,17 +140,18 @@ class TreeMeasure:
             if w.size and not (w.min() >= 0.0 and w.max() < np.inf):
                 raise MeasureInvariantError(f"level {n}: masses must be finite and >= 0")
             flat[offsets[n] : offsets[n + 1]] = w
-        self._build(tree, offsets, flat, _child_starts(tree, offsets))
+        self._build(tree, offsets, flat, _child_starts(tree, offsets), 2 * tree.count(0) * 2.0**-53)
         _check_child_sums(offsets, flat, self._kids)
 
-    def _build(self, tree: DyadicTree, offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> None:
+    def _build(self, tree: DyadicTree, offsets: list[int], flat: np.ndarray, kids: np.ndarray, keep=0.0) -> None:
         """Take flat (all masses, level-major, finite and >= 0) and kids
-        (see _child_starts) as the measure's own arrays: renormalize and
-        freeze.  The child sums are the caller's to check or guarantee."""
+        (see _child_starts) as the measure's own arrays: renormalize unless
+        the root total is within keep of 1, and freeze.  The child sums are
+        the caller's to check or guarantee."""
         total = float(flat[: offsets[1]].sum())
         if abs(total - 1.0) > TOTAL_MASS_TOL:
             raise MeasureInvariantError(f"root masses sum to {total!r}, expected 1")
-        if total != 1.0:
+        if abs(total - 1.0) > keep:
             flat /= total
         flat.flags.writeable = False
         kids.flags.writeable = False
@@ -192,22 +199,20 @@ class TreeMeasure:
 
     def _local_sums(self, k: int, m: int) -> np.ndarray:
         """Per occupied level-k vertex in order, the sum of _wlogw(k + m)
-        over its descendants, built on first use.  The segments are grouped
+        over its descendants, kept in _local_cache.  The segments are grouped
         by length and each group summed as the rows of one gathered 2-d
         array, which adds in the same order as np.sum on each slice, so the
         sums equal it bit for bit (np.add.reduceat does not)."""
-        table = self._local_cache.get((k, m))
-        if table is None:
-            w = self._wlogw(k + m)
-            starts = self._starts(k, m)
-            lengths = np.diff(starts, append=w.size)
-            table = np.empty(starts.size)
-            ordered = np.sort(lengths)
-            for length in ordered[_run_heads(ordered)].tolist():
-                rows = (lengths == length).nonzero()[0]
-                table[rows] = np.add.reduce(w[starts[rows, None] + np.arange(length)], axis=1)
-            table.flags.writeable = False
-            self._local_cache[(k, m)] = table
+        w = self._wlogw(k + m)
+        starts = self._starts(k, m)
+        lengths = np.diff(starts, append=w.size)
+        table = np.empty(starts.size)
+        ordered = np.sort(lengths)
+        for length in ordered[_run_heads(ordered)].tolist():
+            rows = (lengths == length).nonzero()[0]
+            table[rows] = np.add.reduce(w[starts[rows, None] + np.arange(length)], axis=1)
+        table.flags.writeable = False
+        self._local_cache[(k, m)] = table
         return table
 
     def __repr__(self) -> str:
@@ -299,15 +304,26 @@ def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
     Built unchecked: the root is exactly 1, and each child-sum drift is at
     most mu's drift there over mu(v) plus about 4u times the new parent mass
     (u = 2^-53), so it may pass CHILD_SUM_TOL where mu(v) is small."""
-    v = Vertex(*v)
-    mv = mu.mass(v)
+    v = v if isinstance(v, Vertex) else Vertex(*v)
+    pos = mu._position(*v)
+    a = mu._offsets[v.level] + pos
+    mv = float(mu._flat[a])
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
     sub = subtree(mu.tree, v)
-    ranges = (descendant_range(mu.tree, v, m) for m in range(sub.max_depth + 1))
-    flat = np.concatenate([mu.masses[v.level + m][lo:hi] for m, (lo, hi) in enumerate(ranges)]) / mv
     offsets = _level_offsets(sub)
-    return _measure(sub, offsets, flat, _child_starts(sub, offsets))
+    flat = np.empty(offsets[-1])
+    kids = np.empty(offsets[-2], dtype=np.int64)
+    # the cells below v are a slice of each level of mu's arrays, starting at
+    # a, then at its first child: masses over mu(v), child starts rebased
+    for m in range(sub.max_depth + 1):
+        lo, hi = offsets[m], offsets[m + 1]
+        np.divide(mu._flat[a : a + hi - lo], mv, out=flat[lo:hi])
+        if m < sub.max_depth:
+            b = int(mu._kids[a])
+            np.subtract(mu._kids[a : a + hi - lo], b - hi, out=kids[lo:hi])
+            a = b
+    return _measure(sub, offsets, flat, kids)
 
 
 # -- entropy -------------------------------------------------------------
@@ -341,15 +357,17 @@ def local_entropy(mu: TreeMeasure, v: Vertex, m: int) -> float:
     table for the window (v.level, m): the first query at a window gathers
     count(v.level + m) entries to build it, later ones read one entry.
     """
-    level, index = Vertex(*v)
+    level, index = v if isinstance(v, Vertex) else Vertex(*v)
     pos = mu._position(level, index)
     mv = float(mu.masses[level][pos])
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={level}, index={index}) has zero mass")
     if m < 1 or level + m > mu.tree.max_depth:
         raise ValueError(f"window m={m} leaves the tree at level {level}")
-    a = float(mu._local_sums(level, m)[pos])
-    return math.log(mv) - a / mv
+    table = mu._local_cache.get((level, m))
+    if table is None:
+        table = mu._local_sums(level, m)
+    return math.log(mv) - float(table[pos]) / mv
 
 
 UNIFORM = "uniform"

@@ -12,8 +12,8 @@ from hypothesis import HealthCheck, settings
 from dimlab import DyadicTree, FormatError, GridSetD, Vertex, ZeroMassError
 from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
-from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of, descendant_range
-from dimlab.measures import LN2
+from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of
+from dimlab.measures import LN2, _child_starts, _level_offsets, _measure
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
@@ -378,18 +378,83 @@ def xlogx_oracle(w: np.ndarray) -> np.ndarray:
     return out
 
 
-def local_entropy_oracle(mu, v, m: int) -> float:
-    """`local_entropy` by the per-call formula the window tables replace:
-    the descendant slice from `descendant_range`, `float(np.sum(...))` of
-    its w log w and `math.log`, refusals in the same order."""
+def position_oracle(tree, level: int, index: int) -> int:
+    """`DyadicTree.position` by np.searchsorted on the level's array."""
+    if not 0 <= level <= tree.max_depth:
+        raise ValueError(f"level {level} outside 0..{tree.max_depth}")
+    a = tree.array(level)
+    pos = int(np.searchsorted(a, index))
+    return pos if pos < a.size and a[pos] == index else -1
+
+
+def mass_oracle(mu, v) -> float:
+    """`TreeMeasure.mass` by `position_oracle`, refusals in the same order."""
+    level, index = v
+    pos = position_oracle(mu.tree, level, index)
+    if pos < 0:
+        raise ValueError(f"vertex (level={level}, index={index}) not occupied")
+    return float(mu.masses[level][pos])
+
+
+def descendant_slice_oracle(tree, v, m: int) -> slice:
+    """v's level-(v.level + m) descendants in that level, by np.searchsorted."""
+    below = tree.array(v[0] + m)
+    return slice(*np.searchsorted(below, [v[1] << m, (v[1] + 1) << m]).tolist())
+
+
+def descendant_count_oracle(tree, v, m: int) -> int:
+    """`descendant_count` by an occupancy search and two np.searchsorted
+    calls, refusals in the order of the checks: level, occupancy, window."""
+    k, index = Vertex(*v)
+    if not 0 <= k <= tree.max_depth:
+        raise ValueError(f"vertex level {k} outside 0..{tree.max_depth}")
+    if position_oracle(tree, k, index) < 0:
+        raise ValueError(f"vertex (level={k}, index={index}) not occupied")
+    if m < 0 or k + m > tree.max_depth:
+        raise ValueError(f"window m={m} leaves the tree at level {k}")
+    below = descendant_slice_oracle(tree, (k, index), m)
+    return below.stop - below.start
+
+
+def is_full_branching_oracle(tree, v, eps: float, m: int) -> bool:
+    if not 0 <= eps <= 1:
+        raise ValueError(f"eps={eps} outside [0, 1]")
+    return descendant_count_oracle(tree, v, m) >= 2.0 ** ((1.0 - eps) * m)
+
+
+def subtree_oracle(tree, v) -> DyadicTree:
+    """`subtree` by a fresh saturation of the leaves below v."""
     v = Vertex(*v)
-    mv = mu.mass(v)
+    descendant_count_oracle(tree, v, 0)  # refuses a level outside the tree or an unoccupied v
+    depth = tree.max_depth - v.level
+    leaves = tree.array(tree.max_depth)[descendant_slice_oracle(tree, v, depth)]
+    return DyadicTree.from_leaves(depth, 1, leaves - (v.index << depth))
+
+
+def restrict_renormalize_oracle(mu, v):
+    """`restrict_renormalize` on `subtree_oracle`, the masses of each
+    descendant slice over mu(v) and a fresh child-start pass."""
+    v = Vertex(*v)
+    mv = mass_oracle(mu, v)
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
-    if m < 1:
+    sub = subtree_oracle(mu.tree, v)
+    parts = [mu.masses[v.level + m][descendant_slice_oracle(mu.tree, v, m)] for m in range(sub.max_depth + 1)]
+    offsets = _level_offsets(sub)
+    return _measure(sub, offsets, np.concatenate(parts) / mv, _child_starts(sub, offsets))
+
+
+def local_entropy_oracle(mu, v, m: int) -> float:
+    """`local_entropy` by the per-call formula the window tables replace:
+    the descendant slice by np.searchsorted, `float(np.sum(...))` of its
+    w log w and `math.log`, refusals in the same order."""
+    v = Vertex(*v)
+    mv = mass_oracle(mu, v)
+    if mv <= 0.0:
+        raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
+    if m < 1 or v.level + m > mu.tree.max_depth:
         raise ValueError(f"window m={m} leaves the tree at level {v.level}")
-    lo, hi = descendant_range(mu.tree, v, m)
-    a = float(np.sum(xlogx_oracle(mu.masses[v.level + m][lo:hi])))
+    a = float(np.sum(xlogx_oracle(mu.masses[v.level + m][descendant_slice_oracle(mu.tree, v, m)])))
     return math.log(mv) - a / mv
 
 

@@ -316,6 +316,20 @@ class TestSumRoutes:
         assert np.array_equal(_sum_indices(a, b), want)
         assert np.array_equal(_sum_indices(a, a), sum_indices_oracle(a, a))
 
+    def test_equal_operands_held_apart_take_one_forward_transform(self, monkeypatch):
+        a = np.sort(np.random.default_rng(7).choice(1 << 11, 300, replace=False))
+        assert arith._route(a.size, a.size, 2 * int(a[-1] - a[0]) + 1)[0] == "fft"
+        forward = []
+        rfft = np.fft.rfft
+        monkeypatch.setattr(np.fft, "rfft", lambda x: forward.append(x.size) or rfft(x))
+        assert np.array_equal(_sum_indices(a, a.copy()), sum_indices_oracle(a, a))
+        assert len(forward) == 1
+        # operands that differ in one cell take two
+        b = a.copy()
+        b[-1] += 1
+        assert np.array_equal(_sum_indices(a, b), sum_indices_oracle(a, b))
+        assert len(forward) == 3
+
     @pytest.mark.parametrize("route", sorted(ROUTES))
     @given(ops=st.one_of(dense_operands(), spread_operands()))
     def test_each_route_matches_oracle(self, route, ops):

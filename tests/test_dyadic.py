@@ -15,6 +15,7 @@ from dimlab import (
     descendant_count,
     descendant_range,
     discretize,
+    is_full_branching,
     dumps_tree,
     interval_of,
     loads_tree,
@@ -25,12 +26,17 @@ from dimlab import (
 import dimlab.dyadic as dyadic
 from dimlab.budget import limit
 from conftest import (
+    assert_same_tree,
     bitmask_of,
     decode_level_oracle,
+    descendant_count_oracle,
     encode_level_oracle,
     from_leaves_oracle,
+    is_full_branching_oracle,
     kernel_for_every_size,
+    parse_outcome,
     random_tree,
+    subtree_oracle,
 )
 
 leaf_sets = st.builds(
@@ -349,6 +355,69 @@ class TestDescendants:
         t = tree_from(3, [0])
         with pytest.raises(ValueError):
             subtree(t, Vertex(1, 1))
+
+
+query_trees = st.integers(1, 3).flatmap(
+    lambda span: st.integers(0, 10).flatmap(
+        lambda depth: st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=40).map(
+            lambda leaves: DyadicTree.from_leaves(depth, span, leaves)
+        )
+    )
+)
+
+
+class TestVertexQueries:
+    """descendant_count, is_full_branching and subtree against numpy
+    searchsorted oracles and the fresh saturation of the leaves below a
+    vertex: every vertex of the grid, occupied or not, every window and
+    the windows just outside, results and refusals alike."""
+
+    @given(query_trees)
+    @example(DyadicTree.from_leaves(3, 2, [0, 5, 6, 7, 12, 13]))
+    def test_counts_match_searchsorted(self, tree):
+        depth = tree.max_depth
+        for k in range(-1, depth + 2):
+            for j in range(tree.capacity(k) if 0 <= k <= depth else 2):
+                # plain tuples and lists take the same path as vertices
+                v = (Vertex(k, j), (k, j), [k, j])[j % 3]
+                for m in range(-1, depth - k + 2):
+                    want = parse_outcome(descendant_count_oracle, tree, v, m)
+                    assert parse_outcome(descendant_count, tree, v, m) == want, (v, m)
+                    full = parse_outcome(is_full_branching, tree, v, 0.5, m)
+                    assert full == parse_outcome(is_full_branching_oracle, tree, v, 0.5, m), (v, m)
+
+    @given(query_trees)
+    def test_subtrees_are_the_saturated_leaves_below(self, tree):
+        for k in range(tree.max_depth + 1):
+            for j in tree.array(k).tolist():
+                got = subtree(tree, Vertex(k, j))
+                assert_same_tree(got, subtree_oracle(tree, Vertex(k, j)))
+                assert all(not got.array(n).flags.writeable for n in range(got.max_depth + 1))
+                assert not validate(got)
+
+    @pytest.mark.parametrize(
+        "v, m",
+        [
+            (Vertex(-1, 0), -1),  # level and window both outside: the level is named
+            (Vertex(5, 0), 9),
+            (Vertex(2, 3), -1),  # unoccupied and window outside: occupancy is named
+            (Vertex(2, 3), 3),
+            (Vertex(2, 2), -1),
+            (Vertex(2, 2), 3),
+            ((2,), 1),  # bad arity
+            ((2, 2, 0), 1),
+            (Vertex(2, 2.5), 1),  # an index that is not an integer
+            (Vertex(2, 2.0), 1),
+        ],
+    )
+    def test_refusals_keep_their_type_text_and_order(self, v, m):
+        t = tree_from(4, [1, 5, 9])
+        want = parse_outcome(descendant_count_oracle, t, v, m)
+        assert want[0] in (ValueError, TypeError)
+        assert parse_outcome(descendant_count, t, v, m) == want
+        assert parse_outcome(is_full_branching, t, v, 0.5, m) == want
+        assert parse_outcome(is_full_branching, t, v, 1.5, m) == (ValueError, "eps=1.5 outside [0, 1]")
+        assert parse_outcome(subtree, t, v) == parse_outcome(subtree_oracle, t, v)
 
 
 class TestDiscretize:

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from dimlab import (
@@ -36,10 +36,13 @@ from dimlab import (
 )
 from dimlab.dyadic import descendant_range
 from conftest import (
+    assert_same_tree,
     classify_local_oracle,
     local_entropy_oracle,
+    mass_oracle,
     parse_outcome,
     random_tree,
+    restrict_renormalize_oracle,
     scale_profile_oracle,
     xlogx_oracle,
 )
@@ -241,13 +244,110 @@ class TestBuilderInvariant:
             assert np.all(drift <= 4 * U * mu.masses[n] + 2.0 ** -1073), n
 
     @given(builder_measures())
+    @example(from_leaf_masses(DyadicTree.from_leaves(0, 3, [0, 1, 2]), [0.7, 1.0, 1.0]))
     def test_the_constructor_rebuilds_the_measure(self, mu):
-        rebuilt = TreeMeasure(mu.tree, mu.masses)
-        # the constructor renormalizes again where the built root masses do
-        # not sum to exactly 1
-        total = float(mu._flat[: mu._offsets[1]].sum())
-        want = mu._flat if total == 1.0 else mu._flat / total
-        assert rebuilt._flat.tobytes() == want.tobytes()
+        # a built root total lies within 2cu of 1 (c roots), which the
+        # constructor keeps: 1.0000000000000002 in the example
+        assert TreeMeasure(mu.tree, mu.masses)._flat.tobytes() == mu._flat.tobytes()
+
+    @given(builder_measures())
+    @example(from_leaf_masses(DyadicTree.from_leaves(1, 2, [0, 1, 2]), [0.1, 3.0, 1.0]))
+    def test_dumps_round_trip_bit_for_bit(self, mu):
+        assert loads_measure(dumps_measure(mu))._flat.tobytes() == mu._flat.tobytes()
+
+    @pytest.mark.parametrize("excess, kept", [(2.0**-52, True), (2.0**-51, True), (2.0**-50, False), (1e-12, False)])
+    def test_root_totals_past_the_rounding_are_renormalized(self, excess, kept):
+        # two roots: totals within 4u = 2^-51 of 1 are kept as given
+        tree = DyadicTree.from_leaves(0, 2, [0, 1])
+        roots = np.array([0.5, 0.5 + excess])
+        total = float(roots.sum())
+        assert total == 1.0 + excess
+        got = TreeMeasure(tree, [roots]).masses[0]
+        assert got.tobytes() == (roots if kept else roots / total).tobytes()
+
+
+@st.composite
+def query_measures(draw):
+    """A tree of span 1..3 and depth 0..10 with a counting, splitting or
+    leaf-mass measure, the leaf masses 0 or between 0.01 and 1."""
+    span, depth = draw(st.integers(1, 3)), draw(st.integers(0, 10))
+    leaves = draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=40))
+    tree = DyadicTree.from_leaves(depth, span, leaves)
+    kind = draw(st.sampled_from(["counting", "splitting", "leaf"]))
+    if kind == "counting":
+        return counting_measure(tree)
+    if kind == "splitting":
+        return splitting_measure(tree)
+    mass = st.one_of(st.just(0.0), st.floats(0.01, 1.0))
+    leaf = draw(st.lists(mass, min_size=tree.count(depth), max_size=tree.count(depth)))
+    assume(sum(leaf) > 0.0)
+    return from_leaf_masses(tree, leaf)
+
+
+def assert_restriction_matches_oracle(mu, v) -> None:
+    """restrict_renormalize(mu, v) refuses as its oracle does, or builds
+    an equal tree, offsets, masses bit for bit and child starts."""
+    want = parse_outcome(restrict_renormalize_oracle, mu, v)
+    got = parse_outcome(restrict_renormalize, mu, v)
+    if want[0] != "ok":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    assert_same_tree(got.tree, want.tree)
+    assert got._offsets == want._offsets
+    assert got._flat.tobytes() == want._flat.tobytes()
+    assert got._kids.dtype == want._kids.dtype and np.array_equal(got._kids, want._kids)
+    assert not (got._flat.flags.writeable or got._kids.flags.writeable)
+
+
+class TestVertexQueries:
+    """mass, local_entropy, classify_local and restrict_renormalize against
+    np.searchsorted oracles and the fresh build of a restriction: every
+    vertex of the grid, occupied or not, every window and the windows just
+    outside, results and refusals alike."""
+
+    @given(query_measures())
+    def test_queries_match_searchsorted(self, mu):
+        depth = mu.tree.max_depth
+        for k in range(-1, depth + 2):
+            for j in range(mu.tree.capacity(k) if 0 <= k <= depth else 2):
+                # plain tuples and lists take the same path as vertices
+                v = (Vertex(k, j), (k, j), [k, j])[j % 3]
+                assert parse_outcome(mu.mass, v) == parse_outcome(mass_oracle, mu, v), v
+                for m in range(-1, depth - k + 2):
+                    want = parse_outcome(local_entropy_oracle, mu, v, m)
+                    assert parse_outcome(local_entropy, mu, v, m) == want, (v, m)
+                    for eps in (0.1, 0.6):
+                        want = parse_outcome(classify_local_oracle, mu, v, eps, m)
+                        assert parse_outcome(classify_local, mu, v, eps, m) == want, (v, m, eps)
+
+    @given(query_measures())
+    def test_restrictions_are_the_fresh_build(self, mu):
+        for k in range(mu.tree.max_depth + 1):
+            for j in mu.tree.array(k).tolist():
+                assert_restriction_matches_oracle(mu, (Vertex(k, j), (k, j))[j % 2])
+
+    @pytest.mark.parametrize(
+        "v, m",
+        [
+            (Vertex(-1, 0), -1),  # level and window both outside: the level is named
+            (Vertex(4, 0), 9),
+            (Vertex(2, 5), -1),  # unoccupied and window outside: occupancy is named
+            ((3, 3), 4),
+            ((2, 1), 0),  # zero mass before the window
+            ([1, 1], 1),
+            ((1,), 1),  # bad arity
+            ((1, 1, 0), 1),
+            (Vertex(1, 1.5), 1),  # an index that is not an integer
+        ],
+    )
+    def test_refusals_keep_their_type_text_and_order(self, v, m):
+        mu = from_leaf_masses(DyadicTree.from_leaves(3, 1, [0, 1, 2, 5, 6, 7]), [0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
+        for query, oracle in ((local_entropy, local_entropy_oracle), (classify_local, classify_local_oracle)):
+            args = (v, m) if query is local_entropy else (v, 0.25, m)
+            assert parse_outcome(query, mu, *args) == parse_outcome(oracle, mu, *args)
+        assert parse_outcome(mu.mass, v) == parse_outcome(mass_oracle, mu, v)
+        assert_restriction_matches_oracle(mu, v)
 
 
 class TestLocal:
