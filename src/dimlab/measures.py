@@ -305,8 +305,7 @@ def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
     most mu's drift there over mu(v) plus about 4u times the new parent mass
     (u = 2^-53), so it may pass CHILD_SUM_TOL where mu(v) is small."""
     v = v if isinstance(v, Vertex) else Vertex(*v)
-    pos = mu._position(*v)
-    a = mu._offsets[v.level] + pos
+    a = mu._position(*v) + mu._offsets[v.level]
     mv = float(mu._flat[a])
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
@@ -320,9 +319,8 @@ def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
         lo, hi = offsets[m], offsets[m + 1]
         np.divide(mu._flat[a : a + hi - lo], mv, out=flat[lo:hi])
         if m < sub.max_depth:
-            b = int(mu._kids[a])
-            np.subtract(mu._kids[a : a + hi - lo], b - hi, out=kids[lo:hi])
-            a = b
+            np.subtract(mu._kids[a : a + hi - lo], mu._kids[a] - hi, out=kids[lo:hi])
+            a = int(mu._kids[a])
     return _measure(sub, offsets, flat, kids)
 
 

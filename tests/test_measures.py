@@ -343,9 +343,8 @@ class TestVertexQueries:
     )
     def test_refusals_keep_their_type_text_and_order(self, v, m):
         mu = from_leaf_masses(DyadicTree.from_leaves(3, 1, [0, 1, 2, 5, 6, 7]), [0.25, 0.25, 0.0, 0.25, 0.25, 0.0])
-        for query, oracle in ((local_entropy, local_entropy_oracle), (classify_local, classify_local_oracle)):
-            args = (v, m) if query is local_entropy else (v, 0.25, m)
-            assert parse_outcome(query, mu, *args) == parse_outcome(oracle, mu, *args)
+        assert parse_outcome(local_entropy, mu, v, m) == parse_outcome(local_entropy_oracle, mu, v, m)
+        assert parse_outcome(classify_local, mu, v, 0.25, m) == parse_outcome(classify_local_oracle, mu, v, 0.25, m)
         assert parse_outcome(mu.mass, v) == parse_outcome(mass_oracle, mu, v)
         assert_restriction_matches_oracle(mu, v)
 
