@@ -329,16 +329,16 @@ class GridSetD:
     d in {1, 2, 3}, over [0, span)^d.  Immutable after construction.
 
     The cells are held as one read-only (N, d) int64 array of distinct rows
-    in lexicographic order, returned by array(); `cells` is the same set as
-    a sorted tuple of tuples, built on first use, as is the index that
-    counts coarser levels (_split_levels).  The constructor takes
+    in lexicographic order, returned by array(); `cells` converts it to a
+    sorted tuple of tuples on each read.  The index that counts coarser
+    levels (_split_levels) is built on first use.  The constructor takes
     the cells in any order, with repeats, as integer tuples or an integer
     array; floats, booleans, strings and cells outside the grid raise
     ValueError, as do a depth and span that dyadic._check_grid refuses, so
     every grid built is one that loads_grid reads back.
     """
 
-    __slots__ = ("dimension", "depth", "span", "_array", "_cells", "_part")
+    __slots__ = ("dimension", "depth", "span", "_array", "_part")
 
     def __init__(self, dimension: int, depth: int, span: int, cells):
         if dimension not in (1, 2, 3):
@@ -357,7 +357,7 @@ class GridSetD:
 
     def _set(self, dimension: int, depth: int, span: int, arr: np.ndarray) -> None:
         arr.flags.writeable = False
-        for name, value in zip(self.__slots__, (dimension, depth, span, arr, None, None)):
+        for name, value in zip(self.__slots__, (dimension, depth, span, arr, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -365,9 +365,7 @@ class GridSetD:
 
     @property
     def cells(self) -> tuple[tuple[int, ...], ...]:
-        if self._cells is None:
-            object.__setattr__(self, "_cells", tuple(map(tuple, self._array.tolist())))
-        return self._cells
+        return tuple(map(tuple, self._array.tolist()))
 
     def array(self) -> np.ndarray:
         """The cells as a read-only (N, d) int64 array in lexicographic order."""

@@ -100,6 +100,14 @@ def cell_of(x: float, level: int, span: int = 1) -> int:
     return min(int(x * (1 << level)), (span << level) - 1)
 
 
+def _as_vertex(v) -> Vertex:
+    """A vertex argument that is not a Vertex, as one: Vertex(*v), so a
+    wrong arity is a TypeError, then the integer rule of DyadicInterval."""
+    v = Vertex(*v)
+    _require_integers(v, "vertex level and index")
+    return v
+
+
 def _require_integers(values: Iterable, what: str) -> None:
     """Raise ValueError unless every value is an int or a numpy integer.
     Booleans are refused although numpy would read them as ints."""
@@ -184,15 +192,16 @@ class DyadicTree:
     """Occupancy tree over [0, span).  Immutable after construction.
 
     array(n) is the sorted occupied indices at level n as a read-only int64
-    array, the one stored form of a level.  levels[n] is the same level as
-    a tuple of ints, a view built from that array on first read and cached.
+    array, the one stored form of a level.  Each level's tuple of ints, the
+    view the vertex searches bisect, is built on first search and cached;
+    `levels` assembles those views on each read.
     The constructor trusts its input; use :func:`validate` to audit
     hand-built trees.  :meth:`from_leaves` saturates by construction: it
     sorts the leaves once and derives each parent level by an adjacent
     dedupe of the sorted child level shifted right.
     """
 
-    __slots__ = ("max_depth", "span", "_arrays", "_views", "_levels")
+    __slots__ = ("max_depth", "span", "_arrays", "_views")
 
     def __init__(self, max_depth: int, span: int, levels: Iterable[Iterable[int]]):
         _check_grid(max_depth, span)
@@ -227,14 +236,11 @@ class DyadicTree:
         self.span = span
         self._arrays = tuple(arrays)
         self._views = [None] * len(arrays)
-        self._levels = None
 
     @property
     def levels(self) -> tuple[tuple[int, ...], ...]:
-        """Every level as a sorted tuple of ints, built on first read."""
-        if self._levels is None:
-            self._levels = tuple(map(self._view, range(self.max_depth + 1)))
-        return self._levels
+        """Every level as a sorted tuple of ints, from the cached views."""
+        return tuple(map(self._view, range(self.max_depth + 1)))
 
     def _view(self, level: int) -> tuple[int, ...]:
         """One level as a sorted tuple of ints, built on first read."""
@@ -369,7 +375,7 @@ def _require_occupied(tree: DyadicTree, v: Vertex) -> None:
 def descendant_range(tree: DyadicTree, v: Vertex, m: int) -> tuple[int, int]:
     """Positions [lo, hi) of v's level-(v.level+m) descendants in that level.
     v need not be occupied, but its level and the window must lie in the tree."""
-    k, index = v
+    k, index = v if isinstance(v, Vertex) else _as_vertex(v)
     if not 0 <= k <= tree.max_depth:
         raise ValueError(f"vertex level {k} outside 0..{tree.max_depth}")
     if m < 0 or k + m > tree.max_depth:
@@ -386,7 +392,7 @@ def descendant_count(tree: DyadicTree, v: Vertex, m: int) -> int:
     descendant m levels down, by induction on m: a non-empty range, two
     searches of one level, is the count.  Anything else, a non-integer
     index too, takes the checks, which refuse as before, in the same order."""
-    k, index = v if isinstance(v, Vertex) else Vertex(*v)
+    k, index = v if isinstance(v, Vertex) else _as_vertex(v)
     try:
         if 0 <= k <= k + m <= tree.max_depth:
             level = tree._views[k + m] or tree._view(k + m)
@@ -419,7 +425,7 @@ def subtree(tree: DyadicTree, v: Vertex) -> DyadicTree:
     Level m is the slice of level v.level + m below v, less v.index << m:
     sorted and distinct, and saturated, since the parent of a cell below v
     is below v and so is an occupied child; no saturation pass is made."""
-    v = v if isinstance(v, Vertex) else Vertex(*v)
+    v = v if isinstance(v, Vertex) else _as_vertex(v)
     _require_occupied(tree, v)
     ranges = (descendant_range(tree, v, m) for m in range(tree.max_depth - v.level + 1))
     levels = [tree._arrays[v.level + m][lo:hi] - (v.index << m) for m, (lo, hi) in enumerate(ranges)]
@@ -431,7 +437,8 @@ def subtree(tree: DyadicTree, v: Vertex) -> DyadicTree:
 def validate(tree: DyadicTree) -> list[str]:
     """Audit tree invariants; returns human-readable violations (empty = ok)."""
     problems = []
-    for n, level in enumerate(tree.levels):
+    levels = [tree.array(n).tolist() for n in range(tree.max_depth + 1)]
+    for n, level in enumerate(levels):
         cap = tree.capacity(n)
         prev = -1
         for j in level:
@@ -441,13 +448,13 @@ def validate(tree: DyadicTree) -> list[str]:
                 problems.append(f"level {n}: indices not strictly increasing at {j}")
             prev = j
     for n in range(1, tree.max_depth + 1):
-        parents = set(tree.levels[n - 1])
-        for j in tree.levels[n]:
+        parents = set(levels[n - 1])
+        for j in levels[n]:
             if j >> 1 not in parents:
                 problems.append(f"parent-closure: level {n} index {j} has no parent")
     for n in range(tree.max_depth):
-        children = tree.levels[n + 1]
-        for j in tree.levels[n]:
+        children = levels[n + 1]
+        for j in levels[n]:
             lo = bisect_left(children, j << 1)
             if lo >= len(children) or children[lo] > (j << 1) + 1:
                 problems.append(f"leaf-support: level {n} index {j} has no child")

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _clip, _run_heads, covering_count, subtree
+from .dyadic import DyadicTree, Vertex, _as_vertex, _clip, _run_heads, covering_count, subtree
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -171,7 +171,7 @@ class TreeMeasure:
         return pos
 
     def mass(self, v: Vertex) -> float:
-        level, index = v
+        level, index = v if isinstance(v, Vertex) else _as_vertex(v)
         pos = self._position(level, index)
         return float(self.masses[level][pos])
 
@@ -304,7 +304,7 @@ def restrict_renormalize(mu: TreeMeasure, v: Vertex) -> TreeMeasure:
     Built unchecked: the root is exactly 1, and each child-sum drift is at
     most mu's drift there over mu(v) plus about 4u times the new parent mass
     (u = 2^-53), so it may pass CHILD_SUM_TOL where mu(v) is small."""
-    v = v if isinstance(v, Vertex) else Vertex(*v)
+    v = v if isinstance(v, Vertex) else _as_vertex(v)
     a = mu._position(*v) + mu._offsets[v.level]
     mv = float(mu._flat[a])
     if mv <= 0.0:
@@ -355,7 +355,7 @@ def local_entropy(mu: TreeMeasure, v: Vertex, m: int) -> float:
     table for the window (v.level, m): the first query at a window gathers
     count(v.level + m) entries to build it, later ones read one entry.
     """
-    level, index = v if isinstance(v, Vertex) else Vertex(*v)
+    level, index = v if isinstance(v, Vertex) else _as_vertex(v)
     pos = mu._position(level, index)
     mv = float(mu.masses[level][pos])
     if mv <= 0.0:

@@ -8,8 +8,10 @@ Suites bundle checks for the CLI; `all` runs every check once in order.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,14 +82,31 @@ def random_leaf_measure(rng: np.random.Generator, tree: DyadicTree):
     return from_leaf_masses(tree, masses)
 
 
-def _result(name: str, budget: float, t0: float, passed: bool, details: dict) -> CriterionResult:
-    runtime = time.perf_counter() - t0
-    return CriterionResult(name, passed and runtime < budget, runtime, budget, details)
+CHECKS: dict[str, Callable[[], CriterionResult]] = {}
 
 
-def check_entropy_extremes() -> CriterionResult:
+def _check(name: str, budget_s: float):
+    """Register a body returning `(passed, details)` as check `name`, in
+    definition order.  The check passes if the body passed in under
+    `budget_s` seconds, read on the monotonic clock around it."""
+
+    def register(body: Callable[[], tuple[bool, dict]]) -> Callable[[], CriterionResult]:
+        @functools.wraps(body)
+        def run() -> CriterionResult:
+            t0 = time.perf_counter()
+            passed, details = body()
+            runtime = time.perf_counter() - t0
+            return CriterionResult(name, passed and runtime < budget_s, runtime, budget_s, details)
+
+        CHECKS[name] = run
+        return run
+
+    return register
+
+
+@_check("entropy-extremes", 1.0)
+def check_entropy_extremes() -> tuple[bool, dict]:
     """Uniform measures hit log #A and point masses hit 0, to 1e-12."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED)
     worst = 0.0
     for _ in range(100):
@@ -99,15 +118,12 @@ def check_entropy_extremes() -> CriterionResult:
     point = counting_measure(DyadicTree.from_leaves(10, 1, [731]))
     point_h = entropy(point, 10)
     ok = worst <= 1e-12 and point_h == 0.0
-    return _result(
-        "entropy-extremes", 1.0, t0, ok,
-        {"max_abs_error": worst, "point_mass_entropy": point_h, "supports": 100},
-    )
+    return ok, {"max_abs_error": worst, "point_mass_entropy": point_h, "supports": 100}
 
 
-def check_chain_rules() -> CriterionResult:
+@_check("chain-rules", 10.0)
+def check_chain_rules() -> tuple[bool, dict]:
     """Telescoping and block chain rule to 1e-9 on 100 random measures."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 1)
     depth = 16
     worst_tel = 0.0
@@ -127,16 +143,13 @@ def check_chain_rules() -> CriterionResult:
             )
             worst_block = max(worst_block, abs(lhs - rhs))
     ok = worst_tel <= 1e-9 and worst_block <= 1e-9
-    return _result(
-        "chain-rules", 10.0, t0, ok,
-        {"max_telescoping_error": worst_tel, "max_block_error": worst_block, "measures": 100},
-    )
+    return ok, {"max_telescoping_error": worst_tel, "max_block_error": worst_block, "measures": 100}
 
 
-def check_entropy_covering() -> CriterionResult:
+@_check("entropy-covering", 60.0)
+def check_entropy_covering() -> tuple[bool, dict]:
     """Every fired entropy-to-covering hypothesis has its conclusion hold,
     over 198 random depth-20 trees plus the full and single-chain extremes."""
-    t0 = time.perf_counter()
     rng = np.random.default_rng(_SEED + 2)
     n = 20
     eps_grid = (0.05, 0.1, 0.2)
@@ -157,13 +170,11 @@ def check_entropy_covering() -> CriterionResult:
             if not rep.ok:
                 failures += 1
     ok = failures == 0 and fired > 0
-    return _result(
-        "entropy-covering", 60.0, t0, ok,
-        {"trees": len(trees), "checks": checked, "fired": fired, "failures": failures},
-    )
+    return ok, {"trees": len(trees), "checks": checked, "fired": fired, "failures": failures}
 
 
-def check_cantor_box() -> CriterionResult:
+@_check("cantor-box", 10.0)
+def check_cantor_box() -> tuple[bool, dict]:
     """Box and Assouad exponents of the middle-thirds set recover
     log 2/log 3, and lower <= box_lower <= box_upper <= assouad holds.
 
@@ -176,7 +187,6 @@ def check_cantor_box() -> CriterionResult:
     depth, drops the constant and is compared instead.  The raw m = 12
     value is still reported and still takes part in the ordering.
     """
-    t0 = time.perf_counter()
     depth, m = 24, 12
     tree = ifs_attractor(IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), depth)
     bu = box_estimate(tree, 16, 24, "upper")
@@ -187,41 +197,35 @@ def check_cantor_box() -> CriterionResult:
     box_ok = abs(bu.slope - LOG2_3) <= 0.02
     ass_ok = abs(ass_slope - LOG2_3) <= 0.03
     order_ok = low.value <= bl.value <= bu.value <= ass.value
-    return _result(
-        "cantor-box", 10.0, t0, box_ok and ass_ok and order_ok,
-        {
-            "target": LOG2_3,
-            "box_slope": bu.slope,
-            "box_upper": bu.value,
-            "box_lower": bl.value,
-            "assouad": ass.value,
-            "assouad_slope": ass_slope,
-            "assouad_window": [m, depth],
-            "lower": low.value,
-            "box_ok": box_ok,
-            "assouad_ok": ass_ok,
-            "ordering_ok": order_ok,
-        },
-    )
+    return box_ok and ass_ok and order_ok, {
+        "target": LOG2_3,
+        "box_slope": bu.slope,
+        "box_upper": bu.value,
+        "box_lower": bl.value,
+        "assouad": ass.value,
+        "assouad_slope": ass_slope,
+        "assouad_window": [m, depth],
+        "lower": low.value,
+        "box_ok": box_ok,
+        "assouad_ok": ass_ok,
+        "ordering_ok": order_ok,
+    }
 
 
-def check_sumset_saturation() -> CriterionResult:
+@_check("sumset-saturation", 5.0)
+def check_sumset_saturation() -> tuple[bool, dict]:
     """Cantor + Cantor at depth 16 occupies the whole index-sum range."""
-    t0 = time.perf_counter()
     c = ifs_attractor(IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), 16)
     s, rep = index_sumset(c, c, 16)
     want = np.arange(2 * (1 << 16) - 1)
     ok = np.array_equal(s.array(16), want)
-    return _result(
-        "sumset-saturation", 5.0, t0, ok,
-        {"count": rep.count_exact, "expected": len(want)},
-    )
+    return ok, {"count": rep.count_exact, "expected": len(want)}
 
 
-def check_growth() -> CriterionResult:
+@_check("growth", 60.0)
+def check_growth() -> tuple[bool, dict]:
     """Upper-box estimates of kF strictly increase and clear 0.95 by k=3;
     lower estimates are non-decreasing over k = 1..3."""
-    t0 = time.perf_counter()
     spec = {"type": "moran", "k": 2, "lengths": "4^-j"}
     g3 = growth_experiment(spec, 3, 16)
     lows = [r.lower.value for r in g3.rows]
@@ -233,22 +237,19 @@ def check_growth() -> CriterionResult:
         and all(a <= b for a, b in zip(lows, lows[1:]))
         and g4.strictly_increasing
     )
-    return _result(
-        "growth", 60.0, t0, ok,
-        {
-            "box_upper": ups,
-            "lower": lows,
-            "strictly_increasing_k3": g3.strictly_increasing,
-            "strictly_increasing_k4": g4.strictly_increasing,
-            "box_upper_k4": [r.box_upper.value for r in g4.rows],
-        },
-    )
+    return ok, {
+        "box_upper": ups,
+        "lower": lows,
+        "strictly_increasing_k3": g3.strictly_increasing,
+        "strictly_increasing_k4": g4.strictly_increasing,
+        "box_upper_k4": [r.box_upper.value for r in g4.rows],
+    }
 
 
-def check_reciprocal_density() -> CriterionResult:
+@_check("reciprocal-density", 30.0)
+def check_reciprocal_density() -> tuple[bool, dict]:
     """nF of the reciprocal set is cell-dense in [0, delta^(2^-n)] at
     delta = 2^-12, with covering counts matching dim >= 1 - 2^-n - 0.05."""
-    t0 = time.perf_counter()
     depth = 12
     base = reciprocal_tree(depth)
     rows = []
@@ -264,13 +265,13 @@ def check_reciprocal_density() -> CriterionResult:
         rows.append({"n": n, "upper": upper, "dense": dense, "cells_in_window": n_win,
                      "dim_proxy": est, "need": need})
         ok = ok and dense and est >= need
-    return _result("reciprocal-density", 30.0, t0, ok, {"rows": rows})
+    return ok, {"rows": rows}
 
 
-def check_ifs_interval() -> CriterionResult:
+@_check("ifs-interval", 30.0)
+def check_ifs_interval() -> tuple[bool, dict]:
     """kPhi fills [0, k) at depth 14 for k = ceil((1-r)/r); one fold fewer
     at r=1/4 must not fill."""
-    t0 = time.perf_counter()
     details = {}
     ok = True
     for r, k in ((1 / 3, 2), (1 / 4, 3)):
@@ -284,13 +285,13 @@ def check_ifs_interval() -> CriterionResult:
     not_full = tree.count(14) < 2 << 14
     details["r=0.25,k=2"] = {"count": tree.count(14), "capacity": 2 << 14, "full": not not_full}
     ok = ok and not_full
-    return _result("ifs-interval", 30.0, t0, ok, details)
+    return ok, details
 
 
-def check_distance_set() -> CriterionResult:
+@_check("distance-set", 60.0)
+def check_distance_set() -> tuple[bool, dict]:
     """Distance set of the planar Cantor dust keeps at least half the
     Assouad and box exponents of the dust, minus 0.05."""
-    t0 = time.perf_counter()
     c = ifs_attractor(IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), 10)
     dust = grid_product([c, c])
     dist = distance_set(dust)
@@ -301,24 +302,21 @@ def check_distance_set() -> CriterionResult:
     b_d = box_estimate(dist, 5, 10, "upper")
     ass_ok = a_d.value >= a_f.value / 2 - 0.05
     box_ok = b_d.value >= b_f.value / 2 - 0.05
-    return _result(
-        "distance-set", 60.0, t0, ass_ok and box_ok,
-        {
-            "dust_cells": len(dust.array()),
-            "vectors": int(np.count_nonzero(seen)),
-            "product": product,
-            "assouad_F": a_f.value,
-            "assouad_D": a_d.value,
-            "box_F": b_f.value,
-            "box_D": b_d.value,
-        },
-    )
+    return ass_ok and box_ok, {
+        "dust_cells": len(dust.array()),
+        "vectors": int(np.count_nonzero(seen)),
+        "product": product,
+        "assouad_F": a_f.value,
+        "assouad_D": a_d.value,
+        "box_F": b_f.value,
+        "box_D": b_d.value,
+    }
 
 
-def check_moran_measure() -> CriterionResult:
+@_check("moran-measure", 10.0)
+def check_moran_measure() -> tuple[bool, dict]:
     """Splitting measures on branching-aligned Moran trees are never
     (0.25, 4)-atomic at any vertex up to depth 16."""
-    t0 = time.perf_counter()
     m = 4
     eps = 0.25
     rows = []
@@ -336,13 +334,13 @@ def check_moran_measure() -> CriterionResult:
                 worst = min(worst, local_entropy(mu, v, m) / (m * math.log(2)))
         rows.append({"k": k, "lengths": lengths, "atomic_vertices": atomic, "min_avg_entropy": worst})
         ok = ok and atomic == 0
-    return _result("moran-measure", 10.0, t0, ok, {"eps": eps, "m": m, "rows": rows})
+    return ok, {"eps": eps, "m": m, "rows": rows}
 
 
-def check_counting_bracket() -> CriterionResult:
+@_check("counting-bracket", 30.0)
+def check_counting_bracket() -> tuple[bool, dict]:
     """Exact index-sum counts sit in [N/2, 2N] around the oracle covering
     count of the true sumset, for common-ratio IFS pairs."""
-    t0 = time.perf_counter()
     pairs = [
         (IfsSpec(r=1 / 3, translations=(0.0, 2 / 3)), IfsSpec(r=1 / 3, translations=(0.0, 2 / 3))),
         (IfsSpec(r=1 / 4, translations=(0.0, 0.75)), IfsSpec(r=1 / 4, translations=(0.0, 0.75))),
@@ -361,22 +359,8 @@ def check_counting_bracket() -> CriterionResult:
             rows.append({"r": a.r, "maps": (len(a.translations), len(b.translations)),
                          "depth": depth, "count": rep.count_exact, "oracle": n_true, "holds": holds})
             ok = ok and holds
-    return _result("counting-bracket", 30.0, t0, ok, {"pairs": rows})
+    return ok, {"pairs": rows}
 
-
-CHECKS = {
-    "entropy-extremes": check_entropy_extremes,
-    "chain-rules": check_chain_rules,
-    "entropy-covering": check_entropy_covering,
-    "cantor-box": check_cantor_box,
-    "sumset-saturation": check_sumset_saturation,
-    "growth": check_growth,
-    "reciprocal-density": check_reciprocal_density,
-    "ifs-interval": check_ifs_interval,
-    "distance-set": check_distance_set,
-    "moran-measure": check_moran_measure,
-    "counting-bracket": check_counting_bracket,
-}
 
 SUITES = {name: (name,) for name in CHECKS}
 SUITES["entropy-lemmas"] = ("entropy-extremes", "chain-rules", "entropy-covering")

@@ -387,9 +387,21 @@ def position_oracle(tree, level: int, index: int) -> int:
     return pos if pos < a.size and a[pos] == index else -1
 
 
+def vertex_oracle(v) -> Vertex:
+    """The rule of every vertex entry point: a Vertex as it is; anything else
+    by Vertex(*v), so a wrong arity is a TypeError, with a ValueError naming
+    the types unless the level and index are integers, not booleans."""
+    if isinstance(v, Vertex):
+        return v
+    v = Vertex(*v)
+    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in v):
+        raise ValueError(f"vertex level and index must be integers, got {sorted({type(x).__name__ for x in v})}")
+    return v
+
+
 def mass_oracle(mu, v) -> float:
     """`TreeMeasure.mass` by `position_oracle`, refusals in the same order."""
-    level, index = v
+    level, index = vertex_oracle(v)
     pos = position_oracle(mu.tree, level, index)
     if pos < 0:
         raise ValueError(f"vertex (level={level}, index={index}) not occupied")
@@ -405,7 +417,7 @@ def descendant_slice_oracle(tree, v, m: int) -> slice:
 def descendant_count_oracle(tree, v, m: int) -> int:
     """`descendant_count` by an occupancy search and two np.searchsorted
     calls, refusals in the order of the checks: level, occupancy, window."""
-    k, index = Vertex(*v)
+    k, index = vertex_oracle(v)
     if not 0 <= k <= tree.max_depth:
         raise ValueError(f"vertex level {k} outside 0..{tree.max_depth}")
     if position_oracle(tree, k, index) < 0:
@@ -424,7 +436,7 @@ def is_full_branching_oracle(tree, v, eps: float, m: int) -> bool:
 
 def subtree_oracle(tree, v) -> DyadicTree:
     """`subtree` by a fresh saturation of the leaves below v."""
-    v = Vertex(*v)
+    v = vertex_oracle(v)
     descendant_count_oracle(tree, v, 0)  # refuses a level outside the tree or an unoccupied v
     depth = tree.max_depth - v.level
     leaves = tree.array(tree.max_depth)[descendant_slice_oracle(tree, v, depth)]
@@ -434,7 +446,7 @@ def subtree_oracle(tree, v) -> DyadicTree:
 def restrict_renormalize_oracle(mu, v):
     """`restrict_renormalize` on `subtree_oracle`, the masses of each
     descendant slice over mu(v) and a fresh child-start pass."""
-    v = Vertex(*v)
+    v = vertex_oracle(v)
     mv = mass_oracle(mu, v)
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")
@@ -448,7 +460,7 @@ def local_entropy_oracle(mu, v, m: int) -> float:
     """`local_entropy` by the per-call formula the window tables replace:
     the descendant slice by np.searchsorted, `float(np.sum(...))` of its
     w log w and `math.log`, refusals in the same order."""
-    v = Vertex(*v)
+    v = vertex_oracle(v)
     mv = mass_oracle(mu, v)
     if mv <= 0.0:
         raise ZeroMassError(f"vertex (level={v.level}, index={v.index}) has zero mass")

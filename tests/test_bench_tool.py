@@ -1,6 +1,7 @@
 """tools/bench.py against a stub harness with fixed output: it keeps the
 harness's figures, summarizes them by median and quartiles, counts the
-pairs a change wins, and refuses a run whose outputs are wrong."""
+pairs a change wins, refuses a run whose outputs are wrong, and compiles
+each checkout before its first run."""
 
 import json
 import subprocess
@@ -17,6 +18,8 @@ from pathlib import Path
 counter = Path(__file__).with_name("count")
 n = int(counter.read_text()) if counter.exists() else 0
 counter.write_text(str(n + 1))
+with counter.with_name("compiled").open("a") as fh:
+    fh.write(str(len(list(Path(__file__).parents[1].glob("*/**/__pycache__/*.pyc")))) + "\\n")
 jobs, p50, correct, *raw = {values!r}[n]
 raw_jobs = raw[0] if raw else jobs - 1
 print("machine " + json.dumps({{"cpu": "stub", "nproc": 2}}))
@@ -111,3 +114,18 @@ def test_a_wrong_output_refuses_the_recording(tmp_path, which):
     assert proc.returncode == 1
     assert "correct=False" in proc.stderr
     assert not out.exists()
+
+
+def test_each_checkout_is_compiled_before_its_first_run(tmp_path):
+    change = checkout(tmp_path, "change", [(10.0, 5.0, True)] * 2)
+    parent = checkout(tmp_path, "parent", [(10.0, 5.0, True)] * 2)
+    for repo in (change, parent):
+        (repo / "src" / "pkg").mkdir(parents=True)
+        (repo / "src" / "pkg" / "mod.py").write_text("X = 1\n")
+    out = tmp_path / "BENCH.json"
+    proc = bench(change, "--repo", str(parent), "--pairs", "2", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    for repo in (change, parent):
+        # src/pkg/mod.py and perfbench/run.py were compiled before either run
+        assert (repo / "perfbench" / "compiled").read_text().split() == ["2", "2"]
+        assert list((repo / "src" / "pkg" / "__pycache__").glob("mod.*.pyc"))

@@ -177,15 +177,16 @@ class TestTreeConstruction:
     def test_levels_view_is_built_on_first_read_and_cached(self):
         t = tree_from(6, [1, 5, 9, 40])
         assert (t.count(6), t.total_cells(), t.descendant_counts(0, 6).tolist()) == (4, 20, [4])
-        assert t._levels is None
-        assert t.levels is t.levels
-        assert t.levels == tuple(tuple(t.array(n).tolist()) for n in range(7))
+        assert t._views == [None] * 7
+        levels = t.levels
+        assert t._views == list(levels)
+        assert all(a is b for a, b in zip(t.levels, levels))
+        assert levels == tuple(tuple(t.array(n).tolist()) for n in range(7))
 
     def test_point_query_builds_one_level_view(self):
         t = tree_from(6, [1, 5, 9, 40])
         assert t.is_occupied(4, 10) and not t.is_occupied(4, 11)
         assert [n for n, view in enumerate(t._views) if view is not None] == [4]
-        assert t._levels is None
         assert t.levels[4] is t._views[4]
 
 
@@ -408,6 +409,9 @@ class TestVertexQueries:
             ((2, 2, 0), 1),
             (Vertex(2, 2.5), 1),  # an index that is not an integer
             (Vertex(2, 2.0), 1),
+            ((2.0, 2), 1),  # a plain pair is held to integers, booleans refused
+            ((2, 2.0), 1),
+            ((True, 0), 1),
         ],
     )
     def test_refusals_keep_their_type_text_and_order(self, v, m):
@@ -667,8 +671,8 @@ class TestTreeCodecOracle:
     def test_io_leaves_the_tuple_view_unbuilt(self, rng):
         t = random_tree(rng, 10, 0.6)
         text = dumps_tree(t)
-        assert t._levels is None
-        assert loads_tree(text)._levels is None
+        assert t._views == [None] * 11
+        assert loads_tree(text)._views == [None] * 11
 
 
 class TestInvariants:

@@ -1,6 +1,6 @@
 """Source hygiene: every name a module imports is read somewhere in it,
-only dyadic.py reads a tree's `levels`, so the level representation can
-change inside that one module, every library tree comes from
+no module reads a tree's `levels` or a grid's `cells`, the tuple forms
+kept for callers outside the library, every library tree comes from
 `DyadicTree.from_leaves`, not the trusting hand-built constructor, and no
 kernel calls the hash-based `np.unique` or packs an `int.from_bytes` bit
 grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  Only
@@ -45,26 +45,33 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-def foreign_levels_reads(source: str) -> list[int]:
-    """Lines that read `.levels` on anything but `self`."""
+def tuple_form_reads(source: str) -> list[int]:
+    """Lines that read `.levels` or `.cells` on anything but `self`."""
     return sorted(
         node.lineno
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute)
-        and node.attr == "levels"
+        and node.attr in ("levels", "cells")
         and isinstance(node.ctx, ast.Load)
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     )
 
 
 def test_detects_a_foreign_levels_read():
-    source = "def f(t, p):\n    n = len(t.levels[0])\n    return p.tree.levels, self.levels\n"
-    assert foreign_levels_reads(source) == [2, 3]
+    source = (
+        "def f(t, p):\n    n = len(t.levels[0])\n    return p.tree.levels, self.levels\n"
+        "def h(g):\n    return g.cells, self.cells\n"
+    )
+    assert tuple_form_reads(source) == [2, 3, 5]
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "dyadic.py"], ids=lambda p: p.name)
 def test_tree_levels_read_only_in_dyadic(path):
-    assert foreign_levels_reads(path.read_text(encoding="utf-8")) == []
+    assert tuple_form_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_dyadic_reads_no_levels_or_cells():
+    assert tuple_form_reads((SRC / "dyadic.py").read_text(encoding="utf-8")) == []
 
 
 def hand_built_trees(source: str) -> list[int]:

@@ -339,6 +339,9 @@ class TestVertexQueries:
             ((1,), 1),  # bad arity
             ((1, 1, 0), 1),
             (Vertex(1, 1.5), 1),  # an index that is not an integer
+            ((1.0, 0), 1),  # a plain pair is held to integers, booleans refused
+            ((1, 0.0), 1),
+            ([True, 0], 1),
         ],
     )
     def test_refusals_keep_their_type_text_and_order(self, v, m):

@@ -12,7 +12,11 @@ one, which side runs first alternating from pair to pair:
         --repo ../parent --pairs 10 --out BENCH.json
 
 Each run is `perfbench/run.py --workload W --seed S --seconds T --trace 0`
-in a subprocess, started in the checkout it measures.  The recorder parses
+in a subprocess, started in the checkout it measures.  Before the first
+run, `python -m compileall -q` compiles each checkout's src/ and perfbench/,
+so that no run compiles what the other side imports from __pycache__ (as a
+fresh clone does on every run where PYTHONDONTWRITEBYTECODE is set), and
+set-up times compare code, not bytecode caches.  The recorder parses
 the lines the harness prints, the `machine` line, the `unadjusted` line and
 the last line's JSON result, and never recomputes a metric.  A run that
 reports "correct": false, or prints no result, stops the recording and
@@ -69,6 +73,17 @@ def parse_run(stdout: str) -> dict:
             pairs = (field.split("=", 1) for field in line.split()[1:])
             run["unadjusted"] = {name: float(value) for name, value in pairs}
     return run
+
+
+def compile_checkout(repo: str) -> None:
+    """Write the bytecode of the checkout's src/ and perfbench/."""
+    dirs = [d for d in ("src", "perfbench") if os.path.isdir(os.path.join(repo, d))]
+    if not dirs:
+        return
+    proc = subprocess.run([sys.executable, "-m", "compileall", "-q", *dirs], cwd=repo,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise BenchError(f"compiling {repo} failed:\n{proc.stdout[-2000:]}{proc.stderr[-2000:]}")
 
 
 def run_once(repo: str, workload: str, seed: int, seconds: float) -> dict:
@@ -136,6 +151,8 @@ def record(args) -> dict:
         better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
     series = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds}
     change, parent = [], []
+    for repo in (ROOT, args.repo) if args.pairs else (ROOT,):
+        compile_checkout(repo)
     for i in range(args.pairs or args.runs):
         if args.pairs and i % 2 == 0:
             parent.append(run_once(args.repo, args.workload, args.seed, args.seconds))
