@@ -26,8 +26,9 @@ No kernel forms all cell pairs, and runs of vectors map to distance intervals.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NoReturn, Sequence
 
 import numpy as np
 
@@ -35,14 +36,13 @@ from .dyadic import (
     DyadicTree,
     _check_grid,
     _clip,
-    _KERNEL_MIN_CHARS,
-    _ROW_BLOCK,
     _decimal_text,
-    _decimal_tokens,
     _dedupe_sorted,
-    _ints,
+    _FIELD,
     _read_header,
+    _number_blocks,
     _require_integers,
+    _token_ints,
 )
 from .budget import charge, current_cap
 from .errors import FormatError
@@ -574,75 +574,42 @@ def dumps_grid(f: GridSetD) -> str:
     return "".join((f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n", body, "\n" if body else ""))
 
 
+_HEADER = re.compile(r"(?:[ \t]*\n)*([^\n]*)\n?")  # blank lines, then the header line
+
+
 def loads_grid(text: str) -> GridSetD:
-    """Parse grid-set v1 text.
-
-    The decimal kernel reads the body in blocks of up to _ROW_BLOCK lines
-    when the text is ASCII and at least _KERNEL_MIN_CHARS long, opens with
-    its header as a single line, and has a body of only digits, spaces and
-    newlines, with d numbers of at most 18 digits on every line that is not
-    blank, all inside the grid.  Rows in strictly increasing order, as
-    dumps_grid writes them, are kept as they are; others are sorted and
-    deduplicated.  Any other text goes to the token parser, which alone
-    names what is wrong, so a bad file gets the same FormatError on either
-    path."""
-    grid = _kernel_grid(text) if len(text) >= _KERNEL_MIN_CHARS and text.isascii() else None
-    return _token_grid(text) if grid is None else grid
-
-
-def _grid_header(lines: list[str]) -> tuple[int, int, int]:
-    d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
+    """Parse grid-set v1 text, by the grammar of dyadic.py: after the header,
+    every line that is not blank holds d numbers inside the grid.  The
+    decimal kernel reads the body in blocks of whole lines; what it or a
+    check refuses, only _refuse_grid words.  Rows in strictly increasing
+    order, as dumps_grid writes them, are kept as they are; others are
+    sorted and deduplicated."""
+    text = text.replace("\r\n", "\n")
+    head = _HEADER.match(text)
+    d, depth, span = _read_header([head[1]] if head[1].strip(" \t") else [], "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
-    return d, depth, span
-
-
-def _kernel_grid(text: str) -> GridSetD | None:
-    """The grid of an ASCII text by the decimal kernel, or None where only
-    the token parser may read it: a first line that is blank or is not a
-    single line, or a body the kernel refuses."""
-    end = text.find("\n")
-    header = text if end < 0 else text[:end]
-    if not header.strip() or header.splitlines() != [header]:
-        return None
-    d, depth, span = _grid_header([header])
-    body = np.frombuffer(text.encode("ascii"), dtype=np.uint8)[len(header) + 1 :]
-    many = text.count("\n") > _ROW_BLOCK
-    cuts = np.flatnonzero(body == 10)[_ROW_BLOCK - 1 :: _ROW_BLOCK] + 1 if many else []
+    limit = span << depth
     values = []
-    for block in np.split(body, cuts):
-        got = _decimal_tokens(block, " ")
-        if got is None or not ((got[1] == 0) | (got[1] == d)).all():
-            return None
+    for got in _number_blocks(text, " ", head.end()):
+        if got is None or not ((got[1] == 0) | (got[1] == d)).all() or got[0].max(initial=0) >= limit:
+            _refuse_grid(text[head.end() :].split("\n"), d, limit)
         values.append(got[0])
     rows = np.concatenate(values).reshape(-1, d)
-    if rows.size and rows.max() >= span << depth:
-        return None
     return GridSetD._trusted(d, depth, span, rows if _increasing_rows(rows) else _distinct_rows(rows))
 
 
-def _token_grid(text: str) -> GridSetD:
-    """The grid of any text by splitting it into Python tokens; it names the
-    first thing wrong with a bad one."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    d, depth, span = _grid_header(lines)
-    rows = [ln.split() for ln in lines[1:]]
-    for ln, parts in zip(lines[1:], rows):
+def _refuse_grid(lines: list[str], d: int, limit: int) -> NoReturn:
+    """Raise the FormatError for body lines loads_grid refused: the first
+    line without d tokens, else the first token that is not a number, else
+    the least cell outside the grid."""
+    lines = [ln for ln in lines if ln.strip(" \t")]
+    rows = [_FIELD.findall(ln) for ln in lines]
+    for ln, parts in zip(lines, rows):
         if len(parts) != d:
             raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
-    try:
-        flat = np.array([tok for parts in rows for tok in parts], dtype=np.int64)
-    except (ValueError, OverflowError):
-        # name the culprit: a non-integer token, or an integer beyond int64
-        for parts in rows:
-            cell = tuple(_ints(parts))
-            if any(not 0 <= c < span << depth for c in cell):
-                raise FormatError(f"cell {_clip(str(cell))} outside the {span << depth}^d grid") from None
-        raise
-    try:
-        return GridSetD(d, depth, span, flat.reshape(len(rows), d))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    outside = [cell for cell in (tuple(_token_ints(parts)) for parts in rows) if any(not 0 <= c < limit for c in cell)]
+    raise FormatError(f"cell {_clip(str(min(outside)))} outside the {limit}^d grid")
 
 
 def save_grid(f: GridSetD, path) -> None:

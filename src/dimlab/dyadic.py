@@ -27,17 +27,22 @@ whichever is shorter, so round trips are byte-exact.
 Level kernels cost what their data costs.  A sorted level is deduped by
 comparing neighbours and selecting the run heads by index (ndarray.compress),
 which on large irregular masks is several times faster than boolean
-indexing.  Number lists of at least _WRITE_MIN numbers, tree levels and
-grid-file rows alike, are written by one numpy digit writer, _decimal_text,
-and read by one decimal kernel, _decimal_tokens; shorter ones take "%d" and
-Python tokens.
+indexing.  Level lists and grid rows are written by one numpy digit writer,
+_decimal_text, and read by one decimal kernel, _decimal_tokens, in this
+grammar: lines break at newlines (a \\r before one is dropped) and lines of
+blanks (spaces, tabs) are skipped; a number is ASCII digits whose value lies
+inside the grid, blanks around it; level lists separate numbers by commas,
+RUNS payloads and grid rows by blanks.  What the kernel refuses, one routine
+per format words, and it never returns a level or a grid.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from itertools import accumulate
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -179,8 +184,8 @@ def _dedupe_sorted(a: np.ndarray) -> np.ndarray:
 
 
 def _level_array(level: Iterable[int]) -> np.ndarray:
-    """A hand-built or decoded level as an int64 array, or as an object
-    array when an index does not fit int64, so that validate() can name it."""
+    """A hand-built level as an int64 array, or as an object array when an
+    index does not fit int64, so that validate() can name it."""
     values = list(level)
     try:
         return np.array(values, dtype=np.int64)
@@ -269,6 +274,13 @@ class DyadicTree:
     def position(self, level: int, index: int) -> int:
         """Where index sits among the occupied indices at a level, or -1
         when that cell is unoccupied."""
+        if type(level) is not int or type(index) is not int:
+            _require_integers((level, index), "level and index")
+        return self._position(level, index)
+
+    def _position(self, level: int, index: int) -> int:
+        """position() for arguments the caller has checked: the vertex
+        entry points, which take a Vertex as it is."""
         if not 0 <= level <= self.max_depth:
             raise ValueError(f"level {level} outside 0..{self.max_depth}")
         lv = self._views[level] or self._view(level)
@@ -286,6 +298,8 @@ class DyadicTree:
         one binary search each; otherwise neighbours are compared in blocks
         of _LEVEL_BLOCK cells, so the temporaries are one flag per cell of
         level k+m and one block of its cells shifted, not a shifted copy."""
+        if type(k) is not int or type(m) is not int:
+            _require_integers((k, m), "level and window")
         if not 0 <= k <= k + m <= self.max_depth:
             raise ValueError(f"levels {k}..{k + m} outside 0..{self.max_depth}")
         above, below = self._arrays[k], self._arrays[k + m]
@@ -309,6 +323,8 @@ class DyadicTree:
 
     def array(self, level: int) -> np.ndarray:
         """Occupied indices at a level as a read-only int64 array."""
+        if type(level) is not int:
+            _require_integers((level,), "levels")
         if not 0 <= level <= self.max_depth:
             raise ValueError(f"level {level} outside 0..{self.max_depth}")
         return self._arrays[level]
@@ -368,7 +384,7 @@ def covering_count(tree: DyadicTree, level: int) -> int:
 def _require_occupied(tree: DyadicTree, v: Vertex) -> None:
     if not 0 <= v.level <= tree.max_depth:
         raise ValueError(f"vertex level {v.level} outside 0..{tree.max_depth}")
-    if not tree.is_occupied(v.level, v.index):
+    if tree._position(v.level, v.index) < 0:
         raise ValueError(f"vertex (level={v.level}, index={v.index}) not occupied")
 
 
@@ -475,43 +491,6 @@ def _encode_level(a: np.ndarray) -> str:
     return _decimal_text(a, ",")
 
 
-def _decode_level(body: str, cap: int) -> np.ndarray:
-    """Parse one level of a grid of `cap` cells.  RUNS payloads are checked
-    against `cap` and charged to the budget before they are expanded.
-
-    The decimal kernel reads a comma list, or a RUNS payload of numbers
-    separated by spaces, whose bytes are all ASCII digits and separators
-    and whose numbers have at most 18 digits; one vectorized test checks its
-    runs.  Every other body, and every bad one, goes to the token parser,
-    which alone names what is wrong, so a bad body gets the same FormatError
-    on either path."""
-    body = body.strip()
-    if not body:
-        return np.empty(0, dtype=np.int64)
-    if body.startswith("RUNS"):
-        got = None if body[4:5].isdigit() else _decimals(body[4:], " ")
-        # the lengths, each at most cap, then sum inside int64
-        if got is not None and got[0].size % 2 == 0 and got[0].size * cap < 1 << 64:
-            starts, lengths = got[0][::2], got[0][1::2]
-            if ((lengths >= 1) & (starts + lengths <= cap)).all():
-                charge(int(lengths.sum()), "RUNS payload")
-                return _expand_runs(starts, lengths)
-        parts = _ints(body.split()[1:])
-        if len(parts) % 2:
-            raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
-        starts, lengths = parts[::2], parts[1::2]
-        for start, length in zip(starts, lengths):
-            if length < 1 or start < 0 or start + length > cap:
-                raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
-        charge(sum(lengths), "RUNS payload")
-        return _expand_runs(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
-    got = _decimals(body, ",")
-    # one line, and one number between each pair of commas
-    if got is not None and got[1].size == 1 and got[0].size == body.count(",") + 1:
-        return got[0]
-    return _level_array(_ints(body.split(",")))
-
-
 def _expand_runs(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The runs start, start + 1, ..., start + length - 1, end to end."""
     # position p of the expansion, in run r, holds starts[r] plus p's
@@ -526,53 +505,63 @@ def _clip(text: str, limit: int = 80) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-_POW10 = 10 ** np.arange(19, dtype=np.int64)  # up to 10^18 < 2^63
-_MAX_DIGITS = 18  # so every number the kernel reads fits int64
-_KERNEL_MIN_CHARS = 2048  # below this, the kernel's fixed cost exceeds the token parser's
+_POW10 = 10 ** np.arange(19, dtype=np.uint64)  # up to 10^18 < 2^64
+_INT64_END = 1 << 63  # no grid has this many cells, so no number read reaches it
+_BLOCK_BYTES = 1 << 17  # text the decimal kernel reads at once, cut at a newline
 
 
-def _decimal_tokens(buf: np.ndarray, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """The unsigned decimal numbers in a block of ASCII bytes (a uint8
-    array) as int64 values in order, and how many of them each of its
-    newline-separated lines holds.
-
-    It returns None unless every byte is a digit, `sep` or a newline and
-    every number has at most 18 digits.  Each digit is weighted by the power
-    of ten of its place: pass k adds 10^k times each digit to the byte k
-    places on, where both lie in one number, so the last digit of each
-    number ends up holding its value.  It takes as many passes as the
-    longest number has digits, each a few elementwise operations on the
-    block; on grid files that costs about half of np.add.reduceat over the
-    digits.  A caller hands text that the kernel refuses to a token parser,
-    which names what is wrong."""
+def _decimal_tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """The decimal numbers in a block of digits, separators and newlines (a
+    uint8 array) as int64 values in order, and how many of them each of its
+    newline-separated lines holds; None unless every number is below 2^63.
+    Pass k adds 10^k times each digit to the byte k places on, where both
+    lie in one number, so the last digit of each number ends up holding its
+    value, in uint64; past 19 places a pass only checks for leading zeros."""
     digit = buf - np.uint8(48)  # wraps below "0", so digits are exactly those < 10
     is_digit = digit < 10
     newline = buf == 10
-    if not (is_digit | newline | (buf == ord(sep))).all():
-        return None
-    value = digit.astype(np.int64)
+    value = digit.astype(np.uint64)
     run = is_digit.copy()  # at pass k: bytes whose k bytes before are digits too
-    for k in range(1, _MAX_DIGITS + 1):
+    for k in range(1, buf.size):
         run[k - 1 : k] = False
         run[k:] &= is_digit[:-k]
         if not run.any():
             break
-        if k == _MAX_DIGITS:
+        if k < _POW10.size:
+            value[k:] += digit[:-k] * run[k:] * _POW10[k]
+        elif (digit[:-k] * run[k:]).any():  # a digit worth at least 10^19
             return None
-        value[k:] += digit[:-k] * run[k:] * _POW10[k]
     last = is_digit.copy()
     last[:-1] &= ~is_digit[1:]
     events = (last | newline).nonzero()[0]  # the last digit of each number, and the newlines
     at_break = newline[events]
-    bounds = np.concatenate(([-1], at_break.nonzero()[0], [events.size]))
-    return value[events[~at_break]], bounds[1:] - bounds[:-1] - 1
-
-
-def _decimals(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
-    """_decimal_tokens of a string, or None when it is short or not ASCII."""
-    if len(text) < _KERNEL_MIN_CHARS or not text.isascii():
+    values = value[events[~at_break]]
+    if values.size and values.max() >= _INT64_END:
         return None
-    return _decimal_tokens(np.frombuffer(text.encode("ascii"), dtype=np.uint8), sep)
+    bounds = np.concatenate(([-1], at_break.nonzero()[0], [events.size]))
+    return values.view(np.int64), bounds[1:] - bounds[:-1] - 1
+
+
+def _number_blocks(text: str, sep: str, start: int = 0):
+    """_decimal_tokens of text[start:], block by block, each block about
+    _BLOCK_BYTES of whole lines, or None for a block holding a byte that is
+    not a digit, a blank, `sep` or a newline (a non-ASCII character reads
+    as "?")."""
+    data = text.encode("ascii", "replace")
+    allowed = b"0123456789 \t\n" + sep.encode()
+    while True:
+        end = data.find(b"\n", start + _BLOCK_BYTES)
+        block = data[start : len(data) if end < 0 else end]
+        yield None if block.translate(None, allowed) else _decimal_tokens(np.frombuffer(block, dtype=np.uint8))
+        if end < 0:
+            return
+        start = end + 1
+
+
+def _read_numbers(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """_decimal_tokens of a whole text by _number_blocks, or None."""
+    blocks = list(_number_blocks(text, sep))
+    return None if None in blocks else tuple(map(np.concatenate, zip(*blocks)))
 
 
 # Numbers from which _decimal_text writes digits in numpy rather than by
@@ -581,7 +570,7 @@ def _decimals(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
 # for 1,024 and 5.0 against 1.8 ms for 65,536; on 4-digit grid rows they
 # break even near 600 numbers.
 _WRITE_MIN = 1 << 10
-_ROW_BLOCK = 1 << 16  # numbers written, or grid file lines parsed, at once
+_ROW_BLOCK = 1 << 16  # numbers written at once
 # Two ASCII digits per uint16, in memory order.  Entries 0-99 are the pairs
 # "00".."99"; 100-199 the same pairs leading their number, so without a
 # leading zero, where 100 is the number 0 itself, "0"; 200 is a pair left
@@ -642,20 +631,6 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     return "".join(parts)
 
 
-def _ints(tokens: list[str]) -> list[int]:
-    """The tokens as integers; FormatError quotes the first bad token and
-    its index otherwise."""
-    try:
-        return list(map(int, tokens))
-    except ValueError:
-        for pos, tok in enumerate(tokens):
-            try:
-                int(tok)
-            except ValueError:
-                raise FormatError(f"non-integer token {_clip(repr(tok))} at index {pos}") from None
-        raise
-
-
 def dumps_tree(tree: DyadicTree) -> str:
     lines = [f"dyadic-tree v1 depth={tree.max_depth} span={tree.span}"]
     for n in range(tree.max_depth + 1):
@@ -688,10 +663,86 @@ def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[in
     return [values[key] for key in keys]
 
 
+_RUNS = re.compile(r"[ \t]*RUNS(?![^ \t])")  # a RUNS payload's head
+
+
+def _decode_levels(bodies: dict[int, str], span: int) -> dict[int, np.ndarray]:
+    """A tree file's level bodies, level n to the text after "n:" in file
+    order, as int64 arrays: the decimal kernel reads all comma lists joined
+    by newlines in one pass and all RUNS payloads in another, then the line
+    counts, the runs against their level's capacity and the budget charge
+    are checked for the whole file, before the runs are expanded."""
+    lists, runs = {}, {}
+    for n, rest in bodies.items():
+        head = _RUNS.match(rest)
+        (runs if head else lists)[n] = rest[head.end() :] if head else rest
+    levels = {}
+    if lists:
+        got = _read_numbers("\n".join(lists.values()), ",")
+        want = [body.count(",") + 1 if body.strip(" \t") else 0 for body in lists.values()]
+        if got is None or got[1].tolist() != want:
+            _refuse_levels(bodies, span)
+        ends = list(accumulate(want, initial=0))
+        levels.update((n, got[0][a:b]) for n, a, b in zip(lists, ends, ends[1:]))
+    if runs:
+        got = _read_numbers("\n".join(runs.values()), " ")
+        if got is None or (got[1] % 2).any():
+            _refuse_levels(bodies, span)
+        starts, lengths, per_level = got[0][::2], got[0][1::2], got[1] // 2
+        caps = np.repeat(np.array([span << n for n in runs], dtype=np.int64), per_level)
+        if not ((lengths >= 1) & (lengths <= caps - starts)).all():
+            _refuse_levels(bodies, span)
+        # every length is at most span << max(runs): sum in int64 while that bounds the total
+        small = lengths.size * (span << max(runs)) < _INT64_END
+        charge(int(lengths.sum()) if small else sum(lengths.tolist()), "RUNS payload")
+        cells = _expand_runs(starts, lengths)
+        ends = [0, *np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(per_level)].tolist()]
+        levels.update((n, cells[a:b]) for n, a, b in zip(runs, ends, ends[1:]))
+    return levels
+
+
+_NAMED_INT = re.compile(r"-?(?=0*[1-9])[0-9]{1,4300}|0{1,4300}")
+_FIELD = re.compile(r"[^ \t]+")  # a token between blanks
+
+
+def _token_ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers, to name them in a refusal; each must be ASCII
+    digits, or a minus and a nonzero number (outside every grid), of at most
+    the 4,300 digits int() reads.  FormatError quotes the first other token."""
+    bad = next((pos for pos, tok in enumerate(tokens) if not _NAMED_INT.fullmatch(tok)), None)
+    if bad is not None:
+        raise FormatError(f"non-integer token {_clip(repr(tokens[bad]))} at index {bad}")
+    return list(map(int, tokens))
+
+
+def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
+    """Raise the FormatError for level bodies _decode_levels refused, at the
+    first bad body in file order: its first token that is not a number, then
+    for RUNS an odd payload or a run outside the level, for a list an index
+    outside int64.  Other indices outside the level are validate()'s."""
+    for n, rest in bodies.items():
+        cap, head, body = span << n, _RUNS.match(rest), rest.strip(" \t")
+        if head:
+            parts = _token_ints(_FIELD.findall(rest[head.end() :]))
+            if len(parts) % 2:
+                raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
+            for start, length in zip(parts[::2], parts[1::2]):
+                if length < 1 or start < 0 or start + length > cap:
+                    raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
+            continue
+        parts = _token_ints([tok.strip(" \t") for tok in body.split(",")] if body else [])
+        bad = next((j for j in parts if not 0 <= j < _INT64_END), None)
+        if bad is not None:
+            raise FormatError(f"index {_clip(str(bad))} outside a level of {cap} cells")
+    raise AssertionError("the decimal kernel refused level bodies that hold no fault")
+
+
 def loads_tree(text: str) -> DyadicTree:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """Parse dyadic-tree v1 text, refused at its first bad line: the bodies
+    above a bad level label are read before it is named."""
+    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip(" \t")]
     depth, span = _read_header(lines, "dyadic-tree", ("depth", "span"))
-    levels: list[np.ndarray | None] = [None] * (depth + 1)
+    bodies: dict[int, str] = {}
     for ln in lines[1:]:
         if ln.startswith("mass "):
             continue  # measure payload, handled by the measures module
@@ -699,13 +750,17 @@ def loads_tree(text: str) -> DyadicTree:
         try:
             n = int(head)
         except ValueError as exc:
+            _decode_levels(bodies, span)
             raise FormatError(f"bad level line: {_clip(repr(ln))}") from exc
-        if not 0 <= n <= depth or levels[n] is not None:
+        if not 0 <= n <= depth or n in bodies:
+            _decode_levels(bodies, span)
             raise FormatError(f"unexpected level {n}")
-        levels[n] = _decode_level(rest, span << n)
-    if any(lv is None for lv in levels):
-        missing = [n for n, lv in enumerate(levels) if lv is None]
+        bodies[n] = rest
+    decoded = _decode_levels(bodies, span)
+    if len(decoded) <= depth:
+        missing = [n for n in range(depth + 1) if n not in decoded]
         raise FormatError(f"missing levels {missing}")
+    levels = [decoded[n] for n in range(depth + 1)]
     # A dump is valid exactly when its levels are the saturation of its
     # deepest level; validate() runs only to describe a bad one.
     try:
@@ -715,7 +770,7 @@ def loads_tree(text: str) -> DyadicTree:
     # one comparison end to end: one per level would dominate small trees
     if (tree is None or list(map(len, levels)) != list(map(len, tree._arrays))
             or not np.array_equal(np.concatenate(levels), np.concatenate(tree._arrays))):
-        problems = validate(DyadicTree(depth, span, levels))  # type: ignore[arg-type]
+        problems = validate(DyadicTree(depth, span, levels))
         raise FormatError("invalid tree: " + "; ".join(problems[:5]))
     return tree
 

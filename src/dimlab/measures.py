@@ -165,7 +165,7 @@ class TreeMeasure:
 
     def _position(self, level: int, index: int) -> int:
         """The position of an occupied vertex in its level."""
-        pos = self.tree.position(level, index)
+        pos = self.tree._position(level, index)
         if pos < 0:
             raise ValueError(f"vertex (level={level}, index={index}) not occupied")
         return pos

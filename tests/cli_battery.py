@@ -101,6 +101,13 @@ CASES = [
     ("an-missing-file", 2, ["analyze", "nope.tree"], None),
     ("an-bad-header", 2, ["analyze", "spec.json"], None),
     ("an-input-depth", 2, ["analyze", "c.tree", "--depth", "5", "--box", "2,5"], None),
+    # hand-edited and edge input files
+    ("an-crlf-tree", 0, ["analyze", "crlf.tree", "--box", "2,6", "--assouad", "2"], None),
+    ("an-hand-grid", 0, ["analyze", "hand.grid", "--box", "2,6"], None),
+    ("dist-hand-grid", 0, ["dist", "hand.grid", "--out", "o.tree"], None),
+    ("an-deep-tree", 0, ["analyze", "deep.tree", "--box", "50,60", "--lower", "2"], None),
+    ("sum-bad-token", 2, ["sum", "x.tree"], None),
+    ("sum-signed-token", 2, ["sum", "plus.tree"], None),
     # analyze with a config
     ("cfg-ok", 0, ["analyze", "--config", "cfg.json"], _cfg(
         generators=[MORAN], pipeline=[{"op": "iterate", "k": 2}],
@@ -171,15 +178,26 @@ CASES = [
 
 
 def _inputs() -> dict[str, str]:
-    """The files every case directory starts with."""
+    """The files every case directory starts with: writer output, and files
+    as a person might edit them."""
     cantor = ifs_attractor(IfsSpec(1 / 3, (0.0, 2 / 3)), 6)
+    grid = grid_product([cantor, cantor])
+    # the grid's rows backwards, zero-padded, tab-separated, between blank lines
+    rows = [f"  {x:03d}\t{y:05d} " for x, y in grid.array()[::-1].tolist()]
+    level = "dyadic-tree v1 depth=2 span=1\n0: 0\n1: 0\n2: {}\n"
     return {
         "c.tree": dumps_tree(cantor),
         "m.tree": dumps_tree(moran_tree(MoranSpec(2, "4^-j"), 8)),
         "u.tree": dumps_tree(DyadicTree.from_leaves(8, 1, range(256))),
         "e.tree": dumps_tree(DyadicTree.from_leaves(4, 1, [])),
-        "g.grid": dumps_grid(grid_product([cantor, cantor])),
+        "g.grid": dumps_grid(grid),
         "spec.json": json.dumps(MORAN) + "\n",
+        "crlf.tree": dumps_tree(cantor).replace("\n", "\r\n"),
+        "hand.grid": "\n".join(["grid-set v1 d=2 depth=6 span=1", "", *rows[:9], "\t", *rows[9:], "", ""]),
+        # 19-digit indices: a depth-60 grid of span 4 has 2^62 cells
+        "deep.tree": dumps_tree(DyadicTree.from_leaves(60, 4, [0, 10**18, 3 << 60, (1 << 62) - 1])),
+        "x.tree": level.format("0,x"),
+        "plus.tree": level.format("+1"),
     }
 
 

@@ -1,9 +1,8 @@
 """Shared fixtures and exact-arithmetic oracles for the test suite."""
 
 import math
-from contextlib import contextmanager
+import re
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,11 +11,16 @@ from hypothesis import HealthCheck, settings
 from dimlab import DyadicTree, FormatError, GridSetD, Vertex, ZeroMassError
 from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
-from dimlab.dyadic import _clip, _expand_runs, _ints, _level_array, _read_header, cell_of
+from dimlab.dyadic import _clip, _expand_runs, _level_array, _read_header, cell_of
 from dimlab.measures import LN2, _child_starts, _level_offsets, _measure
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+# the file parsers fuzzed harder: pytest --hypothesis-profile parsers
+settings.register_profile(
+    "parsers", max_examples=1000, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
@@ -247,16 +251,62 @@ def encode_level_oracle(level) -> str:
     return ",".join(str(j) for j in level)
 
 
+def _ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers; FormatError quotes the first bad token and
+    its index otherwise.  Kept verbatim from the token parser that the
+    decimal kernel replaced."""
+    try:
+        return list(map(int, tokens))
+    except ValueError:
+        for pos, tok in enumerate(tokens):
+            try:
+                int(tok)
+            except ValueError:
+                raise FormatError(f"non-integer token {_clip(repr(tok))} at index {pos}") from None
+        raise
+
+
+# The grammar of both file formats, stated as the gates in front of the
+# token parsers below.  Lines break at newlines, a \r before one is
+# dropped, and lines of blanks (spaces and tabs) are skipped.  A number is
+# ASCII digits, with blanks around it, below 2^63 and inside the grid.  A
+# level body is a comma list, or RUNS and numbers separated by blanks; a
+# grid row is numbers separated by blanks.
+LEVEL_BODY = re.compile(r"[ \t]*(?:RUNS(?:[ \t]+[0-9]+)*|[0-9]+(?:[ \t]*,[ \t]*[0-9]+)*)?[ \t]*")
+GRID_ROW = re.compile(r"[ \t]*[0-9]+(?:[ \t]+[0-9]+)*[ \t]*")
+# Behind a closed gate a refusal reads only what NAMED_INT matches: the
+# numbers and, to name them outside the grid, the negative ones.
+NAMED_INT = re.compile("[0-9]+|-0*[1-9][0-9]*")
+
+
+def grammar_lines(text: str) -> list[str]:
+    """The lines of a file that are not blank."""
+    return [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip(" \t")]
+
+
+def _named_ints(tokens: list[str]) -> list[int]:
+    """_ints behind a closed gate: the first token NAMED_INT does not match
+    is named as non-integer, unless _ints names an earlier one."""
+    for pos, tok in enumerate(tokens):
+        if not NAMED_INT.fullmatch(tok):
+            _ints(tokens[:pos])
+            raise FormatError(f"non-integer token {_clip(repr(tok))} at index {pos}")
+    return _ints(tokens)
+
+
 def decode_level_oracle(body: str, cap: int) -> np.ndarray:
-    """One level body of a grid of `cap` cells by the token parser that
-    `_decode_level` falls back to, kept verbatim: Python tokens, a run-by-run
-    range check, and the budget charge before the expansion.  The parity
-    check of the decimal kernel, FormatError texts included."""
-    body = body.strip()
+    """One level body of a grid of `cap` cells by the token parser the
+    decimal kernel replaced, kept verbatim behind the LEVEL_BODY gate:
+    Python tokens, a run-by-run range check, and the budget charge before
+    the expansion.  A body the gate refuses is read by _named_ints, and a
+    list index that int64 cannot hold is named.  The parity check of the
+    kernel, FormatError texts included."""
+    ints = _ints if LEVEL_BODY.fullmatch(body) else _named_ints
+    body = body.strip(" \t")
     if not body:
         return np.empty(0, dtype=np.int64)
-    if body.startswith("RUNS"):
-        parts = _ints(body.split()[1:])
+    if re.match(r"RUNS(?![^ \t])", body):
+        parts = ints(re.findall(r"[^ \t]+", body)[1:])
         if len(parts) % 2:
             raise FormatError(f"odd RUNS payload of {len(parts)} numbers")
         starts, lengths = parts[::2], parts[1::2]
@@ -265,42 +315,34 @@ def decode_level_oracle(body: str, cap: int) -> np.ndarray:
                 raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
         charge(sum(lengths), "RUNS payload")
         return _expand_runs(np.array(starts, dtype=np.int64), np.array(lengths, dtype=np.int64))
-    return _level_array(_ints(body.split(",")))
+    parts = ints([tok.strip(" \t") for tok in body.split(",")])
+    bad = next((j for j in parts if not 0 <= j < 1 << 63), None)
+    if bad is not None:
+        raise FormatError(f"index {_clip(str(bad))} outside a level of {cap} cells")
+    return _level_array(parts)
 
 
 def loads_grid_oracle(text: str) -> GridSetD:
-    """A grid-set v1 text by the token parser that `loads_grid` falls back
-    to, kept verbatim: every line split into Python tokens at once.  The
-    parity check of the decimal kernel, FormatError texts included."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    """A grid-set v1 text by the token parser that `loads_grid` replaced,
+    behind the GRID_ROW gate: every line split into Python tokens at blanks
+    at once, the coordinate counts checked, the rows read by _ints, or by
+    _named_ints when a row fails the gate, the least cell outside the grid
+    named, and the grid built by its constructor.  The parity check of the
+    decimal kernel, FormatError texts included."""
+    lines = grammar_lines(text)
     d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
-    rows = [ln.split() for ln in lines[1:]]
+    rows = [re.findall(r"[^ \t]+", ln) for ln in lines[1:]]
     for ln, parts in zip(lines[1:], rows):
         if len(parts) != d:
             raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
-    try:
-        flat = np.array([tok for parts in rows for tok in parts], dtype=np.int64)
-    except (ValueError, OverflowError):
-        # name the culprit: a non-integer token, or an integer beyond int64
-        for parts in rows:
-            cell = tuple(_ints(parts))
-            if any(not 0 <= c < span << depth for c in cell):
-                raise FormatError(f"cell {_clip(str(cell))} outside the {span << depth}^d grid") from None
-        raise
-    try:
-        return GridSetD(d, depth, span, flat.reshape(len(rows), d))
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
-
-
-@contextmanager
-def kernel_for_every_size():
-    """Let the decimal kernel read texts of any length: below
-    _KERNEL_MIN_CHARS the parsers otherwise take the token path."""
-    with mock.patch("dimlab.dyadic._KERNEL_MIN_CHARS", 0), mock.patch("dimlab.arithmetic._KERNEL_MIN_CHARS", 0):
-        yield
+    ints = _ints if all(map(GRID_ROW.fullmatch, lines[1:])) else _named_ints
+    cells = [tuple(ints(parts)) for parts in rows]
+    outside = [cell for cell in cells if any(not 0 <= c < span << depth for c in cell)]
+    if outside:
+        raise FormatError(f"cell {_clip(str(min(outside)))} outside the {span << depth}^d grid")
+    return GridSetD(d, depth, span, cells)
 
 
 def parse_outcome(parse, *args):
@@ -387,16 +429,43 @@ def position_oracle(tree, level: int, index: int) -> int:
     return pos if pos < a.size and a[pos] == index else -1
 
 
+def integers_oracle(values, what: str) -> None:
+    """The integer rule: a ValueError naming the types unless every value is
+    an int or a numpy integer, not a boolean."""
+    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in values):
+        raise ValueError(f"{what} must be integers, got {sorted({type(x).__name__ for x in values})}")
+
+
 def vertex_oracle(v) -> Vertex:
     """The rule of every vertex entry point: a Vertex as it is; anything else
-    by Vertex(*v), so a wrong arity is a TypeError, with a ValueError naming
-    the types unless the level and index are integers, not booleans."""
+    by Vertex(*v), so a wrong arity is a TypeError, then the integer rule."""
     if isinstance(v, Vertex):
         return v
     v = Vertex(*v)
-    if any(isinstance(x, bool) or not isinstance(x, (int, np.integer)) for x in v):
-        raise ValueError(f"vertex level and index must be integers, got {sorted({type(x).__name__ for x in v})}")
+    integers_oracle(v, "vertex level and index")
     return v
+
+
+def level_query_oracle(tree, name: str, *args):
+    """tree.<name>(*args) for the level entry points position, is_occupied,
+    array, count, descendant_starts and descendant_counts: the integer rule
+    on every argument, the level check, then the answer by np.searchsorted
+    or a run-head pass, arrays as lists."""
+    if name in ("position", "is_occupied"):
+        integers_oracle(args, "level and index")
+        pos = position_oracle(tree, *args)
+        return pos if name == "position" else pos >= 0
+    if name in ("array", "count"):
+        integers_oracle(args, "levels")
+        a = tree.array(*args)
+        return a.tolist() if name == "array" else a.size
+    integers_oracle(args, "level and window")
+    k, m = args
+    if not 0 <= k <= k + m <= tree.max_depth:
+        raise ValueError(f"levels {k}..{k + m} outside 0..{tree.max_depth}")
+    shifted = tree.array(k + m) >> m
+    starts = np.flatnonzero(np.diff(shifted, prepend=-1))
+    return (starts if name == "descendant_starts" else np.diff(starts, append=shifted.size)).tolist()
 
 
 def mass_oracle(mu, v) -> float:

@@ -342,6 +342,8 @@ class TestVertexQueries:
             ((1.0, 0), 1),  # a plain pair is held to integers, booleans refused
             ((1, 0.0), 1),
             ([True, 0], 1),
+            ((2.0, 1), 1),  # levels that are floats or booleans
+            ((True, 1), 1),
         ],
     )
     def test_refusals_keep_their_type_text_and_order(self, v, m):

@@ -1,7 +1,8 @@
 """The decimal kernel behind grid and tree files, checked against the token
-parsers it falls back to (kept verbatim in conftest): the same grids and
-levels from writer output and from hand-formatted text, the same
-FormatError texts from bad files, and bounded memory on a 10^6-cell grid."""
+parsers it replaced (kept verbatim in conftest, behind a gate that states
+the grammar): the same grids and levels from writer output and from
+hand-formatted text, the same FormatError texts from bad files, and
+bounded memory on a 10^6-cell grid."""
 
 import re
 import time
@@ -14,22 +15,20 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimlab import DyadicTree, FormatError, GridSetD, dumps_grid, dumps_tree, grid_product, loads_grid, loads_tree
-from dimlab.arithmetic import _kernel_grid
 from dimlab import dyadic
-from dimlab.dyadic import _KERNEL_MIN_CHARS, _decimal_text, _decimal_tokens, _decode_level
+from dimlab.dyadic import _decimal_text, _decode_levels, _read_numbers
 
 from conftest import (
     decode_level_oracle,
     dumps_grid_oracle,
     encode_level_oracle,
-    kernel_for_every_size,
     loads_grid_oracle,
     parse_outcome,
     random_tree,
 )
 
 # numbers of 18, 19 and 20 digits, non-ASCII digits, signs and other tokens
-# that int() reads or refuses
+# that int() reads or refuses, which the grammar refuses but for the digits
 SPECIAL_TOKENS = [
     "9" * 18, "1" + "0" * 17, "1" + "0" * 18, "9" * 19, "9" * 20, "0" * 25 + "7",
     "٣", "１", "x", "-1", "+1", "1_0", "1.0",
@@ -53,11 +52,13 @@ def _same_outcome(got, want):
 
 
 def _tokens_by_regex(text: str, sep: str):
-    """What _decimal_tokens should return for an ASCII text, by re."""
-    if set(text) - set("0123456789\n" + sep):
+    """What the decimal kernel should read from an ASCII text, by re: None
+    unless every byte is a digit, a blank, a newline or sep and every
+    number is below 2^63, which leading zeros leave any number of digits."""
+    if set(text) - set("0123456789 \t\n" + sep):
         return None
     lines = [re.findall("[0-9]+", ln) for ln in text.split("\n")]
-    if any(len(tok) > 18 for ln in lines for tok in ln):
+    if any(int(tok) >= 2**63 for ln in lines for tok in ln):
         return None
     return [int(tok) for ln in lines for tok in ln], [len(ln) for ln in lines]
 
@@ -65,11 +66,15 @@ def _tokens_by_regex(text: str, sep: str):
 @given(st.text(alphabet="0123456789 ,\n\tx", max_size=60), st.sampled_from([" ", ","]))
 @example("9" * 18, " ")
 @example("9" * 19, " ")
+@example("9223372036854775807", " ")
+@example("9223372036854775808", ",")
+@example("0" * 30 + "9223372036854775807\t1", " ")
+@example("1" + "0" * 19, " ")
 @example("", " ")
 @example("\n\n", " ")
 @example("00012 7\n\n 3  ", " ")
 def test_kernel_matches_regex_tokens(text, sep):
-    got = _decimal_tokens(np.frombuffer(text.encode("ascii"), dtype=np.uint8), sep)
+    got = _read_numbers(text, sep)
     want = _tokens_by_regex(text, sep)
     if want is None:
         assert got is None
@@ -83,10 +88,10 @@ def test_kernel_matches_regex_tokens(text, sep):
 
 @st.composite
 def grid_files(draw):
-    """(grid, text): a grid of 1-3 dimensions, up to 18-digit coordinates,
+    """(grid, text): a grid of 1-3 dimensions, up to 19-digit coordinates,
     and its writer output."""
     d = draw(st.integers(1, 3))
-    depth, span = draw(st.sampled_from([(0, 1), (3, 1), (5, 3), (12, 2), (40, 1), (58, 3)]))
+    depth, span = draw(st.sampled_from([(0, 1), (3, 1), (5, 3), (12, 2), (40, 1), (58, 3), (61, 3)]))
     coord = st.integers(0, (span << depth) - 1)
     cells = draw(st.lists(st.tuples(*[coord] * d), max_size=30))
     grid = GridSetD(d, depth, span, cells)
@@ -121,9 +126,7 @@ def hand_grid_texts(draw):
 def test_writer_output_takes_the_kernel(args):
     grid, text = args
     assert text == dumps_grid_oracle(grid)
-    back = _kernel_grid(text)
-    assert back is not None
-    _same_outcome(("ok", back), ("ok", loads_grid_oracle(text)))
+    _same_outcome(("ok", loads_grid_oracle(text)), ("ok", grid))
     _same_outcome(parse_outcome(loads_grid, text), ("ok", grid))
 
 
@@ -135,17 +138,22 @@ def test_writer_output_takes_the_kernel(args):
 @example("grid-set v1 d=2 depth=3 span=1\n1 2\n٣ 2\n")
 @example("grid-set v1 d=1 depth=3 span=1")
 @example("grid-set v1 d=1 depth=3 span=1\rx\n")
+@example("grid-set v1 d=1 depth=3 span=1\n\x0b7\n")
+@example("grid-set v1 d=2 depth=3 span=1\n1 -0\n")
+@example("grid-set v1 d=2 depth=3 span=1\n-1 2\n20 1\n")
+@example("grid-set v1 d=1 depth=61 span=3\n6917529027641081855\n")
 def test_hand_formatted_text_parses_as_the_token_parser_does(text):
-    with kernel_for_every_size():
-        got = parse_outcome(loads_grid, text)
-    _same_outcome(got, parse_outcome(loads_grid_oracle, text))
+    _same_outcome(parse_outcome(loads_grid, text), parse_outcome(loads_grid_oracle, text))
 
 
-def test_long_grid_files_take_the_kernel(rng):
-    cells = rng.integers(0, 1 << 12, size=(3000, 2))
+def test_long_grid_files_take_the_kernel(rng, monkeypatch):
+    cells = rng.integers(0, 1 << 12, size=(30_000, 2))
     text = "grid-set v1 d=2 depth=12 span=1\n" + "".join(f"{x} {y}\n" for x, y in cells)
-    assert len(text) > _KERNEL_MIN_CHARS
-    assert _kernel_grid(text) == loads_grid(text) == loads_grid_oracle(text)
+    assert len(text) > 2 * dyadic._BLOCK_BYTES
+    want = loads_grid_oracle(text)
+    assert loads_grid(text) == want
+    monkeypatch.setattr(dyadic, "_BLOCK_BYTES", 5)  # a block a line
+    assert loads_grid(text) == want
 
 
 # -- tree levels ------------------------------------------------------------
@@ -176,28 +184,35 @@ def level_bodies(draw):
 @example(("1, 2", 16))
 @example(("007,12", 16))
 @example(("RUNS 0 " + "9" * 18 + " 0 " + "9" * 18, 3 << 58))
+@example(("RUNS 0 " + "9" * 19, 3 << 58))
+@example(("9223372036854775807,9223372036854775808", 3 << 58))
+@example(("1,-0", 16))
+@example(("RUNS 1 2\x0b3 4", 16))
+@example(("RUNS\t1 2 ", 16))
 def test_level_bodies_parse_as_the_token_parser_does(args):
     body, cap = args
-    with kernel_for_every_size():
-        got = parse_outcome(_decode_level, body, cap)
-    _same_outcome(got, parse_outcome(decode_level_oracle, body, cap))
+    _same_outcome(parse_outcome(decode_level, body, cap), parse_outcome(decode_level_oracle, body, cap))
+
+
+def decode_level(body: str, cap: int) -> np.ndarray:
+    """One level body by _decode_levels, as level 0 of a span of cap cells."""
+    return _decode_levels({0: body}, cap)[0]
 
 
 @pytest.mark.parametrize("p", [0.6, 0.95])
-def test_tree_files_round_trip_through_the_kernel(rng, p):
+def test_tree_files_round_trip_through_the_kernel(rng, p, monkeypatch):
     tree = random_tree(rng, 16, p)
     text = dumps_tree(tree)
-    assert any(len(ln) > _KERNEL_MIN_CHARS for ln in text.splitlines())
     assert loads_tree(text) == tree
-    with kernel_for_every_size():
-        assert loads_tree(text) == tree
+    monkeypatch.setattr(dyadic, "_BLOCK_BYTES", 5)  # a block a line
+    assert loads_tree(text) == tree
 
 
 # -- bad files ---------------------------------------------------------------
 
 GRID_HEAD = "grid-set v1 d=2 depth=4 span=1\n"
-# enough good rows before the bad one that the kernel reads the file first
-GRID_PAD = "1 2\n" * (_KERNEL_MIN_CHARS // 4)
+# good rows before the bad one, past the kernel's first block
+GRID_PAD = "1 2\n" * (dyadic._BLOCK_BYTES // 4 + 1)
 
 BAD_GRIDS = [
     ("1 2 3\n", "expected 2 coordinates: '1 2 3'"),
@@ -219,9 +234,6 @@ def test_bad_grid_files_keep_their_messages(line, message, pad):
         with pytest.raises(FormatError) as err:
             parse(text)
         assert str(err.value) == message
-    with kernel_for_every_size(), pytest.raises(FormatError) as err:
-        loads_grid(text)
-    assert str(err.value) == message
 
 
 BAD_LEVELS = [
@@ -238,17 +250,15 @@ BAD_LEVELS = [
 @pytest.mark.parametrize("body, message", BAD_LEVELS)
 def test_bad_levels_keep_their_messages(body, message):
     assert parse_outcome(decode_level_oracle, body, 1 << 20) == (FormatError, message)
-    # the same fault after enough good numbers that the kernel reads it first
+    # the same fault after good numbers past the kernel's first block
     head, sep = ("RUNS ", " ") if body.startswith("RUNS") else ("", ",")
-    good = sep.join(f"{8 * i}{sep}2" for i in range(_KERNEL_MIN_CHARS // 4))
+    good = sep.join(f"{8 * i}{sep}2" for i in range(dyadic._BLOCK_BYTES // 4))
     long = head + good + sep + body.removeprefix(head)
-    assert len(long) > _KERNEL_MIN_CHARS
+    assert len(long) > dyadic._BLOCK_BYTES
     for text in (body, long):
         want = parse_outcome(decode_level_oracle, text, 1 << 20)
         assert want[0] is FormatError
-        _same_outcome(parse_outcome(_decode_level, text, 1 << 20), want)
-        with kernel_for_every_size():
-            _same_outcome(parse_outcome(_decode_level, text, 1 << 20), want)
+        _same_outcome(parse_outcome(decode_level, text, 1 << 20), want)
 
 
 # -- the writer ----------------------------------------------------------------
@@ -317,6 +327,7 @@ def test_dumps_keep_their_bytes_on_either_writer(cut):
     want = [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids]
     assert want == [dumps_tree_oracle(t) for t in trees] + [dumps_grid_oracle(g) for g in grids]
     assert [loads_tree(text) for text in want[: len(trees)]] == trees
+    assert [loads_grid(text) for text in want[len(trees) :]] == grids
     with mock.patch.object(dyadic, "_WRITE_MIN", cut):
         assert [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids] == want
 
