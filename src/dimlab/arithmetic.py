@@ -26,7 +26,6 @@ No kernel forms all cell pairs, and runs of vectors map to distance intervals.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from typing import NoReturn, Sequence
 
@@ -574,9 +573,6 @@ def dumps_grid(f: GridSetD) -> str:
     return "".join((f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n", body, "\n" if body else ""))
 
 
-_HEADER = re.compile(r"(?:[ \t]*\n)*([^\n]*)\n?")  # blank lines, then the header line
-
-
 def loads_grid(text: str) -> GridSetD:
     """Parse grid-set v1 text, by the grammar of dyadic.py: after the header,
     every line that is not blank holds d numbers inside the grid.  The
@@ -585,15 +581,14 @@ def loads_grid(text: str) -> GridSetD:
     order, as dumps_grid writes them, are kept as they are; others are
     sorted and deduplicated."""
     text = text.replace("\r\n", "\n")
-    head = _HEADER.match(text)
-    d, depth, span = _read_header([head[1]] if head[1].strip(" \t") else [], "grid-set", ("d", "depth", "span"))
+    (d, depth, span), start = _read_header(text, "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
     limit = span << depth
     values = []
-    for got in _number_blocks(text, " ", head.end()):
+    for got in _number_blocks(text, " ", start):
         if got is None or not ((got[1] == 0) | (got[1] == d)).all() or got[0].max(initial=0) >= limit:
-            _refuse_grid(text[head.end() :].split("\n"), d, limit)
+            _refuse_grid(text[start:].split("\n"), d, limit)
         values.append(got[0])
     rows = np.concatenate(values).reshape(-1, d)
     return GridSetD._trusted(d, depth, span, rows if _increasing_rows(rows) else _distinct_rows(rows))

@@ -516,23 +516,27 @@ def _decimal_tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     newline-separated lines holds; None unless every number is below 2^63.
     Pass k adds 10^k times each digit to the byte k places on, where both
     lie in one number, so the last digit of each number ends up holding its
-    value, in uint64; past 19 places a pass only checks for leading zeros."""
+    value, in uint64.  After 18 passes, a digit 19 or more places before the
+    last digit of its number must be a leading zero: one reversed running
+    minimum gives each byte the place of the next last digit."""
     digit = buf - np.uint8(48)  # wraps below "0", so digits are exactly those < 10
     is_digit = digit < 10
-    newline = buf == 10
+    last = is_digit.copy()
+    last[:-1] &= ~is_digit[1:]
     value = digit.astype(np.uint64)
     run = is_digit.copy()  # at pass k: bytes whose k bytes before are digits too
-    for k in range(1, buf.size):
+    for k in range(1, _POW10.size):
         run[k - 1 : k] = False
         run[k:] &= is_digit[:-k]
         if not run.any():
             break
-        if k < _POW10.size:
-            value[k:] += digit[:-k] * run[k:] * _POW10[k]
-        elif (digit[:-k] * run[k:]).any():  # a digit worth at least 10^19
+        value[k:] += digit[:-k] * run[k:] * _POW10[k]
+    else:  # a number of 19 digits or more
+        at = np.arange(buf.size)
+        to_last = np.minimum.accumulate(np.where(last, at, buf.size)[::-1])[::-1] - at
+        if (is_digit & (digit > 0) & (to_last >= _POW10.size)).any():
             return None
-    last = is_digit.copy()
-    last[:-1] &= ~is_digit[1:]
+    newline = buf == 10
     events = (last | newline).nonzero()[0]  # the last digit of each number, and the newlines
     at_break = newline[events]
     values = value[events[~at_break]]
@@ -638,14 +642,20 @@ def dumps_tree(tree: DyadicTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[int]:
-    """The integer `keys` of a '<magic> v1 key=value ...' first line.  Its
-    depth and span must give a grid whose cell indices fit int64."""
-    if not lines:
+_HEADER = re.compile(r"(?:[ \t]*\n)*([^\n]*)\n?")  # blank lines, then the header line
+
+
+def _read_header(text: str, magic: str, keys: tuple[str, ...]) -> tuple[list[int], int]:
+    """The integer `keys` of the '<magic> v1 key=value ...' line that opens
+    text after blank lines, and where the lines after it start.  Its depth
+    and span must give a grid whose cell indices fit int64."""
+    head = _HEADER.match(text)
+    line = head[1]
+    if not line.strip(" \t"):
         raise FormatError("empty input")
-    tokens = lines[0].split()
+    tokens = line.split()
     if tokens[:2] != [magic, "v1"]:
-        raise FormatError(f"bad header: {_clip(repr(lines[0]))}")
+        raise FormatError(f"bad header: {_clip(repr(line))}")
     fields = {}
     for tok in tokens[2:]:
         key, eq, value = tok.partition("=")
@@ -655,32 +665,36 @@ def _read_header(lines: list[str], magic: str, keys: tuple[str, ...]) -> list[in
     try:
         values = {key: int(fields[key]) for key in keys}
     except (KeyError, ValueError) as exc:
-        raise FormatError(f"bad header fields: {_clip(repr(lines[0]))}") from exc
+        raise FormatError(f"bad header fields: {_clip(repr(line))}") from exc
     try:
         _check_grid(values["depth"], values["span"])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return [values[key] for key in keys]
+    return [values[key] for key in keys], head.end()
 
 
 _RUNS = re.compile(r"[ \t]*RUNS(?![^ \t])")  # a RUNS payload's head
+_SPLIT = re.compile(r"[0-9][ \t]+[0-9]")  # two numbers of a list with no comma between
 
 
 def _decode_levels(bodies: dict[int, str], span: int) -> dict[int, np.ndarray]:
     """A tree file's level bodies, level n to the text after "n:" in file
-    order, as int64 arrays: the decimal kernel reads all comma lists joined
-    by newlines in one pass and all RUNS payloads in another, then the line
-    counts, the runs against their level's capacity and the budget charge
-    are checked for the whole file, before the runs are expanded."""
+    order, as int64 arrays.  The decimal kernel reads all comma lists
+    joined by newlines in one pass and all RUNS payloads in another.  Each
+    list must hold one number per comma field, and each payload an even
+    count; every run is checked against its level at once.  Then level by
+    level, in file order, the runs are charged to the budget and expanded.
+    What fails, only _refuse_levels words."""
     lists, runs = {}, {}
     for n, rest in bodies.items():
         head = _RUNS.match(rest)
-        (runs if head else lists)[n] = rest[head.end() :] if head else rest
+        (runs if head else lists)[n] = rest[head.end() :] if head else rest.strip(" \t")
     levels = {}
     if lists:
-        got = _read_numbers("\n".join(lists.values()), ",")
-        want = [body.count(",") + 1 if body.strip(" \t") else 0 for body in lists.values()]
-        if got is None or got[1].tolist() != want:
+        text = "\n".join(lists.values())
+        got = _read_numbers(text, ",")
+        want = [body.count(",") + 1 if body else 0 for body in lists.values()]
+        if got is None or got[1].tolist() != want or (" " in text or "\t" in text) and _SPLIT.search(text):
             _refuse_levels(bodies, span)
         ends = list(accumulate(want, initial=0))
         levels.update((n, got[0][a:b]) for n, a, b in zip(lists, ends, ends[1:]))
@@ -692,12 +706,11 @@ def _decode_levels(bodies: dict[int, str], span: int) -> dict[int, np.ndarray]:
         caps = np.repeat(np.array([span << n for n in runs], dtype=np.int64), per_level)
         if not ((lengths >= 1) & (lengths <= caps - starts)).all():
             _refuse_levels(bodies, span)
-        # every length is at most span << max(runs): sum in int64 while that bounds the total
-        small = lengths.size * (span << max(runs)) < _INT64_END
-        charge(int(lengths.sum()) if small else sum(lengths.tolist()), "RUNS payload")
-        cells = _expand_runs(starts, lengths)
-        ends = [0, *np.concatenate(([0], np.cumsum(lengths)))[np.cumsum(per_level)].tolist()]
-        levels.update((n, cells[a:b]) for n, a, b in zip(runs, ends, ends[1:]))
+        ends = list(accumulate(per_level.tolist(), initial=0))
+        for n, a, b in zip(runs, ends, ends[1:]):
+            small = (b - a) * (span << n) < _INT64_END  # each length is at most span << n: sum in int64
+            charge(int(lengths[a:b].sum()) if small else sum(lengths[a:b].tolist()), "RUNS payload")
+            levels[n] = _expand_runs(starts[a:b], lengths[a:b])
     return levels
 
 
@@ -719,7 +732,9 @@ def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
     """Raise the FormatError for level bodies _decode_levels refused, at the
     first bad body in file order: its first token that is not a number, then
     for RUNS an odd payload or a run outside the level, for a list an index
-    outside int64.  Other indices outside the level are validate()'s."""
+    outside int64.  Other indices outside the level are validate()'s.  Good
+    RUNS payloads before it are charged as _decode_levels charges them, so
+    one over the budget is refused first."""
     for n, rest in bodies.items():
         cap, head, body = span << n, _RUNS.match(rest), rest.strip(" \t")
         if head:
@@ -729,6 +744,7 @@ def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
             for start, length in zip(parts[::2], parts[1::2]):
                 if length < 1 or start < 0 or start + length > cap:
                     raise FormatError(f"run ({start}, {length}) outside a level of {cap} cells")
+            charge(sum(parts[1::2]), "RUNS payload")
             continue
         parts = _token_ints([tok.strip(" \t") for tok in body.split(",")] if body else [])
         bad = next((j for j in parts if not 0 <= j < _INT64_END), None)
@@ -740,12 +756,12 @@ def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
 def loads_tree(text: str) -> DyadicTree:
     """Parse dyadic-tree v1 text, refused at its first bad line: the bodies
     above a bad level label are read before it is named."""
-    lines = [ln for ln in text.replace("\r\n", "\n").split("\n") if ln.strip(" \t")]
-    depth, span = _read_header(lines, "dyadic-tree", ("depth", "span"))
+    text = text.replace("\r\n", "\n")
+    (depth, span), start = _read_header(text, "dyadic-tree", ("depth", "span"))
     bodies: dict[int, str] = {}
-    for ln in lines[1:]:
-        if ln.startswith("mass "):
-            continue  # measure payload, handled by the measures module
+    for ln in text[start:].split("\n"):
+        if not ln.strip(" \t") or ln.startswith("mass "):
+            continue  # a blank line, or a measure payload, handled by the measures module
         head, _, rest = ln.partition(":")
         try:
             n = int(head)

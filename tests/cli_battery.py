@@ -108,6 +108,10 @@ CASES = [
     ("an-deep-tree", 0, ["analyze", "deep.tree", "--box", "50,60", "--lower", "2"], None),
     ("sum-bad-token", 2, ["sum", "x.tree"], None),
     ("sum-signed-token", 2, ["sum", "plus.tree"], None),
+    ("sum-unsplit-list", 2, ["sum", "split.tree"], None),
+    ("sum-padded-tree", 0, ["sum", "pad.tree"], None),
+    # a full tree's RUNS levels, each under the cap but not all together
+    ("an-runs-budget", 0, ["--budget-cells", "300", "analyze", "u.tree", "--box", "2,6"], None),
     # analyze with a config
     ("cfg-ok", 0, ["analyze", "--config", "cfg.json"], _cfg(
         generators=[MORAN], pipeline=[{"op": "iterate", "k": 2}],
@@ -198,6 +202,8 @@ def _inputs() -> dict[str, str]:
         "deep.tree": dumps_tree(DyadicTree.from_leaves(60, 4, [0, 10**18, 3 << 60, (1 << 62) - 1])),
         "x.tree": level.format("0,x"),
         "plus.tree": level.format("+1"),
+        "split.tree": level.format("0 1,"),
+        "pad.tree": level.format("0" * 30 + "1"),
     }
 
 

@@ -330,7 +330,7 @@ def loads_grid_oracle(text: str) -> GridSetD:
     named, and the grid built by its constructor.  The parity check of the
     decimal kernel, FormatError texts included."""
     lines = grammar_lines(text)
-    d, depth, span = _read_header(lines, "grid-set", ("d", "depth", "span"))
+    (d, depth, span), _ = _read_header("\n".join(lines), "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
     rows = [re.findall(r"[^ \t]+", ln) for ln in lines[1:]]

@@ -607,6 +607,22 @@ class TestSerialization:
         with limit(1000), pytest.raises(ResourceLimitError, match="RUNS payload"):
             loads_tree(text)
 
+    def test_runs_payloads_are_charged_level_by_level(self):
+        # a full tree writes levels 2..8 as one run each, 508 cells in all:
+        # each level is charged on its own, so a cap of 300 holds them
+        tree = DyadicTree.from_leaves(8, 1, range(256))
+        text = dumps_tree(tree)
+        assert text.count("RUNS") == 7
+        with limit(300):
+            assert loads_tree(text) == tree
+        with limit(255), pytest.raises(ResourceLimitError, match="^RUNS payload needs 256 cells, budget is 255$"):
+            loads_tree(text)
+        # a payload over the cap is refused before a bad level after it in the file
+        head, _, rest = text.partition("0: 0\n")
+        for bad in ("0: x", "0: 0 1", "9: 0"):
+            with limit(255), pytest.raises(ResourceLimitError, match="needs 256 cells"):
+                loads_tree(head + rest + bad + "\n")
+
     def test_indices_moved_across_a_level_boundary_are_refused(self):
         # read in level order these are the indices of the valid dump
         # 0: 0 / 1: 0,1 / 2: 0,3 / 3: 1,6; only the split between levels differs

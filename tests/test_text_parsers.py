@@ -156,6 +156,22 @@ def test_long_grid_files_take_the_kernel(rng, monkeypatch):
     assert loads_grid(text) == want
 
 
+def test_long_leading_zeros_take_linear_time():
+    """Numbers of 10^6 digits, zeros but for the last: the kernel makes its
+    18 passes and one scan for nonzero digits above 10^18, not a pass a
+    digit, so a tree and a grid each holding some load in well under the
+    bound (minutes at a pass a digit)."""
+    zeros = "0" * 1_000_000
+    start = time.perf_counter()
+    assert loads_tree(f"dyadic-tree v1 depth=1 span=1\n0: {zeros}\n1: {zeros}1\n") == DyadicTree.from_leaves(1, 1, [1])
+    assert loads_grid(f"grid-set v1 d=2 depth=3 span=1\n{zeros}5 {zeros}\n") == GridSetD(2, 3, 1, [(5, 0)])
+    with pytest.raises(FormatError, match=r"^non-integer token '10000.*\(1000003 characters\) at index 0$"):
+        loads_tree(f"dyadic-tree v1 depth=1 span=1\n0: 1{zeros}\n1: 1\n")
+    with pytest.raises(FormatError, match=r"^non-integer token '0000.*\(1000004 characters\) at index 1$"):
+        loads_grid(f"grid-set v1 d=2 depth=3 span=1\n5 {zeros}10\n")
+    assert time.perf_counter() - start < 10.0
+
+
 # -- tree levels ------------------------------------------------------------
 
 
@@ -182,6 +198,9 @@ def level_bodies(draw):
 @example(("RUNS 3 0", 16))
 @example(("1,,2", 16))
 @example(("1, 2", 16))
+@example(("1 2,", 16))
+@example(("0,1 2,", 16))
+@example(("0,1\t 2", 16))
 @example(("007,12", 16))
 @example(("RUNS 0 " + "9" * 18 + " 0 " + "9" * 18, 3 << 58))
 @example(("RUNS 0 " + "9" * 19, 3 << 58))
