@@ -430,6 +430,8 @@ def _cell_array(cells, d: int, cap: int) -> np.ndarray:
         if bad is not None:
             raise ValueError(f"cell {tuple(bad)} is not {d}-dimensional")
         arr = np.asarray(seq).reshape(len(seq), d)
+        if arr.dtype.kind not in "iu":  # a float array, for a coordinate outside int64: name it exactly
+            arr = np.array([list(map(int, cell)) for cell in seq], dtype=object).reshape(len(seq), d)
     if arr.ndim != 2 or arr.shape[1] != d:
         raise ValueError(f"cells of shape {arr.shape} are not {d}-dimensional")
     if arr.size and (arr.min() < 0 or arr.max() >= cap):

@@ -16,7 +16,7 @@ import sys
 from contextlib import nullcontext
 
 from .budget import DEFAULT_CELLS, limit
-from .dyadic import DyadicTree, dumps_tree, load_tree, loads_tree
+from .dyadic import _FIELD, _HEADER, DyadicTree, dumps_tree, load_tree, loads_tree
 from .errors import (
     FormatError,
     HypothesisError,
@@ -106,14 +106,13 @@ def _write_text(path: str, text: str) -> None:
 
 def _load_any(path: str):
     with open(path, "r", encoding="ascii") as fh:
-        head = fh.readline()
-        rest = fh.read()
-    text = head + rest
-    if head.startswith("dyadic-tree"):
-        return loads_tree(text)
-    if head.startswith("grid-set"):
-        return loads_grid(text)
-    raise FormatError(f"{path}: unrecognized header {head.strip()!r}")
+        text = fh.read().replace("\r\n", "\n")
+    line = _HEADER.match(text)[1]
+    word = _FIELD.search(line)
+    load = {"dyadic-tree": loads_tree, "grid-set": loads_grid}.get(word and word[0])
+    if load is None:
+        raise FormatError(f"{path}: unrecognized header {line.strip()!r}")
+    return load(text)
 
 
 # -- gen -----------------------------------------------------------------

@@ -33,7 +33,9 @@ grammar: lines break at newlines (a \\r before one is dropped) and lines of
 blanks (spaces, tabs) are skipped; a number is ASCII digits whose value lies
 inside the grid, blanks around it; level lists separate numbers by commas,
 RUNS payloads and grid rows by blanks.  What the kernel refuses, one routine
-per format words, and it never returns a level or a grid.
+per format words, and it never returns a level or a grid.  Header fields,
+level labels and the level and index of mass lines follow the same number
+rule, by _token_ints.
 """
 
 from __future__ import annotations
@@ -603,9 +605,7 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     out the blank bytes leaves the text."""
     n = values.size
     if n < max(_WRITE_MIN, 1) or values.dtype != np.int64 or values.min() < 0:
-        if len(seps) == 1:
-            return seps.join(["%d"] * n) % tuple(values.tolist())
-        pattern = "".join("%d" + sep for sep in seps) * -(-n // len(seps))
+        pattern = ("%d" + "%d".join(seps)) * n  # at least n numbers
         return pattern[: 3 * n - 1] % tuple(values.tolist())
     sep_bytes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     parts = []
@@ -642,35 +642,47 @@ def dumps_tree(tree: DyadicTree) -> str:
     return "\n".join(lines) + "\n"
 
 
+_NAMED_INT = re.compile(r"-?(?=0*[1-9])[0-9]{1,4300}|0{1,4300}")
+_FIELD = re.compile(r"[^ \t]+")  # a token between blanks
+
+
+def _token_ints(tokens: list[str]) -> list[int]:
+    """The tokens as integers by the number rule, also to name what the kernel
+    refuses: ASCII digits, or a minus and a nonzero number (outside every
+    grid), of at most 4,300 digits.  FormatError quotes the first other token."""
+    if not all(map(_NAMED_INT.fullmatch, tokens)):
+        bad = next(pos for pos, tok in enumerate(tokens) if not _NAMED_INT.fullmatch(tok))
+        raise FormatError(f"non-integer token {_clip(repr(tokens[bad]))} at index {bad}")
+    return list(map(int, tokens))
+
+
 _HEADER = re.compile(r"(?:[ \t]*\n)*([^\n]*)\n?")  # blank lines, then the header line
 
 
 def _read_header(text: str, magic: str, keys: tuple[str, ...]) -> tuple[list[int], int]:
-    """The integer `keys` of the '<magic> v1 key=value ...' line that opens
-    text after blank lines, and where the lines after it start.  Its depth
-    and span must give a grid whose cell indices fit int64."""
+    """The integer `keys`, by _token_ints, of the '<magic> v1 key=value ...'
+    line that opens text after blank lines, and where the lines after it
+    start.  Its last two keys, depth and span, must give an int64 grid."""
     head = _HEADER.match(text)
     line = head[1]
-    if not line.strip(" \t"):
+    tokens = _FIELD.findall(line)
+    if not tokens:
         raise FormatError("empty input")
-    tokens = line.split()
     if tokens[:2] != [magic, "v1"]:
         raise FormatError(f"bad header: {_clip(repr(line))}")
-    fields = {}
-    for tok in tokens[2:]:
-        key, eq, value = tok.partition("=")
-        if not eq:
-            raise FormatError(f"header token {_clip(repr(tok))} is not key=value")
-        fields[key] = value
+    bad = next((tok for tok in tokens[2:] if "=" not in tok), None)
+    if bad is not None:
+        raise FormatError(f"header token {_clip(repr(bad))} is not key=value")
+    fields = dict(tok.split("=", 1) for tok in tokens[2:])
     try:
-        values = {key: int(fields[key]) for key in keys}
-    except (KeyError, ValueError) as exc:
+        values = _token_ints([fields[key] for key in keys])
+    except (KeyError, FormatError) as exc:
         raise FormatError(f"bad header fields: {_clip(repr(line))}") from exc
     try:
-        _check_grid(values["depth"], values["span"])
+        _check_grid(*values[-2:])
     except ValueError as exc:
         raise FormatError(str(exc)) from None
-    return [values[key] for key in keys], head.end()
+    return values, head.end()
 
 
 _RUNS = re.compile(r"[ \t]*RUNS(?![^ \t])")  # a RUNS payload's head
@@ -714,20 +726,6 @@ def _decode_levels(bodies: dict[int, str], span: int) -> dict[int, np.ndarray]:
     return levels
 
 
-_NAMED_INT = re.compile(r"-?(?=0*[1-9])[0-9]{1,4300}|0{1,4300}")
-_FIELD = re.compile(r"[^ \t]+")  # a token between blanks
-
-
-def _token_ints(tokens: list[str]) -> list[int]:
-    """The tokens as integers, to name them in a refusal; each must be ASCII
-    digits, or a minus and a nonzero number (outside every grid), of at most
-    the 4,300 digits int() reads.  FormatError quotes the first other token."""
-    bad = next((pos for pos, tok in enumerate(tokens) if not _NAMED_INT.fullmatch(tok)), None)
-    if bad is not None:
-        raise FormatError(f"non-integer token {_clip(repr(tokens[bad]))} at index {bad}")
-    return list(map(int, tokens))
-
-
 def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
     """Raise the FormatError for level bodies _decode_levels refused, at the
     first bad body in file order: its first token that is not a number, then
@@ -763,8 +761,8 @@ def loads_tree(text: str) -> DyadicTree:
         if not ln.strip(" \t") or ln.startswith("mass "):
             continue  # a blank line, or a measure payload, handled by the measures module
         head, _, rest = ln.partition(":")
-        try:
-            n = int(head)
+        try:  # plain digits, as writers write labels, skip the rule's regex
+            n = int(head) if head.isascii() and head.isdigit() else _token_ints([head.strip(" \t")])[0]
         except ValueError as exc:
             _decode_levels(bodies, span)
             raise FormatError(f"bad level line: {_clip(repr(ln))}") from exc

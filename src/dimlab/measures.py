@@ -27,7 +27,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import DyadicTree, Vertex, _as_vertex, _clip, _run_heads, covering_count, subtree
+from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _run_heads, _token_ints, covering_count,
+                     dumps_tree, loads_tree, subtree)
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
@@ -597,8 +598,6 @@ def dumps_measure(mu: TreeMeasure) -> str:
     Masses are written with 17 significant digits, enough to round-trip
     binary64 exactly.
     """
-    from .dyadic import dumps_tree
-
     parts = [dumps_tree(mu.tree)]
     for n, w in enumerate(mu.masses):
         for pos, j in enumerate(mu.tree.array(n).tolist()):
@@ -607,18 +606,18 @@ def dumps_measure(mu: TreeMeasure) -> str:
 
 
 def loads_measure(text: str) -> TreeMeasure:
-    from .dyadic import loads_tree
-
+    """Parse dumps_measure text: a tree file, read by loads_tree, which skips
+    its "mass <level> <index> <mass>" lines, one a cell, split at blanks
+    (spaces, tabs).  Lines break at newlines, a \\r before one dropped;
+    level and index follow dyadic._token_ints, and float() reads the mass."""
     tree = loads_tree(text)
     given: dict[tuple[int, int], float] = {}
-    for ln in text.splitlines():
+    for ln in text.replace("\r\n", "\n").split("\n"):
         if not ln.startswith("mass "):
             continue
-        parts = ln.split()
-        if len(parts) != 4:
-            raise FormatError(f"bad mass line: {_clip(repr(ln))}")
         try:
-            key, mass = (int(parts[1]), int(parts[2])), float(parts[3])
+            _, level, index, mass = _FIELD.findall(ln)
+            key, mass = tuple(_token_ints([level, index])), float(mass)
         except ValueError as exc:
             raise FormatError(f"bad mass line: {_clip(repr(ln))}") from exc
         if key in given:

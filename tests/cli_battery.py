@@ -110,6 +110,9 @@ CASES = [
     ("sum-signed-token", 2, ["sum", "plus.tree"], None),
     ("sum-unsplit-list", 2, ["sum", "split.tree"], None),
     ("sum-padded-tree", 0, ["sum", "pad.tree"], None),
+    # analyze finds the header as the loaders do, and headers take the number rule
+    ("an-lead-tree", 0, ["analyze", "lead.tree", "--box", "2,6"], None),
+    ("sum-signed-header", 2, ["sum", "plus.hdr.tree"], None),
     # a full tree's RUNS levels, each under the cap but not all together
     ("an-runs-budget", 0, ["--budget-cells", "300", "analyze", "u.tree", "--box", "2,6"], None),
     # analyze with a config
@@ -204,6 +207,8 @@ def _inputs() -> dict[str, str]:
         "plus.tree": level.format("+1"),
         "split.tree": level.format("0 1,"),
         "pad.tree": level.format("0" * 30 + "1"),
+        "lead.tree": "\n" + dumps_tree(cantor),
+        "plus.hdr.tree": level.format("1").replace("depth=2", "depth=+2"),
     }
 
 

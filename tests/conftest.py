@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, settings
 from dimlab import DyadicTree, FormatError, GridSetD, Vertex, ZeroMassError
 from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
-from dimlab.dyadic import _clip, _expand_runs, _level_array, _read_header, cell_of
+from dimlab.dyadic import _check_grid, _clip, _expand_runs, _level_array, cell_of
 from dimlab.measures import LN2, _child_starts, _level_offsets, _measure
 
 settings.register_profile(
@@ -322,15 +322,46 @@ def decode_level_oracle(body: str, cap: int) -> np.ndarray:
     return _level_array(parts)
 
 
+def read_header_oracle(line: str, magic: str, keys: tuple[str, ...]) -> list[int]:
+    """A header line's integer `keys` by the reader the one number rule
+    replaced, which read each field by int(), behind a gate: a field that
+    NAMED_INT does not match is refused as a bad field, though int() may
+    read it.  The parity check of the header reader, FormatError texts
+    included."""
+    tokens = re.findall(r"[^ \t]+", line)
+    if not tokens:
+        raise FormatError("empty input")
+    if tokens[:2] != [magic, "v1"]:
+        raise FormatError(f"bad header: {_clip(repr(line))}")
+    fields = {}
+    for tok in tokens[2:]:
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise FormatError(f"header token {_clip(repr(tok))} is not key=value")
+        fields[key] = value
+    try:
+        if not all(NAMED_INT.fullmatch(fields[key]) for key in keys):
+            raise ValueError("a field outside the number rule")
+        values = {key: int(fields[key]) for key in keys}
+    except (KeyError, ValueError) as exc:
+        raise FormatError(f"bad header fields: {_clip(repr(line))}") from exc
+    try:
+        _check_grid(values["depth"], values["span"])
+    except ValueError as exc:
+        raise FormatError(str(exc)) from None
+    return [values[key] for key in keys]
+
+
 def loads_grid_oracle(text: str) -> GridSetD:
     """A grid-set v1 text by the token parser that `loads_grid` replaced,
-    behind the GRID_ROW gate: every line split into Python tokens at blanks
-    at once, the coordinate counts checked, the rows read by _ints, or by
-    _named_ints when a row fails the gate, the least cell outside the grid
-    named, and the grid built by its constructor.  The parity check of the
-    decimal kernel, FormatError texts included."""
+    behind the GRID_ROW gate, its header by read_header_oracle: every line
+    split into Python tokens at blanks at once, the coordinate counts
+    checked, the rows read by _ints, or by _named_ints when a row fails the
+    gate, the least cell outside the grid named, and the grid built by its
+    constructor.  The parity check of the decimal kernel, FormatError texts
+    included."""
     lines = grammar_lines(text)
-    (d, depth, span), _ = _read_header("\n".join(lines), "grid-set", ("d", "depth", "span"))
+    d, depth, span = read_header_oracle(lines[0] if lines else "", "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
     rows = [re.findall(r"[^ \t]+", ln) for ln in lines[1:]]

@@ -3,6 +3,7 @@ per-level lexsort and per-row oracles: the constructor, the split-level
 index behind the grid estimators, and grid I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ def test_constructor_builds_only_grids_files_can_hold(depth, span, message):
     # the first two used to build grids whose dumps loads_grid refuses
     with pytest.raises(ValueError, match=message):
         GridSetD(1, depth, span, [[0]])
+
+
+@pytest.mark.parametrize("cells, cell", [
+    ([[0, 9999999999999999999]], "(0, 9999999999999999999)"),
+    ([[3, 0], [-1, 2**63]], "(-1, 9223372036854775808)"),
+    ([[0, 2**64]], "(0, 18446744073709551616)"),
+    (np.array([[0, 5], [2, 0]]), "(0, 5)"),
+], ids=["past-int64", "both-ends", "past-uint64", "array"])
+def test_cells_outside_the_grid_are_named_exactly(cells, cell):
+    # numpy reads a list mixing small ints with ints past int64 as float64,
+    # which named the first cell (0.0, 1e+19)
+    with pytest.raises(ValueError, match=rf"^cell {re.escape(cell)} outside the 2\^d grid$"):
+        GridSetD(2, 1, 1, cells)
 
 
 def test_level_queries_reject_levels_outside_the_grid():

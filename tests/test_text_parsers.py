@@ -2,7 +2,8 @@
 parsers it replaced (kept verbatim in conftest, behind a gate that states
 the grammar): the same grids and levels from writer output and from
 hand-formatted text, the same FormatError texts from bad files, and
-bounded memory on a 10^6-cell grid."""
+bounded memory on a 10^6-cell grid.  Header fields, level labels and the
+level and index of mass lines follow the same number rule."""
 
 import re
 import time
@@ -15,6 +16,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimlab import DyadicTree, FormatError, GridSetD, dumps_grid, dumps_tree, grid_product, loads_grid, loads_tree
+from dimlab import counting_measure, dumps_measure, loads_measure
 from dimlab import dyadic
 from dimlab.dyadic import _decimal_text, _decode_levels, _read_numbers
 
@@ -33,6 +35,20 @@ SPECIAL_TOKENS = [
     "9" * 18, "1" + "0" * 17, "1" + "0" * 18, "9" * 19, "9" * 20, "0" * 25 + "7",
     "٣", "１", "x", "-1", "+1", "1_0", "1.0",
 ]
+
+
+def spellings(value: int, blanks: bool) -> tuple[list[str], list[str]]:
+    """value as a writer spells it and respelled: zero-padded and, where
+    `blanks`, with blanks around it, which the number rule reads as value;
+    with a sign, a `_` or Arabic-Indic digits, which int() reads as value
+    and the rule refuses."""
+    s = str(value)
+    good = [s, "0" + s, "00" + s] + ([f" {s}", f"{s}\t", f" \t{s} "] if blanks else [])
+    bad = ["+" + s, f"{s[0]}_{s[1:]}" if len(s) > 1 else f"0_{s}", s.translate(ARABIC)] + ["-0"] * (value == 0)
+    return good, bad
+
+
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 def _same_outcome(got, want):
@@ -102,14 +118,17 @@ def grid_files(draw):
 def hand_grid_texts(draw):
     """Grid texts as a person might format them: blank lines, runs of
     spaces, tabs, CRLF ends, leading zeros, rows unsorted and repeated, long
-    or non-ASCII tokens, and now and then a wrong coordinate count."""
+    or non-ASCII tokens, now and then a wrong coordinate count, and header
+    fields respelled."""
     d = draw(st.integers(1, 3))
     depth, span = draw(st.sampled_from([(0, 1), (3, 1), (5, 3), (58, 3), (61, 3)]))
     number = st.integers(0, span << depth).map(str)
     padded = st.tuples(st.sampled_from(["", "0", "000"]), number).map("".join)
     token = st.one_of(number, number, padded, st.sampled_from(SPECIAL_TOKENS))
     sep = st.sampled_from([" ", " ", "  ", "\t", " \t "])
-    lines = [f"grid-set v1 d={d} depth={depth} span={span}"]
+    d_, depth_, span_ = (draw(st.sampled_from(sum(spellings(v, False), []))) if draw(st.integers(0, 5)) == 0
+                         else str(v) for v in (d, depth, span))
+    lines = [f"grid-set v1 d={d_} depth={depth_} span={span_}"]
     for _ in range(draw(st.integers(0, 12))):
         if draw(st.integers(0, 5)) == 0:
             lines.append(draw(st.sampled_from(["", "   ", "\t"])))
@@ -142,6 +161,10 @@ def test_writer_output_takes_the_kernel(args):
 @example("grid-set v1 d=2 depth=3 span=1\n1 -0\n")
 @example("grid-set v1 d=2 depth=3 span=1\n-1 2\n20 1\n")
 @example("grid-set v1 d=1 depth=61 span=3\n6917529027641081855\n")
+@example("grid-set v1 d=+1 depth=0_3 span=1\n1\n")
+@example("grid-set v1 d=1 depth=٣ span=1\n1\n")
+@example("grid-set v1 d=1 depth=-1 span=1\n1\n")
+@example("grid-set v1 d=01 depth=003 span=1\n1\n")
 def test_hand_formatted_text_parses_as_the_token_parser_does(text):
     _same_outcome(parse_outcome(loads_grid, text), parse_outcome(loads_grid_oracle, text))
 
@@ -278,6 +301,89 @@ def test_bad_levels_keep_their_messages(body, message):
         want = parse_outcome(decode_level_oracle, text, 1 << 20)
         assert want[0] is FormatError
         _same_outcome(parse_outcome(decode_level, text, 1 << 20), want)
+
+
+# -- header fields, level labels and mass lines -------------------------------
+
+TREE = "dyadic-tree v1 depth=1 span=1\n0: 0\n1: 0\n"
+MEASURE = TREE + "mass 0 0 1\nmass 1 0 1\n"
+GRID = "grid-set v1 d=2 depth=3 span=1\n1 2\n"
+
+BAD_FIELDS = [
+    (loads_tree, TREE.replace("depth=1", "depth=+1"), "bad header fields: 'dyadic-tree v1 depth=+1 span=1'"),
+    (loads_tree, TREE.replace("span=1", "span=1_0"), "bad header fields: 'dyadic-tree v1 depth=1 span=1_0'"),
+    (loads_grid, GRID.replace("d=2", "d=٢"), "bad header fields: 'grid-set v1 d=٢ depth=3 span=1'"),
+    (loads_grid, GRID.replace("depth=3", "depth=-1"), "negative depth -1"),
+    (loads_tree, TREE.replace("\n1:", "\n+1:"), "bad level line: '+1: 0'"),
+    (loads_tree, TREE.replace("\n1:", "\n1_0:"), "bad level line: '1_0: 0'"),
+    (loads_tree, TREE.replace("\n1:", "\n٣:"), "bad level line: '٣: 0'"),
+    (loads_tree, TREE.replace("\n1:", "\n-1:"), "unexpected level -1"),
+    (loads_measure, MEASURE.replace("mass 1 0", "mass +1 0"), "bad mass line: 'mass +1 0 1'"),
+    (loads_measure, MEASURE.replace("mass 1 0", "mass 1 0_0"), "bad mass line: 'mass 1 0_0 1'"),
+    (loads_measure, MEASURE.replace("mass 1 0", "mass ١ 0"), "bad mass line: 'mass ١ 0 1'"),
+    (loads_measure, MEASURE + "mass -1 0 1\n", "mass lines for unoccupied cells: [(-1, 0)]"),
+    # a lone \r breaks no line: one mass line of six fields
+    (loads_measure, MEASURE.replace("mass 1 0 1", "mass 1 0 1\rmass 1 1 1"), "bad mass line: 'mass 1 0 1\\rmass 1 1 1'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", BAD_FIELDS, ids=[
+    "header-plus", "header-underscore", "header-arabic-digit", "header-negative",
+    "label-plus", "label-underscore", "label-arabic-digit", "label-negative",
+    "mass-plus", "mass-underscore", "mass-arabic-digit", "mass-negative", "mass-lone-cr",
+])
+def test_bad_fields_keep_the_number_rule(parse, text, message):
+    assert parse_outcome(parse, text) == (FormatError, message)
+
+
+@pytest.mark.parametrize("parse, text, spelled", [
+    (loads_tree, TREE, " \n\tdyadic-tree\tv1  depth=01 span=1 \n 0 :0\n\t001\t: 0\n"),
+    (loads_grid, GRID, "grid-set v1 d=02 depth=003 span=1\r\n1 2\r\n"),
+    (loads_measure, MEASURE, MEASURE.replace("mass 1 0 1", "mass  1\t00  1 ")),
+    (loads_measure, MEASURE, MEASURE.replace("\n", "\r\n")),
+], ids=["tree-blanks-zeros", "grid-zeros-crlf", "mass-blanks-zeros", "mass-crlf"])
+def test_fields_take_blanks_zeros_and_crlf(parse, text, spelled):
+    got, want = parse(spelled), parse(text)
+    if parse is loads_measure:
+        assert got.tree == want.tree and got._flat.tobytes() == want._flat.tobytes()
+    else:
+        assert got == want
+
+
+@st.composite
+def respelled_files(draw):
+    """(parse, text, want, message): the writer output of a tree, a measure
+    on it or a grid, one header field, level label or mass-line level or
+    index respelled, with LF or CRLF ends; message is the FormatError text
+    when the respelling breaks the number rule, else None."""
+    depth, span = draw(st.sampled_from([(0, 1), (2, 1), (3, 2), (12, 1)]))
+    tree = DyadicTree.from_leaves(depth, span, draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=6)))
+    parse, want = draw(st.sampled_from([
+        (loads_tree, tree), (loads_measure, counting_measure(tree)), (loads_grid, grid_product([tree, tree]))]))
+    lines = {loads_tree: dumps_tree, loads_measure: dumps_measure, loads_grid: dumps_grid}[parse](want).split("\n")
+    # (line, start, end, blanks may stand around it, what a refusal reads)
+    fields = [(0, m.start(), m.end(), False, "bad header fields") for m in re.finditer("(?<==)[0-9]+", lines[0])]
+    fields += [(i, 0, ln.index(":"), True, "bad level line") for i, ln in enumerate(lines[1:], 1) if ":" in ln]
+    fields += [(i, m.start(), m.end(), True, "bad mass line") for i, ln in enumerate(lines)
+               if ln.startswith("mass ") for m in re.finditer("(?<= )[0-9]+(?= )", ln)]
+    i, a, b, blanks, refusal = draw(st.sampled_from(fields))
+    good, bad = spellings(int(lines[i][a:b]), blanks)
+    spelled = draw(st.sampled_from(good + bad))
+    lines[i] = lines[i][:a] + spelled + lines[i][b:]
+    message = f"{refusal}: {lines[i]!r}" if spelled in bad else None
+    return parse, draw(st.sampled_from(["\n", "\r\n"])).join(lines), want, message
+
+
+@given(respelled_files())
+def test_header_fields_labels_and_mass_lines_follow_the_number_rule(args):
+    parse, text, want, message = args
+    got = parse_outcome(parse, text)
+    if message is not None:
+        assert got == (FormatError, message)
+    elif parse is loads_measure:
+        assert got[0] == "ok" and got[1].tree == want.tree and got[1]._flat.tobytes() == want._flat.tobytes()
+    else:
+        assert got == ("ok", want)
 
 
 # -- the writer ----------------------------------------------------------------
