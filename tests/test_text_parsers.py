@@ -37,6 +37,9 @@ SPECIAL_TOKENS = [
 ]
 
 
+ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
+
+
 def spellings(value: int, blanks: bool) -> tuple[list[str], list[str]]:
     """value as a writer spells it and respelled: zero-padded and, where
     `blanks`, with blanks around it, which the number rule reads as value;
@@ -46,9 +49,6 @@ def spellings(value: int, blanks: bool) -> tuple[list[str], list[str]]:
     good = [s, "0" + s, "00" + s] + ([f" {s}", f"{s}\t", f" \t{s} "] if blanks else [])
     bad = ["+" + s, f"{s[0]}_{s[1:]}" if len(s) > 1 else f"0_{s}", s.translate(ARABIC)] + ["-0"] * (value == 0)
     return good, bad
-
-
-ARABIC = str.maketrans("0123456789", "٠١٢٣٤٥٦٧٨٩")
 
 
 def _same_outcome(got, want):
