@@ -507,45 +507,74 @@ def _clip(text: str, limit: int = 80) -> str:
     return text if len(text) <= limit else f"{text[:limit]}... ({len(text)} characters)"
 
 
-_POW10 = 10 ** np.arange(19, dtype=np.uint64)  # up to 10^18 < 2^64
 _INT64_END = 1 << 63  # no grid has this many cells, so no number read reaches it
 _BLOCK_BYTES = 1 << 17  # text the decimal kernel reads at once, cut at a newline
+_PAD = b" " * 8  # blanks before a block: the 8 bytes that end any number lie in it
+# _KEEP[k]: the top k bytes of a little-endian word, each cut to its low
+# nibble, so "0"-"9" read 0-9: the last k digits of the number that ends
+# the word, and none of the bytes before it
+_KEEP = np.array([0x0F0F0F0F0F0F0F0F << 8 * (8 - k) & (1 << 64) - 1 for k in range(9)], dtype=np.uint64)
+# Step j of _word_values: the mask that keeps the groups of 2^j digits
+# before it, then the multiply and shift that join each pair of groups
+_SWAR = tuple(tuple(map(np.uint64, step)) for step in (
+    (0, 2561, 8), (0x00FF00FF00FF00FF, 6553601, 16), (0x0000FFFF0000FFFF, 42949672960001, 32)))
 
 
-def _decimal_tokens(buf: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
-    """The decimal numbers in a block of digits, separators and newlines (a
-    uint8 array) as int64 values in order, and how many of them each of its
-    newline-separated lines holds; None unless every number is below 2^63.
-    Pass k adds 10^k times each digit to the byte k places on, where both
-    lie in one number, so the last digit of each number ends up holding its
-    value, in uint64.  After 18 passes, a digit 19 or more places before the
-    last digit of its number must be a leading zero: one reversed running
-    minimum gives each byte the place of the next last digit."""
-    digit = buf - np.uint8(48)  # wraps below "0", so digits are exactly those < 10
-    is_digit = digit < 10
-    last = is_digit.copy()
-    last[:-1] &= ~is_digit[1:]
-    value = digit.astype(np.uint64)
-    run = is_digit.copy()  # at pass k: bytes whose k bytes before are digits too
-    for k in range(1, _POW10.size):
-        run[k - 1 : k] = False
-        run[k:] &= is_digit[:-k]
-        if not run.any():
-            break
-        value[k:] += digit[:-k] * run[k:] * _POW10[k]
-    else:  # a number of 19 digits or more
-        at = np.arange(buf.size)
-        to_last = np.minimum.accumulate(np.where(last, at, buf.size)[::-1])[::-1] - at
-        if (is_digit & (digit > 0) & (to_last >= _POW10.size)).any():
+def _word_values(w: np.ndarray, places: int) -> np.ndarray:
+    """In place, the uint64 words w, each of 8 digit values (0-9) with the
+    most significant byte first in memory and none but its top `places`
+    (at most 8) nonzero, as the numbers they spell.  Step j joins each two
+    neighbouring groups of 2^j digits, ten^(2^j) times the first plus the
+    second, so ceil(log2(places)) steps leave the number in the word's top
+    8 * 2^steps bits, which the last shift brings down (Langdale & Lemire's
+    eight-digit SWAR parse)."""
+    steps = max(places - 1, 0).bit_length()
+    for j in range(steps):
+        mask, mul, shift = _SWAR[j]
+        if j:
+            w &= mask
+        w *= mul
+        w >>= shift + (64 - (8 << steps) if j == steps - 1 else 0)
+    if not steps:
+        w >>= 56
+    return w
+
+
+def _decimal_tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
+    """The decimal numbers in a block of digits, separators and newlines,
+    led by 8 blanks and ended by one, as int64 values in order, and how
+    many of them each of its newline-separated lines holds; None unless
+    every number is below 2^63.
+
+    The kernel works per number, not per digit place.  The separators,
+    blanks and newlines all lie below "0", so one compare finds the digits
+    and one more the edges of each run of them.  The 8 bytes that end each
+    number are read as one little-endian word from a 1-byte-stride view of
+    the block, masked to the number's digits and summed by _word_values; a
+    number of 9-16 characters takes a second word, 8 bytes further up, and
+    a longer one a third.  A number of more than 19 characters must hold
+    only zeros above its last 19, which one running count of nonzero digits
+    checks, so the cost stays linear in the text however long its numbers."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    digit = buf >= 48
+    edge = np.flatnonzero(digit[1:] != digit[:-1])  # the byte before each number, and its last digit
+    before, last = edge[0::2], edge[1::2]
+    size = last - before
+    longest = int(size.max(initial=0))
+    words = np.ndarray((buf.size - 7,), "<u8", block, 0, (1,))  # words[i]: bytes i..i+7
+    value = _word_values(words.take(last - 7) & _KEEP.take(size, mode="clip"), min(longest, 8))
+    for k in range(8, min(longest, 24), 8):  # the digits 8 and 16 places up
+        w = words.take(last - (7 + k), mode="clip") & _KEEP.take(size - k, mode="clip")
+        value += _word_values(w, min(longest - k, 8)) * 10**k
+    if longest > 19:
+        nonzero = np.cumsum(buf > 48)
+        long = size > 19
+        if (nonzero[last[long] - 19] != nonzero[before[long]]).any():
             return None
-    newline = buf == 10
-    events = (last | newline).nonzero()[0]  # the last digit of each number, and the newlines
-    at_break = newline[events]
-    values = value[events[~at_break]]
-    if values.size and values.max() >= _INT64_END:
+    if longest >= 19 and value.max() >= _INT64_END:
         return None
-    bounds = np.concatenate(([-1], at_break.nonzero()[0], [events.size]))
-    return values.view(np.int64), bounds[1:] - bounds[:-1] - 1
+    cuts = np.concatenate(([0], last.searchsorted(np.flatnonzero(buf == 10)), [last.size]))
+    return value.view(np.int64), cuts[1:] - cuts[:-1]
 
 
 def _number_blocks(text: str, sep: str, start: int = 0):
@@ -558,7 +587,7 @@ def _number_blocks(text: str, sep: str, start: int = 0):
     while True:
         end = data.find(b"\n", start + _BLOCK_BYTES)
         block = data[start : len(data) if end < 0 else end]
-        yield None if block.translate(None, allowed) else _decimal_tokens(np.frombuffer(block, dtype=np.uint8))
+        yield None if block.translate(None, allowed) else _decimal_tokens(b"".join((_PAD, block, b" ")))
         if end < 0:
             return
         start = end + 1
@@ -567,15 +596,17 @@ def _number_blocks(text: str, sep: str, start: int = 0):
 def _read_numbers(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
     """_decimal_tokens of a whole text by _number_blocks, or None."""
     blocks = list(_number_blocks(text, sep))
-    return None if None in blocks else tuple(map(np.concatenate, zip(*blocks)))
+    if None in blocks:
+        return None
+    return blocks[0] if len(blocks) == 1 else tuple(map(np.concatenate, zip(*blocks)))
 
 
 # Numbers from which _decimal_text writes digits in numpy rather than by
 # "%d".  Timed (numpy 2.4.6, 2 cores) on sorted indices below 2^20, "%d"
-# against the writer: 42 against 69 us for 512 numbers, 73 against 63 us
-# for 1,024 and 5.0 against 1.8 ms for 65,536; on 4-digit grid rows they
-# break even near 600 numbers.
-_WRITE_MIN = 1 << 10
+# against the writer: 33 against 36 us for 384 numbers, they cross near
+# 450, 43 against 40 us for 512 and 5.6 against 1.6 ms for 65,536; on
+# 4-digit grid rows they cross near 350 numbers.
+_WRITE_MIN = 1 << 9
 _ROW_BLOCK = 1 << 16  # numbers written at once
 # Two ASCII digits per uint16, in memory order.  Entries 0-99 are the pairs
 # "00".."99"; 100-199 the same pairs leading their number, so without a
@@ -589,45 +620,72 @@ _DIGIT_PAIRS = np.array(
 ).view(np.uint16).ravel()
 
 
+def _digit_quads() -> np.ndarray:
+    """Four ASCII digits per uint32, in memory order, as two pairs of
+    _DIGIT_PAIRS.  Entries 0-9999 are the groups "0000".."9999"; 10000-19999
+    the same groups leading their number, so without leading zeros, where
+    10000 is the number 0 itself, "0"; 20000 is a group left of its number,
+    blank."""
+    high, low = np.divmod(np.arange(10_000), 100)
+    short = high == 0  # a leading group of one or two digits
+    quads = np.full((20_001, 2), _DIGIT_PAIRS[200])
+    quads[:10_000] = np.column_stack((_DIGIT_PAIRS[high], _DIGIT_PAIRS[low]))
+    quads[10_000:20_000, 0] = np.where(short, _DIGIT_PAIRS[200], _DIGIT_PAIRS[100 + high])
+    quads[10_000:20_000, 1] = np.where(short, _DIGIT_PAIRS[100 + low], _DIGIT_PAIRS[low])
+    return quads.view(np.uint32).ravel()
+
+
+_DIGIT_QUADS = _digit_quads()
+_PATTERNS: dict[str, str] = {}  # seps to "%d" patterns, sliced to a count of numbers
+
+
 def _decimal_text(values: np.ndarray, seps: str) -> str:
     """The 1-d integer values in decimal, the i-th preceded by
     seps[(i - 1) % len(seps)] for i >= 1: the text "%d" writes for
     seps[0].join, or with seps " " * (d - 1) + "\n", d numbers a line
     without the last newline.
 
-    A short list takes "%d", as does a list that is not int64 or holds a
-    negative value, such as a hand-built level.  A long nonnegative int64
-    one is written in blocks of _ROW_BLOCK numbers, each into a uint8
-    matrix of one row per number, a separator column then the digits
-    right-aligned, two digits per pass by a lookup
-    in _DIGIT_PAIRS: pass j writes the pair r = x mod 100 of x = v // 100^j,
-    as it leads its number when x < 100 and blank when x = 0.  Compressing
-    out the blank bytes leaves the text."""
+    A short list takes "%d", from a pattern per seps kept and grown in
+    _PATTERNS, as does a list that is not int64 or holds a negative value,
+    such as a hand-built level.  A long nonnegative int64 one is written in
+    blocks of _ROW_BLOCK numbers, each into a uint8 matrix of one row per
+    number, a separator byte then the digits right-aligned, four digits per
+    pass by a lookup in _DIGIT_QUADS: pass j writes the group r = x mod
+    10^4 of x = v // 10^(4j), as it leads its number when x < 10^4 and
+    blank when x = 0.  Compressing out the blank bytes leaves the text."""
     n = values.size
-    if n < max(_WRITE_MIN, 1) or values.dtype != np.int64 or values.min() < 0:
-        pattern = ("%d" + "%d".join(seps)) * n  # at least n numbers
-        return pattern[: 3 * n - 1] % tuple(values.tolist())
+    if n < _WRITE_MIN or not n or values.dtype != np.int64 or values.min() < 0:
+        pattern = _PATTERNS.get(seps, "")
+        if len(pattern) < 3 * n:  # a separator, then "%d" and one for each further number
+            pattern = _PATTERNS[seps] = seps[-1] + ("%d" + "%d".join(seps)) * 2 * n
+        return pattern[1 : 3 * n] % tuple(values.tolist())
     sep_bytes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     parts = []
     for lo in range(0, n, _ROW_BLOCK):
         x = values[lo : lo + _ROW_BLOCK]
         digits = len(str(int(x.max())))
-        slots = digits // 2 + 1  # digits and the separator, in whole pairs
-        out = np.empty((x.size, 2 * slots), dtype=np.uint8)
-        pairs = out.view(np.uint16)
+        groups = -(-digits // 4)
+        # the separator takes the leading group's first byte, always blank
+        # when digits is no multiple of 4, else a byte of its own
+        width = max(4 * groups, digits + 1)
+        out = np.empty((x.size, width), dtype=np.uint8)
+        quads = np.ndarray((x.size, groups), np.uint32, out, width - 4 * groups, (width, 4))
         ended = None  # where x is 0, so every digit of its number is written
-        for j in range(slots - 1, slots - 1 - (digits + 1) // 2, -1):
-            q = x // 100
-            r = x - q * 100
+        for j in range(groups - 1, 0, -1):
+            q = x // 10_000  # division by a constant, which np.divmod does not speed up
+            r = q * 10_000
+            np.subtract(x, r, out=r)
             leads = q == 0
-            np.add(r, 100, out=r, where=leads)
+            np.add(r, 10_000, out=r, where=leads)
             if ended is not None:
-                np.add(r, 100, out=r, where=ended)
-            pairs[:, j] = _DIGIT_PAIRS.take(r)
+                np.add(r, 10_000, out=r, where=ended)
+            quads[:, j] = _DIGIT_QUADS.take(r)
             x, ended = q, leads
+        r = x + 10_000  # the leading group of every number
+        if ended is not None:
+            np.add(r, 10_000, out=r, where=ended)
+        quads[:, 0] = _DIGIT_QUADS.take(r)
         out[:, 0] = np.tile(np.roll(sep_bytes, 1 - lo), -(-len(out) // len(seps)))[: len(out)]
-        if digits % 2 == 0:
-            out[:, 1] = 0  # no pair reaches it
         if lo == 0:
             out[0, 0] = 0
         flat = out.ravel()
@@ -654,6 +712,13 @@ def _token_ints(tokens: list[str]) -> list[int]:
         bad = next(pos for pos, tok in enumerate(tokens) if not _NAMED_INT.fullmatch(tok))
         raise FormatError(f"non-integer token {_clip(repr(tokens[bad]))} at index {bad}")
     return list(map(int, tokens))
+
+
+def _plain_int(token: str) -> int:
+    """A token by the number rule: plain ASCII digits, as writers write
+    labels and mass fields, by int() at once, others by _token_ints, which
+    refuses them or reads a minus (blanks around them dropped)."""
+    return int(token) if token.isascii() and token.isdigit() else _token_ints([token.strip(" \t")])[0]
 
 
 _HEADER = re.compile(r"(?:[ \t]*\n)*([^\n]*)\n?")  # blank lines, then the header line
@@ -699,7 +764,7 @@ def _decode_levels(bodies: dict[int, str], span: int) -> dict[int, np.ndarray]:
     What fails, only _refuse_levels words."""
     lists, runs = {}, {}
     for n, rest in bodies.items():
-        head = _RUNS.match(rest)
+        head = "RUNS" in rest and _RUNS.match(rest)
         (runs if head else lists)[n] = rest[head.end() :] if head else rest.strip(" \t")
     levels = {}
     if lists:
@@ -751,18 +816,38 @@ def _refuse_levels(bodies: dict[int, str], span: int) -> NoReturn:
     raise AssertionError("the decimal kernel refused level bodies that hold no fault")
 
 
+def _is_saturation(levels: list[np.ndarray], cap: int) -> bool:
+    """Whether the levels are the saturation of the last, as from_leaves
+    builds it: the last strictly increases below cap, and each level is the
+    one below it shifted right and deduped.  These are validate()'s
+    invariants, so it finds a problem exactly when this is False."""
+    leaves = levels[-1]
+    if leaves.size and (leaves[-1] >= cap or not (leaves[1:] > leaves[:-1]).all()):
+        return False
+    for n in range(len(levels) - 1, 0, -1):
+        parents = _dedupe_sorted(levels[n] >> 1)
+        if parents.size != levels[n - 1].size or not (parents == levels[n - 1]).all():
+            return False
+    return True
+
+
 def loads_tree(text: str) -> DyadicTree:
     """Parse dyadic-tree v1 text, refused at its first bad line: the bodies
-    above a bad level label are read before it is named."""
-    text = text.replace("\r\n", "\n")
+    above a bad level label are read before it is named.  The decoded
+    levels become the tree, checked in place: a dump is valid exactly when
+    its deepest level is strictly increasing inside the grid and each level
+    above is the dedupe of the one below shifted right (validate() runs only
+    to word a refusal)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
     (depth, span), start = _read_header(text, "dyadic-tree", ("depth", "span"))
     bodies: dict[int, str] = {}
     for ln in text[start:].split("\n"):
         if not ln.strip(" \t") or ln.startswith("mass "):
             continue  # a blank line, or a measure payload, handled by the measures module
         head, _, rest = ln.partition(":")
-        try:  # plain digits, as writers write labels, skip the rule's regex
-            n = int(head) if head.isascii() and head.isdigit() else _token_ints([head.strip(" \t")])[0]
+        try:
+            n = _plain_int(head)
         except ValueError as exc:
             _decode_levels(bodies, span)
             raise FormatError(f"bad level line: {_clip(repr(ln))}") from exc
@@ -775,17 +860,11 @@ def loads_tree(text: str) -> DyadicTree:
         missing = [n for n in range(depth + 1) if n not in decoded]
         raise FormatError(f"missing levels {missing}")
     levels = [decoded[n] for n in range(depth + 1)]
-    # A dump is valid exactly when its levels are the saturation of its
-    # deepest level; validate() runs only to describe a bad one.
-    try:
-        tree = DyadicTree.from_leaves(depth, span, levels[depth])
-    except ValueError:
-        tree = None
-    # one comparison end to end: one per level would dominate small trees
-    if (tree is None or list(map(len, levels)) != list(map(len, tree._arrays))
-            or not np.array_equal(np.concatenate(levels), np.concatenate(tree._arrays))):
+    if not _is_saturation(levels, span << depth):
         problems = validate(DyadicTree(depth, span, levels))
         raise FormatError("invalid tree: " + "; ".join(problems[:5]))
+    tree = DyadicTree.__new__(DyadicTree)
+    tree._set(depth, span, levels)
     return tree
 
 

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _run_heads, _token_ints, covering_count,
+from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _plain_int, _run_heads, covering_count,
                      dumps_tree, loads_tree, subtree)
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
@@ -609,15 +609,17 @@ def loads_measure(text: str) -> TreeMeasure:
     """Parse dumps_measure text: a tree file, read by loads_tree, which skips
     its "mass <level> <index> <mass>" lines, one a cell, split at blanks
     (spaces, tabs).  Lines break at newlines, a \\r before one dropped;
-    level and index follow dyadic._token_ints, and float() reads the mass."""
+    level and index follow the number rule (dyadic._plain_int: plain digits
+    by int(), others by _token_ints), and float() reads the mass."""
     tree = loads_tree(text)
     given: dict[tuple[int, int], float] = {}
-    for ln in text.replace("\r\n", "\n").split("\n"):
+    for ln in (text.replace("\r\n", "\n") if "\r" in text else text).split("\n"):
         if not ln.startswith("mass "):
             continue
         try:
-            _, level, index, mass = _FIELD.findall(ln)
-            key, mass = tuple(_token_ints([level, index])), float(mass)
+            # a printable line's only blanks are spaces, where split() agrees with _FIELD
+            _, level, index, mass = ln.split() if ln.isprintable() else _FIELD.findall(ln)
+            key, mass = (_plain_int(level), _plain_int(index)), float(mass)
         except ValueError as exc:
             raise FormatError(f"bad mass line: {_clip(repr(ln))}") from exc
         if key in given:
