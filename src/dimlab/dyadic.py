@@ -28,14 +28,20 @@ Level kernels cost what their data costs.  A sorted level is deduped by
 comparing neighbours and selecting the run heads by index (ndarray.compress),
 which on large irregular masks is several times faster than boolean
 indexing.  Level lists and grid rows are written by one numpy digit writer,
-_decimal_text, and read by one decimal kernel, _decimal_tokens, in this
-grammar: lines break at newlines (a \\r before one is dropped) and lines of
-blanks (spaces, tabs) are skipped; a number is ASCII digits whose value lies
-inside the grid, blanks around it; level lists separate numbers by commas,
-RUNS payloads and grid rows by blanks.  What the kernel refuses, one routine
-per format words, and it never returns a level or a grid.  Header fields,
-level labels and the level and index of mass lines follow the same number
-rule, by _token_ints.
+_decimal_text, four digits a pass from a table of 10^4 digit groups, and
+read by one decimal kernel, _decimal_tokens, whose passes run over the
+numbers, not one over the bytes per digit place: it reads each number's
+last eight bytes as one word and sums its digits with three
+multiply-shift-mask steps.  The grammar: lines break at newlines (a \\r
+before one is dropped) and lines of blanks (spaces, tabs) are skipped; a
+number is ASCII digits whose value lies inside the grid, blanks around it;
+level lists separate numbers by commas, RUNS payloads and grid rows by
+blanks.  What the kernel refuses, one routine
+per format words, and it never returns a level or a grid.  loads_tree keeps
+the levels it decoded as the tree once it has checked them in place to be
+the saturation of their deepest level.  Header fields, level labels and the
+level and index of mass lines follow the same number rule, by _token_ints,
+with plain digits read by int() at once (_plain_int).
 """
 
 from __future__ import annotations
@@ -524,7 +530,7 @@ def _word_values(w: np.ndarray, places: int) -> np.ndarray:
     """In place, the uint64 words w, each of 8 digit values (0-9) with the
     most significant byte first in memory and none but its top `places`
     (at most 8) nonzero, as the numbers they spell.  Step j joins each two
-    neighbouring groups of 2^j digits, ten^(2^j) times the first plus the
+    neighbouring groups of 2^j digits, 10^(2^j) times the first plus the
     second, so ceil(log2(places)) steps leave the number in the word's top
     8 * 2^steps bits, which the last shift brings down (Langdale & Lemire's
     eight-digit SWAR parse)."""
@@ -548,13 +554,17 @@ def _decimal_tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
     The kernel works per number, not per digit place.  The separators,
     blanks and newlines all lie below "0", so one compare finds the digits
-    and one more the edges of each run of them.  The 8 bytes that end each
-    number are read as one little-endian word from a 1-byte-stride view of
-    the block, masked to the number's digits and summed by _word_values; a
-    number of 9-16 characters takes a second word, 8 bytes further up, and
-    a longer one a third.  A number of more than 19 characters must hold
-    only zeros above its last 19, which one running count of nonzero digits
-    checks, so the cost stays linear in the text however long its numbers."""
+    and one more the edges of each run of them; the blanks around the block
+    make those edges pair up.  The 8 bytes that end each number are read as
+    one little-endian word from a 1-byte-stride view of the block and
+    masked to the number's digits, each cut to its low nibble (subtracting
+    "0" would borrow across the blanks before a short number), then summed
+    by _word_values; a number of 9-16 characters takes a second word, 8
+    bytes further up, and a longer one a third.  A number of more than 19
+    characters must hold only zeros above its last 19, which one running
+    count of nonzero digits checks, so the cost stays linear in the text
+    however long its numbers; then no sum passes 10^19 < 2^64, and a number
+    of 19 characters or more is compared with 2^63."""
     buf = np.frombuffer(block, dtype=np.uint8)
     digit = buf >= 48
     edge = np.flatnonzero(digit[1:] != digit[:-1])  # the byte before each number, and its last digit
@@ -579,9 +589,9 @@ def _decimal_tokens(block: bytes) -> tuple[np.ndarray, np.ndarray] | None:
 
 def _number_blocks(text: str, sep: str, start: int = 0):
     """_decimal_tokens of text[start:], block by block, each block about
-    _BLOCK_BYTES of whole lines, or None for a block holding a byte that is
-    not a digit, a blank, `sep` or a newline (a non-ASCII character reads
-    as "?")."""
+    _BLOCK_BYTES of whole lines, padded with _PAD in front and a blank
+    behind, or None for a block holding a byte that is not a digit, a
+    blank, `sep` or a newline (a non-ASCII character reads as "?")."""
     data = text.encode("ascii", "replace")
     allowed = b"0123456789 \t\n" + sep.encode()
     while True:
@@ -608,30 +618,20 @@ def _read_numbers(text: str, sep: str) -> tuple[np.ndarray, np.ndarray] | None:
 # 4-digit grid rows they cross near 350 numbers.
 _WRITE_MIN = 1 << 9
 _ROW_BLOCK = 1 << 16  # numbers written at once
-# Two ASCII digits per uint16, in memory order.  Entries 0-99 are the pairs
-# "00".."99"; 100-199 the same pairs leading their number, so without a
-# leading zero, where 100 is the number 0 itself, "0"; 200 is a pair left
-# of its number, blank.  A blank is the byte 0.
-_DIGIT_PAIRS = np.array(
-    [(48 + i // 10, 48 + i % 10) for i in range(100)]
-    + [(48 + i // 10 if i >= 10 else 0, 48 + i % 10) for i in range(100)]
-    + [(0, 0)],
-    dtype=np.uint8,
-).view(np.uint16).ravel()
 
 
 def _digit_quads() -> np.ndarray:
-    """Four ASCII digits per uint32, in memory order, as two pairs of
-    _DIGIT_PAIRS.  Entries 0-9999 are the groups "0000".."9999"; 10000-19999
-    the same groups leading their number, so without leading zeros, where
-    10000 is the number 0 itself, "0"; 20000 is a group left of its number,
-    blank."""
-    high, low = np.divmod(np.arange(10_000), 100)
-    short = high == 0  # a leading group of one or two digits
-    quads = np.full((20_001, 2), _DIGIT_PAIRS[200])
-    quads[:10_000] = np.column_stack((_DIGIT_PAIRS[high], _DIGIT_PAIRS[low]))
-    quads[10_000:20_000, 0] = np.where(short, _DIGIT_PAIRS[200], _DIGIT_PAIRS[100 + high])
-    quads[10_000:20_000, 1] = np.where(short, _DIGIT_PAIRS[100 + low], _DIGIT_PAIRS[low])
+    """Four ASCII digits per uint32, in memory order.  Entries 0-9999 are
+    the groups "0000".."9999"; 10000-19999 the same groups leading their
+    number, so without leading zeros, where 10000 is the number 0 itself,
+    "0"; 20000 is a group left of its number, blank.  A blank is the byte 0."""
+    quads = np.zeros((20_001, 4), dtype=np.uint8)
+    full = quads[:10_000].reshape(10, 10, 10, 10, 4)  # indexed by the four digits
+    for place in range(4):
+        full[..., place] = np.arange(48, 58, dtype=np.uint8).reshape((10,) + (1,) * (3 - place))
+    quads[10_000:20_000] = quads[:10_000]
+    for place, below in enumerate((1000, 100, 10)):
+        quads[10_000 : 10_000 + below, place] = 0  # the zeros that lead a number below 10^(3 - place)
     return quads.view(np.uint32).ravel()
 
 
@@ -645,14 +645,15 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     seps[0].join, or with seps " " * (d - 1) + "\n", d numbers a line
     without the last newline.
 
-    A short list takes "%d", from a pattern per seps kept and grown in
-    _PATTERNS, as does a list that is not int64 or holds a negative value,
-    such as a hand-built level.  A long nonnegative int64 one is written in
-    blocks of _ROW_BLOCK numbers, each into a uint8 matrix of one row per
-    number, a separator byte then the digits right-aligned, four digits per
-    pass by a lookup in _DIGIT_QUADS: pass j writes the group r = x mod
-    10^4 of x = v // 10^(4j), as it leads its number when x < 10^4 and
-    blank when x = 0.  Compressing out the blank bytes leaves the text."""
+    A short list takes "%d", by a slice of one pattern per seps, built once
+    and grown for longer lists in _PATTERNS, as does a list that is not
+    int64 or holds a negative value, such as a hand-built level.  A long
+    nonnegative int64 one is written in blocks of _ROW_BLOCK numbers, each
+    into a uint8 matrix of one row per number, a separator byte then the
+    digits right-aligned, four digits per pass by a lookup in _DIGIT_QUADS:
+    pass j writes the group r = x mod 10^4 of x = v // 10^(4j), as it leads
+    its number when x < 10^4 and blank when x = 0.  Compressing out the
+    blank bytes leaves the text."""
     n = values.size
     if n < _WRITE_MIN or not n or values.dtype != np.int64 or values.min() < 0:
         pattern = _PATTERNS.get(seps, "")

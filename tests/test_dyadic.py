@@ -715,7 +715,36 @@ class TestTreeCodecOracle:
         t = random_tree(rng, 10, 0.6)
         text = dumps_tree(t)
         assert t._views == [None] * 11
-        assert loads_tree(text)._views == [None] * 11
+        back = loads_tree(text)
+        assert back._views == [None] * 11
+        # the decoded arrays are the tree's levels, frozen as from_leaves freezes them
+        assert not any(back.array(n).flags.writeable for n in range(11))
+        with pytest.raises(ValueError):
+            back.array(10)[0] = 1
+
+    # Level n of "dyadic-tree v1 depth=3 span=1\n0: 0\n1: 0,1\n2: 0,1,3\n3: 1,2,3,6\n"
+    # replaced; each text is the one validate() gave before the load check
+    # ran on the decoded levels in place.
+    @pytest.mark.parametrize("n, body, message", [
+        (2, "0,1,2,3", "leaf-support: level 2 index 2 has no child"),
+        (2, "RUNS 0 4", "leaf-support: level 2 index 2 has no child"),
+        (2, "0,3", "parent-closure: level 3 index 2 has no parent; parent-closure: level 3 index 3 has no parent"),
+        (2, "RUNS 0 1 3 1", "parent-closure: level 3 index 2 has no parent; parent-closure: level 3 index 3 has no parent"),
+        (3, "2,1,3,6", "level 3: indices not strictly increasing at 1; leaf-support: level 2 index 0 has no child"),
+        (3, "1,2,2,3,6", "level 3: indices not strictly increasing at 2"),
+        (3, "RUNS 1 3 3 1 6 1", "level 3: indices not strictly increasing at 3"),
+        (3, "1,2,3,8", "level 3: index 8 outside 0..7; parent-closure: level 3 index 8 has no parent; "
+                       "leaf-support: level 2 index 3 has no child"),
+        (2, "0,1,3,4", "level 2: index 4 outside 0..3; parent-closure: level 2 index 4 has no parent; "
+                       "leaf-support: level 2 index 4 has no child"),
+    ], ids=["extra-parent-list", "extra-parent-runs", "missing-parent-list", "missing-parent-runs",
+            "unsorted-leaves", "repeated-leaf", "repeated-leaf-runs", "leaf-at-capacity", "parent-at-capacity"])
+    def test_unsaturated_files_are_refused_as_validate_says(self, n, body, message):
+        tree = DyadicTree.from_leaves(3, 1, [1, 2, 3, 6])
+        lines = dumps_tree(tree).split("\n")
+        assert lines[n + 1] != f"{n}: {body}"
+        lines[n + 1] = f"{n}: {body}"
+        assert parse_outcome(loads_tree, "\n".join(lines)) == (FormatError, "invalid tree: " + message)
 
 
 class TestInvariants:

@@ -80,6 +80,20 @@ def _tokens_by_regex(text: str, sep: str):
 
 
 @given(st.text(alphabet="0123456789 ,\n\tx", max_size=60), st.sampled_from([" ", ","]))
+# tokens of 8, 9, 16, 17, 19 and 20 characters, about the kernel's 8-byte
+# windows and its 19-digit rule, with and without leading zeros
+@example("12345678 123456789\n1234567890123456,12345678901234567", ",")
+@example("00000008 000000009\n0000000000000016,00000000000000017", ",")
+@example("1234567890123456789", " ")
+@example("0000000000000000019 01234567890123456789", " ")
+@example("12345678901234567890", " ")
+@example("18446744073709551621", " ")  # 2^64 + 5, which uint64 sums wrap to 5
+# the ends of one and two windows; int64's end follows
+@example("99999999 100000000 9999999999999999 10000000000000000", " ")
+# numbers in the buffer's first and last bytes, and a lone newline
+@example("1234567890 7", " ")
+@example("5", ",")
+@example("\n", " ")
 @example("9" * 18, " ")
 @example("9" * 19, " ")
 @example("9223372036854775807", " ")
