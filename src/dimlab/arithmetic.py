@@ -38,6 +38,7 @@ from .dyadic import (
     _decimal_text,
     _dedupe_sorted,
     _FIELD,
+    _fold_crlf,
     _read_header,
     _number_blocks,
     _require_integers,
@@ -582,7 +583,7 @@ def loads_grid(text: str) -> GridSetD:
     check refuses, only _refuse_grid words.  Rows in strictly increasing
     order, as dumps_grid writes them, are kept as they are; others are
     sorted and deduplicated."""
-    text = text.replace("\r\n", "\n")
+    text = _fold_crlf(text)
     (d, depth, span), start = _read_header(text, "grid-set", ("d", "depth", "span"))
     if d not in (1, 2, 3):
         raise FormatError(f"dimension {d} not in {{1, 2, 3}}")

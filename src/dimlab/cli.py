@@ -16,7 +16,7 @@ import sys
 from contextlib import nullcontext
 
 from .budget import DEFAULT_CELLS, limit
-from .dyadic import _FIELD, _HEADER, DyadicTree, dumps_tree, load_tree, loads_tree
+from .dyadic import _FIELD, _HEADER, DyadicTree, _fold_crlf, dumps_tree, load_tree, loads_tree
 from .errors import (
     FormatError,
     HypothesisError,
@@ -106,7 +106,7 @@ def _write_text(path: str, text: str) -> None:
 
 def _load_any(path: str):
     with open(path, "r", encoding="ascii") as fh:
-        text = fh.read().replace("\r\n", "\n")
+        text = _fold_crlf(fh.read())
     line = _HEADER.match(text)[1]
     word = _FIELD.search(line)
     load = {"dyadic-tree": loads_tree, "grid-set": loads_grid}.get(word and word[0])

@@ -27,7 +27,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _plain_int, _run_heads, covering_count,
+from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _fold_crlf, _plain_int, _run_heads, covering_count,
                      dumps_tree, loads_tree, subtree)
 from .errors import FormatError, MeasureInvariantError, ZeroMassError
 
@@ -613,7 +613,7 @@ def loads_measure(text: str) -> TreeMeasure:
     by int(), others by _token_ints), and float() reads the mass."""
     tree = loads_tree(text)
     given: dict[tuple[int, int], float] = {}
-    for ln in (text.replace("\r\n", "\n") if "\r" in text else text).split("\n"):
+    for ln in _fold_crlf(text).split("\n"):
         if not ln.startswith("mass "):
             continue
         try:
