@@ -28,7 +28,7 @@ Level kernels cost what their data costs.  A sorted level is deduped by
 comparing neighbours and selecting the run heads by index (ndarray.compress),
 which on large irregular masks is several times faster than boolean
 indexing.  Level lists and grid rows are written by one numpy digit writer,
-_decimal_text, four digits a pass from a table of 10^4 digit groups, and
+_decimal_text, four digits a pass from a table of four-digit groups, and
 read by one decimal kernel, _decimal_tokens, whose passes run over the
 numbers, not one over the bytes per digit place: it reads each number's
 last eight bytes as one word and sums its digits with three
@@ -36,12 +36,12 @@ multiply-shift-mask steps.  The grammar: lines break at newlines (a \\r
 before one is dropped) and lines of blanks (spaces, tabs) are skipped; a
 number is ASCII digits whose value lies inside the grid, blanks around it;
 level lists separate numbers by commas, RUNS payloads and grid rows by
-blanks.  What the kernel refuses, one routine
-per format words, and it never returns a level or a grid.  loads_tree keeps
-the levels it decoded as the tree once it has checked them in place to be
-the saturation of their deepest level.  Header fields, level labels and the
-level and index of mass lines follow the same number rule, by _token_ints,
-with plain digits read by int() at once (_plain_int).
+blanks.  What the kernel refuses, one routine per format words, and it
+never returns a level or a grid.  loads_tree keeps the levels it decoded as
+the tree once it has checked them in place to be the saturation of their
+deepest level.  Header fields, level labels and the level and index of mass
+lines follow the same number rule, by _token_ints, with plain digits read
+by int() at once (_plain_int).
 """
 
 from __future__ import annotations

@@ -194,10 +194,11 @@ def test_long_grid_files_take_the_kernel(rng, monkeypatch):
 
 
 def test_long_leading_zeros_take_linear_time():
-    """Numbers of 10^6 digits, zeros but for the last: the kernel makes its
-    18 passes and one scan for nonzero digits above 10^18, not a pass a
-    digit, so a tree and a grid each holding some load in well under the
-    bound (minutes at a pass a digit)."""
+    """Numbers of 10^6 digits, zeros but for the last: the kernel reads
+    each number's last digits in at most three words and checks the digits
+    above its last 19 by one running count, not a pass a digit, so a tree
+    and a grid each holding some load in well under the bound (minutes at a
+    pass a digit)."""
     zeros = "0" * 1_000_000
     start = time.perf_counter()
     assert loads_tree(f"dyadic-tree v1 depth=1 span=1\n0: {zeros}\n1: {zeros}1\n") == DyadicTree.from_leaves(1, 1, [1])
