@@ -648,8 +648,9 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     without the last newline.
 
     A short list takes "%d", by a slice of one pattern per seps, built once
-    and grown for longer lists in _PATTERNS, as does a list that is not
-    int64 or holds a negative value, such as a hand-built level.  A long
+    and grown for longer lists, below _WRITE_MIN numbers, in _PATTERNS, as
+    does a list that is not int64 or holds a negative value, such as a
+    hand-built level, by a pattern of its own when it is longer.  A long
     nonnegative int64 one is written in blocks of _ROW_BLOCK numbers, each
     into a uint8 matrix of one row per number, a separator byte then the
     digits right-aligned, four digits per pass by a lookup in _DIGIT_QUADS:
@@ -660,7 +661,9 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
     if n < _WRITE_MIN or not n or values.dtype != np.int64 or values.min() < 0:
         pattern = _PATTERNS.get(seps, "")
         if len(pattern) < 3 * n:  # a separator, then "%d" and one for each further number
-            pattern = _PATTERNS[seps] = seps[-1] + ("%d" + "%d".join(seps)) * 2 * n
+            pattern = seps[-1] + ("%d" + "%d".join(seps)) * 2 * n
+            if n < _WRITE_MIN:  # keep only short lists' patterns, 6 * len(seps) * n characters
+                _PATTERNS[seps] = pattern
         return pattern[1 : 3 * n] % tuple(values.tolist())
     sep_bytes = np.frombuffer(seps.encode("ascii"), dtype=np.uint8)
     parts = []

@@ -617,8 +617,7 @@ def loads_measure(text: str) -> TreeMeasure:
         if not ln.startswith("mass "):
             continue
         try:
-            # a printable line's only blanks are spaces, where split() agrees with _FIELD
-            _, level, index, mass = ln.split() if ln.isprintable() else _FIELD.findall(ln)
+            _, level, index, mass = _FIELD.findall(ln)
             key, mass = (_plain_int(level), _plain_int(index)), float(mass)
         except ValueError as exc:
             raise FormatError(f"bad mass line: {_clip(repr(ln))}") from exc

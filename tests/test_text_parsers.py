@@ -484,9 +484,11 @@ def test_dumps_keep_their_bytes_on_either_writer(cut):
 def test_hand_built_levels_keep_percent_d(level):
     # the constructor trusts its input; a long level the digit writer cannot
     # take is written by "%d", so loads_tree refuses it rather than reading
-    # another tree
+    # another tree; "%d" keeps no pattern as long as the level
     tree = DyadicTree(2, 1, [[0], [0], level])
-    text = dumps_tree(tree)
+    with mock.patch.dict(dyadic._PATTERNS, clear=True):
+        text = dumps_tree(tree)
+        assert all(len(pattern) < 6 * len(seps) * CUT for seps, pattern in dyadic._PATTERNS.items())
     assert text == dumps_tree_oracle(tree)
     with pytest.raises(FormatError):
         loads_tree(text)
