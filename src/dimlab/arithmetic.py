@@ -27,25 +27,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NoReturn, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .dyadic import (
-    DyadicTree,
-    _check_grid,
-    _clip,
-    _decimal_text,
-    _dedupe_sorted,
-    _FIELD,
-    _fold_crlf,
-    _read_header,
-    _number_blocks,
-    _require_integers,
-    _token_ints,
-)
+from .dyadic import DyadicTree, _check_grid, _dedupe_sorted, _require_integers
 from .budget import charge, current_cap
-from .errors import FormatError
 
 _BLOCK_PAIRS = 1 << 18  # outer-sum pairs or distance boxes formed at once
 # Route costs in units of one step of a transform of length L <= 2^16, of
@@ -565,57 +552,3 @@ def annulus_cells(
     dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
     keep = (dist >= inner) & (dist <= inner + width)
     return list(map(tuple, f.array()[keep].tolist()))
-
-
-# -- serialization -------------------------------------------------------
-
-
-def dumps_grid(f: GridSetD) -> str:
-    """The grid-set v1 text of f: one line per cell, by _decimal_text."""
-    body = _decimal_text(f.array().ravel(), " " * (f.dimension - 1) + "\n")
-    return "".join((f"grid-set v1 d={f.dimension} depth={f.depth} span={f.span}\n", body, "\n" if body else ""))
-
-
-def loads_grid(text: str) -> GridSetD:
-    """Parse grid-set v1 text, by the grammar of dyadic.py: after the header,
-    every line that is not blank holds d numbers inside the grid.  The
-    decimal kernel reads the body in blocks of whole lines; what it or a
-    check refuses, only _refuse_grid words.  Rows in strictly increasing
-    order, as dumps_grid writes them, are kept as they are; others are
-    sorted and deduplicated."""
-    text = _fold_crlf(text)
-    (d, depth, span), start = _read_header(text, "grid-set", ("d", "depth", "span"))
-    if d not in (1, 2, 3):
-        raise FormatError(f"dimension {d} not in {{1, 2, 3}}")
-    limit = span << depth
-    values = []
-    for got in _number_blocks(text, " ", start):
-        if got is None or not ((got[1] == 0) | (got[1] == d)).all() or got[0].max(initial=0) >= limit:
-            _refuse_grid(text[start:].split("\n"), d, limit)
-        values.append(got[0])
-    rows = np.concatenate(values).reshape(-1, d)
-    return GridSetD._trusted(d, depth, span, rows if _increasing_rows(rows) else _distinct_rows(rows))
-
-
-def _refuse_grid(lines: list[str], d: int, limit: int) -> NoReturn:
-    """Raise the FormatError for body lines loads_grid refused: the first
-    line without d tokens, else the first token that is not a number, else
-    the least cell outside the grid."""
-    lines = [ln for ln in lines if ln.strip(" \t")]
-    rows = [_FIELD.findall(ln) for ln in lines]
-    for ln, parts in zip(lines, rows):
-        if len(parts) != d:
-            raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
-    outside = [cell for cell in (tuple(_token_ints(parts)) for parts in rows) if any(not 0 <= c < limit for c in cell)]
-    raise FormatError(f"cell {_clip(str(min(outside)))} outside the {limit}^d grid")
-
-
-def save_grid(f: GridSetD, path) -> None:
-    from .io import atomic_write_text
-
-    atomic_write_text(path, dumps_grid(f))
-
-
-def load_grid(path) -> GridSetD:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_grid(fh.read())

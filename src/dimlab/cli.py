@@ -16,9 +16,8 @@ import sys
 from contextlib import nullcontext
 
 from .budget import DEFAULT_CELLS, limit
-from .dyadic import _FIELD, _HEADER, DyadicTree, _fold_crlf, dumps_tree, load_tree, loads_tree
+from .dyadic import DyadicTree
 from .errors import (
-    FormatError,
     HypothesisError,
     ResourceLimitError,
     SpecValidationError,
@@ -35,16 +34,13 @@ from .arithmetic import (
     GridSetD,
     difference_set,
     distance_set,
-    dumps_grid,
     grid_product,
     index_sumset,
     iterated_sumset,
-    load_grid,
-    loads_grid,
     SumsetReport,
 )
 from .dimension import assouad_estimate, box_estimate, growth_experiment, lower_estimate
-from .io import _check_keys, _is_int, atomic_write_text, dumps_json
+from .io import _check_keys, _is_int, atomic_write_text, dumps_grid, dumps_json, dumps_tree, load_any, load_grid, load_tree
 from .verify import run_suite
 
 _MEASURES = {"counting": counting_measure, "splitting": splitting_measure}
@@ -102,17 +98,6 @@ def _write_text(path: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         atomic_write_text(path, text)
-
-
-def _load_any(path: str):
-    with open(path, "r", encoding="ascii") as fh:
-        text = _fold_crlf(fh.read())
-    line = _HEADER.match(text)[1]
-    word = _FIELD.search(line)
-    load = {"dyadic-tree": loads_tree, "grid-set": loads_grid}.get(word and word[0])
-    if load is None:
-        raise FormatError(f"{path}: unrecognized header {line.strip()!r}")
-    return load(text)
 
 
 # -- gen -----------------------------------------------------------------
@@ -316,7 +301,7 @@ def cmd_analyze(args) -> int:
         raise SpecValidationError("analyze needs an input file or --config")
     if args.depth is not None:
         raise SpecValidationError("analyze --depth applies to --config only")
-    obj = _load_any(args.input)
+    obj = load_any(args.input)
     is_tree = isinstance(obj, DyadicTree)
     depth = obj.max_depth if is_tree else obj.depth
     reqs = [_analysis(req, args.input, depth, is_tree) for req in _flag_analyses(args)]

@@ -27,9 +27,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .dyadic import (DyadicTree, Vertex, _FIELD, _as_vertex, _clip, _fold_crlf, _plain_int, _run_heads, covering_count,
-                     dumps_tree, loads_tree, subtree)
-from .errors import FormatError, MeasureInvariantError, ZeroMassError
+from .dyadic import DyadicTree, Vertex, _as_vertex, _run_heads, covering_count, subtree
+from .errors import MeasureInvariantError, ZeroMassError
 
 LN2 = math.log(2.0)
 CHILD_SUM_TOL = 1e-12
@@ -587,60 +586,3 @@ def covering_bounds_check(tree: DyadicTree, profile: ScaleProfile, n: int) -> Co
         cover_I=tuple(greedy_cover(profile.I, profile.m)),
         cover_J=tuple(greedy_cover(profile.J, profile.m)),
     )
-
-
-# -- serialization -------------------------------------------------------
-
-
-def dumps_measure(mu: TreeMeasure) -> str:
-    """Tree format plus one "mass <level> <index> <mass>" line per cell.
-
-    Masses are written with 17 significant digits, enough to round-trip
-    binary64 exactly.
-    """
-    parts = [dumps_tree(mu.tree)]
-    for n, w in enumerate(mu.masses):
-        for pos, j in enumerate(mu.tree.array(n).tolist()):
-            parts.append(f"mass {n} {j} {w[pos]:.17g}\n")
-    return "".join(parts)
-
-
-def loads_measure(text: str) -> TreeMeasure:
-    """Parse dumps_measure text: a tree file, read by loads_tree, which skips
-    its "mass <level> <index> <mass>" lines, one a cell, split at blanks
-    (spaces, tabs).  Lines break at newlines, a \\r before one dropped;
-    level and index follow the number rule (dyadic._plain_int: plain digits
-    by int(), others by _token_ints), and float() reads the mass."""
-    tree = loads_tree(text)
-    given: dict[tuple[int, int], float] = {}
-    for ln in _fold_crlf(text).split("\n"):
-        if not ln.startswith("mass "):
-            continue
-        try:
-            _, level, index, mass = _FIELD.findall(ln)
-            key, mass = (_plain_int(level), _plain_int(index)), float(mass)
-        except ValueError as exc:
-            raise FormatError(f"bad mass line: {_clip(repr(ln))}") from exc
-        if key in given:
-            raise FormatError(f"duplicate mass for cell {key}")
-        given[key] = mass
-    masses = []
-    for n in range(tree.max_depth + 1):
-        try:
-            masses.append([given.pop((n, j)) for j in tree.array(n).tolist()])
-        except KeyError as exc:
-            raise FormatError(f"missing mass for a level-{n} cell") from exc
-    if given:
-        raise FormatError(f"mass lines for unoccupied cells: {sorted(given)[:3]}")
-    return TreeMeasure(tree, masses)
-
-
-def save_measure(mu: TreeMeasure, path) -> None:
-    from .io import atomic_write_text
-
-    atomic_write_text(path, dumps_measure(mu))
-
-
-def load_measure(path) -> TreeMeasure:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_measure(fh.read())

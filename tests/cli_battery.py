@@ -24,9 +24,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from dimlab import DyadicTree, IfsSpec, MoranSpec, grid_product, ifs_attractor, moran_tree  # noqa: E402
-from dimlab.arithmetic import dumps_grid  # noqa: E402
 from dimlab.cli import main  # noqa: E402
-from dimlab.dyadic import dumps_tree  # noqa: E402
+from dimlab.io import dumps_grid, dumps_tree  # noqa: E402
 
 CANTOR = {"type": "ifs", "r": "1/3", "translations": [0, "2/3"]}
 MORAN = {"type": "moran", "k": 2, "lengths": "4^-j"}

@@ -11,7 +11,8 @@ from hypothesis import HealthCheck, settings
 from dimlab import DyadicTree, FormatError, GridSetD, Vertex, ZeroMassError
 from dimlab.arithmetic import _difference_vectors, _distinct_rows
 from dimlab.budget import charge
-from dimlab.dyadic import _check_grid, _clip, _expand_runs, _level_array, cell_of
+from dimlab.dyadic import _check_grid, _expand_runs, _level_array, cell_of
+from dimlab.io import _clip
 from dimlab.measures import LN2, _child_starts, _level_offsets, _measure
 
 settings.register_profile(

@@ -15,9 +15,8 @@ from dimlab import (
     moran_tree,
     reciprocal_tree,
 )
-from dimlab.arithmetic import load_grid
 from dimlab.cli import main
-from dimlab.dyadic import dumps_tree, load_tree, loads_tree
+from dimlab.io import dumps_tree, load_grid, load_tree, loads_tree
 
 
 def run(capsys, argv):

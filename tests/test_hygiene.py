@@ -5,8 +5,10 @@ kept for callers outside the library, every library tree comes from
 kernel calls the hash-based `np.unique` or packs an `int.from_bytes` bit
 grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  Only
 budget.py raises ResourceLimitError, so `budget.charge` is the one resource
-limit.  The suite's warning filter lets a failing hypothesis test report its
-example."""
+limit.  Only io.py knows the text formats: no other module spells a
+format's first word, or defines, imports or reads the number and header
+helpers.  The suite's warning filter lets a failing hypothesis test report
+its example."""
 
 import ast
 import subprocess
@@ -160,6 +162,69 @@ def test_detects_a_resource_limit_raise():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "budget.py"], ids=lambda p: p.name)
 def test_only_the_budget_refuses_work(path):
     assert resource_limit_raises(path.read_text(encoding="utf-8")) == []
+
+
+TEXT_HELPERS = (
+    "_decimal_tokens", "_decimal_text", "_number_blocks", "_read_header", "_token_ints", "_plain_int",
+    "_fold_crlf", "_FIELD", "_HEADER",
+)
+FORMAT_WORDS = ("dyadic-tree", "grid-set")
+
+
+def text_format_knowledge(source: str) -> list[str]:
+    """What a module knows of the text formats: each string constant, not a
+    docstring, that starts with a format's first word, and each text helper
+    it defines, imports or reads from a module, as "<name> (line <n>)"."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr) and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+            names = [word for word in FORMAT_WORDS if node.value.startswith(word)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom):
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        found += [f"{name} (line {node.lineno})" for name in names if name in (*TEXT_HELPERS, *FORMAT_WORDS)]
+    return found
+
+
+def test_detects_text_format_knowledge():
+    source = (
+        '"""dyadic-tree v1 files."""\n'
+        "from .io import _FIELD, dumps_tree\n"
+        "def f(t):\n"
+        "    '''grid-set v1'''\n"
+        "    return f'grid-set v1 d={t}', io._fold_crlf(t), 'a dyadic-tree', t.grid_set\n"
+        "_HEADER = 1\n"
+        "def _plain_int(x):\n"
+        "    return 'dyadic-tree'\n"
+    )
+    assert sorted(text_format_knowledge(source)) == [
+        "_FIELD (line 2)", "_HEADER (line 6)", "_fold_crlf (line 5)", "_plain_int (line 7)",
+        "dyadic-tree (line 8)", "grid-set (line 5)",
+    ]
+
+
+def test_io_holds_the_text_formats():
+    found = " ".join(text_format_knowledge((SRC / "io.py").read_text(encoding="utf-8")))
+    assert [name for name in (*TEXT_HELPERS, *FORMAT_WORDS) if f"{name} (" not in found] == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io.py"], ids=lambda p: p.name)
+def test_only_io_knows_the_text_formats(path):
+    assert text_format_knowledge(path.read_text(encoding="utf-8")) == []
 
 
 FAILING_TESTS = """

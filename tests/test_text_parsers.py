@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from dimlab import DyadicTree, FormatError, GridSetD, dumps_grid, dumps_tree, grid_product, loads_grid, loads_tree
 from dimlab import counting_measure, dumps_measure, loads_measure
-from dimlab import dyadic
-from dimlab.dyadic import _decimal_text, _decode_levels, _read_numbers
+from dimlab import io
+from dimlab.io import _decimal_text, _decode_levels, _read_numbers
 
 from conftest import (
     decode_level_oracle,
@@ -186,10 +186,10 @@ def test_hand_formatted_text_parses_as_the_token_parser_does(text):
 def test_long_grid_files_take_the_kernel(rng, monkeypatch):
     cells = rng.integers(0, 1 << 12, size=(30_000, 2))
     text = "grid-set v1 d=2 depth=12 span=1\n" + "".join(f"{x} {y}\n" for x, y in cells)
-    assert len(text) > 2 * dyadic._BLOCK_BYTES
+    assert len(text) > 2 * io._BLOCK_BYTES
     want = loads_grid_oracle(text)
     assert loads_grid(text) == want
-    monkeypatch.setattr(dyadic, "_BLOCK_BYTES", 5)  # a block a line
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 5)  # a block a line
     assert loads_grid(text) == want
 
 
@@ -261,7 +261,7 @@ def test_tree_files_round_trip_through_the_kernel(rng, p, monkeypatch):
     tree = random_tree(rng, 16, p)
     text = dumps_tree(tree)
     assert loads_tree(text) == tree
-    monkeypatch.setattr(dyadic, "_BLOCK_BYTES", 5)  # a block a line
+    monkeypatch.setattr(io, "_BLOCK_BYTES", 5)  # a block a line
     assert loads_tree(text) == tree
 
 
@@ -269,7 +269,7 @@ def test_tree_files_round_trip_through_the_kernel(rng, p, monkeypatch):
 
 GRID_HEAD = "grid-set v1 d=2 depth=4 span=1\n"
 # good rows before the bad one, past the kernel's first block
-GRID_PAD = "1 2\n" * (dyadic._BLOCK_BYTES // 4 + 1)
+GRID_PAD = "1 2\n" * (io._BLOCK_BYTES // 4 + 1)
 
 BAD_GRIDS = [
     ("1 2 3\n", "expected 2 coordinates: '1 2 3'"),
@@ -309,9 +309,9 @@ def test_bad_levels_keep_their_messages(body, message):
     assert parse_outcome(decode_level_oracle, body, 1 << 20) == (FormatError, message)
     # the same fault after good numbers past the kernel's first block
     head, sep = ("RUNS ", " ") if body.startswith("RUNS") else ("", ",")
-    good = sep.join(f"{8 * i}{sep}2" for i in range(dyadic._BLOCK_BYTES // 4))
+    good = sep.join(f"{8 * i}{sep}2" for i in range(io._BLOCK_BYTES // 4))
     long = head + good + sep + body.removeprefix(head)
-    assert len(long) > dyadic._BLOCK_BYTES
+    assert len(long) > io._BLOCK_BYTES
     for text in (body, long):
         want = parse_outcome(decode_level_oracle, text, 1 << 20)
         assert want[0] is FormatError
@@ -405,7 +405,7 @@ def test_header_fields_labels_and_mass_lines_follow_the_number_rule(args):
 
 # the edges of every digit count, and the ends of int64
 WRITER_EDGES = [0, 9, 10, 99, 100, *(10**k + e for k in range(3, 19) for e in (-1, 0)), 2**63 - 1]
-CUT = dyadic._WRITE_MIN
+CUT = io._WRITE_MIN
 WRITER_SEPS = [",", " ", "\n", " \n", "  \n"]  # level lists, RUNS pairs, grid rows of d = 1, 2, 3
 
 
@@ -431,7 +431,7 @@ def test_decimal_text_matches_percent_d(drawn, length, seps, block):
     values = np.resize(np.array(drawn, dtype=np.int64), length)
     want = decimal_text_oracle(values, seps)
     for cut in (CUT, 0):
-        with mock.patch.object(dyadic, "_WRITE_MIN", cut), mock.patch.object(dyadic, "_ROW_BLOCK", block):
+        with mock.patch.object(io, "_WRITE_MIN", cut), mock.patch.object(io, "_ROW_BLOCK", block):
             assert _decimal_text(values, seps) == want
 
 
@@ -468,7 +468,7 @@ def test_dumps_keep_their_bytes_on_either_writer(cut):
     assert want == [dumps_tree_oracle(t) for t in trees] + [dumps_grid_oracle(g) for g in grids]
     assert [loads_tree(text) for text in want[: len(trees)]] == trees
     assert [loads_grid(text) for text in want[len(trees) :]] == grids
-    with mock.patch.object(dyadic, "_WRITE_MIN", cut):
+    with mock.patch.object(io, "_WRITE_MIN", cut):
         assert [dumps_tree(t) for t in trees] + [dumps_grid(g) for g in grids] == want
 
 
@@ -486,9 +486,9 @@ def test_hand_built_levels_keep_percent_d(level):
     # take is written by "%d", so loads_tree refuses it rather than reading
     # another tree; "%d" keeps no pattern as long as the level
     tree = DyadicTree(2, 1, [[0], [0], level])
-    with mock.patch.dict(dyadic._PATTERNS, clear=True):
+    with mock.patch.dict(io._PATTERNS, clear=True):
         text = dumps_tree(tree)
-        assert all(len(pattern) < 6 * len(seps) * CUT for seps, pattern in dyadic._PATTERNS.items())
+        assert all(len(pattern) < 6 * len(seps) * CUT for seps, pattern in io._PATTERNS.items())
     assert text == dumps_tree_oracle(tree)
     with pytest.raises(FormatError):
         loads_tree(text)
