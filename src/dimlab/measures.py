@@ -443,8 +443,9 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     Known disagreement: windows are summed in np.add.reduceat order and
     logged by np.log, classify_local uses np.sum's pairwise order and
     math.log, so a vertex within an ulp of a threshold may fall in another
-    class: 7 of 225 (tree, m, eps, level) rows on the depth-16 Moran
-    splitting measures.  The fix would change recorded benchmark outputs.
+    class: 7 of 486 (tree, m, eps, level) rows on the depth-16 Moran
+    splitting measures (4^-j, 8^-j, 16^-j; m = 2..5; eps = 0.1, 0.25,
+    0.4).  The fix would change recorded benchmark outputs.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")
