@@ -451,10 +451,10 @@ def _read_tree(text: str) -> tuple[DyadicTree, list[str]]:
     text = _fold_crlf(text)
     (depth, span), start = _read_header(text, "dyadic-tree", ("depth", "span"))
     bodies: dict[int, str] = {}
-    masses = []
+    mass_lines = []
     for ln in text[start:].split("\n"):
         if ln.startswith("mass "):
-            masses.append(ln)
+            mass_lines.append(ln)
         elif ln.strip(" \t"):
             head, _, rest = ln.partition(":")
             try:
@@ -475,7 +475,7 @@ def _read_tree(text: str) -> tuple[DyadicTree, list[str]]:
     tree._set(depth, span, levels)
     if not _is_saturation(levels, span << depth):
         raise FormatError("invalid tree: " + "; ".join(validate(tree)[:5]))
-    return tree, masses
+    return tree, mass_lines
 
 
 def loads_tree(text: str) -> DyadicTree:
