@@ -265,14 +265,14 @@ def _decimal_text(values: np.ndarray, seps: str) -> str:
             r = q * 10_000
             np.subtract(x, r, out=r)
             leads = q == 0
-            np.add(r, 10_000, out=r, where=leads)
+            r += leads * 10_000
             if ended is not None:
-                np.add(r, 10_000, out=r, where=ended)
+                r += ended * 10_000
             quads[:, j] = _DIGIT_QUADS.take(r)
             x, ended = q, leads
         r = x + 10_000  # the leading group of every number
         if ended is not None:
-            np.add(r, 10_000, out=r, where=ended)
+            r += ended * 10_000
         quads[:, 0] = _DIGIT_QUADS.take(r)
         out[:, 0] = np.tile(np.roll(sep_bytes, 1 - lo), -(-len(out) // len(seps)))[: len(out)]
         if lo == 0:

@@ -4,7 +4,11 @@ A TreeMeasure assigns a mass to every occupied cell of a DyadicTree so that
 the level-0 masses sum to 1 and each cell's children sum to the cell within
 CHILD_SUM_TOL.  The constructor, and so loads_measure, checks this of masses
 from outside; the builders guarantee it, with a drift of at most about
-4u mu(parent), u = 2^-53 (see _sum_upward and splitting_measure).
+4u mu(parent), u = 2^-53 (see _sum_upward and splitting_measure).  Both the
+check and _sum_upward form a parent's child sum by one kernel, _child_sums:
+a gather of the first child plus the next cell times 1.0 or 0.0, which for
+finite masses c >= 0 is fl(c0 + c1) or c0 + 0.0 = c0, the sum a reduceat
+over the parent's children forms.
 
 Entropy is computed in nats with 0 log 0 := 0:
 
@@ -41,12 +45,6 @@ TOTAL_MASS_TOL = 1e-9
 _BLOCK_CELLS = 1 << 15
 
 
-def _xlogx(w: np.ndarray) -> np.ndarray:
-    out = np.log(w, out=np.zeros_like(w), where=w > 0.0)
-    out *= w
-    return out
-
-
 def _level_offsets(tree: DyadicTree) -> list[int]:
     """Where each level starts in a level-major array of all cells, then
     the total: max_depth + 2 entries."""
@@ -56,6 +54,12 @@ def _level_offsets(tree: DyadicTree) -> list[int]:
 def _require_cells(tree: DyadicTree) -> None:
     if tree.is_empty():
         raise MeasureInvariantError("cannot put a probability measure on an empty tree")
+
+
+def _spans(lo: int, hi: int):
+    """Split the cells lo..hi-1 into runs [a, b) of at most _BLOCK_CELLS."""
+    for a in range(lo, hi, _BLOCK_CELLS):
+        yield a, min(a + _BLOCK_CELLS, hi)
 
 
 def _blocks(offsets: list[int], first: int, stop: int):
@@ -95,6 +99,32 @@ def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int) 
     return starts
 
 
+def _child_pairs(flat: np.ndarray, kids: np.ndarray, lo: int, hi: int):
+    """For the cells lo..hi-1 (positions in flat, all above the deepest
+    level), where their children sit: first = kids[lo:hi], second = first +
+    1, and two = 1.0 where second is a sibling, 0.0 where it is not.  A cell
+    has at most two children, at first and first + 1, and two when the next
+    cell's first child (or the end of flat) lies past first + 1."""
+    first = kids[lo:hi]
+    second = first + 1
+    two = np.empty(hi - lo)
+    np.subtract(first[1:], second[:-1], out=two[:-1])
+    two[-1] = (kids[hi] if hi < kids.size else flat.size) - second[-1]
+    return first, second, two
+
+
+def _child_sums(flat: np.ndarray, first: np.ndarray, second: np.ndarray, two: np.ndarray, out=None) -> np.ndarray:
+    """The child sums of cells whose children _child_pairs located, by two
+    gathers: c0 + c1 * two, where c1 is the cell after the first child, the
+    sibling or else any finite mass (the last of flat when there is none).
+    For finite masses c >= 0, c * 1.0 = c, c * 0.0 = 0 and c0 + 0.0 = c0
+    (a -0.0 child alone gives +0.0, equal under ==), so each sum is
+    fl(c0 + c1) or c0: what a reduceat over the children forms."""
+    c1 = flat.take(second, mode="clip")
+    c1 *= two
+    return np.add(flat.take(first), c1, out=out)
+
+
 class TreeMeasure:
     """Masses aligned positionally with tree.array(n).  Immutable once built.
 
@@ -104,8 +134,12 @@ class TreeMeasure:
     int64 array of global positions: for each cell above the deepest level,
     the position of its first child (tree.descendant_starts(n, 1) shifted by
     the offset of level n + 1).  The starts of an m-level window are that
-    array composed with itself, one gather per level of the window; w log w
-    is one lazily built array laid out like the masses.
+    array composed with itself, one gather per level of the window.  On the
+    first entropy query it builds two more read-only arrays laid out like
+    the masses, log w (0 where w = 0) and w log w = log w * w, in one pass
+    per _BLOCK_CELLS masses: np.log unmasked where the block's smallest mass
+    is positive, masked only where a mass is 0 (np.log gives the same bits
+    either way and on any slice).  Scale profiles read log w from it.
 
     The constructor checks the child sums of the masses it is given; the
     builders keep them by construction.  The level kernels (child starts,
@@ -119,7 +153,7 @@ class TreeMeasure:
     mu(E) log mu(E) over its level-(k + m) descendants E, gathering
     count(k + m) entries once; later queries at (k, m) read one entry."""
 
-    __slots__ = ("tree", "masses", "_offsets", "_flat", "_kids", "_flat_wlogw", "_local_cache")
+    __slots__ = ("tree", "masses", "_offsets", "_flat", "_kids", "_logs", "_local_cache")
 
     def __init__(self, tree: DyadicTree, masses):
         """Check masses from outside; keep them if their root total is within
@@ -160,7 +194,7 @@ class TreeMeasure:
         self._offsets = offsets
         self._flat = flat
         self._kids = kids
-        self._flat_wlogw: np.ndarray | None = None
+        self._logs: tuple[np.ndarray, np.ndarray] | None = None
         self._local_cache: dict[tuple[int, int], np.ndarray] = {}
 
     def _position(self, level: int, index: int) -> int:
@@ -187,15 +221,26 @@ class TreeMeasure:
         """tree.descendant_starts(k, m), composed from the kept child starts."""
         return self._global_starts(k, k + 1, m) - self._offsets[k + m]
 
-    def _all_wlogw(self) -> np.ndarray:
-        """w log w of every mass, laid out like the masses, built on first use."""
-        if self._flat_wlogw is None:
-            self._flat_wlogw = _xlogx(self._flat)
-            self._flat_wlogw.flags.writeable = False
-        return self._flat_wlogw
+    def _all_logs(self) -> tuple[np.ndarray, np.ndarray]:
+        """log w and w log w of every mass, laid out like the masses, built
+        on first use in one pass per block."""
+        if self._logs is None:
+            flat = self._flat
+            log, wlogw = np.empty_like(flat), np.empty_like(flat)
+            for a, b in _spans(0, flat.size):
+                w = flat[a:b]
+                if w.min() > 0.0:
+                    np.log(w, out=log[a:b])
+                else:
+                    log[a:b] = 0.0
+                    np.log(w, out=log[a:b], where=w > 0.0)
+                np.multiply(log[a:b], w, out=wlogw[a:b])
+            log.flags.writeable = wlogw.flags.writeable = False
+            self._logs = log, wlogw
+        return self._logs
 
     def _wlogw(self, level: int) -> np.ndarray:
-        return self._all_wlogw()[self._offsets[level] : self._offsets[level + 1]]
+        return self._all_logs()[1][self._offsets[level] : self._offsets[level + 1]]
 
     def _local_sums(self, k: int, m: int) -> np.ndarray:
         """Per occupied level-k vertex in order, the sum of _wlogw(k + m)
@@ -221,12 +266,16 @@ class TreeMeasure:
 
 def _check_child_sums(offsets: list[int], flat: np.ndarray, kids: np.ndarray) -> None:
     """Refuse masses whose children stray from their parent by more than
-    CHILD_SUM_TOL, naming the first such level: one reduceat pass a block."""
+    CHILD_SUM_TOL, naming the first such level: one _child_sums pass a
+    block, and a level larger than a block in runs of _BLOCK_CELLS cells."""
     for k0, k1 in _blocks(offsets, 0, len(offsets) - 2):
-        lo, hi = offsets[k0], offsets[k1]
-        diff = np.add.reduceat(flat[: offsets[k1 + 1]], kids[lo:hi])
-        diff -= flat[lo:hi]
-        drift = np.maximum.reduceat(np.abs(diff, out=diff), np.subtract(offsets[k0:k1], lo))
+        drift = np.zeros(k1 - k0)
+        for lo, hi in _spans(offsets[k0], offsets[k1]):
+            diff = _child_sums(flat, *_child_pairs(flat, kids, lo, hi))
+            diff -= flat[lo:hi]
+            # a run holds every level of a block, or a part of one level
+            starts = np.subtract(offsets[k0:k1], lo).clip(0)
+            np.maximum(drift, np.maximum.reduceat(np.abs(diff, out=diff), starts), out=drift)
         over = np.flatnonzero(drift > CHILD_SUM_TOL)
         if over.size:
             n = int(over[0])
@@ -257,13 +306,16 @@ def counting_measure(tree: DyadicTree) -> TreeMeasure:
 def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     """The measure with leaf_masses (an array, or one value for every leaf)
     normalized on the deepest level and every level above it summed from
-    its children, each written straight into the measure's own array.
+    its children by _child_sums, in runs of at most _BLOCK_CELLS parents
+    (see _blocks), each written straight into the measure's own array.
 
     No child-sum check is needed: a cell has at most two children, 2j and
-    2j + 1, whatever the span, and each parent is fl(c0 + c1) by the very
-    reduceat the check repeats, so the drift is 0 unless _build divides by a
-    root total t != 1; then fl(c0/t), fl(c1/t), their sum and fl(parent/t)
-    round once each, a drift of at most about 4u mu(parent), u = 2^-53."""
+    2j + 1, whatever the span, and each parent is fl(c0 + c1), or c0 alone,
+    by the very kernel the check repeats (c1 * 1.0 = c1, c1 * 0.0 = 0 and
+    c0 + 0.0 = c0 for finite c >= 0), so the drift is 0 unless _build
+    divides by a root total t != 1; then fl(c0/t), fl(c1/t), their sum and
+    fl(parent/t) round once each, a drift of at most about 4u mu(parent),
+    u = 2^-53."""
     offsets = _level_offsets(tree)
     flat = np.empty(offsets[-1])
     w = flat[offsets[-2] :]
@@ -273,9 +325,15 @@ def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
         raise MeasureInvariantError("leaf masses must be >= 0 with positive finite sum")
     w /= total
     kids = _child_starts(tree, offsets)
-    for n in range(tree.max_depth, 0, -1):
-        parents = slice(offsets[n - 1], offsets[n])
-        np.add.reduceat(flat[: offsets[n + 1]], kids[parents], out=flat[parents])
+    # deepest first: a run holds every level of a block, or a part of one
+    # level; its children's places are found once, its sums level by level
+    for k0, k1 in reversed(list(_blocks(offsets, 0, tree.max_depth))):
+        for lo, hi in _spans(offsets[k0], offsets[k1]):
+            first, second, two = _child_pairs(flat, kids, lo, hi)
+            parents = flat[lo:hi]
+            for n in range(k1 - 1, k0 - 1, -1):
+                s = slice(max(offsets[n] - lo, 0), min(offsets[n + 1], hi) - lo)
+                _child_sums(flat, first[s], second[s], two[s], out=parents[s])
     return _measure(tree, offsets, flat, kids)
 
 
@@ -459,17 +517,17 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     if n < 0 or n + m > tree.max_depth:
         raise ValueError(f"need 0 <= n and n + m <= {tree.max_depth}, got n={n}, m={m}")
     offsets, flat = mu._offsets, mu._flat
-    wlogw = mu._all_wlogw()
+    log, wlogw = mu._all_logs()
     stats = []
     I: list[int] = []
     J: list[int] = []
     for k0, k1 in _blocks(offsets, 0, n + 1):
-        lo = offsets[k0]
-        w = flat[lo : offsets[k1]]
+        lo, hi = offsets[k0], offsets[k1]
+        w = flat[lo:hi]
         a = np.add.reduceat(wlogw[: offsets[k1 + m]], mu._global_starts(k0, k1, m))
         pos = w > 0.0
-        h = np.log(w, out=np.zeros_like(w), where=pos)
-        h -= np.divide(a, w, out=a, where=pos)
+        h = np.divide(a, w, out=a) if pos.all() else np.divide(a, w, out=a, where=pos)
+        h = np.subtract(log[lo:hi], h, out=h)  # log w - a / w, 0 where w = 0
         h /= m * LN2
         # Each level's fraction reduces its own run of the selected masses
         # as np.sum does (pairwise), where one reduction per block would add
