@@ -341,7 +341,9 @@ def splitting_measure(tree: DyadicTree) -> TreeMeasure:
     """Unit mass split equally among occupied children, root-down.
 
     No child-sum check is needed: masses stay above 2^-64, so halving is
-    exact and commutes with _build's division by the root total: drift 0."""
+    exact and commutes with _build's division by the root total, and the
+    sum _child_sums forms, fl(c0 + c1) of two halves or c0 + 0.0 of a lone
+    child, is the parent exactly: drift 0."""
     _require_cells(tree)
     offsets = _level_offsets(tree)
     kids = _child_starts(tree, offsets)

@@ -452,6 +452,21 @@ def xlogx_oracle(w: np.ndarray) -> np.ndarray:
     return out
 
 
+def sum_upward_oracle(tree, leaf_masses) -> list[np.ndarray]:
+    """The levels `from_leaf_masses` builds (and `counting_measure`, given
+    one mass for every leaf): the leaf masses over their sum, each level
+    above by `np.add.reduceat` of its child level over
+    `tree.descendant_starts(n, 1)`, then every level over the root total
+    unless that is exactly 1."""
+    leaf = np.empty(tree.count(tree.max_depth))
+    leaf[:] = leaf_masses
+    levels = [leaf / float(leaf.sum())]
+    for n in range(tree.max_depth - 1, -1, -1):
+        levels.insert(0, np.add.reduceat(levels[0], tree.descendant_starts(n, 1)))
+    total = float(levels[0].sum())
+    return levels if total == 1.0 else [level / total for level in levels]
+
+
 def position_oracle(tree, level: int, index: int) -> int:
     """`DyadicTree.position` by np.searchsorted on the level's array."""
     if not 0 <= level <= tree.max_depth:

@@ -77,20 +77,14 @@ def test_dyadic_reads_no_levels_or_cells():
 
 
 def hand_built_trees(source: str) -> list[int]:
-    """Lines that call the hand-built `DyadicTree(...)` constructor outside
-    `loads_tree`, which calls it only to audit a rejected file."""
-    tree = ast.parse(source)
-    allowed = {
-        id(node)
-        for func in ast.walk(tree)
-        if isinstance(func, ast.FunctionDef) and func.name == "loads_tree"
-        for node in ast.walk(func)
-    }
+    """Lines that call the hand-built `DyadicTree(...)` constructor.  No
+    library code calls it, `loads_tree` included: it takes the decoded
+    levels by the trusted `_set` path and audits a rejected file on that
+    same tree."""
     return sorted(
         node.lineno
-        for node in ast.walk(tree)
+        for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Call)
-        and id(node) not in allowed
         and (
             isinstance(node.func, ast.Name) and node.func.id == "DyadicTree"
             or isinstance(node.func, ast.Attribute) and node.func.attr == "DyadicTree"
@@ -104,7 +98,7 @@ def test_detects_a_hand_built_tree():
         "def loads_tree(text):\n    return DyadicTree(0, 1, [()])\n"
         "def f(dl):\n    return dl.DyadicTree.from_leaves(0, 1, []), dl.DyadicTree(0, 1, [()])\n"
     )
-    assert hand_built_trees(source) == [2, 6]
+    assert hand_built_trees(source) == [2, 4, 6]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

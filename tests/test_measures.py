@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -44,6 +45,7 @@ from conftest import (
     random_tree,
     restrict_renormalize_oracle,
     scale_profile_oracle,
+    sum_upward_oracle,
     xlogx_oracle,
 )
 
@@ -264,6 +266,97 @@ class TestBuilderInvariant:
         assert total == 1.0 + excess
         got = TreeMeasure(tree, [roots]).masses[0]
         assert got.tobytes() == (roots if kept else roots / total).tobytes()
+
+
+@st.composite
+def upward_cases(draw):
+    """A tree of span 1..7 and depth 0..14, its leaf masses (None for the
+    counting measure; else 0 or between 1e-300 and 1e300, one of them
+    positive) and a block size for the level kernels."""
+    span, depth = draw(st.integers(1, 7)), draw(st.integers(0, 14))
+    leaves = draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=48))
+    tree = DyadicTree.from_leaves(depth, span, leaves)
+    leaf = None
+    if draw(st.booleans()):
+        mass = st.one_of(st.just(0.0), st.floats(1e-300, 1e300))
+        leaf = draw(st.lists(mass, min_size=tree.count(depth), max_size=tree.count(depth)))
+        leaf[draw(st.integers(0, len(leaf) - 1))] = draw(st.floats(1e-300, 1e300))
+    return tree, leaf, draw(st.sampled_from([1, 3, 1 << 15]))
+
+
+# depth 0, spans 3 and 5, a 1-leaf chain, and the last cell of the level
+# above the leaves with one child (leaf 14 without 15) and with two
+EDGE_TREES = {
+    "depth-0": DyadicTree.from_leaves(0, 1, [0]),
+    "depth-0-span-3": DyadicTree.from_leaves(0, 3, [0, 2]),
+    "span-3": DyadicTree.from_leaves(9, 3, [0, 1, 2, 700, 1023, 1024, 1500, 1535]),
+    "span-5": DyadicTree.from_leaves(6, 5, [0, 7, 8, 100, 318, 319]),
+    "chain": DyadicTree.from_leaves(13, 1, [5000]),
+    "last-parent-one-child": DyadicTree.from_leaves(4, 1, [0, 1, 6, 14]),
+    "last-parent-two-children": DyadicTree.from_leaves(4, 1, [0, 1, 6, 14, 15]),
+}
+
+
+def upward_leaf_masses(tree: DyadicTree, seed: int):
+    """Leaf masses for the parent-sum oracle: one mass for every leaf (the
+    counting measure), random positive ones, and random ones of which
+    about 30 % are zero."""
+    rng = np.random.default_rng(seed)
+    positive = rng.random(tree.count(tree.max_depth)) + 1e-3
+    zeros = positive.copy()
+    zeros[rng.random(zeros.size) < 0.3] = 0.0
+    zeros[0] += 1.0
+    return [None, positive, zeros]
+
+
+class TestParentSums:
+    """The builders' parent sums, two gathers a block, against a reduceat
+    over each level's children: equal bit for bit, wherever the blocks of
+    the level kernels fall."""
+
+    @staticmethod
+    def assert_matches_oracle(tree, leaf) -> None:
+        mu = counting_measure(tree) if leaf is None else from_leaf_masses(tree, leaf)
+        want = sum_upward_oracle(tree, 1.0 / tree.count(tree.max_depth) if leaf is None else leaf)
+        for n in range(tree.max_depth + 1):
+            assert mu.masses[n].tobytes() == want[n].tobytes(), n
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
+    @pytest.mark.parametrize("name", EDGE_TREES)
+    def test_edge_trees(self, monkeypatch, name, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        tree = EDGE_TREES[name]
+        for leaf in upward_leaf_masses(tree, 3):
+            self.assert_matches_oracle(tree, leaf)
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_trees(self, monkeypatch, seed, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, int(rng.integers(1, 13)), float(rng.uniform(0.2, 0.9)))
+        for leaf in upward_leaf_masses(tree, seed):
+            self.assert_matches_oracle(tree, leaf)
+
+    def test_levels_larger_than_a_block(self):
+        from dimlab import measures
+
+        tree = random_tree(np.random.default_rng(17), 17, 0.9)
+        assert tree.count(16) > measures._BLOCK_CELLS > tree.count(14)
+        for leaf in upward_leaf_masses(tree, 17):
+            self.assert_matches_oracle(tree, leaf)
+
+    @given(upward_cases())
+    def test_builders_match_the_reduceat_oracle(self, case):
+        from dimlab import measures
+
+        tree, leaf, block = case
+        with mock.patch.object(measures, "_BLOCK_CELLS", block):
+            self.assert_matches_oracle(tree, leaf)
 
 
 @st.composite
@@ -542,6 +635,56 @@ class TestProfileKernels:
                 for m in (1, 3):
                     scale_profile(mu, 0.2, m)
         assert calls == []
+
+
+def log_measures(seed: int):
+    """profile_measures' three measures, the leaf-mass one with zero
+    masses, and a leaf-mass one with none."""
+    tree, (counting, splitting, zeros) = profile_measures(seed)
+    positive = from_leaf_masses(tree, np.random.default_rng(seed).random(tree.count(tree.max_depth)) + 1e-3)
+    assert np.count_nonzero(zeros._flat == 0.0) and not np.count_nonzero(positive._flat == 0.0)
+    return tree, (counting, splitting, zeros, positive)
+
+
+class TestKeptLogs:
+    """The log w and w log w arrays a measure keeps, built in one pass a
+    block, unmasked where no mass is 0."""
+
+    @pytest.mark.parametrize("block", [1, 3, 1 << 15])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_logs_match_np_log_and_the_oracle(self, monkeypatch, seed, block):
+        from dimlab import measures
+
+        monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
+        for mu in log_measures(seed)[1]:
+            log, wlogw = mu._all_logs()
+            w = mu._flat
+            pos = w > 0.0
+            assert log[pos].tobytes() == np.log(w[pos]).tobytes()
+            assert log[~pos].tobytes() == np.zeros(np.count_nonzero(~pos)).tobytes()
+            assert wlogw.tobytes() == xlogx_oracle(w).tobytes()
+            assert not (log.flags.writeable or wlogw.flags.writeable)
+            assert mu._all_logs()[0] is log and mu._all_logs()[1] is wlogw
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_entropy_queries_raise_no_float_fault(self, seed):
+        tree, built = log_measures(seed)
+        D = tree.max_depth
+        with np.errstate(all="raise"):
+            for mu in built:
+                for n in range(D + 1):
+                    entropy(mu, n)
+                for m in (1, 2, 3):
+                    scale_profile(mu, 0.2, m)
+                for k in (0, D // 2, D - 1):
+                    for j in tree.array(k).tolist():
+                        v = Vertex(k, j)
+                        if mu.mass(v) == 0.0:
+                            with pytest.raises(ZeroMassError):
+                                local_entropy(mu, v, 1)
+                            continue
+                        local_entropy(mu, v, D - k)
+                        classify_local(mu, v, 0.3, 1)
 
 
 def assert_starts_equal_descendant_starts(mu, windows: int | None = None) -> None:

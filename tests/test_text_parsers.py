@@ -427,6 +427,11 @@ def decimal_text_oracle(values, seps: str) -> str:
 )
 @example(drawn=WRITER_EDGES, length=CUT, seps=",", block=1 << 16)
 @example(drawn=WRITER_EDGES, length=len(WRITER_EDGES), seps=" \n", block=1 << 16)
+# zero middle groups in numbers that are no power of ten, where the lead
+# and end offsets of the digit writer add up
+@example(drawn=[10**8 + 1, 12 * 10**8 + 3456, 10**12 + 10**4], length=CUT, seps=",", block=1 << 16)
+@example(drawn=[10**12 + 10**4, 5, 10**16 + 7, 10**8 + 1, 10**4], length=CUT + 1, seps="  \n", block=5)
+@example(drawn=[9 * 10**12 + 1, 10**8 + 10**4 + 1, 12 * 10**8 + 3456], length=3, seps=" ", block=1)
 def test_decimal_text_matches_percent_d(drawn, length, seps, block):
     values = np.resize(np.array(drawn, dtype=np.int64), length)
     want = decimal_text_oracle(values, seps)
