@@ -1,6 +1,8 @@
 """dimlab: dyadic-grid laboratory for entropy, arithmetic, and dimension
 of fractal-type subsets of the line and low-dimensional grids."""
 
+from types import ModuleType as _ModuleType
+
 from .errors import (
     DimLabError,
     EmptySetError,
@@ -12,7 +14,6 @@ from .errors import (
     ZeroMassError,
 )
 from .dyadic import (
-    DyadicInterval,
     DyadicTree,
     Vertex,
     cell_of,
@@ -20,9 +21,7 @@ from .dyadic import (
     descendant_count,
     descendant_range,
     discretize,
-    interval_of,
     is_full_branching,
-    locate,
     subtree,
     validate,
 )
@@ -35,7 +34,6 @@ from .measures import (
     LevelStats,
     ScaleProfile,
     TreeMeasure,
-    avg_entropy,
     classify_local,
     cond_entropy,
     counting_measure,
@@ -63,12 +61,10 @@ from .generators import (
     reciprocal_tree,
     semigroup_tree,
     spec_from_json,
-    spec_to_json,
 )
 from .arithmetic import (
     GridSetD,
     SumsetReport,
-    annulus_cells,
     delta_dense_check,
     difference_set,
     distance_set,
@@ -81,14 +77,10 @@ from .io import (
     dumps_measure,
     dumps_tree,
     load_grid,
-    load_measure,
     load_tree,
     loads_grid,
     loads_measure,
     loads_tree,
-    save_grid,
-    save_measure,
-    save_tree,
 )
 from .dimension import (
     DimEstimate,
@@ -103,90 +95,6 @@ from .dimension import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DimLabError",
-    "EmptySetError",
-    "FormatError",
-    "HypothesisError",
-    "MeasureInvariantError",
-    "ResourceLimitError",
-    "SpecValidationError",
-    "ZeroMassError",
-    "DyadicInterval",
-    "DyadicTree",
-    "Vertex",
-    "cell_of",
-    "covering_count",
-    "descendant_count",
-    "descendant_range",
-    "discretize",
-    "dumps_tree",
-    "interval_of",
-    "is_full_branching",
-    "load_tree",
-    "loads_tree",
-    "locate",
-    "save_tree",
-    "subtree",
-    "validate",
-    "ATOMIC",
-    "BOTH",
-    "NEITHER",
-    "UNIFORM",
-    "CoveringBoundsReport",
-    "LevelStats",
-    "ScaleProfile",
-    "TreeMeasure",
-    "avg_entropy",
-    "classify_local",
-    "cond_entropy",
-    "counting_measure",
-    "covering_bounds_check",
-    "default_window",
-    "dumps_measure",
-    "entropy",
-    "from_leaf_masses",
-    "greedy_cover",
-    "load_measure",
-    "loads_measure",
-    "local_entropy",
-    "restrict_renormalize",
-    "save_measure",
-    "scale_profile",
-    "splitting_measure",
-    "GeneratorSpec",
-    "IfsSpec",
-    "MoranSpec",
-    "ReciprocalSpec",
-    "SemigroupSpec",
-    "build_tree",
-    "extract_moran_subset",
-    "ifs_attractor",
-    "iterated_ifs",
-    "moran_tree",
-    "reciprocal_tree",
-    "semigroup_tree",
-    "spec_from_json",
-    "spec_to_json",
-    "GridSetD",
-    "SumsetReport",
-    "annulus_cells",
-    "delta_dense_check",
-    "difference_set",
-    "distance_set",
-    "dumps_grid",
-    "grid_product",
-    "index_sumset",
-    "iterated_sumset",
-    "load_grid",
-    "loads_grid",
-    "save_grid",
-    "DimEstimate",
-    "GrowthRow",
-    "GrowthTable",
-    "assouad_estimate",
-    "assouad_slope",
-    "box_estimate",
-    "growth_experiment",
-    "lower_estimate",
-]
+# the public names are the ones the imports above bind: every submodule they
+# load is bound too, and is left out
+__all__ = [name for name, value in globals().items() if not name.startswith("_") and not isinstance(value, _ModuleType)]

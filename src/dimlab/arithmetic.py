@@ -537,18 +537,3 @@ def distance_set(f: GridSetD) -> DyadicTree:
         np.add.at(ends, np.clip(lo - 1, 0, cap), 1)
         np.add.at(ends, np.minimum(hi + 2, cap), -1)
     return DyadicTree.from_leaves(n, span, np.flatnonzero(np.cumsum(ends[:-1]) > 0))
-
-
-def annulus_cells(
-    f: GridSetD, center: Sequence[float], inner: float, width: float
-) -> list[tuple[int, ...]]:
-    """Cells of f whose centers lie in the closed annulus of radii
-    [inner, inner + width] around `center`."""
-    if len(center) != f.dimension:
-        raise ValueError(f"center must have {f.dimension} coordinates")
-    if inner < 0.0 or width < 0.0:
-        raise ValueError("inner and width must be >= 0")
-    diff = f.centers() - np.asarray(center, dtype=np.float64)
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
-    keep = (dist >= inner) & (dist <= inner + width)
-    return list(map(tuple, f.array()[keep].tolist()))

@@ -22,7 +22,6 @@ indexing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
@@ -31,51 +30,11 @@ from .budget import charge
 from .errors import EmptySetError
 
 
-@dataclass(frozen=True)
-class DyadicInterval:
-    """The cell [index 2^-level, (index+1) 2^-level) inside [0, span)."""
-
-    level: int
-    index: int
-    span: int = 1
-
-    def __post_init__(self):
-        _require_integers((self.level, self.index, self.span), "level, index and span")
-        if self.level < 0:
-            raise ValueError(f"negative level {self.level}")
-        if self.span < 1:
-            raise ValueError(f"span must be a positive integer, got {self.span}")
-        if not 0 <= self.index < self.span << self.level:
-            raise ValueError(
-                f"index {self.index} out of range at level {self.level} (span {self.span})"
-            )
-
-    def bounds(self) -> tuple[float, float]:
-        w = 2.0 ** -self.level
-        return self.index * w, (self.index + 1) * w
-
-
 class Vertex(NamedTuple):
     """A (level, index) pair naming an occupied cell of some tree."""
 
     level: int
     index: int
-
-
-def interval_of(level: int, index: int, span: int = 1) -> DyadicInterval:
-    """Return the dyadic cell with the given coordinates."""
-    return DyadicInterval(level, index, span)
-
-
-def locate(x: float, level: int, span: int = 1) -> DyadicInterval:
-    """Return the level-`level` cell containing x.
-
-    Multiplying a binary64 by a power of two is exact, so this never
-    misplaces a representable point.  x must lie in [0, span).
-    """
-    if not 0 <= x < span:
-        raise ValueError(f"x={x!r} outside [0, {span})")
-    return DyadicInterval(level, int(x * (1 << level)), span)
 
 
 def cell_of(x: float, level: int, span: int = 1) -> int:
@@ -88,7 +47,7 @@ def cell_of(x: float, level: int, span: int = 1) -> int:
 
 def _as_vertex(v) -> Vertex:
     """A vertex argument that is not a Vertex, as one: Vertex(*v), so a
-    wrong arity is a TypeError, then the integer rule of DyadicInterval."""
+    wrong arity is a TypeError, then the integer rule, _require_integers."""
     v = Vertex(*v)
     _require_integers(v, "vertex level and index")
     return v

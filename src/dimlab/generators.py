@@ -408,24 +408,6 @@ def spec_from_json(data: dict) -> GeneratorSpec:
         raise SpecValidationError(f"missing field {exc} in {kind!r} spec") from exc
 
 
-def spec_to_json(spec: GeneratorSpec) -> dict:
-    if isinstance(spec, IfsSpec):
-        return {
-            "type": "ifs",
-            "r": spec.r,
-            "translations": list(spec.translations),
-            "span": spec.span,
-        }
-    if isinstance(spec, MoranSpec):
-        lengths = spec.lengths if isinstance(spec.lengths, str) else list(spec.lengths)
-        return {"type": "moran", "k": spec.branching, "lengths": lengths}
-    if isinstance(spec, ReciprocalSpec):
-        return {"type": "reciprocal"}
-    if isinstance(spec, SemigroupSpec):
-        return {"type": "semigroup", "generators": list(spec.generators), "bound": spec.bound}
-    raise SpecValidationError(f"not a generator spec: {spec!r}")
-
-
 def build_tree(spec, depth: int) -> DyadicTree:
     """Dispatch a generator spec (object or JSON dict) to its builder."""
     if isinstance(spec, dict):

@@ -36,7 +36,7 @@ from __future__ import annotations
 import json
 import os
 import re
-import tempfile
+import secrets
 from itertools import accumulate
 from typing import NoReturn
 
@@ -51,10 +51,19 @@ from .measures import TreeMeasure
 
 def atomic_write_text(path, text: str) -> None:
     """Write text to path via a temp file + rename, so readers never see
-    a partial file and a failed run leaves the target untouched."""
+    a partial file and a failed run leaves the target untouched.  The temp
+    file is made with mode 0o666 less the umask, as open() makes a file
+    (tempfile.mkstemp would give 0o600), and the rename gives the target
+    that mode."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    while True:
+        tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -483,10 +492,6 @@ def loads_tree(text: str) -> DyadicTree:
     return _read_tree(text)[0]
 
 
-def save_tree(tree: DyadicTree, path) -> None:
-    atomic_write_text(path, dumps_tree(tree))
-
-
 def load_tree(path) -> DyadicTree:
     return loads_tree(_read_text(path))
 
@@ -532,14 +537,6 @@ def loads_measure(text: str) -> TreeMeasure:
     return TreeMeasure(tree, masses)
 
 
-def save_measure(mu: TreeMeasure, path) -> None:
-    atomic_write_text(path, dumps_measure(mu))
-
-
-def load_measure(path) -> TreeMeasure:
-    return loads_measure(_read_text(path))
-
-
 # -- grid files -----------------------------------------------------------
 
 
@@ -581,10 +578,6 @@ def _refuse_grid(lines: list[str], d: int, limit: int) -> NoReturn:
             raise FormatError(f"expected {d} coordinates: {_clip(repr(ln))}")
     outside = [cell for cell in (tuple(_token_ints(parts)) for parts in rows) if any(not 0 <= c < limit for c in cell)]
     raise FormatError(f"cell {_clip(str(min(outside)))} outside the {limit}^d grid")
-
-
-def save_grid(f: GridSetD, path) -> None:
-    atomic_write_text(path, dumps_grid(f))
 
 
 def load_grid(path) -> GridSetD:

@@ -394,13 +394,6 @@ def entropy(mu: TreeMeasure, n: int) -> float:
     return -float(np.sum(mu._wlogw(n)))
 
 
-def avg_entropy(mu: TreeMeasure, n: int) -> float:
-    """Entropy normalized to bits per level: H(mu, n) / (n log 2)."""
-    if n < 1:
-        raise ValueError("averaged entropy needs n >= 1")
-    return entropy(mu, n) / (n * LN2)
-
-
 def cond_entropy(mu: TreeMeasure, i: int, j: int) -> float:
     """H(mu, level j | level i) = H(mu, j) - H(mu, i) for i < j."""
     if not 0 <= i < j <= mu.tree.max_depth:

@@ -1,6 +1,8 @@
 """A fixed battery of `dimlab` CLI runs, for comparing two versions of the CLI.
 
     python3 tests/cli_battery.py DIR
+    python3 tests/cli_battery.py DIR --record tests/cli_battery_refs.json
+    python3 tests/cli_battery.py DIR --check tests/cli_battery_refs.json
 
 runs every case in its own directory DIR/<case>, on small input files
 written there first and with relative paths only, and records the exit
@@ -10,13 +12,24 @@ battery from two checkouts into two directories and compare them with
 `diff -r`; a difference is a change in what some run prints, writes or
 returns.  The script exits 1 when an exit code differs from the one
 listed with its case.
+
+--record and --check also run `dimlab verify all --json` and hold the
+standing references: per case the exit code, and for stdout, stderr and
+each file the run wrote or changed, its parsed value when it is JSON and
+the sha256 of its bytes otherwise; for verify, its exit code and output
+with each check's `runtime_s` removed.  --record writes them to FILE;
+--check compares them with FILE by `compare` and exits 1 on any
+difference.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
+import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -221,41 +234,125 @@ def _call(argv: list[str]) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-def run_battery(root) -> dict[str, int]:
-    """Run every case under `root`; returns the exit code of each."""
+def _entry(data: bytes) -> dict:
+    """An output as the references hold it: its parsed value when it is
+    JSON, else the sha256 of its bytes."""
+    try:
+        return {"json": json.loads(data)}
+    except ValueError:
+        return {"sha256": hashlib.sha256(data).hexdigest()}
+
+
+def run_records(root) -> dict[str, dict]:
+    """Run every case under `root`; returns, per case, its exit code and
+    the entries of its stdout, stderr and each file it wrote or changed."""
     inputs = _inputs()
-    codes = {}
+    records = {}
     home = os.getcwd()
     try:
         for name, _, argv, config in CASES:
             case = Path(root, name)
             case.mkdir(parents=True)
-            for file, text in inputs.items():
-                (case / file).write_text(text)
+            given = {file: text.encode() for file, text in inputs.items()}
             if config is not None:
-                (case / "cfg.json").write_text(json.dumps(config) + "\n")
+                given["cfg.json"] = (json.dumps(config) + "\n").encode()
+            for file, data in given.items():
+                (case / file).write_bytes(data)
             os.chdir(case)
             code, out, err = _call(argv)
             os.chdir(home)
+            written = {p.name: p.read_bytes() for p in sorted(case.iterdir()) if p.is_file()}
+            records[name] = {
+                "exit": code,
+                "stdout": _entry(out.encode()),
+                "stderr": _entry(err.encode()),
+                "files": {file: _entry(data) for file, data in written.items() if given.get(file) != data},
+            }
             (case / "run.txt").write_text(
                 f"argv {json.dumps(argv)}\nexit {code}\n--- stdout\n{out}--- stderr\n{err}"
             )
-            codes[name] = code
     finally:
         os.chdir(home)
-    return codes
+    return records
+
+
+def run_battery(root) -> dict[str, int]:
+    """Run every case under `root`; returns the exit code of each."""
+    return {name: record["exit"] for name, record in run_records(root).items()}
+
+
+def verify_record() -> dict:
+    """`dimlab verify all --json`: its exit code, stderr and output, with
+    each check's `runtime_s`, the one field that moves from run to run,
+    removed."""
+    code, out, err = _call(["verify", "all", "--json"])
+    report = json.loads(out)
+    for criterion in report["criteria"]:
+        del criterion["runtime_s"]
+    return {"exit": code, "stdout": {"json": report}, "stderr": _entry(err.encode())}
+
+
+# JSON floats match when they differ by at most a relative 1e-9: numpy's
+# `log` and its pairwise sums may differ in the last bits between CPUs and
+# numpy builds, and CI runs Python 3.10 and 3.11 on whatever numpy each
+# installs.  A few ulps of drift, even carried through a regression slope,
+# stays many orders below 1e-9, while any change in what is computed moves
+# a figure far past it.  Below 1e-12 in absolute value the figures are
+# themselves rounding errors (the checks' `max_*_error` details sit near
+# 1e-15), and those move wholesale when the last bits do, so they match
+# within that absolute floor.
+FLOAT_REL_TOL = 1e-9
+FLOAT_ABS_TOL = 1e-12
+
+
+def compare(want, got, where: str = "") -> list[str]:
+    """The differences between references `want` and a fresh record `got`,
+    one line each: every value exactly, of the same JSON type, except
+    floats, which match within FLOAT_REL_TOL (or FLOAT_ABS_TOL)."""
+    if isinstance(want, dict) and isinstance(got, dict):
+        diffs = [f"{where}/{key}: missing" for key in sorted(want.keys() - got.keys())]
+        diffs += [f"{where}/{key}: not in the references" for key in sorted(got.keys() - want.keys())]
+        for key in sorted(want.keys() & got.keys()):
+            diffs += compare(want[key], got[key], f"{where}/{key}")
+        return diffs
+    if isinstance(want, list) and isinstance(got, list):
+        if len(want) != len(got):
+            return [f"{where}: {len(got)} items, references hold {len(want)}"]
+        return [d for i, (w, g) in enumerate(zip(want, got)) for d in compare(w, g, f"{where}/{i}")]
+    if type(want) is float and type(got) is float:
+        if want == got or math.isnan(want) and math.isnan(got) or math.isclose(
+            want, got, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL
+        ):
+            return []
+    elif type(want) is type(got) and want == got:
+        return []
+    return [f"{where}: {got!r}, references hold {want!r}"]
 
 
 def main_battery(argv: list[str]) -> int:
-    if len(argv) != 1:
-        sys.stderr.write("usage: python3 tests/cli_battery.py DIR\n")
-        return 2
-    codes = run_battery(argv[0])
-    wrong = [(name, want, codes[name]) for name, want, _, _ in CASES if codes[name] != want]
+    parser = argparse.ArgumentParser(prog="python3 tests/cli_battery.py")
+    parser.add_argument("dir", help="a new directory for the case directories")
+    refs = parser.add_mutually_exclusive_group()
+    refs.add_argument("--record", metavar="FILE", help="write the standing references here")
+    refs.add_argument("--check", metavar="FILE", help="compare with the references recorded here")
+    args = parser.parse_args(argv)
+    records = run_records(args.dir)
+    wrong = [(name, want, records[name]["exit"]) for name, want, _, _ in CASES if records[name]["exit"] != want]
     for name, want, got in wrong:
         sys.stdout.write(f"{name}: exit {got}, listed {want}\n")
-    sys.stdout.write(f"{len(CASES)} runs in {argv[0]}, {len(wrong)} with another exit code\n")
-    return 1 if wrong else 0
+    sys.stdout.write(f"{len(CASES)} runs in {args.dir}, {len(wrong)} with another exit code\n")
+    diffs = []
+    if args.record or args.check:
+        found = {"cases": records, "verify all --json": verify_record()}
+        if args.record:
+            Path(args.record).write_text(json.dumps(found, indent=1, sort_keys=True) + "\n")
+            sys.stdout.write(f"references written to {args.record}\n")
+        else:
+            diffs = compare(json.loads(Path(args.check).read_text()), found)
+            for line in diffs:
+                sys.stdout.write(line + "\n")
+            sys.stdout.write(f"{len(diffs)} differences from {args.check}\n")
+    return 1 if wrong or diffs else 0
 
 
 if __name__ == "__main__":

@@ -18,7 +18,6 @@ from dimlab import (
     IfsSpec,
     MoranSpec,
     ResourceLimitError,
-    annulus_cells,
     delta_dense_check,
     difference_set,
     distance_set,
@@ -31,7 +30,6 @@ from dimlab import (
     loads_grid,
     moran_tree,
     reciprocal_tree,
-    save_grid,
 )
 from dimlab.arithmetic import _difference_vectors, _isqrt, _sum_indices
 from dimlab.budget import limit
@@ -925,32 +923,11 @@ class TestDistanceSet:
         assert distance_set(holed) == distance_set_oracle(holed)
 
 
-class TestAnnulus:
-    CORNERS = GridSetD(2, 6, 1, ((0, 0), (0, 63), (63, 0), (63, 63)))
-
-    def test_unit_ring_catches_adjacent_corners(self):
-        near = 0.5 / 64
-        cells = annulus_cells(self.CORNERS, (near, near), 0.9, 0.2)
-        assert cells == [(0, 63), (63, 0)]
-
-    def test_beyond_diameter_is_empty(self):
-        assert annulus_cells(self.CORNERS, (0.0, 0.0), 5.0, 1.0) == []
-
-    def test_everything_ring(self):
-        assert len(annulus_cells(self.CORNERS, (0.5, 0.5), 0.0, 5.0)) == 4
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            annulus_cells(self.CORNERS, (0.5,), 0.0, 1.0)
-        with pytest.raises(ValueError):
-            annulus_cells(self.CORNERS, (0.5, 0.5), -0.1, 1.0)
-
-
 class TestGridSerialization:
     def test_round_trip(self, tmp_path):
         g = GridSetD(2, 5, 1, ((0, 3), (17, 30), (31, 31)))
         path = tmp_path / "g.grid"
-        save_grid(g, path)
+        path.write_text(dumps_grid(g))
         assert load_grid(path) == g
 
     def test_header_line(self):

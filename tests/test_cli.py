@@ -1,6 +1,8 @@
 """End-to-end driver tests: exit codes, JSON errors, deterministic files."""
 
 import json
+import os
+import stat
 
 import pytest
 
@@ -16,7 +18,7 @@ from dimlab import (
     reciprocal_tree,
 )
 from dimlab.cli import main
-from dimlab.io import dumps_tree, load_grid, load_tree, loads_tree
+from dimlab.io import atomic_write_text, dumps_tree, load_grid, load_tree, loads_tree
 
 
 def run(capsys, argv):
@@ -30,6 +32,45 @@ def run(capsys, argv):
 
 def err_code(err: str) -> str:
     return json.loads(err.splitlines()[-1])["code"]
+
+
+@pytest.fixture(params=[0o022, 0o077], ids=["umask-022", "umask-077"])
+def umask(request):
+    old = os.umask(request.param)
+    try:
+        yield request.param
+    finally:
+        os.umask(old)
+
+
+def mode(path) -> int:
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+class TestFileModes:
+    """Written files get mode 0o666 less the umask, as open() makes them."""
+
+    def test_atomic_write_text(self, umask, tmp_path):
+        path = tmp_path / "o.txt"
+        atomic_write_text(path, "a\n")
+        assert mode(path) == 0o666 & ~umask
+        path.chmod(0o640)
+        atomic_write_text(path, "b\n")
+        assert (path.read_text(), mode(path)) == ("b\n", 0o666 & ~umask)
+        assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
+
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, umask, tmp_path):
+        path = tmp_path / "o.txt"
+        atomic_write_text(path, "a\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic_write_text(path, "\u00e9\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
+        assert path.read_text() == "a\n"
+
+    def test_cli_out(self, umask, capsys, tmp_path):
+        path = tmp_path / "o.tree"
+        assert run(capsys, ["gen", "--ifs", "r=1/3", "t=0,2/3", "--depth", "3", "--out", str(path)])[0] == 0
+        assert mode(path) == 0o666 & ~umask
 
 
 class TestGen:

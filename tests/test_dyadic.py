@@ -4,7 +4,6 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from dimlab import (
-    DyadicInterval,
     DyadicTree,
     EmptySetError,
     FormatError,
@@ -17,9 +16,7 @@ from dimlab import (
     discretize,
     is_full_branching,
     dumps_tree,
-    interval_of,
     loads_tree,
-    locate,
     subtree,
     validate,
 )
@@ -51,14 +48,6 @@ def tree_from(depth, leaves, span=1):
 
 
 class TestIntervals:
-    def test_interval_bounds(self):
-        iv = interval_of(3, 5, span=1)
-        assert iv.bounds() == (5 / 8, 6 / 8)
-
-    def test_locate_exact_halves(self):
-        assert locate(0.5, 1, 1).index == 1
-        assert locate(0.5, 3, 1).index == 4
-
     def test_cell_of_clamps_span_endpoint(self):
         assert cell_of(1.0, 4, 1) == 15
         assert cell_of(2.0, 4, 2) == 31
@@ -70,26 +59,13 @@ class TestIntervals:
         with pytest.raises(ValueError):
             cell_of(-0.1, 4, 1)
 
-    def test_interval_validation(self):
-        with pytest.raises(ValueError):
-            DyadicInterval(2, 4, 1)
-        with pytest.raises(ValueError):
-            DyadicInterval(-1, 0, 1)
-
     @pytest.mark.parametrize(
         "call",
         [
-            lambda: DyadicInterval(1, 0, True),
-            lambda: DyadicInterval(1, 0, 2.0),
-            lambda: DyadicInterval(1.0, 0, 1),
-            lambda: DyadicInterval(2, 1.0),
-            lambda: interval_of(True, 0),
-            lambda: locate(0.5, True, 1),
             lambda: cell_of(0.5, 3, 2.0),
             lambda: cell_of(0.5, True),
         ],
-        ids=["span-bool", "span-float", "level-float", "index-float", "interval_of-level-bool",
-             "locate-level-bool", "cell_of-span-float", "cell_of-level-bool"],
+        ids=["cell_of-span-float", "cell_of-level-bool"],
     )
     def test_non_integer_level_index_or_span_is_refused(self, call):
         # bools once built span=True or level=True; floats raised TypeError from <<
@@ -97,10 +73,7 @@ class TestIntervals:
             call()
 
     def test_numpy_integers_and_the_negative_level_text_are_kept(self):
-        assert locate(0.5, np.int64(3), np.int64(1)).index == 4
         assert cell_of(0.5, np.int64(3)) == 4
-        with pytest.raises(ValueError, match="^negative level -1$"):
-            DyadicInterval(-1, 0, 1)
 
 
 class TestTreeConstruction:

@@ -25,7 +25,6 @@ from dimlab import (
     HypothesisError,
     IfsSpec,
     MoranSpec,
-    ReciprocalSpec,
     ResourceLimitError,
     SemigroupSpec,
     SpecValidationError,
@@ -38,7 +37,6 @@ from dimlab import (
     reciprocal_tree,
     semigroup_tree,
     spec_from_json,
-    spec_to_json,
     validate,
 )
 from dimlab.budget import limit
@@ -608,20 +606,6 @@ class TestSemigroup:
 
 
 class TestSpecJson:
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            CANTOR,
-            IfsSpec(0.25, (0.0, 0.75), span=1),
-            MoranSpec(2, "4^-j"),
-            MoranSpec(2, (0.25, 0.0625)),
-            ReciprocalSpec(),
-            SemigroupSpec((1.0, 1.5), 8),
-        ],
-    )
-    def test_round_trip(self, spec):
-        assert spec_from_json(spec_to_json(spec)) == spec
-
     def test_fraction_strings(self):
         spec = spec_from_json(
             {"type": "ifs", "r": "1/3", "translations": [0, "2/3"]}

@@ -7,17 +7,24 @@ grid, the two slow paths the sort-and-dedupe and FFT kernels replace.  Only
 budget.py raises ResourceLimitError, so `budget.charge` is the one resource
 limit.  Only io.py knows the text formats: no other module spells a
 format's first word, or defines, imports or reads the number and header
-helpers.  The suite's warning filter lets a failing hypothesis test report
-its example."""
+helpers.  Every public name is reached: some library module, benchmark
+script or tool names it outside its own definition, and `__all__` lists
+each once.  The suite's warning
+filter lets a failing hypothesis test report its example."""
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "dimlab"
+import dimlab
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "dimlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -219,6 +226,40 @@ def test_io_holds_the_text_formats():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "io.py"], ids=lambda p: p.name)
 def test_only_io_knows_the_text_formats(path):
     assert text_format_knowledge(path.read_text(encoding="utf-8")) == []
+
+
+def unreached(names, sources) -> list[str]:
+    """The names no source mentions: a name is reached when it is a word of
+    some line other than the one that defines it (`def name`, `class name`,
+    `name = ...`).  A mention in a docstring or a message counts, so this
+    finds the names nothing names at all."""
+    mentioned = set()
+    for source in sources:
+        for line in source.splitlines():
+            defined = re.match(r"\s*(?:async\s+def|def|class)\s+(\w+)|(\w+)\s*=[^=]", line)
+            mentioned |= set(re.findall(r"[A-Za-z_]\w*", line)) - set(defined.groups() if defined else ())
+    return sorted(set(names) - mentioned)
+
+
+def test_detects_an_unreached_name():
+    sources = [
+        "def f():\n    return g()\nasync def g():\n    pass\nclass C:\n    pass\nK = 1\nL = 2\n",
+        "import m\nfrom m import k\nm.h(), k\n'Calls e.'\nmin_d = L == 2\n",
+    ]
+    assert unreached(["f", "g", "C", "K", "L", "h", "k", "e", "d", "min_d"], sources) == ["C", "K", "d", "f", "min_d"]
+
+
+def test_every_public_name_is_reached():
+    paths = [*MODULES, *sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "tools").glob("*.py"))]
+    assert unreached(dimlab.__all__, [p.read_text(encoding="utf-8") for p in paths]) == []
+
+
+def test_all_lists_each_public_name_once():
+    names = dimlab.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(dimlab, name)] == []
+    assert [name for name in names if isinstance(getattr(dimlab, name), ModuleType)] == []
+    assert [name for name in names if name.startswith("_")] == []
 
 
 FAILING_TESTS = """

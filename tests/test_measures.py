@@ -18,7 +18,6 @@ from dimlab import (
     TreeMeasure,
     Vertex,
     ZeroMassError,
-    avg_entropy,
     classify_local,
     cond_entropy,
     counting_measure,
@@ -186,13 +185,6 @@ class TestEntropy:
 
     def test_cantor_entropy(self, cantor3_split):
         assert entropy(cantor3_split, 3) == pytest.approx(2.5 * LN2, abs=1e-12)
-
-    def test_avg_entropy(self, cantor3_split):
-        assert avg_entropy(cantor3_split, 3) == pytest.approx(2.5 / 3, abs=1e-12)
-
-    def test_avg_entropy_rejects_zero(self, cantor3_split):
-        with pytest.raises(ValueError):
-            avg_entropy(cantor3_split, 0)
 
     def test_cond_entropy(self, cantor3_split):
         assert cond_entropy(cantor3_split, 2, 3) == pytest.approx(0.5 * LN2, abs=1e-12)
