@@ -320,9 +320,7 @@ def compare(want, got, where: str = "") -> list[str]:
             return [f"{where}: {len(got)} items, references hold {len(want)}"]
         return [d for i, (w, g) in enumerate(zip(want, got)) for d in compare(w, g, f"{where}/{i}")]
     if type(want) is float and type(got) is float:
-        if want == got or math.isnan(want) and math.isnan(got) or math.isclose(
-            want, got, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL
-        ):
+        if math.isclose(want, got, rel_tol=FLOAT_REL_TOL, abs_tol=FLOAT_ABS_TOL):
             return []
     elif type(want) is type(got) and want == got:
         return []

@@ -59,7 +59,7 @@ class TestFileModes:
         assert (path.read_text(), mode(path)) == ("b\n", 0o666 & ~umask)
         assert [p.name for p in tmp_path.iterdir()] == ["o.txt"]
 
-    def test_failed_write_leaves_the_target_and_no_temp_file(self, umask, tmp_path):
+    def test_failed_write_leaves_the_target_and_no_temp_file(self, tmp_path):
         path = tmp_path / "o.txt"
         atomic_write_text(path, "a\n")
         with pytest.raises(UnicodeEncodeError):

@@ -9,8 +9,8 @@ limit.  Only io.py knows the text formats: no other module spells a
 format's first word, or defines, imports or reads the number and header
 helpers.  Every public name is reached: some library module, benchmark
 script or tool names it outside its own definition, and `__all__` lists
-each once.  The suite's warning
-filter lets a failing hypothesis test report its example."""
+each once.  The suite's warning filter lets a failing hypothesis test
+report its example."""
 
 import ast
 import re
