@@ -133,6 +133,14 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
     running maximum of right ends: a piece opens a new interval where its
     left end passes the maximum before it, which is exactly where a merge
     walking the pieces one by one closes one.
+
+    A round is sorted (np.lexsort by left, then right end) only when one
+    comparison finds its left ends out of order, as where images overlap.
+    Each map's images of the sorted, disjoint pieces already run in order,
+    so separated and touching families never sort.  Left ends in order,
+    the merge is the same whatever order ties take: a piece tied with the
+    one before it never opens an interval, and the running maximum at the
+    end of a run of ties is the same.
     """
     _check_grid(depth, spec.span)
     lo, hi = spec.hull()
@@ -144,10 +152,15 @@ def ifs_attractor(spec: IfsSpec, depth: int) -> DyadicTree:
         charge(a.size * ts.size, "attractor refinement")
         # translation-major, so each map's images form one sorted run
         a, b = (spec.r * a + ts[:, None]).ravel(), (spec.r * b + ts[:, None]).ravel()
-        order = np.lexsort((b, a))
-        a, reach = a[order], np.maximum.accumulate(b[order])
-        new = np.append(True, a[1:] > reach[:-1])
-        a, b = a[new], reach[np.append(new[1:], True)]
+        if not (a[1:] >= a[:-1]).all():
+            order = np.lexsort((b, a))
+            a, b = a[order], b[order]
+        reach = np.maximum.accumulate(b)
+        # piece i opens an interval where heads[i], and closes one where heads[i + 1]
+        heads = np.empty(a.size + 1, dtype=bool)
+        heads[0] = heads[-1] = True
+        np.greater(a[1:], reach[:-1], out=heads[1:-1])
+        a, b = a.compress(heads[:-1]), reach.compress(heads[1:])
         length *= spec.r
     cells = _interval_cells(np.clip(a, 0.0, spec.span), np.clip(b, 0.0, spec.span), depth, spec.span)
     return DyadicTree.from_leaves(depth, spec.span, cells)

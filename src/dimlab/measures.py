@@ -75,27 +75,32 @@ def _blocks(offsets: list[int], first: int, stop: int):
 def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
     """For each cell of levels 0..max_depth-1 in level-major order, the
     global position of its first child: tree.descendant_starts(n, 1) plus
-    offsets[n + 1], end to end.  One run-head pass per block of levels: a
-    level by itself takes descendant_starts, several small ones the run
-    heads of their child levels end to end, each shifted right once, with
-    each child level's first cell a head."""
+    offsets[n + 1], end to end.  One run-head pass per block of levels
+    (see _block_child_starts)."""
     kids = np.empty(offsets[-2], dtype=np.int64)
     for k0, k1 in _blocks(offsets, 0, tree.max_depth):
         kids[offsets[k0] : offsets[k1]] = _block_child_starts(tree, offsets, k0, k1)
     return kids
 
 
-def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int) -> np.ndarray:
-    """_child_starts for the cells of levels k0..k1-1, in one pass."""
+def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int, m: int = 1) -> np.ndarray:
+    """For each cell of levels k0..k1-1 in level-major order, the global
+    position of its first level-(k + m) descendant, in one pass: m = 1 is
+    _child_starts for those cells.  A level alone takes
+    tree.descendant_starts(k0, m); several take the run heads of levels
+    k0 + m..k1 + m - 1 end to end, each shifted right m times, with each
+    level's first cell a head.  Levels k0 + m..k1 + m - 1 lie end to end
+    from offsets[k0 + m] in a level-major array too, so adding that makes
+    the positions global."""
     if k1 == k0 + 1:
-        starts = tree.descendant_starts(k0, 1)
+        starts = tree.descendant_starts(k0, m)
     else:
-        below = np.concatenate([tree.array(n) for n in range(k0 + 1, k1 + 1)])
-        below >>= 1
+        below = np.concatenate([tree.array(n) for n in range(k0 + m, k1 + m)])
+        below >>= m
         heads = _run_heads(below)
-        heads[np.subtract(offsets[k0 + 2 : k1 + 1], offsets[k0 + 1])] = True
+        heads[np.subtract(offsets[k0 + m + 1 : k1 + m], offsets[k0 + m])] = True
         starts = np.flatnonzero(heads)
-    starts += offsets[k0 + 1]
+    starts += offsets[k0 + m]
     return starts
 
 

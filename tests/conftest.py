@@ -19,7 +19,7 @@ settings.register_profile(
     "suite", max_examples=25, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
-# the file parsers fuzzed harder: pytest --hypothesis-profile parsers
+# the tests the CI fuzz step names, fuzzed harder: pytest --hypothesis-profile parsers
 settings.register_profile(
     "parsers", max_examples=1000, deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
@@ -542,6 +542,32 @@ def descendant_count_oracle(tree, v, m: int) -> int:
         raise ValueError(f"window m={m} leaves the tree at level {k}")
     below = descendant_slice_oracle(tree, (k, index), m)
     return below.stop - below.start
+
+
+def descendant_counts_oracle(tree, k: int, m: int) -> np.ndarray:
+    """Per occupied level-k cell, its level-(k + m) cells, by two
+    np.searchsorted calls on level k + m: the check of the blocked
+    run-head pass behind `assouad_estimate` and `lower_estimate`."""
+    above, below = tree.array(k), tree.array(k + m)
+    return np.searchsorted(below, (above + 1) << m) - np.searchsorted(below, above << m)
+
+
+def local_per_scale_oracle(tree, m: int, reduce) -> tuple[tuple[int, float], ...]:
+    """The per_scale of a tree's Assouad (reduce=max) or lower (min)
+    estimate: per level k, log2 of the extreme oracle descendant count."""
+    return tuple(
+        (k, math.log2(reduce(descendant_counts_oracle(tree, k, m).tolist())))
+        for k in range(tree.max_depth - m + 1)
+    )
+
+
+def least_squares_slope_oracle(xs, ys) -> Fraction:
+    """The least-squares slope of the float ys on the integer xs, in exact
+    rational arithmetic: the check of `box_estimate(...).slope` and
+    `assouad_slope`."""
+    xs, ys = list(map(Fraction, xs)), list(map(Fraction, ys))
+    xbar, ybar = sum(xs) / len(xs), sum(ys) / len(ys)
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum((x - xbar) ** 2 for x in xs)
 
 
 def is_full_branching_oracle(tree, v, eps: float, m: int) -> bool:

@@ -1,6 +1,7 @@
 """Box / local branching estimators and the sumset growth experiment."""
 
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cantor_cells_exact
+from conftest import (
+    cantor_cells_exact,
+    least_squares_slope_oracle,
+    local_per_scale_oracle,
+    random_tree,
+)
 
 from dimlab import (
     DyadicTree,
@@ -28,6 +34,7 @@ from dimlab import (
     reciprocal_tree,
 )
 import dimlab.dimension as dimension
+from dimlab import measures
 from dimlab.budget import limit
 from dimlab.verify import LOG2_3
 
@@ -160,6 +167,95 @@ class TestLocalEstimates:
             assouad_estimate(empty, 2)
         with pytest.raises(ValueError, match="empty set has no lower estimate"):
             lower_estimate(empty, 2)
+
+
+# _BLOCK_CELLS values under which the blocked Assouad/lower pass runs every
+# level alone, several small levels a block, and its default
+BLOCKS = (1, 3, measures._BLOCK_CELLS)
+
+
+def blocked_scan_sizes(tree: DyadicTree, block: int) -> list[int]:
+    """Check assouad_estimate and lower_estimate against the searchsorted
+    oracle for every window m = 1..depth with _BLOCK_CELLS = block, and
+    return the number of levels in each pass the scan made."""
+    sizes = []
+    real = measures._block_child_starts
+
+    def counted(t, offsets, k0, k1, m=1):
+        sizes.append(k1 - k0)
+        return real(t, offsets, k0, k1, m)
+
+    with mock.patch.object(measures, "_BLOCK_CELLS", block), \
+            mock.patch.object(dimension, "_block_child_starts", counted):
+        for m in range(1, tree.max_depth + 1):
+            for estimate, reduce in ((assouad_estimate, max), (lower_estimate, min)):
+                got, want = estimate(tree, m), local_per_scale_oracle(tree, m, reduce)
+                assert got.per_scale == want, (estimate.__name__, m)
+                assert got.value == reduce(v for _, v in want) / m
+    return sizes
+
+
+class TestBlockedScan:
+    """The Assouad and lower estimates of a tree, read from one run-head
+    pass per block of levels, against per-level searchsorted counts."""
+
+    TREES = {
+        "moran": lambda: moran_tree(MoranSpec(2, "4^-j"), 12),
+        "ifs": lambda: ifs_attractor(IfsSpec(0.3, (0.0, 0.2, 0.7)), 12),
+        "reciprocal": lambda: reciprocal_tree(12),
+        "span-2": lambda: tree_of(9, [0, 1, 2, 300, 511, 512, 700, 1023], span=2),
+        # one cell a level down to the deepest, which has two
+        "two-points": lambda: tree_of(10, [0, 1]),
+        # levels 16 and 17 are larger than a default block, the rest are not
+        "straddling": lambda: random_tree(np.random.default_rng(17), 17, 0.9),
+    }
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("name", sorted(TREES))
+    def test_named_trees_match_the_oracle(self, name, block):
+        sizes = set(blocked_scan_sizes(self.TREES[name](), block))
+        # a window's deepest level is a pass alone; three cells make a block
+        # of several levels only where the levels hold one or two cells
+        assert 1 in sizes
+        assert (sizes == {1}) == (block == 1 or (block == 3 and name != "two-points"))
+
+    def test_a_default_block_and_a_level_alone_in_one_window(self):
+        tree = self.TREES["straddling"]()
+        assert tree.count(15) < measures._BLOCK_CELLS < tree.count(16)
+        sizes = blocked_scan_sizes(tree, measures._BLOCK_CELLS)
+        # m = 1: levels 1..14 fill a block, 15 does not fit beside them, and
+        # 16 and 17 are each larger than one
+        assert sizes[:4] == [14, 1, 1, 1]
+
+    @pytest.mark.parametrize("block", BLOCKS)
+    @given(st.integers(1, 10), st.integers(1, 3), st.data())
+    def test_random_trees_match_the_oracle(self, block, depth, span, data):
+        leaves = data.draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=60))
+        blocked_scan_sizes(tree_of(depth, leaves, span), block)
+
+
+def within_ulps(got: float, exact: Fraction, ulps: int = 4) -> bool:
+    return abs(Fraction(got) - exact) <= ulps * Fraction(math.ulp(float(exact)))
+
+
+class TestSlopeOracle:
+    """The closed-form least-squares slopes against exact rationals."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 16), st.floats(0.3, 0.95), st.data())
+    def test_slopes_within_4_ulps_on_random_windows(self, seed, depth, p, data):
+        tree = random_tree(np.random.default_rng(seed), depth, p)
+        lo = data.draw(st.integers(1, depth - 1))
+        ms = range(lo, data.draw(st.integers(lo + 1, depth)) + 1)
+        est = box_estimate(tree, ms[0], ms[-1])
+        assert within_ulps(est.slope, least_squares_slope_oracle(ms, [v for _, v in est.per_scale]))
+        logs = [m * assouad_estimate(tree, m).value for m in ms]
+        assert within_ulps(assouad_slope(tree, ms[0], ms[-1]), least_squares_slope_oracle(ms, logs))
+
+    def test_an_exact_line_has_its_exact_slope(self):
+        # log2 counts n on levels 0..9 of the even cells of level 10
+        t = tree_of(10, range(0, 1024, 2))
+        assert box_estimate(t, 2, 9).slope == 1.0
+        assert assouad_slope(tree_of(8, [5]), 1, 8) == 0.0
 
 
 class TestAssouadSlope:

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
@@ -362,6 +363,29 @@ def moran_specs(draw):
     return MoranSpec(k, tuple(lengths))
 
 
+@st.composite
+def separated_specs(draw):
+    """1 to 4 evenly spaced maps whose images of [0, 1] are disjoint."""
+    k = draw(st.integers(1, 4))
+    r = draw(st.floats(0.05, 0.95 / k))
+    if k == 1:
+        return IfsSpec(r, (draw(st.floats(0.0, 1.0)) * (1.0 - r),))
+    return IfsSpec(r, tuple(i * (1.0 - r) / (k - 1) for i in range(k)))
+
+
+@st.composite
+def overlapping_specs(draw):
+    """Three maps whose first two images of [0, 1] overlap.  Where a gap
+    stays before the third (r below about 0.38), the first map's last left
+    end passes the second map's first from the second round on."""
+    r = draw(st.floats(0.25, 0.5))
+    return IfsSpec(r, (0.0, draw(st.floats(0.02, r * (1.0 - r))), 1.0 - r))
+
+
+# families whose images of [0, 1] meet at their ends (c3f, q3, f3b)
+TOUCHING = (IfsSpec(1 / 3, (0.0, 1 / 3, 2 / 3)), IfsSpec(0.25, (0.0, 0.25, 0.75)), IfsSpec(0.2, (0.0, 0.2, 0.8)))
+
+
 class TestArrayGenerators:
     """The array refinements against the scalar loops kept in conftest:
     identical int64 arrays at every level."""
@@ -376,6 +400,34 @@ class TestArrayGenerators:
     @example(IfsSpec(0.5, (0.5 + 5e-10,)), 4)  # the fixed point lies a hair past span
     def test_ifs_matches_scalar_refinement(self, spec, depth):
         assert_same_tree(ifs_attractor(spec, depth), ifs_attractor_oracle(spec, depth))
+
+    def test_ifs_sorts_only_rounds_out_of_order(self):
+        """Both branches of a refinement round, sorted and lexsorted,
+        against the scalar oracle; separated and touching families never
+        sort."""
+        sorted_by_kind = Counter()
+
+        @given(
+            st.one_of(
+                st.tuples(st.just("separated"), separated_specs()),
+                st.tuples(st.just("touching"), st.sampled_from(TOUCHING)),
+                st.tuples(st.just("overlapping"), overlapping_specs()),
+            ),
+            st.integers(0, 16),
+        )
+        @example(("overlapping", IfsSpec(0.3, (0.0, 0.2, 0.7))), 12)
+        @example(("overlapping", IfsSpec(0.45, (0.0, 0.2, 0.55))), 12)  # merges into [0, 1]
+        @example(("touching", TOUCHING[1]), 12)
+        def check(kind_spec, depth):
+            kind, spec = kind_spec
+            with mock.patch.object(np, "lexsort", wraps=np.lexsort) as lexsort:
+                got = ifs_attractor(spec, depth)
+            sorted_by_kind[kind, lexsort.called] += 1
+            assert not (lexsort.called and kind != "overlapping")
+            assert_same_tree(got, ifs_attractor_oracle(spec, depth))
+
+        check()
+        assert sorted_by_kind["overlapping", True] and sorted_by_kind["touching", False]
 
     @given(ifs_specs(max_translations=3), st.integers(2, 3), st.integers(0, 18))
     @example(CANTOR, 2, 16)
