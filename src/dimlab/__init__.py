@@ -5,7 +5,6 @@ from types import ModuleType as _ModuleType
 
 from .errors import (
     DimLabError,
-    EmptySetError,
     FormatError,
     HypothesisError,
     MeasureInvariantError,
@@ -20,7 +19,6 @@ from .dyadic import (
     covering_count,
     descendant_count,
     descendant_range,
-    discretize,
     is_full_branching,
     subtree,
     validate,

@@ -383,9 +383,6 @@ class GridSetD:
         heads = np.flatnonzero(np.append(len(self._array) > 0, part <= k))
         return np.add.reduceat(np.append(True, part <= k + m), heads, dtype=np.int64)
 
-    def centers(self) -> np.ndarray:
-        return (self._array + 0.5) * 2.0 ** -self.depth
-
     def _key(self) -> tuple:
         return (self.dimension, self.depth, self.span)
 

@@ -190,15 +190,6 @@ class GrowthTable:
             "m": self.m,
         }
 
-    def csv_rows(self) -> list[str]:
-        out = ["k,box_upper,box_lower,assouad,lower"]
-        for r in self.rows:
-            out.append(
-                f"{r.k},{r.box_upper.value:.6f},{r.box_lower.value:.6f},"
-                f"{r.assouad.value:.6f},{r.lower.value:.6f}"
-            )
-        return out
-
 
 def growth_experiment(gen_spec, k_max: int, depth: int) -> GrowthTable:
     """Estimates for the k-fold index sumset, k = 1..k_max, over the box

@@ -22,12 +22,9 @@ indexing.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
-
-from .budget import charge
-from .errors import EmptySetError
 
 
 class Vertex(NamedTuple):
@@ -202,33 +199,18 @@ class DyadicTree:
     def count(self, level: int) -> int:
         return self.array(level).size
 
-    def total_cells(self) -> int:
-        return sum(a.size for a in self._arrays)
-
     def capacity(self, level: int) -> int:
         return self.span << level
 
-    def density(self, level: int) -> float:
-        return self.count(level) / self.capacity(level)
-
-    def position(self, level: int, index: int) -> int:
-        """Where index sits among the occupied indices at a level, or -1
-        when that cell is unoccupied."""
-        if type(level) is not int or type(index) is not int:
-            _require_integers((level, index), "level and index")
-        return self._position(level, index)
-
     def _position(self, level: int, index: int) -> int:
-        """position() for arguments the caller has checked: the vertex
-        entry points, which take a Vertex as it is."""
+        """Where index sits among the occupied indices at a level, or -1
+        when that cell is unoccupied.  The vertex entry points, which take
+        a Vertex as it is, check the arguments first."""
         if not 0 <= level <= self.max_depth:
             raise ValueError(f"level {level} outside 0..{self.max_depth}")
         lv = self._views[level] or self._view(level)
         pos = bisect_left(lv, index)
         return pos if pos < len(lv) and lv[pos] == index else -1
-
-    def is_occupied(self, level: int, index: int) -> bool:
-        return self.position(level, index) >= 0
 
     def descendant_starts(self, k: int, m: int) -> np.ndarray:
         """For each occupied level-k cell in order, the position of its first
@@ -283,37 +265,6 @@ class DyadicTree:
             f"DyadicTree(depth={self.max_depth}, span={self.span}, "
             f"leaves={self.count(self.max_depth)})"
         )
-
-
-def discretize(
-    oracle: Callable[[float, float], bool], depth: int, span: int = 1
-) -> DyadicTree:
-    """Discretize a set given an intersection oracle.
-
-    oracle(lo, hi) must answer whether the set meets [lo, hi); for the last
-    cell of a level (hi == span) it should treat the interval as closed, so a
-    set containing the span endpoint lands in the last cell.  The oracle must
-    never answer False on a cell the set meets.  Refinement runs root-down,
-    then occupancy is re-saturated from the deepest level, so coarse cells
-    kept by an over-eager oracle but emptied below are dropped.
-    """
-    if depth < 0:
-        raise ValueError(f"negative depth {depth}")
-    frontier = [k for k in range(span) if oracle(float(k), float(k + 1))]
-    if not frontier:
-        raise EmptySetError("set meets no level-0 cell")
-    for n in range(1, depth + 1):
-        charge(2 * len(frontier), "discretize refinement")
-        w = 2.0 ** -n
-        nxt = []
-        for parent in frontier:
-            for child in (2 * parent, 2 * parent + 1):
-                if oracle(child * w, (child + 1) * w):
-                    nxt.append(child)
-        if not nxt:
-            raise EmptySetError(f"set vanished at level {n}")
-        frontier = nxt
-    return DyadicTree.from_leaves(depth, span, frontier)
 
 
 def covering_count(tree: DyadicTree, level: int) -> int:

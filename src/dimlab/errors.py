@@ -1,8 +1,9 @@
 """Exception types shared across the package.
 
 Plain ``ValueError`` is used for argument/range violations; the classes here
-cover failure modes that callers are expected to branch on (and that the CLI
-maps to distinct exit codes).
+cover failure modes that callers are expected to branch on.  The CLI maps
+ResourceLimitError to exit code 3, HypothesisError to 1, and
+SpecValidationError and FormatError, which are ValueErrors, to 2.
 """
 
 
@@ -12,10 +13,6 @@ class DimLabError(Exception):
 
 class SpecValidationError(DimLabError, ValueError):
     """A generator spec is malformed or infeasible."""
-
-
-class EmptySetError(DimLabError):
-    """An operation that requires a nonempty set received an empty one."""
 
 
 class ZeroMassError(DimLabError):

@@ -37,11 +37,26 @@ _SEP_TOL = 1e-9
 _DUP_TOL = 1e-12
 
 
-def _as_float(value) -> float:
-    """Accept numbers or fraction strings like '1/3'."""
+def _spec_number(value, field: str, kind: str) -> float:
+    """A spec's number: a JSON int or float, not a boolean, or a string
+    Fraction reads, such as '1/3'.  Anything else raises."""
     if isinstance(value, str):
-        return float(Fraction(value))
-    return float(value)
+        try:
+            return float(Fraction(value))
+        except ValueError as exc:
+            raise SpecValidationError(str(exc)) from exc
+        except ZeroDivisionError as exc:
+            raise SpecValidationError(f"{kind} spec field {field!r} divides by zero: {value!r}") from exc
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    raise SpecValidationError(f"{kind} spec field {field!r} must be a number or a fraction string, got {value!r}")
+
+
+def _spec_numbers(value, field: str, kind: str) -> tuple[float, ...]:
+    """A spec's number list: a JSON array (a list or tuple) of numbers."""
+    if not isinstance(value, (list, tuple)):
+        raise SpecValidationError(f"{kind} spec field {field!r} must be an array, got {value!r}")
+    return tuple(_spec_number(x, field, kind) for x in value)
 
 
 def _spec_int(value, field: str, kind: str) -> int:
@@ -77,12 +92,6 @@ class IfsSpec:
             if b - a <= _DUP_TOL * max(1.0, self.span):
                 raise SpecValidationError(f"duplicate translations near {a}")
         object.__setattr__(self, "translations", ts)
-
-    @property
-    def strong_separation(self) -> bool:
-        """Whether the closed images of [0, span] are pairwise disjoint."""
-        gap = self.r * self.span
-        return all(b - a > gap + _SEP_TOL for a, b in zip(self.translations, self.translations[1:]))
 
     def hull(self) -> tuple[float, float]:
         """Convex hull of the attractor: fixed points of the extreme maps."""
@@ -402,23 +411,27 @@ def spec_from_json(data: dict) -> GeneratorSpec:
     try:
         if kind == "ifs":
             return IfsSpec(
-                _as_float(data["r"]),
-                tuple(_as_float(t) for t in data["translations"]),
+                _spec_number(data["r"], "r", kind),
+                _spec_numbers(data["translations"], "translations", kind),
                 _spec_int(data.get("span", 1), "span", kind),
             )
         if kind == "moran":
             lengths = data["lengths"]
             if not isinstance(lengths, str):
-                lengths = tuple(_as_float(x) for x in lengths)
+                lengths = _spec_numbers(lengths, "lengths", kind)
             return MoranSpec(_spec_int(data["k"], "k", kind), lengths)
         if kind == "reciprocal":
             return ReciprocalSpec()
         return SemigroupSpec(
-            tuple(_as_float(g) for g in data["generators"]),
+            _spec_numbers(data["generators"], "generators", kind),
             _spec_int(data["bound"], "bound", kind),
         )
     except KeyError as exc:
         raise SpecValidationError(f"missing field {exc} in {kind!r} spec") from exc
+    except OverflowError as exc:
+        # a JSON integer or fraction beyond float range, as a number or
+        # as a span or branching count a float is scaled by
+        raise SpecValidationError(f"{kind} spec holds a number beyond float range: {exc}") from exc
 
 
 def build_tree(spec, depth: int) -> DyadicTree:

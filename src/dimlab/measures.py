@@ -503,7 +503,11 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     math.log, so a vertex within an ulp of a threshold may fall in another
     class: 7 of 486 (tree, m, eps, level) rows on the depth-16 Moran
     splitting measures (4^-j, 8^-j, 16^-j; m = 2..5; eps = 0.1, 0.25,
-    0.4).  The fix would change recorded benchmark outputs.
+    0.4).  The summation order alone splits them; the logs split none.
+    classify_local cannot take this order without moving recorded
+    benchmark outputs.  This function can take np.sum's order, which moves
+    no class of any benchmark workload, but the kernels in that order
+    cost three to five times the reduceat.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps={eps} outside (0, 1)")

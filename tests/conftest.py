@@ -134,7 +134,7 @@ def distance_set_oracle(f) -> DyadicTree:
     """The distance set by a float pair loop over every cell pair, in blocks
     of up to 4e6 pairs: the slow, independent check of `distance_set`."""
     n = f.depth
-    centers = f.centers()
+    centers = (f.array() + 0.5) * 2.0**-n
     bound = int(math.ceil(math.sqrt(f.dimension) * f.span)) + 1
     bitmap = np.zeros(bound << n, dtype=bool)
     scale = float(1 << n)
@@ -468,7 +468,8 @@ def sum_upward_oracle(tree, leaf_masses) -> list[np.ndarray]:
 
 
 def position_oracle(tree, level: int, index: int) -> int:
-    """`DyadicTree.position` by np.searchsorted on the level's array."""
+    """Where index sits in a level, or -1 when that cell is unoccupied
+    (`DyadicTree._position`), by np.searchsorted on the level's array."""
     if not 0 <= level <= tree.max_depth:
         raise ValueError(f"level {level} outside 0..{tree.max_depth}")
     a = tree.array(level)
@@ -494,14 +495,10 @@ def vertex_oracle(v) -> Vertex:
 
 
 def level_query_oracle(tree, name: str, *args):
-    """tree.<name>(*args) for the level entry points position, is_occupied,
-    array, count, descendant_starts and descendant_counts: the integer rule
-    on every argument, the level check, then the answer by np.searchsorted
-    or a run-head pass, arrays as lists."""
-    if name in ("position", "is_occupied"):
-        integers_oracle(args, "level and index")
-        pos = position_oracle(tree, *args)
-        return pos if name == "position" else pos >= 0
+    """tree.<name>(*args) for the level entry points array, count,
+    descendant_starts and descendant_counts: the integer rule on every
+    argument, the level check, then the answer by np.searchsorted or a
+    run-head pass, arrays as lists."""
     if name in ("array", "count"):
         integers_oracle(args, "levels")
         a = tree.array(*args)

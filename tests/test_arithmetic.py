@@ -645,10 +645,6 @@ class TestGridSetD:
         g = GridSetD(2, 3, 1, ((5, 1), (0, 0), (5, 1)))
         assert g.cells == ((0, 0), (5, 1))
 
-    def test_centers(self):
-        g = GridSetD(1, 2, 1, ((1,),))
-        assert g.centers()[0, 0] == pytest.approx(1.5 / 4)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             GridSetD(4, 2, 1, ())

@@ -108,6 +108,21 @@ class TestGen:
         assert code == 0
         assert loads_tree(out).levels[2] == (0, 2)
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"type": "ifs", "r": "1/3", "translations": [0, None]},
+            {"type": "semigroup", "generators": "15", "bound": 8},
+            {"type": "ifs", "r": "1/2", "translations": [0, True], "span": 2},
+        ],
+        ids=["null-number", "string-array", "boolean-number"],
+    )
+    def test_spec_file_of_the_wrong_json_type_is_invalid(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run(capsys, ["gen", "--spec", str(path), "--depth", "3"])
+        assert (code, out, err_code(err)) == (2, "", "SPEC_INVALID")
+
     def test_needs_exactly_one_source(self, capsys):
         code, _, err = run(capsys, ["gen", "--reciprocal", "--ifs", "r=1/2", "t=0"])
         assert code == 2

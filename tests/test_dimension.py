@@ -346,13 +346,6 @@ class TestGrowthExperiment:
         data = table.to_json()
         assert [r["k"] for r in data["rows"]] == [1, 2]
 
-    def test_csv_layout(self):
-        table = growth_experiment(MoranSpec(2, "4^-j"), 2, 10)
-        rows = table.csv_rows()
-        assert rows[0] == "k,box_upper,box_lower,assouad,lower"
-        assert len(rows) == 3
-        assert rows[1].startswith("1,")
-
     def test_k_max_validation(self):
         with pytest.raises(ValueError):
             growth_experiment(MoranSpec(2, "4^-j"), 1, 8)

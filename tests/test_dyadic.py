@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from dimlab import (
     DyadicTree,
-    EmptySetError,
     FormatError,
     ResourceLimitError,
     Vertex,
@@ -13,7 +12,6 @@ from dimlab import (
     covering_count,
     descendant_count,
     descendant_range,
-    discretize,
     is_full_branching,
     dumps_tree,
     loads_tree,
@@ -83,11 +81,8 @@ class TestTreeConstruction:
         assert t.levels[1] == (0, 1)
         assert t.levels[0] == (0,)
 
-    def test_counts_and_density(self):
-        t = tree_from(3, range(8))
-        assert covering_count(t, 3) == 8
-        assert t.density(3) == 1.0
-        assert t.total_cells() == 1 + 2 + 4 + 8
+    def test_covering_count(self):
+        assert covering_count(tree_from(3, range(8)), 3) == 8
 
     def test_validate_clean(self):
         assert validate(tree_from(4, [0, 7, 9])) == []
@@ -149,7 +144,7 @@ class TestTreeConstruction:
 
     def test_levels_view_is_built_on_first_read_and_cached(self):
         t = tree_from(6, [1, 5, 9, 40])
-        assert (t.count(6), t.total_cells(), t.descendant_counts(0, 6).tolist()) == (4, 20, [4])
+        assert (t.count(6), t.descendant_counts(0, 6).tolist()) == (4, [4])
         assert t._views == [None] * 7
         levels = t.levels
         assert t._views == list(levels)
@@ -158,7 +153,8 @@ class TestTreeConstruction:
 
     def test_point_query_builds_one_level_view(self):
         t = tree_from(6, [1, 5, 9, 40])
-        assert t.is_occupied(4, 10) and not t.is_occupied(4, 11)
+        assert descendant_count(t, Vertex(4, 10), 0) == 1
+        assert descendant_range(t, Vertex(4, 11), 0) == (4, 4)
         assert [n for n, view in enumerate(t._views) if view is not None] == [4]
         assert t.levels[4] is t._views[4]
 
@@ -272,9 +268,6 @@ class TestDescendants:
                 hi = np.searchsorted(below, (parents + 1) << m)
                 assert t.descendant_starts(k, m).tolist() == lo.tolist()
                 assert t.descendant_counts(k, m).tolist() == (hi - lo).tolist()
-            where = {j: pos for pos, j in enumerate(parents.tolist())}
-            for j in range(span << k):
-                assert t.position(k, j) == where.get(j, -1)
 
     @pytest.mark.parametrize("block, leaves, depth", [(1, 300, 10), (7, 2000, 12), (None, 150_000, 18)])
     def test_descendant_starts_equal_run_heads(self, monkeypatch, block, leaves, depth):
@@ -300,7 +293,7 @@ class TestDescendants:
     def test_tree_accessors_reject_levels_outside_the_tree(self, level):
         # Level -1 must not read the deepest level, as a Python index would.
         t = tree_from(4, [1, 5, 9])
-        for query in (t.count, t.array, t.density, lambda n: t.position(n, 9), lambda n: t.is_occupied(n, 9)):
+        for query in (t.count, t.array):
             with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
                 query(level)
         with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
@@ -402,40 +395,12 @@ class TestVertexQueries:
         if len(v) != 2:
             return
         # the level entry points hold a level, index or window to the integer rule
-        for name, args in [("position", v), ("is_occupied", v), ("array", v[:1]), ("count", v[:1]),
+        for name, args in [("array", v[:1]), ("count", v[:1]),
                            ("descendant_starts", (v[0], m)), ("descendant_counts", (v[0], m))]:
             got = parse_outcome(getattr(t, name), *args)
             if isinstance(got[1], np.ndarray):
                 got = ("ok", got[1].tolist())
             assert got == parse_outcome(level_query_oracle, t, name, *args), name
-
-
-class TestDiscretize:
-    def test_interval_oracle(self):
-        def oracle(lo, hi):
-            return lo < 0.5 and hi > 0.0
-
-        t = discretize(oracle, 4, 1)
-        assert t.levels[4] == tuple(range(8))
-
-    def test_empty_raises(self):
-        with pytest.raises(EmptySetError):
-            discretize(lambda lo, hi: False, 4, 1)
-
-    def test_refinement_charged_before_it_runs(self):
-        calls = []
-
-        def everywhere(lo, hi):
-            calls.append(lo)
-            return True
-
-        with limit(100):
-            assert discretize(everywhere, 6, 1).count(6) == 64
-            calls.clear()
-            with pytest.raises(ResourceLimitError, match="discretize refinement needs 128 cells"):
-                discretize(everywhere, 12, 1)
-        # levels 0..6 ran; the level-7 children were refused before any was tested
-        assert len(calls) == 1 + sum(2 << n for n in range(6))
 
 
 def _dump_levels(depth, span, levels):

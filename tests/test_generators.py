@@ -26,6 +26,7 @@ from dimlab import (
     HypothesisError,
     IfsSpec,
     MoranSpec,
+    ReciprocalSpec,
     ResourceLimitError,
     SemigroupSpec,
     SpecValidationError,
@@ -42,7 +43,7 @@ from dimlab import (
 )
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
-from dimlab.generators import _interval_cells
+from dimlab.generators import _SPEC_FIELDS, _interval_cells
 
 CANTOR = IfsSpec(1 / 3, (0.0, 2 / 3))
 QUARTER = IfsSpec(0.25, (0.0, 0.75))
@@ -78,12 +79,6 @@ class TestIfsSpec:
 
     def test_translations_sorted(self):
         assert IfsSpec(1 / 3, (2 / 3, 0.0)).translations == (0.0, 2 / 3)
-
-    def test_strong_separation(self):
-        assert CANTOR.strong_separation
-        # touching images do not separate
-        assert not IfsSpec(0.5, (0.0, 0.5)).strong_separation
-        assert IfsSpec(0.4, (0.0, 0.6)).strong_separation
 
     def test_hull(self):
         lo, hi = CANTOR.hull()
@@ -657,6 +652,21 @@ class TestSemigroup:
             semigroup_tree([1.0], 2, 28)
 
 
+# any JSON value, numbers and fraction strings a spec would accept among them
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from(["1/3", "2/3", "0", "1/0", "1e400", "4^-j", 0.25, 0.5, 8]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+# a spec of each type with any JSON value, or none, in each of its fields
+SPEC_DATA = st.sampled_from(sorted(_SPEC_FIELDS)).flatmap(
+    lambda kind: st.fixed_dictionaries(
+        {"type": st.just(kind)}, optional={name: JSON_VALUES for name in _SPEC_FIELDS[kind]}
+    )
+)
+
+
 class TestSpecJson:
     def test_fraction_strings(self):
         spec = spec_from_json(
@@ -705,6 +715,42 @@ class TestSpecJson:
     def test_non_integer_fields(self, data):
         with pytest.raises(SpecValidationError, match="must be an integer"):
             spec_from_json(data)
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"type": "ifs", "r": "1/3", "translations": [0, None]},
+             "ifs spec field 'translations' must be a number or a fraction string, got None"),
+            ({"type": "semigroup", "generators": "15", "bound": 8},
+             "semigroup spec field 'generators' must be an array, got '15'"),
+            ({"type": "ifs", "r": "1/2", "translations": [0, True], "span": 2},
+             "ifs spec field 'translations' must be a number or a fraction string, got True"),
+            ({"type": "moran", "k": 2, "lengths": {"0.25": 1}},
+             "moran spec field 'lengths' must be an array, got {'0.25': 1}"),
+            ({"type": "ifs", "r": "1/0", "translations": [0]}, "ifs spec field 'r' divides by zero: '1/0'"),
+            ({"type": "ifs", "r": 0.5, "translations": [0], "span": 2**1100},
+             "ifs spec holds a number beyond float range: int too large to convert to float"),
+        ],
+        ids=["null-number", "string-array", "boolean-number", "object-array", "zero-denominator", "huge-span"],
+    )
+    def test_wrong_json_types_are_invalid(self, data, message):
+        # a null once leaked TypeError, and a string or a boolean was read
+        # as its characters or as 1
+        with pytest.raises(SpecValidationError) as info:
+            spec_from_json(data)
+        assert str(info.value) == message
+
+    def test_fraction_string_refusals_keep_their_text(self):
+        with pytest.raises(SpecValidationError, match="^Invalid literal for Fraction: 'abc'$"):
+            spec_from_json({"type": "ifs", "r": "abc", "translations": [0]})
+
+    @given(SPEC_DATA)
+    def test_any_json_fields_give_a_spec_or_a_refusal(self, data):
+        try:
+            spec = spec_from_json(data)
+        except SpecValidationError:
+            return
+        assert isinstance(spec, (IfsSpec, MoranSpec, ReciprocalSpec, SemigroupSpec))
 
     def test_build_tree_dispatch(self):
         assert build_tree({"type": "reciprocal"}, 2).levels[2] == (0, 1, 2, 3)
