@@ -53,8 +53,8 @@ def _spec_number(value, field: str, kind: str) -> float:
 
 
 def _spec_numbers(value, field: str, kind: str) -> tuple[float, ...]:
-    """A spec's number list: a JSON array (a list or tuple) of numbers."""
-    if not isinstance(value, (list, tuple)):
+    """A spec's number list: a JSON array of numbers."""
+    if not isinstance(value, list):
         raise SpecValidationError(f"{kind} spec field {field!r} must be an array, got {value!r}")
     return tuple(_spec_number(x, field, kind) for x in value)
 
