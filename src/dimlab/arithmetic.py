@@ -368,6 +368,8 @@ class GridSetD:
 
     def count(self, n: int) -> int:
         """Occupied level-n cells: 1 + #(part <= n) below the finest level."""
+        if type(n) is not int:
+            _require_integers((n,), "levels")
         if not 0 <= n <= self.depth:
             raise ValueError(f"level {n} outside 0..{self.depth}")
         if n == self.depth or len(self._array) == 0:
@@ -376,7 +378,10 @@ class GridSetD:
 
     def descendant_counts(self, k: int, m: int) -> np.ndarray:
         """Per occupied level-k cell in Morton order (not lexicographic), its
-        level-(k+m) cells: the cells that open one, summed per level-k cell."""
+        level-(k+m) cells: the cells that open one, summed per level-k cell.
+        Levels and windows follow the integer rule, as a tree's do."""
+        if type(k) is not int or type(m) is not int:
+            _require_integers((k, m), "level and window")
         if not 0 <= k <= k + m <= self.depth:
             raise ValueError(f"levels {k}..{k + m} outside 0..{self.depth}")
         part = self._index()

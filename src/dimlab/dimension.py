@@ -5,7 +5,9 @@ window, taking max (upper variant) or min (lower variant); a least-squares
 slope is attached as auxiliary data only.  Assouad and lower estimates scan
 every occupied vertex with a fixed window length m and report the extreme
 local branching exponent log2(descendants) / m, i.e. the C = 1 surrogate of
-the covering definitions.
+the covering definitions.  Trees and grids give the counts by one call,
+descendant_counts(k, m), per parent level k.  Window bounds and lengths
+follow the integer rule of dyadic._require_integers.
 
 The slopes (box_estimate's and assouad_slope) are closed-form, from centred
 sums (see _slope), not a general least-squares solve.  Against the exact
@@ -22,11 +24,10 @@ from typing import Union
 
 import numpy as np
 
-from .dyadic import DyadicTree, _check_grid
+from .dyadic import DyadicTree, _check_grid, _require_integers
 from .arithmetic import GridSetD, index_sumset
 from .budget import charge
 from .generators import build_tree
-from .measures import _block_child_starts, _blocks, _level_offsets
 
 GridLike = Union[DyadicTree, GridSetD]
 
@@ -70,6 +71,8 @@ def box_estimate(
     obj: GridLike, n_min: int, n_max: int, variant: str = "upper"
 ) -> DimEstimate:
     """Extreme per-scale exponent over the window [n_min, n_max]."""
+    _require_integers((n_min, n_max), "window bounds")
+    n_min, n_max = int(n_min), int(n_max)
     depth, span, d = _dims_of(obj)
     if not 1 <= n_min <= n_max <= depth:
         raise ValueError(f"window ({n_min}, {n_max}) not inside [1, {depth}]")
@@ -103,27 +106,16 @@ def _local_estimate(obj: GridLike, m: int, kind: str, ufunc) -> DimEstimate:
     """Per parent level k = 0..depth - m, the extreme (ufunc np.maximum or
     np.minimum) log2 descendant count over the occupied level-k vertices,
     each with a full m-level window below it; the value is the extreme of
-    those over m.
-
-    A tree reads every level's counts from one run-head pass per block of
-    levels k + m, blocked as measures._blocks blocks the measure kernels
-    (see measures._block_child_starts): a cell's count is the gap from its
-    first descendant to the next cell's, and one reduceat takes each
-    level's extreme.  A grid asks descendant_counts level by level."""
+    those over m.  A tree and a grid alike give each level's counts by
+    descendant_counts(k, m)."""
+    _require_integers((m,), "windows")
+    m = int(m)
     depth, _, _ = _dims_of(obj)
     if not 1 <= m <= depth:
         raise ValueError(f"window m={m} not inside [1, {depth}]")
     if obj.count(depth) == 0:
         raise ValueError(f"empty set has no {kind} estimate")
-    if isinstance(obj, DyadicTree):
-        offsets = _level_offsets(obj)
-        counts: list[int] = []
-        for n0, n1 in _blocks(offsets, m, depth + 1):
-            k0, k1 = n0 - m, n1 - m
-            gaps = np.diff(_block_child_starts(obj, offsets, k0, k1, m), append=offsets[n1])
-            counts += ufunc.reduceat(gaps, np.subtract(offsets[k0:k1], offsets[k0])).tolist()
-    else:
-        counts = [int(ufunc.reduce(obj.descendant_counts(k, m))) for k in range(depth - m + 1)]
+    counts = [int(ufunc.reduce(obj.descendant_counts(k, m))) for k in range(depth - m + 1)]
     scales = tuple(enumerate(map(math.log2, counts)))
     return DimEstimate(kind, float(ufunc.reduce([v for _, v in scales])) / m, (0, m), scales)
 
@@ -139,6 +131,7 @@ def assouad_slope(obj: GridLike, m_min: int, m_max: int) -> float:
 
     A covering constant C biases each C = 1 surrogate value by log2(C) / m;
     in the log2 count it is an additive log2(C), which the slope drops."""
+    _require_integers((m_min, m_max), "window bounds")
     if not 1 <= m_min < m_max:
         raise ValueError(f"window ({m_min}, {m_max}) needs 1 <= m_min < m_max")
     ms = range(m_min, m_max + 1)

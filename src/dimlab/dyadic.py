@@ -239,7 +239,9 @@ class DyadicTree:
         return np.flatnonzero(heads)
 
     def descendant_counts(self, k: int, m: int) -> np.ndarray:
-        """Per occupied level-k cell in order, its occupied level-(k+m) cells."""
+        """Per occupied level-k cell in order, its occupied level-(k+m) cells:
+        the gaps between descendant_starts, the counts the Assouad and lower
+        estimates reduce."""
         starts = self.descendant_starts(k, m)
         return np.concatenate((starts[1:], [self.count(k + m)])) - starts
 

@@ -37,12 +37,35 @@ _SEP_TOL = 1e-9
 _DUP_TOL = 1e-12
 
 
+# the exponent that ends a decimal string in Fraction's grammar
+_EXPONENT = re.compile(r"[eE]([-+]?\d[\d_]*)\s*\Z")
+
+
+def _fraction_float(text: str) -> float:
+    """float(Fraction(text)), refusals included, without forming 10^|e| for
+    an exponent e that no float reaches.  Fraction's grammar checks text
+    with the exponent's digits written as zeros, which also reads the
+    mantissa q.  A q of at most L = len(text) digits is 0 or lies within
+    10^-L..10^L, so past |e| = L + 400 each q 10^e overflows, or rounds to
+    a zero of q's sign, as q 10^(L + 400) or q 10^-(L + 400) does."""
+    found = _EXPONENT.search(text)
+    if found is None:
+        return float(Fraction(text))
+    lo, hi = found.span(1)
+    try:
+        q = Fraction(text[:lo] + re.sub(r"\d", "0", text[lo:hi]) + text[hi:])
+    except ValueError:
+        return float(Fraction(text))  # the same grammar refuses text, by name
+    cap = len(text) + 400
+    return float(q * Fraction(10) ** max(-cap, min(int(text[lo:hi]), cap)))
+
+
 def _spec_number(value, field: str, kind: str) -> float:
     """A spec's number: a JSON int or float, not a boolean, or a string
     Fraction reads, such as '1/3'.  Anything else raises."""
     if isinstance(value, str):
         try:
-            return float(Fraction(value))
+            return _fraction_float(value)
         except ValueError as exc:
             raise SpecValidationError(str(exc)) from exc
         except ZeroDivisionError as exc:

@@ -83,24 +83,21 @@ def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
     return kids
 
 
-def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int, m: int = 1) -> np.ndarray:
-    """For each cell of levels k0..k1-1 in level-major order, the global
-    position of its first level-(k + m) descendant, in one pass: m = 1 is
-    _child_starts for those cells.  A level alone takes
-    tree.descendant_starts(k0, m); several take the run heads of levels
-    k0 + m..k1 + m - 1 end to end, each shifted right m times, with each
-    level's first cell a head.  Levels k0 + m..k1 + m - 1 lie end to end
-    from offsets[k0 + m] in a level-major array too, so adding that makes
+def _block_child_starts(tree: DyadicTree, offsets: list[int], k0: int, k1: int) -> np.ndarray:
+    """_child_starts for the cells of levels k0..k1-1, in one pass.  A
+    level alone takes tree.descendant_starts(k0, 1); several take the run
+    heads of their child levels end to end, each shifted right once, with
+    each child level's first cell a head.  Adding offsets[k0 + 1] makes
     the positions global."""
     if k1 == k0 + 1:
-        starts = tree.descendant_starts(k0, m)
+        starts = tree.descendant_starts(k0, 1)
     else:
-        below = np.concatenate([tree.array(n) for n in range(k0 + m, k1 + m)])
-        below >>= m
+        below = np.concatenate([tree.array(n) for n in range(k0 + 1, k1 + 1)])
+        below >>= 1
         heads = _run_heads(below)
-        heads[np.subtract(offsets[k0 + m + 1 : k1 + m], offsets[k0 + m])] = True
+        heads[np.subtract(offsets[k0 + 2 : k1 + 1], offsets[k0 + 1])] = True
         starts = np.flatnonzero(heads)
-    starts += offsets[k0 + m]
+    starts += offsets[k0 + 1]
     return starts
 
 

@@ -34,7 +34,7 @@ from dimlab import (
     reciprocal_tree,
 )
 import dimlab.dimension as dimension
-from dimlab import measures
+from dimlab.io import dumps_json
 from dimlab.budget import limit
 from dimlab.verify import LOG2_3
 
@@ -169,35 +169,63 @@ class TestLocalEstimates:
             lower_estimate(empty, 2)
 
 
-# _BLOCK_CELLS values under which the blocked Assouad/lower pass runs every
-# level alone, several small levels a block, and its default
-BLOCKS = (1, 3, measures._BLOCK_CELLS)
+# a tree and a grid, and each estimator with the window argument w in one place
+WINDOW_SETS = {
+    "tree": lambda: tree_of(4, [0, 3, 9, 15]),
+    "grid": lambda: GridSetD(2, 4, 1, [(0, 0), (3, 5), (9, 9), (15, 2)]),
+}
+WINDOWED = {
+    "box-start": lambda obj, w: box_estimate(obj, w, 4),
+    "box-end": lambda obj, w: box_estimate(obj, 1, w),
+    "assouad": assouad_estimate,
+    "lower": lower_estimate,
+    "slope-start": lambda obj, w: assouad_slope(obj, w, 4),
+    "slope-end": lambda obj, w: assouad_slope(obj, 1, w),
+}
 
 
-def blocked_scan_sizes(tree: DyadicTree, block: int) -> list[int]:
-    """Check assouad_estimate and lower_estimate against the searchsorted
-    oracle for every window m = 1..depth with _BLOCK_CELLS = block, and
-    return the number of levels in each pass the scan made."""
-    sizes = []
-    real = measures._block_child_starts
+class TestWindowIntegerRule:
+    """Window bounds and lengths follow the integer rule of the level
+    queries: booleans and non-integers are refused before any count, and
+    numpy integers are stored as ints, so every estimate serializes."""
 
-    def counted(t, offsets, k0, k1, m=1):
-        sizes.append(k1 - k0)
-        return real(t, offsets, k0, k1, m)
+    @pytest.mark.parametrize("bad", [True, False, 2.0, "2", None])
+    @pytest.mark.parametrize("name", sorted(WINDOWED))
+    @pytest.mark.parametrize("kind", sorted(WINDOW_SETS))
+    def test_non_integer_windows_are_refused(self, kind, name, bad):
+        # an empty set too: the window is refused before any count
+        for obj in (WINDOW_SETS[kind](), GridSetD(2, 4, 1, [])):
+            with pytest.raises(ValueError, match=r"^window(s| bounds) must be integers, got \["):
+                WINDOWED[name](obj, bad)
 
-    with mock.patch.object(measures, "_BLOCK_CELLS", block), \
-            mock.patch.object(dimension, "_block_child_starts", counted):
-        for m in range(1, tree.max_depth + 1):
-            for estimate, reduce in ((assouad_estimate, max), (lower_estimate, min)):
-                got, want = estimate(tree, m), local_per_scale_oracle(tree, m, reduce)
-                assert got.per_scale == want, (estimate.__name__, m)
-                assert got.value == reduce(v for _, v in want) / m
-    return sizes
+    @pytest.mark.parametrize("kind", sorted(WINDOW_SETS))
+    def test_numpy_integer_windows_are_stored_as_ints(self, kind):
+        obj = WINDOW_SETS[kind]()
+        for got, want in [
+            (box_estimate(obj, np.int64(2), np.int32(4)), box_estimate(obj, 2, 4)),
+            (assouad_estimate(obj, np.int64(2)), assouad_estimate(obj, 2)),
+            (lower_estimate(obj, np.uint8(3)), lower_estimate(obj, 3)),
+        ]:
+            assert got == want
+            assert [type(n) for n in got.window] == [int, int]
+            assert dumps_json(got.to_json()) == dumps_json(want.to_json())
+        assert assouad_slope(obj, np.int64(1), np.uint8(4)) == assouad_slope(obj, 1, 4)
 
 
-class TestBlockedScan:
-    """The Assouad and lower estimates of a tree, read from one run-head
-    pass per block of levels, against per-level searchsorted counts."""
+def assert_local_estimates_match_the_oracle(tree: DyadicTree) -> None:
+    """assouad_estimate and lower_estimate against the searchsorted oracle
+    for every window m = 1..depth."""
+    for m in range(1, tree.max_depth + 1):
+        for estimate, reduce in ((assouad_estimate, max), (lower_estimate, min)):
+            got, want = estimate(tree, m), local_per_scale_oracle(tree, m, reduce)
+            assert got.per_scale == want, (estimate.__name__, m)
+            assert got.value == reduce(v for _, v in want) / m
+
+
+class TestLocalEstimateOracle:
+    """The Assouad and lower estimates of a tree, read from
+    descendant_counts level by level, against per-level searchsorted
+    counts, and equal to those of the 1-d grid of the same leaves."""
 
     TREES = {
         "moran": lambda: moran_tree(MoranSpec(2, "4^-j"), 12),
@@ -206,32 +234,27 @@ class TestBlockedScan:
         "span-2": lambda: tree_of(9, [0, 1, 2, 300, 511, 512, 700, 1023], span=2),
         # one cell a level down to the deepest, which has two
         "two-points": lambda: tree_of(10, [0, 1]),
-        # levels 16 and 17 are larger than a default block, the rest are not
+        # levels 16 and 17 are larger than a measure kernel's block
         "straddling": lambda: random_tree(np.random.default_rng(17), 17, 0.9),
     }
 
-    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("name", sorted(TREES))
-    def test_named_trees_match_the_oracle(self, name, block):
-        sizes = set(blocked_scan_sizes(self.TREES[name](), block))
-        # a window's deepest level is a pass alone; three cells make a block
-        # of several levels only where the levels hold one or two cells
-        assert 1 in sizes
-        assert (sizes == {1}) == (block == 1 or (block == 3 and name != "two-points"))
+    def test_named_trees_match_the_oracle(self, name):
+        assert_local_estimates_match_the_oracle(self.TREES[name]())
 
-    def test_a_default_block_and_a_level_alone_in_one_window(self):
-        tree = self.TREES["straddling"]()
-        assert tree.count(15) < measures._BLOCK_CELLS < tree.count(16)
-        sizes = blocked_scan_sizes(tree, measures._BLOCK_CELLS)
-        # m = 1: levels 1..14 fill a block, 15 does not fit beside them, and
-        # 16 and 17 are each larger than one
-        assert sizes[:4] == [14, 1, 1, 1]
-
-    @pytest.mark.parametrize("block", BLOCKS)
     @given(st.integers(1, 10), st.integers(1, 3), st.data())
-    def test_random_trees_match_the_oracle(self, block, depth, span, data):
+    def test_random_trees_match_the_oracle(self, depth, span, data):
         leaves = data.draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=60))
-        blocked_scan_sizes(tree_of(depth, leaves, span), block)
+        assert_local_estimates_match_the_oracle(tree_of(depth, leaves, span))
+
+    @pytest.mark.parametrize("name", ["span-2", "two-points", "moran", "ifs"])
+    def test_a_line_grid_gives_the_tree_estimates(self, name):
+        tree = self.TREES[name]()
+        leaves = tree.array(tree.max_depth)
+        grid = GridSetD(1, tree.max_depth, tree.span, leaves[:, None])
+        for m in range(1, tree.max_depth + 1):
+            assert assouad_estimate(grid, m) == assouad_estimate(tree, m), m
+            assert lower_estimate(grid, m) == lower_estimate(tree, m), m
 
 
 def within_ulps(got: float, exact: Fraction, ulps: int = 4) -> bool:

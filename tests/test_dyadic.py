@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from dimlab import (
     DyadicTree,
     FormatError,
+    GridSetD,
     ResourceLimitError,
     Vertex,
     cell_of,
@@ -43,6 +44,11 @@ leaf_sets = st.builds(
 
 def tree_from(depth, leaves, span=1):
     return DyadicTree.from_leaves(depth, span, sorted(set(leaves)))
+
+
+def line_grid(depth, leaves):
+    """The 1-d grid of a tree's leaves, whose Morton order is their order."""
+    return GridSetD(1, depth, 1, [[x] for x in leaves])
 
 
 class TestIntervals:
@@ -284,8 +290,8 @@ class TestDescendants:
 
     @pytest.mark.parametrize("k, m", [(-1, 1), (2, -1), (3, 2)])
     def test_level_queries_reject_windows_outside_the_tree(self, k, m):
-        t = tree_from(4, [1, 5, 9])
-        for query in (t.descendant_starts, t.descendant_counts):
+        t, g = tree_from(4, [1, 5, 9]), line_grid(4, [1, 5, 9])
+        for query in (t.descendant_starts, t.descendant_counts, g.descendant_counts):
             with pytest.raises(ValueError, match="outside 0..4"):
                 query(k, m)
 
@@ -293,7 +299,7 @@ class TestDescendants:
     def test_tree_accessors_reject_levels_outside_the_tree(self, level):
         # Level -1 must not read the deepest level, as a Python index would.
         t = tree_from(4, [1, 5, 9])
-        for query in (t.count, t.array):
+        for query in (t.count, t.array, line_grid(4, [1, 5, 9]).count):
             with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
                 query(level)
         with pytest.raises(ValueError, match=f"^level {level} outside 0..4$"):
@@ -394,13 +400,16 @@ class TestVertexQueries:
         assert parse_outcome(subtree, t, v) == parse_outcome(subtree_oracle, t, v)
         if len(v) != 2:
             return
-        # the level entry points hold a level, index or window to the integer rule
-        for name, args in [("array", v[:1]), ("count", v[:1]),
-                           ("descendant_starts", (v[0], m)), ("descendant_counts", (v[0], m))]:
-            got = parse_outcome(getattr(t, name), *args)
+        # the level entry points hold a level, index or window to the
+        # integer rule, and a grid's count and descendant_counts as a tree's
+        g = line_grid(4, [1, 5, 9])
+        for obj, name, args in [(t, "array", v[:1]), (t, "count", v[:1]), (g, "count", v[:1]),
+                                (t, "descendant_starts", (v[0], m)), (t, "descendant_counts", (v[0], m)),
+                                (g, "descendant_counts", (v[0], m))]:
+            got = parse_outcome(getattr(obj, name), *args)
             if isinstance(got[1], np.ndarray):
                 got = ("ok", got[1].tolist())
-            assert got == parse_outcome(level_query_oracle, t, name, *args), name
+            assert got == parse_outcome(level_query_oracle, t, name, *args), (obj, name)
 
 
 def _dump_levels(depth, span, levels):

@@ -18,6 +18,7 @@ from conftest import (
     cantor_cells_exact,
     ifs_attractor_oracle,
     moran_tree_oracle,
+    parse_outcome,
     reciprocal_tree_oracle,
     semigroup_oracle,
 )
@@ -43,7 +44,7 @@ from dimlab import (
 )
 from dimlab.budget import limit
 from dimlab.dyadic import cell_of
-from dimlab.generators import _SPEC_FIELDS, _interval_cells
+from dimlab.generators import _SPEC_FIELDS, _fraction_float, _interval_cells
 
 CANTOR = IfsSpec(1 / 3, (0.0, 2 / 3))
 QUARTER = IfsSpec(0.25, (0.0, 0.75))
@@ -739,6 +740,41 @@ class TestSpecJson:
         with pytest.raises(SpecValidationError) as info:
             spec_from_json(data)
         assert str(info.value) == message
+
+    R_ZERO = (SpecValidationError, "contraction ratio r=0.0 outside (0, 1)")
+    BEYOND = (SpecValidationError,
+              "ifs spec holds a number beyond float range: integer division result too large for a float")
+
+    @pytest.mark.parametrize("text, outcome", [
+        ("1/3", ("ok", 1 / 3)),
+        ("0.25", ("ok", 0.25)),
+        (" 1/3 ", ("ok", 1 / 3)),
+        ("-0", R_ZERO),
+        ("1e-400", R_ZERO),
+        ("1e400", BEYOND),
+        ("1e-100000", R_ZERO),
+        ("nan", (SpecValidationError, "Invalid literal for Fraction: 'nan'")),
+        ("abc", (SpecValidationError, "Invalid literal for Fraction: 'abc'")),
+        # Fraction formed 10^|e| for these, which held the reader
+        ("1e-99999999", R_ZERO),
+        ("1e99999999", BEYOND),
+    ])
+    def test_number_strings_keep_their_outcomes(self, text, outcome):
+        got = parse_outcome(lambda: spec_from_json({"type": "ifs", "r": text, "translations": [0]}).r)
+        assert got == outcome
+
+    @given(st.text("0123456789eE+-._/ ", max_size=7))
+    @example("-1e-999")
+    @example("1.5e1_0")
+    @example("1/3e5")
+    def test_number_strings_read_as_fraction_reads_them(self, text):
+        # short texts keep 10^|e| small enough for the Fraction oracle,
+        # yet reach exponents past the clamp at len(text) + 400
+        want = parse_outcome(lambda: float(Fraction(text)))
+        got = parse_outcome(_fraction_float, text)
+        assert got == want
+        if got[0] == "ok":
+            assert math.copysign(1.0, got[1]) == math.copysign(1.0, want[1])
 
     @given(SPEC_DATA)
     def test_any_json_fields_give_a_spec_or_a_refusal(self, data):
