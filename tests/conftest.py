@@ -543,8 +543,8 @@ def descendant_count_oracle(tree, v, m: int) -> int:
 
 def descendant_counts_oracle(tree, k: int, m: int) -> np.ndarray:
     """Per occupied level-k cell, its level-(k + m) cells, by two
-    np.searchsorted calls on level k + m: the check of the blocked
-    run-head pass behind `assouad_estimate` and `lower_estimate`."""
+    np.searchsorted calls on level k + m: the check of the
+    `descendant_counts` path behind `assouad_estimate` and `lower_estimate`."""
     above, below = tree.array(k), tree.array(k + m)
     return np.searchsorted(below, (above + 1) << m) - np.searchsorted(below, above << m)
 
