@@ -34,6 +34,7 @@ from dimlab import (
     reciprocal_tree,
 )
 import dimlab.dimension as dimension
+from dimlab import measures
 from dimlab.io import dumps_json
 from dimlab.budget import limit
 from dimlab.verify import LOG2_3
@@ -212,20 +213,35 @@ class TestWindowIntegerRule:
         assert assouad_slope(obj, np.int64(1), np.uint8(4)) == assouad_slope(obj, 1, 4)
 
 
-def assert_local_estimates_match_the_oracle(tree: DyadicTree) -> None:
+# _BLOCK_CELLS values under which the measure kernels run every level alone,
+# several small levels a block, and their default
+BLOCKS = (1, 3, measures._BLOCK_CELLS)
+
+
+def assert_local_estimates_match_the_oracle(tree: DyadicTree, block: int) -> None:
     """assouad_estimate and lower_estimate against the searchsorted oracle
-    for every window m = 1..depth."""
-    for m in range(1, tree.max_depth + 1):
-        for estimate, reduce in ((assouad_estimate, max), (lower_estimate, min)):
-            got, want = estimate(tree, m), local_per_scale_oracle(tree, m, reduce)
-            assert got.per_scale == want, (estimate.__name__, m)
-            assert got.value == reduce(v for _, v in want) / m
+    for every window m = 1..depth, with _BLOCK_CELLS = block and the
+    measure kernels' block helpers barred: the estimates read
+    descendant_counts alone, so no block size can change them."""
+
+    def barred(*args, **kwargs):
+        raise AssertionError("a local estimate ran a measure block helper")
+
+    with mock.patch.object(measures, "_BLOCK_CELLS", block), \
+            mock.patch.object(measures, "_blocks", barred), \
+            mock.patch.object(measures, "_block_child_starts", barred):
+        for m in range(1, tree.max_depth + 1):
+            for estimate, reduce in ((assouad_estimate, max), (lower_estimate, min)):
+                got, want = estimate(tree, m), local_per_scale_oracle(tree, m, reduce)
+                assert got.per_scale == want, (estimate.__name__, m)
+                assert got.value == reduce(v for _, v in want) / m
 
 
-class TestLocalEstimateOracle:
+class TestBlockedScan:
     """The Assouad and lower estimates of a tree, read from
-    descendant_counts level by level, against per-level searchsorted
-    counts, and equal to those of the 1-d grid of the same leaves."""
+    descendant_counts level by level rather than from a blocked run-head
+    scan, against per-level searchsorted counts under every block size,
+    and equal to those of the 1-d grid of the same leaves."""
 
     TREES = {
         "moran": lambda: moran_tree(MoranSpec(2, "4^-j"), 12),
@@ -238,14 +254,16 @@ class TestLocalEstimateOracle:
         "straddling": lambda: random_tree(np.random.default_rng(17), 17, 0.9),
     }
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @pytest.mark.parametrize("name", sorted(TREES))
-    def test_named_trees_match_the_oracle(self, name):
-        assert_local_estimates_match_the_oracle(self.TREES[name]())
+    def test_named_trees_match_the_oracle(self, name, block):
+        assert_local_estimates_match_the_oracle(self.TREES[name](), block)
 
+    @pytest.mark.parametrize("block", BLOCKS)
     @given(st.integers(1, 10), st.integers(1, 3), st.data())
-    def test_random_trees_match_the_oracle(self, depth, span, data):
+    def test_random_trees_match_the_oracle(self, block, depth, span, data):
         leaves = data.draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=60))
-        assert_local_estimates_match_the_oracle(tree_of(depth, leaves, span))
+        assert_local_estimates_match_the_oracle(tree_of(depth, leaves, span), block)
 
     @pytest.mark.parametrize("name", ["span-2", "two-points", "moran", "ifs"])
     def test_a_line_grid_gives_the_tree_estimates(self, name):
