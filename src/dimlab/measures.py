@@ -62,10 +62,10 @@ def _spans(lo: int, hi: int):
         yield a, min(a + _BLOCK_CELLS, hi)
 
 
-def _blocks(offsets: list[int], first: int, stop: int):
-    """Split levels first..stop-1 into runs [k0, k1) of consecutive levels
+def _blocks(offsets: list[int], stop: int):
+    """Split levels 0..stop-1 into runs [k0, k1) of consecutive levels
     holding at most _BLOCK_CELLS cells; a larger level is a run by itself."""
-    k0 = first
+    k0 = 0
     while k0 < stop:
         k1 = max(bisect_right(offsets, offsets[k0] + _BLOCK_CELLS, k0 + 1, stop + 1) - 1, k0 + 1)
         yield k0, k1
@@ -78,7 +78,7 @@ def _child_starts(tree: DyadicTree, offsets: list[int]) -> np.ndarray:
     offsets[n + 1], end to end.  One run-head pass per block of levels
     (see _block_child_starts)."""
     kids = np.empty(offsets[-2], dtype=np.int64)
-    for k0, k1 in _blocks(offsets, 0, tree.max_depth):
+    for k0, k1 in _blocks(offsets, tree.max_depth):
         kids[offsets[k0] : offsets[k1]] = _block_child_starts(tree, offsets, k0, k1)
     return kids
 
@@ -270,7 +270,7 @@ def _check_child_sums(offsets: list[int], flat: np.ndarray, kids: np.ndarray) ->
     """Refuse masses whose children stray from their parent by more than
     CHILD_SUM_TOL, naming the first such level: one _child_sums pass a
     block, and a level larger than a block in runs of _BLOCK_CELLS cells."""
-    for k0, k1 in _blocks(offsets, 0, len(offsets) - 2):
+    for k0, k1 in _blocks(offsets, len(offsets) - 2):
         drift = np.zeros(k1 - k0)
         for lo, hi in _spans(offsets[k0], offsets[k1]):
             diff = _child_sums(flat, *_child_pairs(flat, kids, lo, hi))
@@ -329,7 +329,7 @@ def _sum_upward(tree: DyadicTree, leaf_masses) -> TreeMeasure:
     kids = _child_starts(tree, offsets)
     # deepest first: a run holds every level of a block, or a part of one
     # level; its children's places are found once, its sums level by level
-    for k0, k1 in reversed(list(_blocks(offsets, 0, tree.max_depth))):
+    for k0, k1 in reversed(list(_blocks(offsets, tree.max_depth))):
         for lo, hi in _spans(offsets[k0], offsets[k1]):
             first, second, two = _child_pairs(flat, kids, lo, hi)
             parents = flat[lo:hi]
@@ -522,7 +522,7 @@ def scale_profile(mu: TreeMeasure, eps: float, m: int | None = None, n: int | No
     stats = []
     I: list[int] = []
     J: list[int] = []
-    for k0, k1 in _blocks(offsets, 0, n + 1):
+    for k0, k1 in _blocks(offsets, n + 1):
         lo, hi = offsets[k0], offsets[k1]
         w = flat[lo:hi]
         a = np.add.reduceat(wlogw[: offsets[k1 + m]], mu._global_starts(k0, k1, m))

@@ -34,6 +34,7 @@ from dimlab import (
     reciprocal_tree,
 )
 import dimlab.dimension as dimension
+from dimlab import dyadic
 from dimlab import measures
 from dimlab.io import dumps_json
 from dimlab.budget import limit
@@ -213,21 +214,22 @@ class TestWindowIntegerRule:
         assert assouad_slope(obj, np.int64(1), np.uint8(4)) == assouad_slope(obj, 1, 4)
 
 
-# _BLOCK_CELLS values under which the measure kernels run every level alone,
-# several small levels a block, and their default
-BLOCKS = (1, 3, measures._BLOCK_CELLS)
+# _LEVEL_BLOCK values under which descendant_starts compares each cell
+# alone, three cells at once, and 2^15 cells at once, which splits levels 16
+# and 17 of the straddling tree into two and three blocks
+LEVEL_BLOCKS = (1, 3, 1 << 15)
 
 
 def assert_local_estimates_match_the_oracle(tree: DyadicTree, block: int) -> None:
     """assouad_estimate and lower_estimate against the searchsorted oracle
-    for every window m = 1..depth, with _BLOCK_CELLS = block and the
-    measure kernels' block helpers barred: the estimates read
-    descendant_counts alone, so no block size can change them."""
+    for every window m = 1..depth, with descendant_starts comparing
+    neighbours in blocks of `block` cells and the measure kernels' block
+    helpers barred: the estimates read descendant_counts alone."""
 
     def barred(*args, **kwargs):
         raise AssertionError("a local estimate ran a measure block helper")
 
-    with mock.patch.object(measures, "_BLOCK_CELLS", block), \
+    with mock.patch.object(dyadic, "_LEVEL_BLOCK", block), \
             mock.patch.object(measures, "_blocks", barred), \
             mock.patch.object(measures, "_block_child_starts", barred):
         for m in range(1, tree.max_depth + 1):
@@ -238,10 +240,10 @@ def assert_local_estimates_match_the_oracle(tree: DyadicTree, block: int) -> Non
 
 
 class TestBlockedScan:
-    """The Assouad and lower estimates of a tree, read from
-    descendant_counts level by level rather than from a blocked run-head
-    scan, against per-level searchsorted counts under every block size,
-    and equal to those of the 1-d grid of the same leaves."""
+    """The Assouad and lower estimates of a tree, read level by level from
+    descendant_counts, whose starts are run heads found in blocks of
+    _LEVEL_BLOCK cells, against per-level searchsorted counts under every
+    block size, and equal to those of the 1-d grid of the same leaves."""
 
     TREES = {
         "moran": lambda: moran_tree(MoranSpec(2, "4^-j"), 12),
@@ -250,16 +252,16 @@ class TestBlockedScan:
         "span-2": lambda: tree_of(9, [0, 1, 2, 300, 511, 512, 700, 1023], span=2),
         # one cell a level down to the deepest, which has two
         "two-points": lambda: tree_of(10, [0, 1]),
-        # levels 16 and 17 are larger than a measure kernel's block
+        # levels 16 and 17 (35,100 and 66,717 cells) are larger than a block of 2^15
         "straddling": lambda: random_tree(np.random.default_rng(17), 17, 0.9),
     }
 
-    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("block", LEVEL_BLOCKS)
     @pytest.mark.parametrize("name", sorted(TREES))
     def test_named_trees_match_the_oracle(self, name, block):
         assert_local_estimates_match_the_oracle(self.TREES[name](), block)
 
-    @pytest.mark.parametrize("block", BLOCKS)
+    @pytest.mark.parametrize("block", LEVEL_BLOCKS)
     @given(st.integers(1, 10), st.integers(1, 3), st.data())
     def test_random_trees_match_the_oracle(self, block, depth, span, data):
         leaves = data.draw(st.lists(st.integers(0, (span << depth) - 1), min_size=1, max_size=60))

@@ -120,7 +120,7 @@ class TestConstruction:
             DyadicTree, "descendant_starts",
             lambda self, k, m: calls.append((k, m)) or real_starts(self, k, m),
         )
-        blocks = list(measures._blocks(measures._level_offsets(tree), 0, tree.max_depth))
+        blocks = list(measures._blocks(measures._level_offsets(tree), tree.max_depth))
         assert len(blocks) < tree.max_depth or block == 1
         builds = (
             counting_measure,
@@ -609,7 +609,7 @@ class TestProfileKernels:
         counts = [tree.count(n) for n in range(tree.max_depth + 1)]
         assert counts[14] < measures._BLOCK_CELLS < counts[16]
         offsets = measures._level_offsets(tree)
-        blocks = list(measures._blocks(offsets, 0, tree.max_depth))
+        blocks = list(measures._blocks(offsets, tree.max_depth))
         assert any(k1 > k0 + 1 for k0, k1 in blocks) and any(k1 == k0 + 1 for k0, k1 in blocks)
         assert_starts_equal_descendant_starts(counting_measure(tree), windows=3)
 
@@ -723,9 +723,9 @@ class TestLevelBlocks:
         monkeypatch.setattr(measures, "_BLOCK_CELLS", block)
         tree = random_tree(np.random.default_rng(4), 12, 0.7)
         offsets = measures._level_offsets(tree)
-        for first, stop in ((0, tree.max_depth + 1), (0, tree.max_depth), (3, 9), (5, 6)):
-            runs = list(measures._blocks(offsets, first, stop))
-            assert [k for k0, k1 in runs for k in range(k0, k1)] == list(range(first, stop))
+        for stop in (tree.max_depth + 1, tree.max_depth, 9, 1):
+            runs = list(measures._blocks(offsets, stop))
+            assert [k for k0, k1 in runs for k in range(k0, k1)] == list(range(stop))
             for k0, k1 in runs:
                 assert k1 == k0 + 1 or offsets[k1] - offsets[k0] <= block
 
